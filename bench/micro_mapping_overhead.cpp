@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/congestion.hpp"
@@ -31,38 +32,46 @@ namespace {
 
 using namespace rapsim;
 
-void BM_TranslateRaw(benchmark::State& state) {
-  const auto w = static_cast<std::uint32_t>(state.range(0));
-  const auto map = core::make_matrix_map(core::Scheme::kRaw, w, w, 1);
-  std::uint64_t a = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map->translate(a));
-    a = (a + 1) % map->size();
-  }
+/// The next logical address of a sweep over the whole map. A wrap branch,
+/// not a `%`: a runtime division per step would cost as much as the
+/// translate being timed.
+std::uint64_t next_address(std::uint64_t a, std::uint64_t size) {
+  return ++a == size ? 0 : a;
 }
-BENCHMARK(BM_TranslateRaw)->Arg(32)->Arg(256);
 
-void BM_TranslateRas(benchmark::State& state) {
+void BM_Translate(benchmark::State& state, core::Scheme scheme) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
-  const auto map = core::make_matrix_map(core::Scheme::kRas, w, w, 1);
+  const auto map = core::make_matrix_map(scheme, w, w, 1);
   std::uint64_t a = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(map->translate(a));
-    a = (a + 1) % map->size();
+    a = next_address(a, map->size());
   }
 }
-BENCHMARK(BM_TranslateRas)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_Translate, Raw, core::Scheme::kRaw)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_Translate, Ras, core::Scheme::kRas)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_Translate, Rap, core::Scheme::kRap)->Arg(32)->Arg(256);
 
-void BM_TranslateRap(benchmark::State& state) {
+/// One warp of w consecutive logical addresses per translate_warp call,
+/// sweeping the whole map.
+void BM_TranslateWarp(benchmark::State& state, core::Scheme scheme) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
-  const auto map = core::make_matrix_map(core::Scheme::kRap, w, w, 1);
-  std::uint64_t a = 0;
+  const auto map = core::make_matrix_map(scheme, w, w, 1);
+  std::vector<std::uint64_t> logical(map->size());
+  for (std::uint64_t a = 0; a < logical.size(); ++a) logical[a] = a;
+  std::vector<std::uint64_t> physical(w);
+  std::uint64_t row = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map->translate(a));
-    a = (a + 1) % map->size();
+    map->translate_warp(std::span(logical).subspan(row * w, w), physical);
+    benchmark::DoNotOptimize(physical.data());
+    benchmark::ClobberMemory();
+    row = next_address(row, w);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * w);
 }
-BENCHMARK(BM_TranslateRap)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_TranslateWarp, Raw, core::Scheme::kRaw)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_TranslateWarp, Ras, core::Scheme::kRas)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_TranslateWarp, Rap, core::Scheme::kRap)->Arg(32)->Arg(256);
 
 // The inner RAP shift exactly as the CUDA kernel computes it: packed
 // extract + add + mask (Figure 7's expression).
@@ -151,7 +160,28 @@ perfbench::Aggregate time_translate(const perfbench::Protocol& protocol,
   return perfbench::run_timed(protocol, iters, [&] {
     for (std::uint64_t i = 0; i < iters; ++i) {
       benchmark::DoNotOptimize(map->translate(a));
-      a = (a + 1) % map->size();
+      a = next_address(a, map->size());
+    }
+  });
+}
+
+/// ns per address translated by translate_warp(), one w-lane warp (one
+/// matrix row) per call, over `iters` addresses per timed sample.
+perfbench::Aggregate time_translate_warp(const perfbench::Protocol& protocol,
+                                         core::Scheme scheme, std::uint32_t w,
+                                         std::uint64_t iters) {
+  const auto map = core::make_matrix_map(scheme, w, w, 1);
+  std::vector<std::uint64_t> logical(map->size());
+  for (std::uint64_t a = 0; a < logical.size(); ++a) logical[a] = a;
+  std::vector<std::uint64_t> physical(w);
+  const std::uint64_t warps = iters / w;
+  std::uint64_t row = 0;
+  return perfbench::run_timed(protocol, warps * w, [&] {
+    for (std::uint64_t k = 0; k < warps; ++k) {
+      map->translate_warp(std::span(logical).subspan(row * w, w), physical);
+      benchmark::DoNotOptimize(physical.data());
+      benchmark::ClobberMemory();
+      row = next_address(row, w);
     }
   });
 }
@@ -165,9 +195,12 @@ int emit_bench(const std::string& path, const util::CliArgs& args) {
   for (const core::Scheme scheme :
        {core::Scheme::kRaw, core::Scheme::kRas, core::Scheme::kRap}) {
     for (const std::uint32_t w : {32u, 256u}) {
-      report.add(std::string("translate_") + core::scheme_name(scheme) +
-                     "_w" + std::to_string(w),
+      const std::string suffix =
+          std::string(core::scheme_name(scheme)) + "_w" + std::to_string(w);
+      report.add("translate_" + suffix,
                  time_translate(protocol, scheme, w, iters));
+      report.add("translate_warp_" + suffix,
+                 time_translate_warp(protocol, scheme, w, iters));
     }
   }
 
@@ -199,14 +232,14 @@ int emit_bench(const std::string& path, const util::CliArgs& args) {
                }));
   }
 
-  {
-    const std::uint32_t w = 32;
-    const std::uint64_t warps = iters >> 6;
+  for (const std::uint32_t w : {32u, 256u}) {
+    // Same lane count per sample at both widths.
+    const std::uint64_t warps = (iters >> 1) / w;
     const auto map = core::make_matrix_map(core::Scheme::kRap, w, w, 1);
     util::Pcg32 rng(3);
     std::vector<std::uint64_t> addrs(w);
     for (auto& a : addrs) a = rng.bounded(w * w);
-    report.add("congestion_of_warp_w32",
+    report.add("congestion_of_warp_w" + std::to_string(w),
                perfbench::run_timed(protocol, warps, [&] {
                  for (std::uint64_t k = 0; k < warps; ++k) {
                    benchmark::DoNotOptimize(core::congestion_value(addrs, *map));

@@ -15,68 +15,74 @@ namespace {
 /// best generic move is to spread across rows and let the bank draws
 /// collide; column choice is random to avoid accidentally hitting a
 /// conflict-free sub-structure.
-std::vector<std::uint64_t> one_cell_per_row_2d(const core::MatrixMap& map,
-                                               util::Pcg32& rng) {
+void one_cell_per_row_2d(const core::MatrixMap& map, util::Pcg32& rng,
+                         std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
-  std::vector<std::uint64_t> addrs;
-  addrs.reserve(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     addrs.push_back(map.index(t, rng.bounded(w)));
   }
-  return addrs;
 }
 
-std::vector<std::uint64_t> one_cell_per_row_4d(const core::Tensor4dMap& map,
-                                               util::Pcg32& rng) {
+void one_cell_per_row_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
+                         std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
-  std::vector<std::uint64_t> addrs;
-  addrs.reserve(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     addrs.push_back(
         map.index({t, rng.bounded(w), rng.bounded(w), rng.bounded(w)}));
   }
-  return addrs;
 }
 
 }  // namespace
 
 std::vector<std::uint64_t> malicious_addresses_2d(const core::MatrixMap& map,
                                                   util::Pcg32& rng) {
+  std::vector<std::uint64_t> addrs;
+  malicious_addresses_2d(map, rng, addrs);
+  return addrs;
+}
+
+void malicious_addresses_2d(const core::MatrixMap& map, util::Pcg32& rng,
+                            std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
+  addrs.clear();
+  addrs.reserve(w);
   switch (map.scheme()) {
     case core::Scheme::kRaw: {
       // All threads on one column: deterministically congestion w.
-      std::vector<std::uint64_t> addrs;
-      addrs.reserve(w);
       const std::uint32_t column = rng.bounded(w);
       for (std::uint32_t t = 0; t < w; ++t) {
         addrs.push_back(map.index(t, column));
       }
-      return addrs;
+      return;
     }
     case core::Scheme::kPad: {
       // The padding skew is public: cells on an anti-diagonal
       // (i + j = const mod w) all share bank (i + j) mod w.
-      std::vector<std::uint64_t> addrs;
-      addrs.reserve(w);
       const std::uint32_t c = rng.bounded(w);
       for (std::uint32_t t = 0; t < w; ++t) {
         addrs.push_back(map.index(t, (c + w - t % w) % w));
       }
-      return addrs;
+      return;
     }
     default:
       // RAS / RAP: no structured attack exists; one cell per row maximizes
       // the collision opportunities (RAP's cross-row collision probability
       // is 1/(w-1), slightly above RAS's 1/w — Section V).
-      return one_cell_per_row_2d(map, rng);
+      one_cell_per_row_2d(map, rng, addrs);
   }
 }
 
 std::vector<std::uint64_t> malicious_addresses_4d(const core::Tensor4dMap& map,
                                                   util::Pcg32& rng) {
-  const std::uint32_t w = map.width();
   std::vector<std::uint64_t> addrs;
+  malicious_addresses_4d(map, rng, addrs);
+  return addrs;
+}
+
+void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
+                            std::vector<std::uint64_t>& addrs) {
+  const std::uint32_t w = map.width();
+  addrs.clear();
   addrs.reserve(w);
 
   switch (map.scheme()) {
@@ -86,7 +92,7 @@ std::vector<std::uint64_t> malicious_addresses_4d(const core::Tensor4dMap& map,
       for (std::uint32_t t = 0; t < w; ++t) {
         addrs.push_back(map.index({t, rng.bounded(w), rng.bounded(w), l}));
       }
-      return addrs;
+      return;
     }
     case core::Scheme::kRap1P: {
       // shift = p[k]: fixing k and l pins the bank at (l + p[k]) mod w for
@@ -96,7 +102,7 @@ std::vector<std::uint64_t> malicious_addresses_4d(const core::Tensor4dMap& map,
       for (std::uint32_t t = 0; t < w; ++t) {
         addrs.push_back(map.index({0u, t, k, l}));
       }
-      return addrs;
+      return;
     }
     case core::Scheme::kRapR1P: {
       // The paper's index-permutation attack: the 6 arrangements of a
@@ -121,7 +127,7 @@ std::vector<std::uint64_t> malicious_addresses_4d(const core::Tensor4dMap& map,
             {next_i % w, rng.bounded(w), rng.bounded(w), rng.bounded(w)}));
         ++next_i;
       }
-      return addrs;
+      return;
     }
     case core::Scheme::kRapW2P:
     case core::Scheme::kRap1PW2R: {
@@ -133,13 +139,13 @@ std::vector<std::uint64_t> malicious_addresses_4d(const core::Tensor4dMap& map,
       for (std::uint32_t t = 0; t < w; ++t) {
         addrs.push_back(map.index({t, rng.bounded(w), k, l}));
       }
-      return addrs;
+      return;
     }
     case core::Scheme::kRas:
     case core::Scheme::kRap3P:
     default:
       // No structure to exploit; vary everything across rows.
-      return one_cell_per_row_4d(map, rng);
+      one_cell_per_row_4d(map, rng, addrs);
   }
 }
 

@@ -43,10 +43,16 @@ namespace rapsim::access {
 /// One warp of adversarial logical addresses against a 2-D mapping scheme.
 [[nodiscard]] std::vector<std::uint64_t> malicious_addresses_2d(
     const core::MatrixMap& map, util::Pcg32& rng);
+/// The same addresses, written over `addrs` (whose capacity is reused).
+void malicious_addresses_2d(const core::MatrixMap& map, util::Pcg32& rng,
+                            std::vector<std::uint64_t>& addrs);
 
 /// One warp of adversarial logical addresses against a 4-D mapping scheme.
 [[nodiscard]] std::vector<std::uint64_t> malicious_addresses_4d(
     const core::Tensor4dMap& map, util::Pcg32& rng);
+/// The same addresses, written over `addrs` (whose capacity is reused).
+void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
+                            std::vector<std::uint64_t>& addrs);
 
 /// Randomized hill-climbing adversary: starts from a random placement of
 /// `width` distinct cells and greedily mutates single cells, scoring a

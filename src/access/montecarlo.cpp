@@ -1,6 +1,7 @@
 #include "access/montecarlo.hpp"
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/congestion.hpp"
@@ -13,6 +14,42 @@ namespace rapsim::access {
 namespace {
 
 constexpr std::size_t kChunks = 64;  // fixed: part of the deterministic contract
+
+/// Seed of trial t's map; trials own their maps, chunks only their warps.
+std::uint64_t trial_map_seed(std::uint64_t seed, std::uint64_t trial) {
+  return seed * 0x9e3779b97f4a7c15ull + trial + 1;
+}
+
+/// One worker's reusable 2-D trial state: the map, redrawn in place for
+/// each trial, the address buffer and the bank tally. It allocates only
+/// when built and on its first trial, so a worker's allocations do not
+/// grow with its trial count.
+class Trials2d {
+ public:
+  Trials2d(core::Scheme scheme, Pattern2d pattern, std::uint32_t width,
+           std::uint64_t seed)
+      : pattern_(pattern),
+        seed_(seed),
+        map_(core::make_matrix_map(scheme, width, width,
+                                   trial_map_seed(seed, 0))) {}
+
+  /// Trial t: the map make_matrix_map draws from trial_map_seed(seed, t),
+  /// then one warp drawn from `rng`, tallied.
+  const core::BankTally& run(std::uint64_t t, util::Pcg32& rng) {
+    core::redraw_matrix_map(*map_, trial_map_seed(seed_, t));
+    const std::uint32_t warp = rng.bounded(map_->width());
+    warp_addresses_2d(pattern_, *map_, warp, rng, addrs_);
+    core::tally_logical(addrs_, *map_, tally_);
+    return tally_;
+  }
+
+ private:
+  Pattern2d pattern_;
+  std::uint64_t seed_;
+  std::unique_ptr<core::MatrixMap> map_;
+  std::vector<std::uint64_t> addrs_;
+  core::BankTally tally_;
+};
 
 struct ChunkAccumulator {
   util::OnlineStats stats;
@@ -66,14 +103,9 @@ CongestionEstimate estimate_congestion_2d(core::Scheme scheme,
       trials, kChunks,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         util::Pcg32 rng(seed ^ (0x32645f5472ull + chunk), chunk);
+        Trials2d trial(scheme, pattern, width, seed);
         for (std::size_t t = begin; t < end; ++t) {
-          const std::uint64_t map_seed =
-              seed * 0x9e3779b97f4a7c15ull + t + 1;
-          const auto map =
-              core::make_matrix_map(scheme, width, width, map_seed);
-          const std::uint32_t warp = rng.bounded(width);
-          const auto addrs = warp_addresses_2d(pattern, *map, warp, rng);
-          chunks[chunk].add(core::congestion_value(addrs, *map));
+          chunks[chunk].add(trial.run(t, rng).congestion());
         }
       });
   return reduce(chunks);
@@ -85,12 +117,9 @@ util::Tally congestion_distribution_2d(core::Scheme scheme,
                                        std::uint64_t seed) {
   util::Tally tally;
   util::Pcg32 rng(seed ^ 0x64697374ull, 0);
+  Trials2d trial(scheme, pattern, width, seed);
   for (std::uint64_t t = 0; t < trials; ++t) {
-    const std::uint64_t map_seed = seed * 0x9e3779b97f4a7c15ull + t + 1;
-    const auto map = core::make_matrix_map(scheme, width, width, map_seed);
-    const std::uint32_t warp = rng.bounded(width);
-    const auto addrs = warp_addresses_2d(pattern, *map, warp, rng);
-    tally.add(core::congestion_value(addrs, *map));
+    tally.add(trial.run(t, rng).congestion());
   }
   return tally;
 }
@@ -103,16 +132,13 @@ CongestionProfile profile_congestion_2d(core::Scheme scheme,
   profile.bank_requests.assign(width, 0);
   util::OnlineStats stats;
   util::Pcg32 rng(seed ^ 0x64697374ull, 0);  // congestion_distribution_2d's stream
+  Trials2d trial(scheme, pattern, width, seed);
   for (std::uint64_t t = 0; t < trials; ++t) {
-    const std::uint64_t map_seed = seed * 0x9e3779b97f4a7c15ull + t + 1;
-    const auto map = core::make_matrix_map(scheme, width, width, map_seed);
-    const std::uint32_t warp = rng.bounded(width);
-    const auto addrs = warp_addresses_2d(pattern, *map, warp, rng);
-    const auto result = core::congestion_of_logical(addrs, *map);
-    profile.distribution.add(result.congestion);
-    stats.add(result.congestion);
+    const core::BankTally& result = trial.run(t, rng);
+    profile.distribution.add(result.congestion());
+    stats.add(result.congestion());
     for (std::uint32_t b = 0; b < width; ++b) {
-      profile.bank_requests[b] += result.per_bank[b];
+      profile.bank_requests[b] += result.bank_count(b);
     }
   }
   profile.estimate.mean = stats.mean();
@@ -133,12 +159,14 @@ CongestionEstimate estimate_congestion_4d(core::Scheme scheme,
       trials, kChunks,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         util::Pcg32 rng(seed ^ (0x34645f5472ull + chunk), chunk);
+        std::vector<std::uint64_t> addrs;
+        core::BankTally tally;
         for (std::size_t t = begin; t < end; ++t) {
-          const std::uint64_t map_seed =
-              seed * 0x9e3779b97f4a7c15ull + t + 1;
-          const auto map = core::make_tensor4d_map(scheme, width, map_seed);
-          const auto addrs = warp_addresses_4d(pattern, *map, rng);
-          chunks[chunk].add(core::congestion_value(addrs, *map));
+          const auto map =
+              core::make_tensor4d_map(scheme, width, trial_map_seed(seed, t));
+          warp_addresses_4d(pattern, *map, rng, addrs);
+          core::tally_logical(addrs, *map, tally);
+          chunks[chunk].add(tally.congestion());
         }
       });
   return reduce(chunks);

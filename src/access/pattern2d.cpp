@@ -21,12 +21,20 @@ std::vector<std::uint64_t> warp_addresses_2d(Pattern2d pattern,
                                              const core::MatrixMap& map,
                                              std::uint32_t warp_index,
                                              util::Pcg32& rng) {
+  std::vector<std::uint64_t> addrs;
+  warp_addresses_2d(pattern, map, warp_index, rng, addrs);
+  return addrs;
+}
+
+void warp_addresses_2d(Pattern2d pattern, const core::MatrixMap& map,
+                       std::uint32_t warp_index, util::Pcg32& rng,
+                       std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
   if (map.rows() < w) {
     throw std::invalid_argument(
         "warp_addresses_2d: matrix must have at least width rows");
   }
-  std::vector<std::uint64_t> addrs;
+  addrs.clear();
   addrs.reserve(w);
   switch (pattern) {
     case Pattern2d::kContiguous:
@@ -53,9 +61,9 @@ std::vector<std::uint64_t> warp_addresses_2d(Pattern2d pattern,
       }
       break;
     case Pattern2d::kMalicious:
-      return malicious_addresses_2d(map, rng);
+      malicious_addresses_2d(map, rng, addrs);
+      break;
   }
-  return addrs;
 }
 
 std::vector<std::uint64_t> strided_flat_addresses(const core::AddressMap& map,

@@ -36,6 +36,11 @@ enum class Pattern2d { kContiguous, kStride, kDiagonal, kRandom, kMalicious };
     Pattern2d pattern, const core::MatrixMap& map, std::uint32_t warp_index,
     util::Pcg32& rng);
 
+/// The same addresses, written over `addrs` (whose capacity is reused).
+void warp_addresses_2d(Pattern2d pattern, const core::MatrixMap& map,
+                       std::uint32_t warp_index, util::Pcg32& rng,
+                       std::vector<std::uint64_t>& addrs);
+
 /// All Pattern2d values in the order of the paper's Table II rows
 /// (contiguous, stride, diagonal, random).
 [[nodiscard]] const std::vector<Pattern2d>& table2_patterns();

@@ -19,8 +19,15 @@ const char* pattern4d_name(Pattern4d pattern) noexcept {
 std::vector<std::uint64_t> warp_addresses_4d(Pattern4d pattern,
                                              const core::Tensor4dMap& map,
                                              util::Pcg32& rng) {
-  const std::uint32_t w = map.width();
   std::vector<std::uint64_t> addrs;
+  warp_addresses_4d(pattern, map, rng, addrs);
+  return addrs;
+}
+
+void warp_addresses_4d(Pattern4d pattern, const core::Tensor4dMap& map,
+                       util::Pcg32& rng, std::vector<std::uint64_t>& addrs) {
+  const std::uint32_t w = map.width();
+  addrs.clear();
   addrs.reserve(w);
 
   core::Index4d cell{rng.bounded(w), rng.bounded(w), rng.bounded(w),
@@ -57,9 +64,9 @@ std::vector<std::uint64_t> warp_addresses_4d(Pattern4d pattern,
       }
       break;
     case Pattern4d::kMalicious:
-      return malicious_addresses_4d(map, rng);
+      malicious_addresses_4d(map, rng, addrs);
+      break;
   }
-  return addrs;
 }
 
 const std::vector<Pattern4d>& table4_patterns() {

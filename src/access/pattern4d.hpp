@@ -37,6 +37,10 @@ enum class Pattern4d {
 [[nodiscard]] std::vector<std::uint64_t> warp_addresses_4d(
     Pattern4d pattern, const core::Tensor4dMap& map, util::Pcg32& rng);
 
+/// The same addresses, written over `addrs` (whose capacity is reused).
+void warp_addresses_4d(Pattern4d pattern, const core::Tensor4dMap& map,
+                       util::Pcg32& rng, std::vector<std::uint64_t>& addrs);
+
 /// All Pattern4d values in the order of the paper's Table IV rows.
 [[nodiscard]] const std::vector<Pattern4d>& table4_patterns();
 

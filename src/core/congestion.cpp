@@ -1,47 +1,92 @@
 #include "core/congestion.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 namespace rapsim::core {
 
+void BankTally::begin(std::uint32_t width, std::size_t lanes) {
+  width_ = width;
+  pow2_ = std::has_single_bit(width);
+  lanes_ = lanes;
+  // At most a quarter full, so most probes end at their first slot.
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(4 * lanes, 2));
+  slot_mask_ = capacity - 1;
+  slot_shift_ = 64u - static_cast<unsigned>(std::countr_zero(capacity));
+  // A grown table keeps its old stamps, which never equal a later
+  // generation; new slots start at stamp 0.
+  if (slots_.size() < capacity) slots_.resize(capacity);
+  if (unique_.size() < lanes) unique_.resize(lanes);
+  counts_.assign(width, 0);
+  unique_count_ = 0;
+  congestion_ = 0;
+  if (++generation_ == 0) {
+    // 2^32 warps later the stamps wrap: forget them all once.
+    for (Slot& slot : slots_) slot.stamp = 0;
+    generation_ = 1;
+  }
+}
+
 namespace {
 
-/// Sorted, deduplicated copy of `addresses` (CRCW merge).
-std::vector<std::uint64_t> merged(std::span<const std::uint64_t> addresses) {
-  std::vector<std::uint64_t> unique(addresses.begin(), addresses.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  return unique;
+CongestionResult result_of(const BankTally& tally, std::uint32_t width) {
+  CongestionResult result;
+  result.congestion = tally.congestion();
+  result.unique_requests = tally.unique_requests();
+  result.per_bank.resize(width);
+  for (std::uint32_t b = 0; b < width; ++b) {
+    result.per_bank[b] = tally.bank_count(b);
+  }
+  return result;
+}
+
+/// The calling thread's scratch for the tally-less entry points.
+BankTally& thread_tally() {
+  thread_local BankTally tally;
+  return tally;
 }
 
 }  // namespace
 
 CongestionResult congestion_of_physical(
     std::span<const std::uint64_t> physical, std::uint32_t width) {
-  CongestionResult result;
-  result.per_bank.assign(width, 0);
-  const auto unique = merged(physical);
-  result.unique_requests = static_cast<std::uint32_t>(unique.size());
-  for (const std::uint64_t addr : unique) {
-    const auto bank = static_cast<std::size_t>(addr % width);
-    result.congestion = std::max(result.congestion, ++result.per_bank[bank]);
+  BankTally& tally = thread_tally();
+  tally.begin(width, physical.size());
+  for (std::size_t k = 0; k < physical.size(); ++k) {
+    tally.add(physical[k], static_cast<std::uint32_t>(k));
   }
-  return result;
+  return result_of(tally, width);
+}
+
+void tally_logical(std::span<const std::uint64_t> logical,
+                   const AddressMap& map, BankTally& tally) {
+  tally.begin(map.width(), logical.size());
+  // Translate a block at a time: one virtual call per block, not per lane.
+  std::array<std::uint64_t, 64> physical{};
+  for (std::size_t base = 0; base < logical.size(); base += physical.size()) {
+    const auto block =
+        logical.subspan(base, std::min(physical.size(), logical.size() - base));
+    map.translate_warp(block, physical);
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      tally.add(physical[k], static_cast<std::uint32_t>(base + k));
+    }
+  }
 }
 
 CongestionResult congestion_of_logical(std::span<const std::uint64_t> logical,
                                        const AddressMap& map) {
-  std::vector<std::uint64_t> physical;
-  physical.reserve(logical.size());
-  for (const std::uint64_t addr : logical) {
-    physical.push_back(map.translate(addr));
-  }
-  return congestion_of_physical(physical, map.width());
+  BankTally& tally = thread_tally();
+  tally_logical(logical, map, tally);
+  return result_of(tally, map.width());
 }
 
 std::uint32_t congestion_value(std::span<const std::uint64_t> logical,
                                const AddressMap& map) {
-  return congestion_of_logical(logical, map).congestion;
+  BankTally& tally = thread_tally();
+  tally_logical(logical, map, tally);
+  return tally.congestion();
 }
 
 }  // namespace rapsim::core

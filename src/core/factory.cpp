@@ -6,10 +6,25 @@
 
 namespace rapsim::core {
 
+namespace {
+
+/// The generator a 2-D map seeded with `seed` draws its random words
+/// from: the one rule make_matrix_map and redraw_matrix_map share.
+util::Pcg32 matrix_map_rng(std::uint64_t seed) {
+  return util::Pcg32(seed, /*stream=*/0x2d6d6170ull);
+}
+
+}  // namespace
+
+void redraw_matrix_map(MatrixMap& map, std::uint64_t seed) {
+  util::Pcg32 rng = matrix_map_rng(seed);
+  map.redraw(rng);
+}
+
 std::unique_ptr<MatrixMap> make_matrix_map(Scheme scheme, std::uint32_t width,
                                            std::uint64_t rows,
                                            std::uint64_t seed) {
-  util::Pcg32 rng(seed, /*stream=*/0x2d6d6170ull);
+  util::Pcg32 rng = matrix_map_rng(seed);
   switch (scheme) {
     case Scheme::kRaw:
       return std::make_unique<RawMap>(width, rows);

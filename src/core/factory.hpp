@@ -15,11 +15,17 @@
 
 namespace rapsim::core {
 
-/// 2-D matrix mapping of `rows` x width for scheme kRaw / kRas / kRap.
+/// 2-D matrix mapping of `rows` x width for scheme kRaw / kRas / kRap /
+/// kPad.
 [[nodiscard]] std::unique_ptr<MatrixMap> make_matrix_map(Scheme scheme,
                                                          std::uint32_t width,
                                                          std::uint64_t rows,
                                                          std::uint64_t seed);
+
+/// Redraw `map` in place into exactly the map
+/// make_matrix_map(map.scheme(), map.width(), map.rows(), seed) returns,
+/// without allocating (Monte-Carlo trials reuse one map per worker).
+void redraw_matrix_map(MatrixMap& map, std::uint64_t seed);
 
 /// 4-D w^4 tensor mapping for any Scheme (kRaw, kRas and the five RAP
 /// extensions).

@@ -18,4 +18,11 @@ const char* scheme_name(Scheme scheme) noexcept {
   return "?";
 }
 
+void AddressMap::translate_warp(std::span<const std::uint64_t> logical,
+                                std::span<std::uint64_t> physical) const {
+  for (std::size_t k = 0; k < logical.size(); ++k) {
+    physical[k] = translate(logical[k]);
+  }
+}
+
 }  // namespace rapsim::core

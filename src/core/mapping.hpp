@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 namespace rapsim::core {
@@ -47,6 +48,12 @@ class AddressMap {
   /// [0, size()).
   [[nodiscard]] virtual std::uint64_t translate(
       std::uint64_t logical) const = 0;
+
+  /// Batched translate: physical[k] = translate(logical[k]) for every k;
+  /// `physical` must be at least as long as `logical`. Maps override it to
+  /// translate a warp with one virtual call instead of one per lane.
+  virtual void translate_warp(std::span<const std::uint64_t> logical,
+                              std::span<std::uint64_t> physical) const;
 
   /// Bank holding the logical address (physical address mod width).
   [[nodiscard]] std::uint32_t bank_of(std::uint64_t logical) const {

@@ -5,9 +5,12 @@
 namespace rapsim::core {
 
 RasMap::RasMap(std::uint32_t width, std::uint64_t rows, util::Pcg32& rng)
-    : MatrixMap(width, rows) {
-  offsets_.reserve(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) offsets_.push_back(rng.bounded(width));
+    : MatrixMap(width, rows), offsets_(rows) {
+  redraw(rng);
+}
+
+void RasMap::redraw(util::Pcg32& rng) {
+  for (auto& offset : offsets_) offset = rng.bounded(width());
 }
 
 RasMap::RasMap(std::uint32_t width, std::vector<std::uint32_t> offsets)

@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -31,7 +32,10 @@ namespace rapsim::core {
 class MatrixMap : public AddressMap {
  public:
   MatrixMap(std::uint32_t width, std::uint64_t rows)
-      : AddressMap(width, rows * width), rows_(rows) {}
+      : AddressMap(width, rows * width),
+        rows_(rows),
+        pow2_(std::has_single_bit(width)),
+        log2_width_(static_cast<unsigned>(std::countr_zero(width))) {}
 
   [[nodiscard]] std::uint64_t rows() const noexcept { return rows_; }
 
@@ -45,16 +49,52 @@ class MatrixMap : public AddressMap {
   [[nodiscard]] virtual std::uint32_t shift_of_row(
       std::uint64_t i) const noexcept = 0;
 
+  /// Draw the scheme's random words afresh from `rng`, in place, consuming
+  /// exactly the draws the seeded constructor makes. RAW and PAD have none.
+  virtual void redraw(util::Pcg32& /*rng*/) {}
+
   // Physical address: the row is preserved; only the column rotates. This
   // single definition makes every subclass a bijection by construction.
   [[nodiscard]] std::uint64_t translate(std::uint64_t logical) const final {
-    const std::uint64_t i = logical / width();
-    const std::uint64_t j = logical % width();
-    return i * width() + (j + shift_of_row(i)) % width();
+    return rotate(*this, logical);
+  }
+
+ protected:
+  /// i mod w, by mask for power-of-two widths.
+  [[nodiscard]] std::uint64_t mod_width(std::uint64_t i) const noexcept {
+    return pow2_ ? i & (width() - 1) : i % width();
+  }
+
+  /// The row rule of translate, for `Map` = the concrete map so that
+  /// shift_of_row is resolved statically. Power-of-two widths use shift
+  /// and mask instead of division.
+  template <typename Map>
+  [[nodiscard]] static std::uint64_t rotate(const Map& map,
+                                            std::uint64_t logical) noexcept {
+    const MatrixMap& m = map;
+    if (m.pow2_) {
+      const std::uint64_t i = logical >> m.log2_width_;
+      return (i << m.log2_width_) |
+             ((logical + map.shift_of_row(i)) & (m.width() - 1));
+    }
+    const std::uint64_t i = logical / m.width();
+    const std::uint64_t j = logical - i * m.width();
+    return i * m.width() + (j + map.shift_of_row(i)) % m.width();
+  }
+
+  template <typename Map>
+  static void rotate_warp(const Map& map,
+                          std::span<const std::uint64_t> logical,
+                          std::span<std::uint64_t> physical) noexcept {
+    for (std::size_t k = 0; k < logical.size(); ++k) {
+      physical[k] = rotate(map, logical[k]);
+    }
   }
 
  private:
   std::uint64_t rows_;
+  bool pow2_;
+  unsigned log2_width_;  // meaningful only when pow2_
 };
 
 /// RAW: direct addressing (the conventional CUDA layout).
@@ -64,6 +104,10 @@ class RawMap final : public MatrixMap {
 
   [[nodiscard]] std::uint32_t shift_of_row(std::uint64_t) const noexcept override {
     return 0;
+  }
+  void translate_warp(std::span<const std::uint64_t> logical,
+                      std::span<std::uint64_t> physical) const override {
+    rotate_warp(*this, logical, physical);
   }
   [[nodiscard]] Scheme scheme() const noexcept override { return Scheme::kRaw; }
   [[nodiscard]] std::string name() const override { return "RAW"; }
@@ -84,6 +128,12 @@ class RasMap final : public MatrixMap {
 
   [[nodiscard]] std::uint32_t shift_of_row(std::uint64_t i) const noexcept override {
     return offsets_[i];
+  }
+  /// Row i's offset is the i-th draw of rng.bounded(width).
+  void redraw(util::Pcg32& rng) override;
+  void translate_warp(std::span<const std::uint64_t> logical,
+                      std::span<std::uint64_t> physical) const override {
+    rotate_warp(*this, logical, physical);
   }
   [[nodiscard]] Scheme scheme() const noexcept override { return Scheme::kRas; }
   [[nodiscard]] std::string name() const override { return "RAS"; }
@@ -108,7 +158,11 @@ class PadMap final : public MatrixMap {
   PadMap(std::uint32_t width, std::uint64_t rows) : MatrixMap(width, rows) {}
 
   [[nodiscard]] std::uint32_t shift_of_row(std::uint64_t i) const noexcept override {
-    return static_cast<std::uint32_t>(i % width());
+    return static_cast<std::uint32_t>(mod_width(i));
+  }
+  void translate_warp(std::span<const std::uint64_t> logical,
+                      std::span<std::uint64_t> physical) const override {
+    rotate_warp(*this, logical, physical);
   }
   [[nodiscard]] Scheme scheme() const noexcept override { return Scheme::kPad; }
   [[nodiscard]] std::string name() const override { return "PAD"; }
@@ -130,7 +184,13 @@ class RapMap final : public MatrixMap {
   RapMap(std::uint32_t width, std::uint64_t rows, Permutation perm);
 
   [[nodiscard]] std::uint32_t shift_of_row(std::uint64_t i) const noexcept override {
-    return perm_[static_cast<std::size_t>(i % width())];
+    return perm_[static_cast<std::size_t>(mod_width(i))];
+  }
+  /// p is redrawn as Permutation::random(width, rng) would draw it.
+  void redraw(util::Pcg32& rng) override { perm_.redraw(rng); }
+  void translate_warp(std::span<const std::uint64_t> logical,
+                      std::span<std::uint64_t> physical) const override {
+    rotate_warp(*this, logical, physical);
   }
   [[nodiscard]] const Permutation& permutation() const noexcept {
     return perm_;

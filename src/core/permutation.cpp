@@ -13,16 +13,20 @@ Permutation Permutation::identity(std::size_t n) {
 }
 
 Permutation Permutation::random(std::size_t n, util::Pcg32& rng) {
-  std::vector<std::uint32_t> image(n);
-  std::iota(image.begin(), image.end(), 0u);
+  Permutation perm = identity(n);
+  perm.redraw(rng);
+  return perm;
+}
+
+void Permutation::redraw(util::Pcg32& rng) {
+  std::iota(image_.begin(), image_.end(), 0u);
   // Fisher-Yates: each prefix [0..i] holds a uniform permutation of the
   // elements it has consumed. bounded() is rejection-sampled, so the swap
   // index is exactly uniform and the final draw is uniform over all n!.
-  for (std::size_t i = n; i > 1; --i) {
+  for (std::size_t i = image_.size(); i > 1; --i) {
     const std::uint32_t j = rng.bounded(static_cast<std::uint32_t>(i));
-    std::swap(image[i - 1], image[j]);
+    std::swap(image_[i - 1], image_[j]);
   }
-  return Permutation(std::move(image));
 }
 
 Permutation::Permutation(std::vector<std::uint32_t> image)

@@ -18,7 +18,7 @@
 namespace rapsim::core {
 
 /// A permutation of {0, 1, ..., n-1}, stored as the image vector:
-/// value `perm[i]` is where i maps to. Immutable after construction.
+/// value `perm[i]` is where i maps to. Only redraw() changes it.
 class Permutation {
  public:
   /// The identity permutation of size n.
@@ -27,6 +27,10 @@ class Permutation {
   /// Uniformly random permutation of size n (Fisher-Yates with an unbiased
   /// bounded sampler, so all n! outcomes are equally likely).
   static Permutation random(std::size_t n, util::Pcg32& rng);
+
+  /// Replace this permutation, in place, with random(size(), rng): the
+  /// same draws from `rng` and the same result.
+  void redraw(util::Pcg32& rng);
 
   /// Build from an explicit image vector; throws std::invalid_argument if
   /// the vector is not a permutation of {0..n-1}.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "analyze/sanitizer.hpp"
 #include "hier/scheduler.hpp"
@@ -68,6 +67,14 @@ bool is_read(OpKind kind) {
 }
 
 }  // namespace
+
+void Dmm::note_bank_peaks() {
+  if (!telemetry_) return;
+  for (std::uint32_t b = 0; b < config_.width; ++b) {
+    telemetry_->bank_peak[b] =
+        std::max<std::uint64_t>(telemetry_->bank_peak[b], tally_.bank_count(b));
+  }
+}
 
 Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
                                          std::uint32_t instr_idx,
@@ -135,7 +142,7 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
     // Atomics: every request needs its own bank cycle — same-address
     // requests serialize instead of merging. The adds themselves commute,
     // so the data effect is order-independent.
-    std::vector<std::uint32_t> per_bank(config_.width, 0);
+    tally_.begin(config_.width, warp_end - warp_begin);
     std::uint64_t rows_touched = 0;
     std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
     for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
@@ -168,8 +175,7 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
                                                              config_.width)];
       }
       if (config_.kind == MachineKind::kDmm) {
-        const auto bank = static_cast<std::size_t>(phys % config_.width);
-        result.congestion = std::max(result.congestion, ++per_bank[bank]);
+        tally_.add_unmerged(phys);
       } else {
         const std::uint64_t row = phys / config_.width;
         if (row != prev_row) {
@@ -183,11 +189,9 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
       // issue order (no row sorting — atomics are not broadcastable).
       result.congestion = static_cast<std::uint32_t>(
           std::max<std::uint64_t>(rows_touched, result.active_threads));
-    } else if (telemetry_) {
-      for (std::size_t b = 0; b < per_bank.size(); ++b) {
-        telemetry_->bank_peak[b] =
-            std::max<std::uint64_t>(telemetry_->bank_peak[b], per_bank[b]);
-      }
+    } else {
+      result.congestion = tally_.congestion();
+      note_bank_peaks();
     }
     return result;
   }
@@ -209,10 +213,9 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
 
   // Translate, merge duplicates (CRCW), count per-bank unique requests.
   // The map preserves bank counts only through translate(); we group by
-  // physical address.
-  std::unordered_map<std::uint64_t, std::uint32_t> first_writer;
-  std::vector<std::uint64_t> unique_addrs;
-  unique_addrs.reserve(warp_end - warp_begin);
+  // physical address. Lanes are added in ascending order, so the tally's
+  // first writer is the lowest lane.
+  tally_.begin(config_.width, warp_end - warp_begin);
   for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
     const ThreadOp& op = instr[t];
     if (op.kind == OpKind::kNone) continue;
@@ -225,8 +228,8 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
       }
       throw std::out_of_range("Dmm: access beyond memory size");
     }
-    const auto [it, inserted] = first_writer.emplace(phys, t);
-    if (inserted) unique_addrs.push_back(phys);
+    const std::uint32_t winner = tally_.add(phys, t);
+    const bool inserted = winner == t;
     if (sanitizer_ && is_read(op.kind)) {
       sanitizer_->check_read(warp_id, t, instr_idx, op.logical, phys);
     }
@@ -259,7 +262,7 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
           // The winner already stored; a losing lane carrying a DIFFERENT
           // value is a genuine CRCW write-write race.
           sanitizer_->check_write_conflict(
-              warp_id, it->second, t, instr_idx, op.logical, phys,
+              warp_id, winner, t, instr_idx, op.logical, phys,
               memory_[phys], op.kind == OpKind::kStoreImm ? op.immediate : reg);
         }
         break;
@@ -271,31 +274,24 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
     }
   }
 
-  result.unique_requests = static_cast<std::uint32_t>(unique_addrs.size());
+  result.unique_requests = tally_.unique_requests();
   if (telemetry_) {
-    for (const std::uint64_t addr : unique_addrs) {
+    for (const std::uint64_t addr : tally_.unique_addresses()) {
       ++telemetry_->bank_requests[static_cast<std::size_t>(addr %
                                                            config_.width)];
     }
   }
   if (config_.kind == MachineKind::kDmm) {
     // DMM: one pipeline slot carries at most one request per bank.
-    std::vector<std::uint32_t> per_bank(config_.width, 0);
-    for (const std::uint64_t addr : unique_addrs) {
-      const auto bank = static_cast<std::size_t>(addr % config_.width);
-      result.congestion = std::max(result.congestion, ++per_bank[bank]);
-    }
-    if (telemetry_) {
-      for (std::size_t b = 0; b < per_bank.size(); ++b) {
-        telemetry_->bank_peak[b] =
-            std::max<std::uint64_t>(telemetry_->bank_peak[b], per_bank[b]);
-      }
-    }
+    result.congestion = tally_.congestion();
+    note_bank_peaks();
   } else {
     // UMM: one pipeline slot broadcasts one memory row to all banks.
-    std::sort(unique_addrs.begin(), unique_addrs.end());
+    const auto unique = tally_.unique_addresses();
+    umm_rows_.assign(unique.begin(), unique.end());
+    std::sort(umm_rows_.begin(), umm_rows_.end());
     std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
-    for (const std::uint64_t addr : unique_addrs) {
+    for (const std::uint64_t addr : umm_rows_) {
       const std::uint64_t row = addr / config_.width;
       if (row != prev_row) {
         ++result.congestion;

@@ -38,6 +38,7 @@
 #include <span>
 #include <vector>
 
+#include "core/congestion.hpp"
 #include "core/mapping.hpp"
 #include "dmm/capture.hpp"
 #include "dmm/config.hpp"
@@ -163,6 +164,12 @@ class Dmm {
   telemetry::RunTelemetry* telemetry_ = nullptr;  // optional, not owned
   analyze::ShmemSanitizer* sanitizer_ = nullptr;  // optional, not owned
   AccessCapture* capture_ = nullptr;              // optional, not owned
+  // Per-access scratch, reused so a warp access does not allocate.
+  core::BankTally tally_;
+  std::vector<std::uint64_t> umm_rows_;  // UMM: merged addresses, sorted
+
+  /// Fold this access's per-bank counts into the telemetry peaks.
+  void note_bank_peaks();
 
   /// Execute the data movement of one warp-instruction and return its
   /// congestion (pipeline slots) and unique-request count. `instr_idx` is

@@ -74,16 +74,19 @@ class Pcg32 {
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
   }
 
-  /// Uniform integer in [0, bound) without modulo bias (Lemire-style
-  /// rejection on the multiply-shift reduction).
+  /// Uniform integer in [0, bound) without modulo bias: a draw below the
+  /// rejection threshold 2^32 mod bound is redrawn, then reduced mod bound.
+  /// The two shortcuts return exactly what the plain loop would: a
+  /// power-of-two bound has threshold 0, and the threshold is always below
+  /// `bound`, so a draw >= bound never needs it.
   constexpr std::uint32_t bounded(std::uint32_t bound) noexcept {
     if (bound <= 1) return 0;
-    // Rejection threshold: values below `threshold` would be biased.
+    std::uint32_t r = operator()();
+    if ((bound & (bound - 1)) == 0) return r & (bound - 1);
+    if (r >= bound) return r % bound;
     const std::uint32_t threshold = (0u - bound) % bound;
-    for (;;) {
-      const std::uint32_t r = operator()();
-      if (r >= threshold) return r % bound;
-    }
+    while (r < threshold) r = operator()();
+    return r % bound;
   }
 
  private:

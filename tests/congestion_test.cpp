@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
+#include "analyze/sanitizer.hpp"
+#include "core/factory.hpp"
 #include "core/mapping2d.hpp"
+#include "dmm/machine.hpp"
+#include "util/rng.hpp"
 
 namespace rapsim::core {
 namespace {
@@ -113,6 +119,143 @@ TEST(Congestion, PerBankSumsToUniqueRequests) {
   const auto r = congestion_of_physical(addrs, 4);
   EXPECT_EQ(std::accumulate(r.per_bank.begin(), r.per_bank.end(), 0u),
             r.unique_requests);
+}
+
+// --- The bank tally against the sort-based reference it replaced --------
+
+/// The original tally: sorted, deduplicated copy, then a bank histogram.
+CongestionResult reference_congestion(std::span<const std::uint64_t> physical,
+                                      std::uint32_t width) {
+  std::vector<std::uint64_t> unique(physical.begin(), physical.end());
+  std::sort(unique.begin(), unique.end());
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  CongestionResult result;
+  result.per_bank.assign(width, 0);
+  result.unique_requests = static_cast<std::uint32_t>(unique.size());
+  for (const std::uint64_t addr : unique) {
+    const auto bank = static_cast<std::size_t>(addr % width);
+    result.congestion = std::max(result.congestion, ++result.per_bank[bank]);
+  }
+  return result;
+}
+
+void expect_matches_reference(std::span<const std::uint64_t> physical,
+                              std::uint32_t width) {
+  const CongestionResult want = reference_congestion(physical, width);
+  const CongestionResult got = congestion_of_physical(physical, width);
+  EXPECT_EQ(got.congestion, want.congestion);
+  EXPECT_EQ(got.per_bank, want.per_bank);
+  EXPECT_EQ(got.unique_requests, want.unique_requests);
+}
+
+TEST(BankTally, MatchesSortedReferenceOnRandomStreamsWithDuplicates) {
+  util::Pcg32 rng(77);
+  for (const std::uint32_t w : {1u, 16u, 24u, 48u, 64u, 256u}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      // A small address range forces duplicates; lengths go past w.
+      const std::uint32_t range = 1 + rng.bounded(4 * w);
+      std::vector<std::uint64_t> physical(1 + rng.bounded(2 * w));
+      for (auto& a : physical) a = rng.bounded(range);
+      expect_matches_reference(physical, w);
+    }
+  }
+}
+
+TEST(BankTally, MatchesReferenceOnOneBankAndOneAddress) {
+  for (const std::uint32_t w : {1u, 16u, 24u, 48u, 64u, 256u}) {
+    // RAW stride: w distinct addresses in bank 0, congestion w.
+    RawMap raw(w, w);
+    std::vector<std::uint64_t> column;
+    for (std::uint32_t i = 0; i < w; ++i) column.push_back(raw.index(i, 0));
+    expect_matches_reference(column, w);
+    EXPECT_EQ(congestion_value(column, raw), w);
+    // Every lane on one address: one request.
+    const std::vector<std::uint64_t> same(w, 3 * w + 1);
+    expect_matches_reference(same, w);
+    EXPECT_EQ(congestion_of_physical(same, w).congestion, 1u);
+  }
+}
+
+TEST(BankTally, KeepsFirstWriterAndFirstSeenOrder) {
+  BankTally tally;
+  tally.begin(4, 6);
+  EXPECT_EQ(tally.add(9, 10), 10u);
+  EXPECT_EQ(tally.add(2, 11), 11u);
+  EXPECT_EQ(tally.add(9, 12), 10u);  // lane 10 wrote 9 first
+  EXPECT_EQ(tally.add(5, 13), 13u);
+  EXPECT_EQ(tally.add(2, 14), 11u);
+  const std::vector<std::uint64_t> order(tally.unique_addresses().begin(),
+                                         tally.unique_addresses().end());
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{9, 2, 5}));
+  EXPECT_EQ(tally.congestion(), 2u);  // 9 and 5 share bank 1
+  // The next warp forgets everything.
+  tally.begin(4, 2);
+  EXPECT_EQ(tally.add(9, 0), 0u);
+  EXPECT_EQ(tally.unique_requests(), 1u);
+  EXPECT_EQ(tally.bank_count(1), 1u);
+  EXPECT_EQ(tally.bank_count(2), 0u);
+}
+
+TEST(BankTally, RejectsMoreRequestsThanLanes) {
+  BankTally tally;
+  tally.begin(8, 2);
+  (void)tally.add(1, 0);
+  (void)tally.add(1, 1);  // merges: still one request
+  (void)tally.add(2, 2);
+  EXPECT_THROW((void)tally.add(3, 3), std::length_error);
+}
+
+// --- translate_warp is translate, lane by lane ---------------------------
+
+TEST(TranslateWarp, MatchesScalarTranslateForEveryScheme) {
+  for (const std::uint32_t w : {1u, 4u, 7u, 16u, 24u, 32u, 48u}) {
+    const std::uint64_t rows = 2 * w + 3;  // taller than w: RAP/PAD wrap
+    for (const Scheme scheme :
+         {Scheme::kRaw, Scheme::kRas, Scheme::kRap, Scheme::kPad}) {
+      const auto map = make_matrix_map(scheme, w, rows, w + 11);
+      std::vector<std::uint64_t> logical(map->size());
+      std::iota(logical.begin(), logical.end(), 0u);
+      std::vector<std::uint64_t> physical(logical.size());
+      map->translate_warp(logical, physical);
+      for (std::uint64_t a = 0; a < map->size(); ++a) {
+        ASSERT_EQ(physical[a], map->translate(a))
+            << scheme_name(scheme) << " w=" << w << " a=" << a;
+      }
+      // The base class's lane-by-lane loop agrees too.
+      std::vector<std::uint64_t> generic(logical.size());
+      map->AddressMap::translate_warp(logical, generic);
+      EXPECT_EQ(generic, physical);
+    }
+  }
+}
+
+// --- The DMM's CRCW merge goes through the same tally --------------------
+
+TEST(BankTally, DmmLowestLaneWinsAndSanitizerNamesIt) {
+  const std::uint32_t w = 8;
+  RawMap map(w, w);
+  dmm::Dmm machine(dmm::DmmConfig{w, 1}, map);
+  analyze::ShmemSanitizer sanitizer;
+  machine.set_sanitizer(&sanitizer);
+
+  dmm::Kernel kernel;
+  kernel.num_threads = w;
+  dmm::Instruction instr(w);
+  for (std::uint32_t t = 0; t < w; ++t) {
+    instr[t] = dmm::ThreadOp::store_imm(t, 100 + t);
+  }
+  instr[3] = dmm::ThreadOp::store_imm(20, 33);
+  instr[7] = dmm::ThreadOp::store_imm(20, 77);
+  kernel.push(instr);
+
+  const dmm::RunStats stats = machine.run(kernel);
+  EXPECT_EQ(machine.load(20), 33u);  // lane 3 stored first
+  EXPECT_EQ(stats.max_congestion, 2u);  // 20 and lane 4's 4 share bank 4
+  ASSERT_EQ(sanitizer.count(analyze::FindingKind::kWriteConflict), 1u);
+  const analyze::Finding& f = sanitizer.findings().back();
+  EXPECT_EQ(f.thread, 7u);
+  EXPECT_EQ(f.other_thread, 3u);  // the winning lane
+  EXPECT_EQ(f.logical, 20u);
 }
 
 }  // namespace

@@ -234,6 +234,51 @@ TEST(Theorem2ProofDevice, WarpCongestionBoundedByHalfWarpSum) {
   }
 }
 
+// The rejection loop bounded() used before its two shortcuts.
+std::uint32_t reference_bounded(util::Pcg32& rng, std::uint32_t bound) {
+  if (bound <= 1) return 0;
+  const std::uint32_t threshold = (0u - bound) % bound;
+  for (;;) {
+    const std::uint32_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+// Pcg32::bounded's power-of-two and r >= bound shortcuts change no draw:
+// same outputs and the same generator state afterwards.
+TEST(RngProperties, BoundedShortcutsMatchTheRejectionLoop) {
+  std::vector<std::uint32_t> bounds = {1u, 2u, 3u, 1u << 31, 0xffffffffu};
+  for (unsigned k = 2; k < 32; ++k) {
+    bounds.insert(bounds.end(), {(1u << k) - 1, 1u << k, (1u << k) + 1});
+  }
+  for (const std::uint32_t bound : bounds) {
+    util::Pcg32 fast(bound, 5);
+    util::Pcg32 reference(bound, 5);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(fast.bounded(bound), reference_bounded(reference, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(fast(), reference());
+  }
+}
+
+// An in-place redraw is the freshly built map: same translate everywhere.
+TEST(MappingProperties, RedrawEqualsFreshMap) {
+  for (const Scheme scheme : {Scheme::kRas, Scheme::kRap}) {
+    for (const std::uint32_t w : {16u, 24u, 256u}) {
+      const auto reused = core::make_matrix_map(scheme, w, w, 0);
+      for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        core::redraw_matrix_map(*reused, seed);
+        const auto fresh = core::make_matrix_map(scheme, w, w, seed);
+        for (std::uint64_t a = 0; a < fresh->size(); ++a) {
+          ASSERT_EQ(reused->translate(a), fresh->translate(a))
+              << core::scheme_name(scheme) << " w=" << w << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 // 4-D property: random access congestion is scheme-invariant (every
 // scheme's random-access row of Table IV is the same O(log/loglog)).
 TEST(Properties4d, RandomAccessSchemeInvariance) {
