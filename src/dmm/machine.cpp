@@ -10,18 +10,70 @@
 
 namespace rapsim::dmm {
 
-void Kernel::push(Instruction instr, std::string label) {
-  if (instr.size() != num_threads) {
+Kernel::Kernel(std::uint32_t num_threads_in,
+               std::vector<Instruction> instructions_in,
+               std::vector<std::string> labels_in)
+    : num_threads(num_threads_in),
+      instructions(std::move(instructions_in)),
+      labels(std::move(labels_in)) {
+  reindex();
+}
+
+void Kernel::index_row(const Instruction& row) {
+  if (row.size() != num_threads) {
     throw std::invalid_argument(
-        "Kernel::push: instruction must have one ThreadOp per thread");
+        "Kernel: instruction must have one ThreadOp per thread");
   }
+  for (std::uint32_t t = 0; t < num_threads; ++t) {
+    if (row[t].kind != OpKind::kNone) active_threads_.push_back(t);
+  }
+  active_ends_.push_back(active_threads_.size());
+}
+
+void Kernel::push(Instruction instr, std::string label) {
+  index_row(instr);
   instructions.push_back(std::move(instr));
   labels.push_back(std::move(label));
 }
 
 void Kernel::push_barrier() {
   instructions.emplace_back(num_threads, ThreadOp::barrier());
+  index_row(instructions.back());
   labels.emplace_back();
+}
+
+void Kernel::reindex() {
+  active_ends_.clear();
+  active_threads_.clear();
+  active_ends_.reserve(instructions.size());
+  for (const Instruction& row : instructions) index_row(row);
+}
+
+void Kernel::set_active_index(std::vector<std::size_t> ends,
+                              std::vector<std::uint32_t> threads) {
+  if (ends.size() != instructions.size() ||
+      (ends.empty() ? !threads.empty() : ends.back() != threads.size())) {
+    throw std::invalid_argument(
+        "Kernel::set_active_index: index shape does not match the kernel");
+  }
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    if (end < begin) {
+      throw std::invalid_argument(
+          "Kernel::set_active_index: instruction ends must not decrease");
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (threads[i] >= num_threads ||
+          (i > begin && threads[i] <= threads[i - 1])) {
+        throw std::invalid_argument(
+            "Kernel::set_active_index: thread ids must ascend below "
+            "num_threads");
+      }
+    }
+    begin = end;
+  }
+  active_ends_ = std::move(ends);
+  active_threads_ = std::move(threads);
 }
 
 Dmm::Dmm(DmmConfig config, const core::AddressMap& map)
@@ -76,12 +128,10 @@ void Dmm::note_bank_peaks() {
   }
 }
 
-Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
-                                         std::uint32_t instr_idx,
-                                         std::uint32_t warp_begin,
-                                         std::uint32_t warp_end) {
+Dmm::WarpAccess Dmm::perform_warp_access(
+    const Instruction& instr, std::uint32_t instr_idx, std::uint32_t warp_id,
+    std::span<const std::uint32_t> lanes) {
   WarpAccess result;
-  const std::uint32_t warp_id = warp_begin / config_.width;
 
   // SIMD check: a warp executes one instruction, so active ops must be of
   // one class — all reads, all writes, or all register ops (Section II:
@@ -91,9 +141,13 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
   bool saw_write = false;
   bool saw_atomic = false;
   bool saw_register = false;
-  for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
+  for (const std::uint32_t t : lanes) {
     const ThreadOp& op = instr[t];
-    if (op.kind == OpKind::kNone) continue;
+    if (op.kind == OpKind::kNone) {
+      throw std::logic_error(
+          "Dmm: the kernel's active-thread index lists an idle thread "
+          "(call Kernel::reindex() after editing instructions)");
+    }
     if (op.kind == OpKind::kBarrier) {
       throw std::logic_error(
           "Dmm: barrier instruction reached the access path (scheduler bug)");
@@ -110,26 +164,25 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
     if (op.reg >= kRegistersPerThread || op.reg2 >= kRegistersPerThread) {
       throw std::out_of_range("Dmm: register index out of range");
     }
-    ++result.active_threads;
   }
   if (saw_read + saw_write + saw_atomic + saw_register > 1) {
     throw std::invalid_argument(
         "Dmm: a warp cannot mix reads, writes, atomics and register ops in "
         "one SIMD instruction");
   }
+  result.active_threads = static_cast<std::uint32_t>(lanes.size());
   if (result.active_threads == 0) return result;
 
   if (capture_) {
     // Report the logical (pre-mapping) stream: active-lane mask plus the
     // memory ops' addresses in ascending lane order.
+    const std::uint32_t warp_begin = warp_id * config_.width;
     std::uint64_t lane_mask = 0;
     std::vector<std::uint64_t> logical;
     if (!saw_register) logical.reserve(result.active_threads);
-    for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
-      const ThreadOp& op = instr[t];
-      if (op.kind == OpKind::kNone) continue;
+    for (const std::uint32_t t : lanes) {
       lane_mask |= std::uint64_t{1} << (t - warp_begin);
-      if (!saw_register) logical.push_back(op.logical);
+      if (!saw_register) logical.push_back(instr[t].logical);
     }
     const CapturedOpClass cls = saw_atomic    ? CapturedOpClass::kAtomic
                                 : saw_write   ? CapturedOpClass::kWrite
@@ -142,12 +195,11 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
     // Atomics: every request needs its own bank cycle — same-address
     // requests serialize instead of merging. The adds themselves commute,
     // so the data effect is order-independent.
-    tally_.begin(config_.width, warp_end - warp_begin);
+    tally_.begin(config_.width, config_.width);
     std::uint64_t rows_touched = 0;
     std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
+    for (const std::uint32_t t : lanes) {
       const ThreadOp& op = instr[t];
-      if (op.kind == OpKind::kNone) continue;
       const std::uint64_t phys = map_.translate(op.logical);
       if (phys >= memory_.size()) {
         if (sanitizer_) {
@@ -199,7 +251,7 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
   if (saw_register) {
     // Register-only instruction: executes without touching the memory
     // pipeline (congestion stays 0; arithmetic is free in this model).
-    for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
+    for (const std::uint32_t t : lanes) {
       const ThreadOp& op = instr[t];
       if (op.kind != OpKind::kMinMax) continue;
       auto& lo = registers_[static_cast<std::size_t>(t) *
@@ -215,10 +267,9 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
   // The map preserves bank counts only through translate(); we group by
   // physical address. Lanes are added in ascending order, so the tally's
   // first writer is the lowest lane.
-  tally_.begin(config_.width, warp_end - warp_begin);
-  for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
+  tally_.begin(config_.width, config_.width);
+  for (const std::uint32_t t : lanes) {
     const ThreadOp& op = instr[t];
-    if (op.kind == OpKind::kNone) continue;
     const std::uint64_t phys = map_.translate(op.logical);
     if (phys >= memory_.size()) {
       if (sanitizer_) {
@@ -321,11 +372,16 @@ void Dmm::begin_run(const Kernel& kernel) {
 Dmm::WarpAccess Dmm::warp_access(const Kernel& kernel,
                                  std::uint32_t instr_idx,
                                  std::uint32_t warp) {
+  if (!kernel.indexed()) {
+    throw std::logic_error(
+        "Dmm: kernel's active-thread index does not cover its instructions "
+        "(call Kernel::reindex())");
+  }
   const std::uint32_t begin = warp * config_.width;
   const std::uint32_t end =
       std::min(begin + config_.width, kernel.num_threads);
-  return perform_warp_access(kernel.instructions[instr_idx], instr_idx, begin,
-                             end);
+  return perform_warp_access(kernel.instructions[instr_idx], instr_idx, warp,
+                             kernel.active_threads(instr_idx, begin, end));
 }
 
 void Dmm::finish_barrier(std::uint32_t instr_idx) {
@@ -343,54 +399,57 @@ KernelWarpSource::KernelWarpSource(Dmm& machine, const Kernel& kernel)
       width_(machine.config().width),
       num_warps_((kernel.num_threads + machine.config().width - 1) /
                  machine.config().width),
-      next_instr_(num_warps_, 0) {
+      cursors_(num_warps_) {
+  if (!kernel.indexed()) {
+    throw std::logic_error(
+        "KernelWarpSource: kernel's active-thread index does not cover its "
+        "instructions (call Kernel::reindex())");
+  }
   // Skip leading instructions in which a warp has nothing to do (no cost:
   // warps with no pending memory request are not dispatched).
-  for (std::uint32_t warp = 0; warp < num_warps_; ++warp) advance_idle(warp);
+  for (std::uint32_t warp = 0; warp < num_warps_; ++warp) seek(warp, 0);
 }
 
-bool KernelWarpSource::warp_has_active(std::uint32_t warp,
-                                       std::size_t instr_idx) const {
-  const Instruction& instr = kernel_->instructions[instr_idx];
-  const std::uint32_t begin = warp * width_;
-  const std::uint32_t end = std::min(begin + width_, kernel_->num_threads);
-  for (std::uint32_t t = begin; t < end; ++t) {
-    if (instr[t].kind != OpKind::kNone) return true;
+void KernelWarpSource::seek(std::uint32_t warp, std::size_t from) {
+  Cursor& cursor = cursors_[warp];
+  const std::uint32_t first = warp * width_;
+  const std::uint32_t last = std::min(first + width_, kernel_->num_threads);
+  const std::size_t count = kernel_->instructions.size();
+  for (cursor.pc = from; cursor.pc < count; ++cursor.pc) {
+    cursor.lanes = kernel_->active_threads(cursor.pc, first, last);
+    if (!cursor.lanes.empty()) {
+      cursor.barrier = kernel_->instructions[cursor.pc][cursor.lanes.front()]
+                           .kind == OpKind::kBarrier;
+      return;
+    }
   }
-  return false;
-}
-
-void KernelWarpSource::advance_idle(std::uint32_t warp) {
-  while (next_instr_[warp] < kernel_->instructions.size() &&
-         !warp_has_active(warp, next_instr_[warp])) {
-    ++next_instr_[warp];
-  }
+  cursor.lanes = {};
+  cursor.barrier = false;
 }
 
 bool KernelWarpSource::done(std::uint32_t warp) const {
-  return next_instr_[warp] >= kernel_->instructions.size();
+  return cursors_[warp].pc >= kernel_->instructions.size();
 }
 
 bool KernelWarpSource::at_barrier(std::uint32_t warp) const {
-  return next_instr_[warp] < kernel_->instructions.size() &&
-         kernel_->instructions[next_instr_[warp]][warp * width_].kind ==
-             OpKind::kBarrier;
+  return cursors_[warp].barrier;
 }
 
 std::size_t KernelWarpSource::pc(std::uint32_t warp) const {
-  return next_instr_[warp];
+  return cursors_[warp].pc;
 }
 
 hier::IssueResult KernelWarpSource::issue(std::uint32_t warp) {
-  const Dmm::WarpAccess access = machine_->warp_access(
-      *kernel_, static_cast<std::uint32_t>(next_instr_[warp]), warp);
+  const Cursor& cursor = cursors_[warp];
+  const Dmm::WarpAccess access = machine_->perform_warp_access(
+      kernel_->instructions[cursor.pc],
+      static_cast<std::uint32_t>(cursor.pc), warp, cursor.lanes);
   return {access.congestion, access.active_threads, access.unique_requests,
           0};
 }
 
 void KernelWarpSource::advance(std::uint32_t warp) {
-  ++next_instr_[warp];
-  advance_idle(warp);
+  seek(warp, cursors_[warp].pc + 1);
 }
 
 // --- Dmm::run on the event core --------------------------------------------

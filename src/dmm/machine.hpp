@@ -107,10 +107,12 @@ class Dmm {
   void begin_run(const Kernel& kernel);
 
   /// Execute the data movement of warp `warp`'s instruction `instr_idx`
-  /// and report its cost. Untimed: the caller's clock decides when the
-  /// effects "happen" — within one warp the semantics are fixed, across
-  /// warps they follow the caller's dispatch order (scheduler-defined,
-  /// as on real hardware).
+  /// and report its cost, walking only the warp's active threads from the
+  /// kernel's index (std::logic_error if the index does not cover the
+  /// kernel). Untimed: the caller's clock decides when the effects
+  /// "happen" — within one warp the semantics are fixed, across warps
+  /// they follow the caller's dispatch order (scheduler-defined, as on
+  /// real hardware).
   WarpAccess warp_access(const Kernel& kernel, std::uint32_t instr_idx,
                          std::uint32_t warp);
 
@@ -172,23 +174,32 @@ class Dmm {
   void note_bank_peaks();
 
   /// Execute the data movement of one warp-instruction and return its
-  /// congestion (pipeline slots) and unique-request count. `instr_idx` is
-  /// the kernel instruction index (sanitizer findings cite it).
+  /// congestion (pipeline slots) and unique-request count. `lanes` are
+  /// the warp's active threads in ascending order (the kernel index's
+  /// span); no other lane is read. `instr_idx` is the kernel instruction
+  /// index (sanitizer findings cite it).
   WarpAccess perform_warp_access(const Instruction& instr,
                                  std::uint32_t instr_idx,
-                                 std::uint32_t warp_begin,
-                                 std::uint32_t warp_end);
+                                 std::uint32_t warp_id,
+                                 std::span<const std::uint32_t> lanes);
+
+  friend class KernelWarpSource;  // issues with its cached lane span
 };
 
 /// hier::WarpSource adapter over a straight-line dmm::Kernel: per-warp
 /// program counters with idle-instruction skipping (a warp with nothing
-/// to do in an instruction is never dispatched for it). Dmm::run drives
-/// one internally; the hierarchy simulator wraps one per SM and adds the
-/// memory-path penalty to each issue.
+/// to do in an instruction is never dispatched for it). The skipping and
+/// every issue read the kernel's active-thread index, never the idle
+/// lanes; each warp's cursor caches its instruction's lane span and
+/// whether it is a barrier. Dmm::run drives one internally; the
+/// hierarchy simulator wraps one per SM and adds the memory-path penalty
+/// to each issue.
 class KernelWarpSource final : public hier::WarpSource {
  public:
   /// Machine and kernel must outlive the source; the machine must have
-  /// begin_run(kernel) called before the first issue().
+  /// begin_run(kernel) called before the first issue(). Throws
+  /// std::logic_error if the kernel's index does not cover every
+  /// instruction.
   KernelWarpSource(Dmm& machine, const Kernel& kernel);
 
   [[nodiscard]] std::uint32_t num_warps() const noexcept {
@@ -201,16 +212,29 @@ class KernelWarpSource final : public hier::WarpSource {
   [[nodiscard]] hier::IssueResult issue(std::uint32_t warp) override;
   void advance(std::uint32_t warp) override;
 
+  /// Active threads of the warp's current instruction, ascending (empty
+  /// once the warp is done).
+  [[nodiscard]] std::span<const std::uint32_t> lanes(
+      std::uint32_t warp) const noexcept {
+    return cursors_[warp].lanes;
+  }
+
  private:
-  [[nodiscard]] bool warp_has_active(std::uint32_t warp,
-                                     std::size_t instr_idx) const;
-  void advance_idle(std::uint32_t warp);
+  struct Cursor {
+    std::size_t pc = 0;                     // next instruction to issue
+    std::span<const std::uint32_t> lanes;   // its active threads here
+    bool barrier = false;                   // it is a block barrier
+  };
+
+  /// Point the warp at its first instruction at or after `from` that has
+  /// an active thread in the warp.
+  void seek(std::uint32_t warp, std::size_t from);
 
   Dmm* machine_;
   const Kernel* kernel_;
   std::uint32_t width_;
   std::uint32_t num_warps_;
-  std::vector<std::size_t> next_instr_;
+  std::vector<Cursor> cursors_;
 };
 
 }  // namespace rapsim::dmm

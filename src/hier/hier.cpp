@@ -32,14 +32,12 @@ class PathWarpSource final : public WarpSource {
  public:
   PathWarpSource(dmm::KernelWarpSource& inner, const dmm::Kernel& kernel,
                  SmMemoryPath& path, const PathParams& params,
-                 const EventCore& core, std::uint32_t width,
-                 std::uint32_t latency)
+                 const EventCore& core, std::uint32_t latency)
       : inner_(&inner),
         kernel_(&kernel),
         path_(&path),
         params_(&params),
         core_(&core),
-        width_(width),
         latency_(latency) {}
 
   [[nodiscard]] bool done(std::uint32_t warp) const override {
@@ -61,10 +59,7 @@ class PathWarpSource final : public WarpSource {
     // shared memory sees the permuted layout).
     lines_.clear();
     const dmm::Instruction& instr = kernel_->instructions[pc];
-    const std::uint32_t begin = warp * width_;
-    const std::uint32_t end =
-        std::min(begin + width_, kernel_->num_threads);
-    for (std::uint32_t t = begin; t < end; ++t) {
+    for (const std::uint32_t t : inner_->lanes(warp)) {
       if (is_memory_op(instr[t].kind)) {
         lines_.push_back(instr[t].logical / params_->line_words);
       }
@@ -91,7 +86,6 @@ class PathWarpSource final : public WarpSource {
   SmMemoryPath* path_;
   const PathParams* params_;
   const EventCore* core_;
-  std::uint32_t width_;
   std::uint32_t latency_;
   std::vector<std::uint64_t> lines_;  // scratch, reused per issue
   std::uint64_t mem_wait_cycles_ = 0;
@@ -176,7 +170,7 @@ HierResult HierSim::run(const dmm::Kernel& kernel, core::Scheme scheme,
         : inner(machine, kernel),
           path(config.path, &shared),
           core(inner.num_warps(), config.shared_latency),
-          source(inner, kernel, path, config.path, core, config.width,
+          source(inner, kernel, path, config.path, core,
                  config.shared_latency),
           scheduler(make_scheduler(config.scheduler)),
           hooks(machine, stats) {

@@ -89,23 +89,48 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
         std::to_string(kMaxTraceInstructions));
   }
 
+  const auto count = static_cast<std::size_t>(num_instr);
   dmm::Kernel kernel;
   kernel.num_threads = trace.header.num_threads;
   kernel.instructions.assign(
-      static_cast<std::size_t>(num_instr),
-      dmm::Instruction(kernel.num_threads, dmm::ThreadOp::none()));
+      count, dmm::Instruction(kernel.num_threads, dmm::ThreadOp::none()));
+
+  // The active-thread index comes straight from the lane masks, never
+  // from a rescan of the dense rows: count each instruction's threads
+  // (validate() rules out duplicate records, so the counts are exact),
+  // turn the counts into start offsets, then fill — each fill advances
+  // its instruction's offset, which leaves it at the instruction's end.
+  std::vector<std::size_t> ends(count, 0);
+  for (const TraceRecord& record : trace.records) {
+    ends[record.instr] += record.kind == RecordKind::kBarrier
+                              ? kernel.num_threads
+                              : static_cast<std::size_t>(
+                                    std::popcount(record.lane_mask));
+  }
+  std::size_t total = 0;
+  for (std::size_t& end : ends) {
+    const std::size_t threads_here = end;
+    end = total;
+    total += threads_here;
+  }
+  std::vector<std::uint32_t> threads(total);
 
   const std::uint32_t w = trace.header.width;
   for (const TraceRecord& record : trace.records) {
     dmm::Instruction& instr = kernel.instructions[record.instr];
+    std::size_t& fill = ends[record.instr];
     if (record.kind == RecordKind::kBarrier) {
-      for (auto& op : instr) op = dmm::ThreadOp::barrier();
+      for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
+        instr[t] = dmm::ThreadOp::barrier();
+        threads[fill++] = t;
+      }
       continue;
     }
     std::size_t next_addr = 0;
-    for (std::uint32_t lane = 0; lane < w; ++lane) {
-      if ((record.lane_mask >> lane & 1) == 0) continue;
+    for (std::uint64_t mask = record.lane_mask; mask != 0; mask &= mask - 1) {
+      const auto lane = static_cast<std::uint32_t>(std::countr_zero(mask));
       const std::uint32_t thread = record.warp * w + lane;
+      threads[fill++] = thread;
       switch (record.kind) {
         case RecordKind::kRead:
           instr[thread] = dmm::ThreadOp::load(record.addrs[next_addr++]);
@@ -127,6 +152,15 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
       }
     }
   }
+  // Records of one instruction may arrive out of warp order (a trace
+  // keeps dispatch order); their threads must still ascend.
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto first = threads.begin() +
+                       static_cast<std::ptrdiff_t>(i == 0 ? 0 : ends[i - 1]);
+    const auto last = threads.begin() + static_cast<std::ptrdiff_t>(ends[i]);
+    if (!std::is_sorted(first, last)) std::sort(first, last);
+  }
+  kernel.set_active_index(std::move(ends), std::move(threads));
   return kernel;
 }
 

@@ -88,64 +88,96 @@ void TraceHeader::validate() const {
   if (memory_size == 0) fail("memory_size must be > 0");
 }
 
-void TraceValidator::check(const TraceRecord& record) {
-  const std::string where = "record (instr " + std::to_string(record.instr) +
-                            ", warp " + std::to_string(record.warp) + "): ";
-  if (record.instr >= kMaxTraceInstructions) {
-    fail(where + "instruction index exceeds the cap of " +
-         std::to_string(kMaxTraceInstructions));
+std::pair<TraceValidator::Slot*, bool> TraceValidator::insert(
+    std::uint64_t key, bool barrier) {
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  // Fibonacci hashing, linear probing (as in core::BankTally).
+  for (std::size_t s = static_cast<std::size_t>(
+           (key * 0x9e3779b97f4a7c15ull) >> shift_);
+       ; s = (s + 1) & mask) {
+    Slot& slot = slots_[s];
+    if (slot.key == key) return {&slot, false};
+    if (slot.key == kEmpty) {
+      slot = {key, barrier};
+      ++used_;
+      return {&slot, true};
+    }
   }
+}
+
+void TraceValidator::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t size = old.empty() ? 64 : 2 * old.size();
+  slots_.assign(size, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  used_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.key != kEmpty) insert(slot.key, slot.barrier);
+  }
+}
+
+void TraceValidator::check(const TraceRecord& record) {
+  // The "record (instr i, warp w): " prefix is built only on failure.
+  const auto reject = [&record](const std::string& what) {
+    fail("record (instr " + std::to_string(record.instr) + ", warp " +
+         std::to_string(record.warp) + "): " + what);
+  };
+  if (record.instr >= kMaxTraceInstructions) {
+    reject("instruction index exceeds the cap of " +
+           std::to_string(kMaxTraceInstructions));
+  }
+  const std::uint64_t instr_key =
+      static_cast<std::uint64_t>(record.instr) << 32;
   if (record.kind == RecordKind::kBarrier) {
     if (record.warp != 0 || record.lane_mask != 0 || !record.addrs.empty()) {
-      fail(where + "barrier records carry no warp/mask/addresses");
+      reject("barrier records carry no warp/mask/addresses");
     }
-    const auto [it, inserted] = instrs_.emplace(record.instr, true);
+    const auto [slot, inserted] = insert(instr_key | kInstrKey, true);
     if (!inserted) {
-      fail(where + (it->second ? "duplicate barrier marker"
-                               : "instruction already has access records"));
+      reject(slot->barrier ? "duplicate barrier marker"
+                           : "instruction already has access records");
     }
     return;
   }
 
   if (record.warp >= header_.num_warps()) {
-    fail(where + "warp id out of range (trace has " +
-         std::to_string(header_.num_warps()) + " warps)");
+    reject("warp id out of range (trace has " +
+           std::to_string(header_.num_warps()) + " warps)");
   }
-  if (record.lane_mask == 0) fail(where + "lane mask must be non-zero");
+  if (record.lane_mask == 0) reject("lane mask must be non-zero");
   // Lanes must exist: inside the warp width, and inside the (possibly
   // partial) last warp.
   const std::uint32_t first_thread = record.warp * header_.width;
   const std::uint32_t lanes_in_warp =
       std::min(header_.width, header_.num_threads - first_thread);
   if (lanes_in_warp < 64 && (record.lane_mask >> lanes_in_warp) != 0) {
-    fail(where + "lane mask has bits beyond lane " +
-         std::to_string(lanes_in_warp - 1));
+    reject("lane mask has bits beyond lane " +
+           std::to_string(lanes_in_warp - 1));
   }
   const auto active =
       static_cast<std::size_t>(std::popcount(record.lane_mask));
   if (has_addrs(record.kind)) {
     if (record.addrs.size() != active) {
-      fail(where + "expected " + std::to_string(active) + " addresses (mask " +
-           "popcount), got " + std::to_string(record.addrs.size()));
+      reject("expected " + std::to_string(active) + " addresses (mask " +
+             "popcount), got " + std::to_string(record.addrs.size()));
     }
     for (const std::uint64_t addr : record.addrs) {
       if (addr >= header_.memory_size) {
-        fail(where + "address " + std::to_string(addr) +
-             " outside memory of size " + std::to_string(header_.memory_size));
+        reject("address " + std::to_string(addr) + " outside memory of size " +
+               std::to_string(header_.memory_size));
       }
     }
   } else if (!record.addrs.empty()) {
-    fail(where + "register records carry no addresses");
+    reject("register records carry no addresses");
   }
 
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(record.instr) << 32) | record.warp;
-  if (!seen_.insert(key).second) {
-    fail(where + "duplicate (instruction, warp) record");
+  if (!insert(instr_key | record.warp, false).second) {
+    reject("duplicate (instruction, warp) record");
   }
-  const auto [it, inserted] = instrs_.emplace(record.instr, false);
-  if (!inserted && it->second) {
-    fail(where + "instruction already marked as a barrier");
+  const auto [slot, inserted] = insert(instr_key | kInstrKey, false);
+  if (!inserted && slot->barrier) {
+    reject("instruction already marked as a barrier");
   }
 }
 

@@ -37,8 +37,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace rapsim::replay {
@@ -106,9 +105,26 @@ class TraceValidator {
   void check(const TraceRecord& record);
 
  private:
+  // One insert-only open-addressing table holds both kinds of key a
+  // check consults: (instr << 32) | warp for each access record, and
+  // (instr << 32) | kInstrKey for each instruction, flagged when it is a
+  // barrier. Warp ids stay below kMaxTraceThreads, so the two never
+  // collide; no key is ever all ones (kEmpty).
+  static constexpr std::uint64_t kInstrKey = 0xFFFFFFFFu;
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    bool barrier = false;
+  };
+  /// Insert `key` with `barrier` unless present. Returns the key's slot
+  /// and whether it was inserted.
+  std::pair<Slot*, bool> insert(std::uint64_t key, bool barrier);
+  void grow();
+
   TraceHeader header_;
-  std::unordered_set<std::uint64_t> seen_;          // (instr << 32) | warp
-  std::unordered_map<std::uint32_t, bool> instrs_;  // instr -> is_barrier
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::size_t used_ = 0;
+  unsigned shift_ = 64;      // 64 - log2(slots_.size())
 };
 
 struct AccessTrace {

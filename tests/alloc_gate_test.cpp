@@ -16,6 +16,10 @@
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
+#include "replay/replay.hpp"
+#include "vm/assembler.hpp"
+#include "vm/exec.hpp"
+#include "vm/suite.hpp"
 
 namespace {
 
@@ -120,6 +124,21 @@ TEST(AllocGate, DmmWarpAccessAllocatesOnlyOnItsFirstCall) {
                             << (kind == dmm::MachineKind::kUmm);
     }
   }
+}
+
+TEST(AllocGate, TraceValidationAllocatesPerTableGrowthNotPerRecord) {
+  // The bitonic capture: thousands of records, valid throughout. The
+  // validator's one open-addressing table grows by doubling, so its
+  // allocations are logarithmic in the record count.
+  const vm::LoweredProgram lowered = vm::lower_program(
+      vm::assemble(vm::suite_program("vm-bitonic", 32).text, 32));
+  const auto map =
+      core::make_matrix_map(core::Scheme::kRaw, 32, lowered.rows, 0);
+  dmm::Dmm recorder(dmm::DmmConfig{32, 2}, *map);
+  const replay::AccessTrace trace =
+      replay::capture_run(recorder, lowered.kernel);
+  ASSERT_GT(trace.records.size(), 9000u);
+  EXPECT_LT(allocations_during([&] { trace.validate(); }), 100u);
 }
 
 TEST(AllocGate, CongestionValueDoesNotAllocateUpToWidth256) {

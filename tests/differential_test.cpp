@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -243,6 +244,71 @@ TEST(Differential, RaceFreeMultiWarpKernelWithoutBarriers) {
     machine.run(k);
     ref.run(k);
     expect_same_memory(machine, ref, map->size(), "race-free");
+  }
+}
+
+TEST(Differential, InterleavedIdleLanesAndPartialLastWarp) {
+  // 3 warps of w = 8 over 21 threads: the last warp has 5 lanes. Each
+  // instruction leaves a different lane pattern idle — alternate lanes,
+  // whole warps, everything but the partial warp's last lane — and the
+  // idle slots carry an out-of-range address, so a lane walk that read
+  // them would fault. Per-warp write regions keep the oracle well-defined
+  // (see random_synced_kernel).
+  const std::uint32_t w = 8, threads = 21;
+  const auto map = core::make_matrix_map(core::Scheme::kRap, w, 6, 11);
+  const std::uint64_t region = map->size() / 3;
+  ThreadOp idle = ThreadOp::none();
+  idle.logical = map->size() * 16;
+
+  const auto row = [&](auto active, auto make) {
+    Instruction instr(threads, idle);
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      if (active(t)) instr[t] = make(t);
+    }
+    return instr;
+  };
+  const auto load_at = [&](std::uint32_t t) {
+    return ThreadOp::load((t * 5 + 3) % map->size(), 0);
+  };
+  const auto store_own = [&](std::uint32_t t) {
+    return ThreadOp::store((t / w) * region + (t * 3) % region, 0);
+  };
+  Kernel k(threads);
+  k.push(row([](std::uint32_t t) { return t % 2 == 1; }, load_at));
+  k.push_barrier();
+  k.push(row([](std::uint32_t t) { return t % 3 != 0; },
+             [](std::uint32_t) { return ThreadOp::min_max(0, 1); }));
+  k.push_barrier();
+  k.push(row([&](std::uint32_t t) { return t / w == 1; }, store_own));
+  k.push_barrier();
+  k.push(row([](std::uint32_t t) { return t % 2 == 0; }, store_own));
+  k.push_barrier();
+  k.push(row([&](std::uint32_t t) { return t == threads - 1; }, load_at));
+  k.push_barrier();
+  k.push(row([&](std::uint32_t t) { return t >= 2 * w; }, store_own));
+
+  Dmm machine(DmmConfig{w, 3}, *map);
+  ReferenceMachine ref(*map);
+  for (std::uint64_t a = 0; a < map->size(); ++a) {
+    machine.store(a, a * 11 + 5);
+    ref.store(a, a * 11 + 5);
+  }
+  Trace trace;
+  machine.run(k, &trace);
+  ref.run(k);
+  expect_same_memory(machine, ref, map->size(), "idle lanes");
+
+  // Every dispatch counts exactly its warp's non-idle lanes.
+  ASSERT_FALSE(trace.dispatches.empty());
+  for (const DispatchRecord& d : trace.dispatches) {
+    const Instruction& instr = k.instructions[d.instruction];
+    std::uint32_t active = 0;
+    for (std::uint32_t t = d.warp * w;
+         t < std::min((d.warp + 1) * w, threads); ++t) {
+      if (instr[t].kind != OpKind::kNone) ++active;
+    }
+    EXPECT_EQ(d.active_threads, active)
+        << "instr " << d.instruction << " warp " << d.warp;
   }
 }
 

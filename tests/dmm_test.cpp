@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "core/mapping2d.hpp"
 #include "dmm/umm.hpp"
@@ -278,6 +279,92 @@ TEST(Kernel, PushRejectsWrongArity) {
   Kernel k;
   k.num_threads = 4;
   EXPECT_THROW(k.push(Instruction(3)), std::invalid_argument);
+}
+
+/// Every instruction's index entry, as plain vectors (comparable).
+std::vector<std::vector<std::uint32_t>> index_of(const Kernel& k) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (std::size_t i = 0; i < k.instructions.size(); ++i) {
+    const auto threads = k.active_threads(i);
+    out.emplace_back(threads.begin(), threads.end());
+  }
+  return out;
+}
+
+TEST(Kernel, PushAndBarrierMaintainTheActiveIndex) {
+  Kernel k;
+  k.num_threads = 6;
+  Instruction sparse(6);
+  sparse[1] = ThreadOp::load(3);
+  sparse[4] = ThreadOp::min_max(0, 1);
+  k.push(sparse);
+  k.push(Instruction(6));  // all idle
+  k.push_barrier();
+  ASSERT_TRUE(k.indexed());
+  using Threads = std::vector<std::uint32_t>;
+  EXPECT_EQ(index_of(k), (std::vector<Threads>{
+                             {1, 4}, {}, {0, 1, 2, 3, 4, 5}}));
+  // One warp's slice of an instruction: ids in [first, last).
+  const auto slice = k.active_threads(0, 2, 6);
+  EXPECT_EQ(Threads(slice.begin(), slice.end()), Threads{4});
+  EXPECT_TRUE(k.active_threads(0, 5, 6).empty());
+
+  // The constructor indexes the rows it is given.
+  const Kernel built(6, {sparse, Instruction(6)});
+  EXPECT_EQ(index_of(built), (std::vector<Threads>{{1, 4}, {}}));
+  EXPECT_THROW(Kernel(6, {Instruction(5)}), std::invalid_argument);
+}
+
+TEST(Kernel, ReindexRebuildsAfterAnInPlaceEdit) {
+  Kernel k(4, {Instruction(4), Instruction(4)});
+  k.instructions[1][2] = ThreadOp::store(1);
+  k.instructions.push_back(Instruction(4, ThreadOp::load(0)));
+  EXPECT_FALSE(k.indexed());
+  k.reindex();
+  ASSERT_TRUE(k.indexed());
+  using Threads = std::vector<std::uint32_t>;
+  EXPECT_EQ(index_of(k),
+            (std::vector<Threads>{{}, {2}, {0, 1, 2, 3}}));
+}
+
+TEST(Kernel, StaleIndexIsRejected) {
+  RawMap map(4, 4);
+  Dmm machine(DmmConfig{4, 2}, map);
+
+  // An instruction appended behind the index's back: not covered.
+  Kernel uncovered = single_load_kernel(4, [](std::uint32_t t) {
+    return static_cast<std::uint64_t>(t);
+  });
+  uncovered.instructions.push_back(uncovered.instructions[0]);
+  machine.begin_run(uncovered);
+  EXPECT_THROW(KernelWarpSource(machine, uncovered), std::logic_error);
+  EXPECT_THROW(machine.run(uncovered), std::logic_error);
+  EXPECT_THROW((void)machine.warp_access(uncovered, 0, 0), std::logic_error);
+
+  // A row edited in place so an indexed thread went idle.
+  Kernel edited = single_load_kernel(4, [](std::uint32_t t) {
+    return static_cast<std::uint64_t>(t);
+  });
+  edited.instructions[0][2] = ThreadOp::none();
+  EXPECT_THROW(machine.run(edited), std::logic_error);
+  edited.reindex();
+  EXPECT_EQ(machine.run(edited).dispatches, 1u);
+}
+
+TEST(Kernel, SetActiveIndexRejectsMalformedShapes) {
+  Kernel k(4, {Instruction(4), Instruction(4)});
+  // Wrong instruction count, end past the thread list, descending ends,
+  // unsorted ids and an id past num_threads.
+  EXPECT_THROW(k.set_active_index({0}, {}), std::invalid_argument);
+  EXPECT_THROW(k.set_active_index({0, 2}, {1}), std::invalid_argument);
+  EXPECT_THROW(k.set_active_index({2, 1}, {1, 2}), std::invalid_argument);
+  EXPECT_THROW(k.set_active_index({2, 2}, {2, 1}), std::invalid_argument);
+  EXPECT_THROW(k.set_active_index({1, 1}, {4}), std::invalid_argument);
+  k.instructions[0][1] = ThreadOp::load(0);
+  k.instructions[0][3] = ThreadOp::load(1);
+  k.set_active_index({2, 2}, {1, 3});
+  EXPECT_EQ(index_of(k),
+            (std::vector<std::vector<std::uint32_t>>{{1, 3}, {}}));
 }
 
 // ---- UMM contrast: stride access touches w distinct rows -> w slots on

@@ -1,16 +1,26 @@
 // Codec tests for the portable access-trace format: property-based
 // text <-> binary round-trips across widths, parser rejection of
-// malformed input, hash identity, and the dispatch-trace CSV round-trip.
+// malformed input, hash identity, the active-thread index of lowered
+// kernels, and the dispatch-trace CSV round-trip.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/factory.hpp"
+#include "dmm/machine.hpp"
 #include "dmm/trace.hpp"
+#include "replay/replay.hpp"
 #include "replay/trace.hpp"
 #include "util/rng.hpp"
+#include "vm/assembler.hpp"
+#include "vm/exec.hpp"
+#include "vm/suite.hpp"
+#include "workload_kernels.hpp"
 
 namespace {
 
@@ -312,6 +322,144 @@ TEST(ReplayTraceErrors, RejectsBinaryInstructionIndexAboveCap) {
   u64(0);              // address
   bytes.push_back(static_cast<char>(0xFF));
   expect_rejected(bytes, "cap");
+}
+
+/// validate()'s message for `trace`, or "" when it is accepted.
+std::string validation_error(const AccessTrace& trace) {
+  try {
+    trace.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReplayTraceErrors, ValidatorMessagesArePinned) {
+  AccessTrace trace;
+  trace.header.width = 16;
+  trace.header.num_threads = 24;  // warp 1 has lanes 0..7
+  trace.header.memory_size = 256;
+  TraceRecord read;
+  read.kind = RecordKind::kRead;
+  read.instr = 3;
+  read.warp = 1;
+  read.lane_mask = 0x3;
+  read.addrs = {4, 5};
+  TraceRecord barrier;
+  barrier.kind = RecordKind::kBarrier;
+  barrier.instr = 3;
+
+  trace.records = {read, read};
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 3, warp 1): duplicate (instruction, warp) "
+            "record");
+  trace.records = {read, barrier};
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 3, warp 0): instruction already has access "
+            "records");
+  TraceRecord wide = read;
+  wide.lane_mask = 0x101;  // lane 8 does not exist in the partial warp
+  trace.records = {wide};
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 3, warp 1): lane mask has bits beyond "
+            "lane 7");
+  trace.records = {barrier, read};
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 3, warp 1): instruction already marked as "
+            "a barrier");
+  trace.records = {barrier, barrier};
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 3, warp 0): duplicate barrier marker");
+  // The first failing record is reported, after many valid ones (the
+  // validator's table grows past its first size on the way).
+  trace.header.num_threads = 16;
+  trace.records.clear();
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    TraceRecord r = read;
+    r.instr = i;
+    r.warp = 0;
+    trace.records.push_back(r);
+  }
+  EXPECT_EQ(validation_error(trace), "");
+  trace.records.push_back(trace.records[123]);
+  trace.records.push_back(trace.records[7]);
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 123, warp 0): duplicate (instruction, "
+            "warp) record");
+}
+
+// ---- the lowered kernel's active-thread index ----
+
+/// The kernel's index equals a reindex() of a copy, and each list holds
+/// exactly the instruction's non-kNone threads, ascending.
+void expect_index_exact(const dmm::Kernel& kernel, const std::string& label) {
+  ASSERT_TRUE(kernel.indexed()) << label;
+  dmm::Kernel copy = kernel;
+  copy.reindex();
+  for (std::size_t i = 0; i < kernel.instructions.size(); ++i) {
+    const auto threads = kernel.active_threads(i);
+    const auto rebuilt = copy.active_threads(i);
+    ASSERT_TRUE(std::equal(threads.begin(), threads.end(), rebuilt.begin(),
+                           rebuilt.end()))
+        << label << " instr " << i;
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
+      if (kernel.instructions[i][t].kind != dmm::OpKind::kNone) {
+        expected.push_back(t);
+      }
+    }
+    ASSERT_EQ(std::vector<std::uint32_t>(threads.begin(), threads.end()),
+              expected)
+        << label << " instr " << i;
+  }
+}
+
+TEST(KernelIndex, CatalogSuiteAndReplayLoweringsAreExact) {
+  for (const std::uint32_t width : {16u, 32u, 64u}) {
+    const std::string w = " w=" + std::to_string(width);
+    for (const tools::WorkloadKernel& entry : tools::workload_kernels(width)) {
+      expect_index_exact(entry.kernel, entry.name + w);
+      const auto map =
+          core::make_matrix_map(core::Scheme::kRaw, width, entry.rows, 0);
+      dmm::Dmm recorder(dmm::DmmConfig{width, 2}, *map);
+      const AccessTrace trace = replay::capture_run(recorder, entry.kernel);
+      expect_index_exact(replay::lower_to_kernel(trace),
+                         entry.name + " replayed" + w);
+    }
+    for (const vm::SuiteProgram& program : vm::suite_programs(width)) {
+      expect_index_exact(
+          vm::lower_program(vm::assemble(program.text, width)).kernel,
+          program.name + w);
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_index_exact(replay::lower_to_kernel(random_trace(16, seed)),
+                       "random seed " + std::to_string(seed));
+  }
+}
+
+TEST(KernelIndex, LoweringSortsRecordsThatArriveOutOfWarpOrder) {
+  AccessTrace trace;
+  trace.header.width = 8;
+  trace.header.num_threads = 20;  // warps 0, 1 and a 4-lane warp 2
+  trace.header.memory_size = 64;
+  const auto record = [](std::uint32_t instr, std::uint32_t warp,
+                         std::uint64_t mask) {
+    TraceRecord r;
+    r.kind = RecordKind::kRead;
+    r.instr = instr;
+    r.warp = warp;
+    r.lane_mask = mask;
+    for (int n = std::popcount(mask); n > 0; --n) r.addrs.push_back(9);
+    return r;
+  };
+  trace.records = {record(0, 2, 0x9), record(1, 0, 0x1), record(0, 0, 0x82),
+                   record(0, 1, 0x10)};
+  const dmm::Kernel kernel = replay::lower_to_kernel(trace);
+  expect_index_exact(kernel, "out of order");
+  const auto first = kernel.active_threads(0);
+  EXPECT_EQ(std::vector<std::uint32_t>(first.begin(), first.end()),
+            (std::vector<std::uint32_t>{1, 7, 12, 16, 19}));
 }
 
 // ---- dispatch-trace CSV round-trip (dmm::Trace::from_csv) ----
