@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
 #include "dmm/umm.hpp"
 
 int main() {
@@ -26,7 +26,7 @@ int main() {
       "  MB MB MB MB                       MB MB MB MB\n\n",
       kWidth, kWidth, kLatency);
 
-  core::RawMap map(kWidth, kWidth);
+  const core::AddressMap map(core::Scheme::kRaw, kWidth, kWidth);
   // A warp reading one cell per row AND per bank (the diagonal): the
   // defining workload that separates the two machines.
   dmm::Kernel kernel{kWidth, {}, {}};

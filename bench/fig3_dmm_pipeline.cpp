@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
 #include "dmm/machine.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "util/cli.hpp"
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   constexpr std::uint32_t kWidth = 4, kLatency = 5;
 
-  core::RawMap map(kWidth, 16 / kWidth);
+  const core::AddressMap map(core::Scheme::kRaw, kWidth, 16 / kWidth);
   dmm::Dmm machine(dmm::DmmConfig{kWidth, kLatency}, map);
 
   dmm::Kernel kernel;

@@ -7,13 +7,14 @@
 #include <cstdio>
 #include <set>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
+#include "core/permutation.hpp"
 
 int main() {
   using namespace rapsim;
   constexpr std::uint32_t kWidth = 4;
   const core::Permutation p({2, 0, 3, 1});
-  const core::RapMap map(kWidth, kWidth, p);
+  const core::AddressMap map(core::Scheme::kRap, kWidth, kWidth, p.image());
 
   std::printf("== Figure 6: RAP example, w = 4, p = %s ==\n\n",
               p.to_string().c_str());

@@ -21,6 +21,7 @@
 
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
+#include "core/permutation.hpp"
 #include "gpu/register_pack.hpp"
 #include "perfbench/perfbench.hpp"
 #include "telemetry/run_telemetry.hpp"
@@ -39,6 +40,15 @@ std::uint64_t next_address(std::uint64_t a, std::uint64_t size) {
   return ++a == size ? 0 : a;
 }
 
+/// physical[k] = map.translate(logical[k]) for each lane k of a warp.
+void translate_warp(const core::AddressMap& map,
+                    std::span<const std::uint64_t> logical,
+                    std::span<std::uint64_t> physical) {
+  for (std::size_t k = 0; k < logical.size(); ++k) {
+    physical[k] = map.translate(logical[k]);
+  }
+}
+
 void BM_Translate(benchmark::State& state, core::Scheme scheme) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
   const auto map = core::make_matrix_map(scheme, w, w, 1);
@@ -52,8 +62,9 @@ BENCHMARK_CAPTURE(BM_Translate, Raw, core::Scheme::kRaw)->Arg(32)->Arg(256);
 BENCHMARK_CAPTURE(BM_Translate, Ras, core::Scheme::kRas)->Arg(32)->Arg(256);
 BENCHMARK_CAPTURE(BM_Translate, Rap, core::Scheme::kRap)->Arg(32)->Arg(256);
 
-/// One warp of w consecutive logical addresses per translate_warp call,
-/// sweeping the whole map.
+/// One warp of w consecutive logical addresses per iteration, translated
+/// lane by lane (the loop the congestion tally runs), sweeping the whole
+/// map.
 void BM_TranslateWarp(benchmark::State& state, core::Scheme scheme) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
   const auto map = core::make_matrix_map(scheme, w, w, 1);
@@ -62,7 +73,7 @@ void BM_TranslateWarp(benchmark::State& state, core::Scheme scheme) {
   std::vector<std::uint64_t> physical(w);
   std::uint64_t row = 0;
   for (auto _ : state) {
-    map->translate_warp(std::span(logical).subspan(row * w, w), physical);
+    translate_warp(*map, std::span(logical).subspan(row * w, w), physical);
     benchmark::DoNotOptimize(physical.data());
     benchmark::ClobberMemory();
     row = next_address(row, w);
@@ -165,8 +176,8 @@ perfbench::Aggregate time_translate(const perfbench::Protocol& protocol,
   });
 }
 
-/// ns per address translated by translate_warp(), one w-lane warp (one
-/// matrix row) per call, over `iters` addresses per timed sample.
+/// ns per address of a w-lane warp (one matrix row) translated lane by
+/// lane, over `iters` addresses per timed sample.
 perfbench::Aggregate time_translate_warp(const perfbench::Protocol& protocol,
                                          core::Scheme scheme, std::uint32_t w,
                                          std::uint64_t iters) {
@@ -178,7 +189,7 @@ perfbench::Aggregate time_translate_warp(const perfbench::Protocol& protocol,
   std::uint64_t row = 0;
   return perfbench::run_timed(protocol, warps * w, [&] {
     for (std::uint64_t k = 0; k < warps; ++k) {
-      map->translate_warp(std::span(logical).subspan(row * w, w), physical);
+      translate_warp(*map, std::span(logical).subspan(row * w, w), physical);
       benchmark::DoNotOptimize(physical.data());
       benchmark::ClobberMemory();
       row = next_address(row, w);

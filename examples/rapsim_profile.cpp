@@ -45,21 +45,13 @@ namespace {
 
 using namespace rapsim;
 
-std::optional<core::Scheme> parse_scheme(const std::string& name) {
-  if (name == "raw") return core::Scheme::kRaw;
-  if (name == "ras") return core::Scheme::kRas;
-  if (name == "rap") return core::Scheme::kRap;
-  if (name == "pad") return core::Scheme::kPad;
-  return std::nullopt;
-}
-
 std::vector<core::Scheme> parse_schemes(const std::string& csv) {
   std::vector<core::Scheme> schemes;
   std::string item;
   for (std::size_t i = 0; i <= csv.size(); ++i) {
     if (i == csv.size() || csv[i] == ',') {
       if (!item.empty()) {
-        const auto scheme = parse_scheme(item);
+        const auto scheme = core::parse_scheme_name(item);
         if (!scheme) {
           throw std::invalid_argument("unknown scheme: " + item +
                                       " (use raw, ras, rap, pad)");

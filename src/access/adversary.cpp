@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "access/pattern4d.hpp"
 #include "core/congestion.hpp"
 
 namespace rapsim::access {
@@ -15,7 +16,7 @@ namespace {
 /// best generic move is to spread across rows and let the bank draws
 /// collide; column choice is random to avoid accidentally hitting a
 /// conflict-free sub-structure.
-void one_cell_per_row_2d(const core::MatrixMap& map, util::Pcg32& rng,
+void one_cell_per_row_2d(const core::AddressMap& map, util::Pcg32& rng,
                          std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
   for (std::uint32_t t = 0; t < w; ++t) {
@@ -23,25 +24,25 @@ void one_cell_per_row_2d(const core::MatrixMap& map, util::Pcg32& rng,
   }
 }
 
-void one_cell_per_row_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
+void one_cell_per_row_4d(const core::AddressMap& map, util::Pcg32& rng,
                          std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
   for (std::uint32_t t = 0; t < w; ++t) {
     addrs.push_back(
-        map.index({t, rng.bounded(w), rng.bounded(w), rng.bounded(w)}));
+        core::index(w, {t, rng.bounded(w), rng.bounded(w), rng.bounded(w)}));
   }
 }
 
 }  // namespace
 
-std::vector<std::uint64_t> malicious_addresses_2d(const core::MatrixMap& map,
+std::vector<std::uint64_t> malicious_addresses_2d(const core::AddressMap& map,
                                                   util::Pcg32& rng) {
   std::vector<std::uint64_t> addrs;
   malicious_addresses_2d(map, rng, addrs);
   return addrs;
 }
 
-void malicious_addresses_2d(const core::MatrixMap& map, util::Pcg32& rng,
+void malicious_addresses_2d(const core::AddressMap& map, util::Pcg32& rng,
                             std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();
   addrs.clear();
@@ -72,15 +73,16 @@ void malicious_addresses_2d(const core::MatrixMap& map, util::Pcg32& rng,
   }
 }
 
-std::vector<std::uint64_t> malicious_addresses_4d(const core::Tensor4dMap& map,
+std::vector<std::uint64_t> malicious_addresses_4d(const core::AddressMap& map,
                                                   util::Pcg32& rng) {
   std::vector<std::uint64_t> addrs;
   malicious_addresses_4d(map, rng, addrs);
   return addrs;
 }
 
-void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
+void malicious_addresses_4d(const core::AddressMap& map, util::Pcg32& rng,
                             std::vector<std::uint64_t>& addrs) {
+  require_tensor4d(map, "malicious_addresses_4d");
   const std::uint32_t w = map.width();
   addrs.clear();
   addrs.reserve(w);
@@ -90,7 +92,8 @@ void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
       // Any w cells sharing the innermost coordinate l sit in bank l.
       const std::uint32_t l = rng.bounded(w);
       for (std::uint32_t t = 0; t < w; ++t) {
-        addrs.push_back(map.index({t, rng.bounded(w), rng.bounded(w), l}));
+        addrs.push_back(
+            core::index(w, {t, rng.bounded(w), rng.bounded(w), l}));
       }
       return;
     }
@@ -100,7 +103,7 @@ void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
       const std::uint32_t k = rng.bounded(w);
       const std::uint32_t l = rng.bounded(w);
       for (std::uint32_t t = 0; t < w; ++t) {
-        addrs.push_back(map.index({0u, t, k, l}));
+        addrs.push_back(core::index(w, {0u, t, k, l}));
       }
       return;
     }
@@ -116,15 +119,15 @@ void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
         const std::uint32_t perms[6][3] = {{a, b, c}, {a, c, b}, {b, a, c},
                                            {b, c, a}, {c, a, b}, {c, b, a}};
         for (const auto& ijk : perms) {
-          addrs.push_back(map.index({ijk[0], ijk[1], ijk[2], l}));
+          addrs.push_back(core::index(w, {ijk[0], ijk[1], ijk[2], l}));
         }
       }
       // Fill the remaining threads with generic one-per-row cells drawn
       // from untouched i values so addresses stay distinct.
       std::uint32_t next_i = 3 * groups;
       while (addrs.size() < w) {
-        addrs.push_back(map.index(
-            {next_i % w, rng.bounded(w), rng.bounded(w), rng.bounded(w)}));
+        addrs.push_back(core::index(
+            w, {next_i % w, rng.bounded(w), rng.bounded(w), rng.bounded(w)}));
         ++next_i;
       }
       return;
@@ -137,7 +140,7 @@ void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
       const std::uint32_t k = rng.bounded(w);
       const std::uint32_t l = rng.bounded(w);
       for (std::uint32_t t = 0; t < w; ++t) {
-        addrs.push_back(map.index({t, rng.bounded(w), k, l}));
+        addrs.push_back(core::index(w, {t, rng.bounded(w), k, l}));
       }
       return;
     }

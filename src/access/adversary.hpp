@@ -32,26 +32,27 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
-#include "core/mapping2d.hpp"
-#include "core/mapping4d.hpp"
+#include "core/mapping.hpp"
 #include "util/rng.hpp"
 
 namespace rapsim::access {
 
 /// One warp of adversarial logical addresses against a 2-D mapping scheme.
 [[nodiscard]] std::vector<std::uint64_t> malicious_addresses_2d(
-    const core::MatrixMap& map, util::Pcg32& rng);
+    const core::AddressMap& map, util::Pcg32& rng);
 /// The same addresses, written over `addrs` (whose capacity is reused).
-void malicious_addresses_2d(const core::MatrixMap& map, util::Pcg32& rng,
+void malicious_addresses_2d(const core::AddressMap& map, util::Pcg32& rng,
                             std::vector<std::uint64_t>& addrs);
 
 /// One warp of adversarial logical addresses against a 4-D mapping scheme.
+/// Throws std::invalid_argument unless map.size() is w^4.
 [[nodiscard]] std::vector<std::uint64_t> malicious_addresses_4d(
-    const core::Tensor4dMap& map, util::Pcg32& rng);
+    const core::AddressMap& map, util::Pcg32& rng);
 /// The same addresses, written over `addrs` (whose capacity is reused).
-void malicious_addresses_4d(const core::Tensor4dMap& map, util::Pcg32& rng,
+void malicious_addresses_4d(const core::AddressMap& map, util::Pcg32& rng,
                             std::vector<std::uint64_t>& addrs);
 
 /// Randomized hill-climbing adversary: starts from a random placement of

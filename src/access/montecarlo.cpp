@@ -46,7 +46,7 @@ class Trials2d {
  private:
   Pattern2d pattern_;
   std::uint64_t seed_;
-  std::unique_ptr<core::MatrixMap> map_;
+  std::unique_ptr<core::AddressMap> map_;
   std::vector<std::uint64_t> addrs_;
   core::BankTally tally_;
 };
@@ -159,11 +159,13 @@ CongestionEstimate estimate_congestion_4d(core::Scheme scheme,
       trials, kChunks,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         util::Pcg32 rng(seed ^ (0x34645f5472ull + chunk), chunk);
+        // As in Trials2d: one map per worker, redrawn for each trial.
+        const auto map =
+            core::make_tensor4d_map(scheme, width, trial_map_seed(seed, 0));
         std::vector<std::uint64_t> addrs;
         core::BankTally tally;
         for (std::size_t t = begin; t < end; ++t) {
-          const auto map =
-              core::make_tensor4d_map(scheme, width, trial_map_seed(seed, t));
+          core::redraw_tensor4d_map(*map, trial_map_seed(seed, t));
           warp_addresses_4d(pattern, *map, rng, addrs);
           core::tally_logical(addrs, *map, tally);
           chunks[chunk].add(tally.congestion());

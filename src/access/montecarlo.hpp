@@ -5,8 +5,8 @@
 // requested pattern, then records the congestion. Trials are split into
 // fixed chunks with independent RNG streams, so results are deterministic
 // in (seed, trials) and independent of the worker-thread count. A worker
-// redraws one 2-D map in place per trial and reuses its address buffer
-// and bank tally, so its allocations do not grow with the trial count.
+// redraws one map in place per trial and reuses its address buffer and
+// bank tally, so its allocations do not grow with the trial count.
 
 #pragma once
 

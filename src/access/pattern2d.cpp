@@ -18,7 +18,7 @@ const char* pattern2d_name(Pattern2d pattern) noexcept {
 }
 
 std::vector<std::uint64_t> warp_addresses_2d(Pattern2d pattern,
-                                             const core::MatrixMap& map,
+                                             const core::AddressMap& map,
                                              std::uint32_t warp_index,
                                              util::Pcg32& rng) {
   std::vector<std::uint64_t> addrs;
@@ -26,7 +26,7 @@ std::vector<std::uint64_t> warp_addresses_2d(Pattern2d pattern,
   return addrs;
 }
 
-void warp_addresses_2d(Pattern2d pattern, const core::MatrixMap& map,
+void warp_addresses_2d(Pattern2d pattern, const core::AddressMap& map,
                        std::uint32_t warp_index, util::Pcg32& rng,
                        std::vector<std::uint64_t>& addrs) {
   const std::uint32_t w = map.width();

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
 #include "util/rng.hpp"
 
 namespace rapsim::access {
@@ -33,11 +33,11 @@ enum class Pattern2d { kContiguous, kStride, kDiagonal, kRandom, kMalicious };
 /// `pattern`. `rng` is consumed only by kRandom (and by the randomized
 /// part of kMalicious); deterministic patterns ignore it.
 [[nodiscard]] std::vector<std::uint64_t> warp_addresses_2d(
-    Pattern2d pattern, const core::MatrixMap& map, std::uint32_t warp_index,
+    Pattern2d pattern, const core::AddressMap& map, std::uint32_t warp_index,
     util::Pcg32& rng);
 
 /// The same addresses, written over `addrs` (whose capacity is reused).
-void warp_addresses_2d(Pattern2d pattern, const core::MatrixMap& map,
+void warp_addresses_2d(Pattern2d pattern, const core::AddressMap& map,
                        std::uint32_t warp_index, util::Pcg32& rng,
                        std::vector<std::uint64_t>& addrs);
 

@@ -1,5 +1,8 @@
 #include "access/pattern4d.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "access/adversary.hpp"
 
 namespace rapsim::access {
@@ -17,15 +20,24 @@ const char* pattern4d_name(Pattern4d pattern) noexcept {
 }
 
 std::vector<std::uint64_t> warp_addresses_4d(Pattern4d pattern,
-                                             const core::Tensor4dMap& map,
+                                             const core::AddressMap& map,
                                              util::Pcg32& rng) {
   std::vector<std::uint64_t> addrs;
   warp_addresses_4d(pattern, map, rng, addrs);
   return addrs;
 }
 
-void warp_addresses_4d(Pattern4d pattern, const core::Tensor4dMap& map,
+void require_tensor4d(const core::AddressMap& map, const char* caller) {
+  const std::uint64_t w = map.width();
+  if (map.size() != w * w * w * w) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": map size is not width^4");
+  }
+}
+
+void warp_addresses_4d(Pattern4d pattern, const core::AddressMap& map,
                        util::Pcg32& rng, std::vector<std::uint64_t>& addrs) {
+  require_tensor4d(map, "warp_addresses_4d");
   const std::uint32_t w = map.width();
   addrs.clear();
   addrs.reserve(w);
@@ -36,31 +48,31 @@ void warp_addresses_4d(Pattern4d pattern, const core::Tensor4dMap& map,
     case Pattern4d::kContiguous:
       for (std::uint32_t t = 0; t < w; ++t) {
         cell.l = t;
-        addrs.push_back(map.index(cell));
+        addrs.push_back(core::index(w, cell));
       }
       break;
     case Pattern4d::kStride1:
       for (std::uint32_t t = 0; t < w; ++t) {
         cell.k = t;
-        addrs.push_back(map.index(cell));
+        addrs.push_back(core::index(w, cell));
       }
       break;
     case Pattern4d::kStride2:
       for (std::uint32_t t = 0; t < w; ++t) {
         cell.j = t;
-        addrs.push_back(map.index(cell));
+        addrs.push_back(core::index(w, cell));
       }
       break;
     case Pattern4d::kStride3:
       for (std::uint32_t t = 0; t < w; ++t) {
         cell.i = t;
-        addrs.push_back(map.index(cell));
+        addrs.push_back(core::index(w, cell));
       }
       break;
     case Pattern4d::kRandom:
       for (std::uint32_t t = 0; t < w; ++t) {
-        addrs.push_back(map.index({rng.bounded(w), rng.bounded(w),
-                                   rng.bounded(w), rng.bounded(w)}));
+        addrs.push_back(core::index(w, {rng.bounded(w), rng.bounded(w),
+                                        rng.bounded(w), rng.bounded(w)}));
       }
       break;
     case Pattern4d::kMalicious:

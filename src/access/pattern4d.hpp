@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/mapping4d.hpp"
+#include "core/mapping.hpp"
 #include "util/rng.hpp"
 
 namespace rapsim::access {
@@ -33,13 +33,18 @@ enum class Pattern4d {
 
 [[nodiscard]] const char* pattern4d_name(Pattern4d pattern) noexcept;
 
-/// Logical addresses accessed by one warp of map.width() threads.
+/// Logical addresses accessed by one warp of map.width() threads. Throws
+/// std::invalid_argument unless map.size() is w^4.
 [[nodiscard]] std::vector<std::uint64_t> warp_addresses_4d(
-    Pattern4d pattern, const core::Tensor4dMap& map, util::Pcg32& rng);
+    Pattern4d pattern, const core::AddressMap& map, util::Pcg32& rng);
 
 /// The same addresses, written over `addrs` (whose capacity is reused).
-void warp_addresses_4d(Pattern4d pattern, const core::Tensor4dMap& map,
+void warp_addresses_4d(Pattern4d pattern, const core::AddressMap& map,
                        util::Pcg32& rng, std::vector<std::uint64_t>& addrs);
+
+/// Throws std::invalid_argument, naming `caller`, unless `map` is a 4-D
+/// map (size w^4).
+void require_tensor4d(const core::AddressMap& map, const char* caller);
 
 /// All Pattern4d values in the order of the paper's Table IV rows.
 [[nodiscard]] const std::vector<Pattern4d>& table4_patterns();

@@ -635,32 +635,6 @@ const char* witness_kind_name(WitnessKind kind) noexcept {
   return "?";
 }
 
-std::uint32_t SynthMapping::row_term(std::uint64_t row) const noexcept {
-  std::uint32_t term = 0;
-  std::uint64_t digits_value = row;
-  for (const std::vector<std::uint32_t>& table : tables) {
-    const auto key = static_cast<std::uint32_t>(digits_value % width);
-    if (transform == RowTransform::kRotate) {
-      term += table[key];
-    } else {
-      term ^= table[key];
-    }
-    digits_value /= width;
-  }
-  return transform == RowTransform::kRotate ? term % width : term % width;
-}
-
-std::uint32_t SynthMapping::bank_of(std::uint64_t addr) const noexcept {
-  const auto col = static_cast<std::uint32_t>(addr % width);
-  const std::uint32_t term = row_term(addr / width);
-  return transform == RowTransform::kRotate ? (col + term) % width
-                                            : (col ^ term) % width;
-}
-
-std::uint64_t SynthMapping::translate(std::uint64_t addr) const noexcept {
-  return (addr / width) * width + bank_of(addr);
-}
-
 std::string SynthMapping::spec() const {
   std::ostringstream out;
   out << "ps1:"
@@ -763,42 +737,27 @@ SynthMapping SynthMapping::parse_spec(const std::string& spec) {
   return mapping;
 }
 
-SynthMap::SynthMap(SynthMapping mapping, std::uint64_t size)
-    : core::AddressMap(mapping.width, size), mapping_(std::move(mapping)) {
-  if (mapping_.width == 0 || size % mapping_.width != 0) {
-    throw std::invalid_argument(
-        "SynthMap: size must be a positive multiple of the width");
-  }
-  if (mapping_.tables.empty() || mapping_.tables.size() > kMaxDigits) {
-    throw std::invalid_argument("SynthMap: mapping needs 1..3 digit tables");
-  }
-  for (const std::vector<std::uint32_t>& table : mapping_.tables) {
-    if (table.size() != mapping_.width) {
-      throw std::invalid_argument("SynthMap: table size != width");
-    }
-    for (const std::uint32_t entry : table) {
-      if (entry >= mapping_.width) {
-        throw std::invalid_argument("SynthMap: table entry out of range");
-      }
-    }
-  }
-  if (mapping_.transform == RowTransform::kXor &&
-      (mapping_.width & (mapping_.width - 1)) != 0) {
-    throw std::invalid_argument(
-        "SynthMap: xor transform requires a power-of-two width");
-  }
-}
-
-std::string SynthMap::name() const {
-  return "SYNTH(" + mapping_.describe() + ")";
-}
-
 std::unique_ptr<core::AddressMap> make_synth_map(const SynthMapping& mapping,
                                                  std::uint64_t memory_size) {
-  const std::uint64_t w = mapping.width;
+  const std::uint32_t w = mapping.width;
   if (w == 0) throw std::invalid_argument("make_synth_map: zero width");
+  if (mapping.tables.empty() || mapping.tables.size() > kMaxDigits) {
+    throw std::invalid_argument(
+        "make_synth_map: mapping needs 1..3 digit tables");
+  }
+  std::vector<core::RowTable> tables;
+  for (std::uint32_t d = 0; d < mapping.tables.size(); ++d) {
+    if (mapping.tables[d].size() != w) {
+      throw std::invalid_argument("make_synth_map: table size != width");
+    }
+    tables.push_back({d, mapping.tables[d]});
+  }
   const std::uint64_t rows = (memory_size + w - 1) / w;
-  return std::make_unique<SynthMap>(mapping, std::max<std::uint64_t>(1, rows) * w);
+  // The AddressMap checks the entries and the xor width.
+  return std::make_unique<core::AddressMap>(
+      "SYNTH(" + mapping.describe() + ")", w,
+      std::max<std::uint64_t>(1, rows) * w, mapping.transform,
+      std::move(tables));
 }
 
 namespace {

@@ -67,7 +67,7 @@
 namespace rapsim::analyze {
 
 /// How the per-digit table terms combine with the column.
-enum class RowTransform { kRotate, kXor };
+using core::RowTransform;
 
 [[nodiscard]] const char* row_transform_name(RowTransform transform) noexcept;
 
@@ -81,12 +81,6 @@ struct SynthMapping {
   std::vector<std::vector<std::uint32_t>> tables;
 
   [[nodiscard]] std::size_t digits() const noexcept { return tables.size(); }
-  /// Combined table term of a row (sum mod w, or xor, of the digit terms).
-  [[nodiscard]] std::uint32_t row_term(std::uint64_t row) const noexcept;
-  /// Bank of a flat logical address (= physical column).
-  [[nodiscard]] std::uint32_t bank_of(std::uint64_t addr) const noexcept;
-  /// Physical address: row * width + transformed column (a bijection).
-  [[nodiscard]] std::uint64_t translate(std::uint64_t addr) const noexcept;
 
   /// Machine-readable spec "ps1:<rot|xor>:w=<w>:<t0 csv>|<t1 csv>|...",
   /// round-tripped by parse_spec.
@@ -105,34 +99,12 @@ struct SynthMapping {
 /// three tables separate strides up to w^3, the Table IV depth).
 inline constexpr std::uint32_t kMaxDigits = 3;
 
-/// A SynthMapping bound to a memory size: the core::AddressMap the DMM,
-/// the replay engine and the congestion counters consume.
-class SynthMap final : public core::AddressMap {
- public:
-  /// Requires size % width == 0 and a well-formed mapping (throws
-  /// std::invalid_argument otherwise).
-  SynthMap(SynthMapping mapping, std::uint64_t size);
-
-  [[nodiscard]] std::uint64_t translate(std::uint64_t logical) const override {
-    return mapping_.translate(logical);
-  }
-  [[nodiscard]] core::Scheme scheme() const noexcept override {
-    return core::Scheme::kSynth;
-  }
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::uint64_t random_words() const noexcept override {
-    return 0;  // the tables are synthesized, not drawn
-  }
-  [[nodiscard]] const SynthMapping& mapping() const noexcept {
-    return mapping_;
-  }
-
- private:
-  SynthMapping mapping_;
-};
-
-/// Convenience: SynthMap over the smallest whole-row memory covering
-/// `memory_size` words.
+/// The mapping bound to the smallest whole-row memory covering
+/// `memory_size` words: the core::AddressMap (scheme kSynth, digit table d
+/// on row digit d) the DMM, the replay engine and the congestion counters
+/// consume. Throws std::invalid_argument unless the mapping is well formed:
+/// a nonzero width, 1..kMaxDigits tables of `width` entries below width,
+/// and xor only with a power-of-two width.
 [[nodiscard]] std::unique_ptr<core::AddressMap> make_synth_map(
     const SynthMapping& mapping, std::uint64_t memory_size);
 

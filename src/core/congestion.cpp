@@ -1,7 +1,6 @@
 #include "core/congestion.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 namespace rapsim::core {
@@ -63,15 +62,8 @@ CongestionResult congestion_of_physical(
 void tally_logical(std::span<const std::uint64_t> logical,
                    const AddressMap& map, BankTally& tally) {
   tally.begin(map.width(), logical.size());
-  // Translate a block at a time: one virtual call per block, not per lane.
-  std::array<std::uint64_t, 64> physical{};
-  for (std::size_t base = 0; base < logical.size(); base += physical.size()) {
-    const auto block =
-        logical.subspan(base, std::min(physical.size(), logical.size() - base));
-    map.translate_warp(block, physical);
-    for (std::size_t k = 0; k < block.size(); ++k) {
-      tally.add(physical[k], static_cast<std::uint32_t>(base + k));
-    }
+  for (std::size_t k = 0; k < logical.size(); ++k) {
+    tally.add(map.translate(logical[k]), static_cast<std::uint32_t>(k));
   }
 }
 

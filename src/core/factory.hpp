@@ -10,8 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/mapping2d.hpp"
-#include "core/mapping4d.hpp"
+#include "core/mapping.hpp"
 
 namespace rapsim::core {
 
@@ -27,10 +26,15 @@ namespace rapsim::core {
 /// without allocating (Monte-Carlo trials reuse one map per worker).
 void redraw_matrix_map(MatrixMap& map, std::uint64_t seed);
 
-/// 4-D w^4 tensor mapping for any Scheme (kRaw, kRas and the five RAP
-/// extensions).
-[[nodiscard]] std::unique_ptr<Tensor4dMap> make_tensor4d_map(
+/// 4-D w^4 tensor mapping (the matrix of w^3 rows) for the Table IV
+/// schemes: kRaw, kRas and the five RAP extensions.
+[[nodiscard]] std::unique_ptr<AddressMap> make_tensor4d_map(
     Scheme scheme, std::uint32_t width, std::uint64_t seed);
+
+/// Redraw `map` in place into exactly the map
+/// make_tensor4d_map(map.scheme(), map.width(), seed) returns, without
+/// allocating.
+void redraw_tensor4d_map(AddressMap& map, std::uint64_t seed);
 
 /// The 2-D schemes in the order of the paper's Tables I-III.
 [[nodiscard]] const std::vector<Scheme>& table2_schemes();

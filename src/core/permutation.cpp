@@ -18,16 +18,18 @@ Permutation Permutation::random(std::size_t n, util::Pcg32& rng) {
   return perm;
 }
 
-void Permutation::redraw(util::Pcg32& rng) {
-  std::iota(image_.begin(), image_.end(), 0u);
+void draw_permutation(std::span<std::uint32_t> image, util::Pcg32& rng) {
+  std::iota(image.begin(), image.end(), 0u);
   // Fisher-Yates: each prefix [0..i] holds a uniform permutation of the
   // elements it has consumed. bounded() is rejection-sampled, so the swap
   // index is exactly uniform and the final draw is uniform over all n!.
-  for (std::size_t i = image_.size(); i > 1; --i) {
+  for (std::size_t i = image.size(); i > 1; --i) {
     const std::uint32_t j = rng.bounded(static_cast<std::uint32_t>(i));
-    std::swap(image_[i - 1], image_[j]);
+    std::swap(image[i - 1], image[j]);
   }
 }
+
+void Permutation::redraw(util::Pcg32& rng) { draw_permutation(image_, rng); }
 
 Permutation::Permutation(std::vector<std::uint32_t> image)
     : image_(std::move(image)) {

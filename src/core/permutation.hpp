@@ -17,6 +17,11 @@
 
 namespace rapsim::core {
 
+/// Overwrite `image` with a uniformly random permutation of
+/// {0..image.size()-1}: Fisher-Yates over the identity with an unbiased
+/// bounded sampler, so all n! outcomes are equally likely.
+void draw_permutation(std::span<std::uint32_t> image, util::Pcg32& rng);
+
 /// A permutation of {0, 1, ..., n-1}, stored as the image vector:
 /// value `perm[i]` is where i maps to. Only redraw() changes it.
 class Permutation {
@@ -24,8 +29,7 @@ class Permutation {
   /// The identity permutation of size n.
   static Permutation identity(std::size_t n);
 
-  /// Uniformly random permutation of size n (Fisher-Yates with an unbiased
-  /// bounded sampler, so all n! outcomes are equally likely).
+  /// Uniformly random permutation of size n (draw_permutation).
   static Permutation random(std::size_t n, util::Pcg32& rng);
 
   /// Replace this permutation, in place, with random(size(), rng): the

@@ -7,8 +7,8 @@ namespace rapsim::hmm {
 Hmm::Hmm(HmmConfig config, const core::AddressMap& shared_map,
          std::uint64_t global_words)
     : config_(config),
-      global_map_(config.width, (global_words + config.width - 1) /
-                                    config.width),
+      global_map_(core::Scheme::kRaw, config.width,
+                  (global_words + config.width - 1) / config.width),
       global_(dmm::umm_config(config.width, config.global_latency),
               global_map_),
       shared_(dmm::dmm_config(config.width, config.shared_latency),

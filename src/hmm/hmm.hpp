@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/mapping.hpp"
-#include "core/mapping2d.hpp"
 #include "dmm/machine.hpp"
 #include "dmm/umm.hpp"
 #include "telemetry/metrics.hpp"
@@ -100,7 +99,7 @@ class Hmm {
   void charge_shared(const dmm::RunStats& run);
 
   HmmConfig config_;
-  core::RawMap global_map_;
+  core::AddressMap global_map_;  // RAW
   dmm::Dmm global_;  // UMM accounting
   dmm::Dmm shared_;  // DMM accounting
   HmmStats stats_;

@@ -1,7 +1,6 @@
 #include "replay/campaign.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -49,20 +48,6 @@ void write_file_atomic(const std::string& path, const std::string& contents) {
 }
 
 }  // namespace
-
-std::optional<core::Scheme> parse_scheme_name(const std::string& name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (const char c : name) {
-    lower.push_back(static_cast<char>(std::tolower(
-        static_cast<unsigned char>(c))));
-  }
-  if (lower == "raw") return core::Scheme::kRaw;
-  if (lower == "ras") return core::Scheme::kRas;
-  if (lower == "rap") return core::Scheme::kRap;
-  if (lower == "pad") return core::Scheme::kPad;
-  return std::nullopt;
-}
 
 std::string CampaignCell::key() const {
   // Canonical field string; the trace name is deliberately absent.
@@ -183,7 +168,7 @@ CellResult CellResult::from_cell_text(const std::string& text) {
     } else if (word == "scheme") {
       std::string name;
       if (!(fields >> name)) fail_cell(line_no, "missing scheme name");
-      const auto scheme = parse_scheme_name(name);
+      const auto scheme = core::parse_scheme_name(name);
       if (!scheme) fail_cell(line_no, "unknown scheme '" + name + "'");
       result.cell.scheme = *scheme;
     } else if (word == "width") {

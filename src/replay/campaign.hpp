@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,12 +39,6 @@
 #include "util/stats.hpp"
 
 namespace rapsim::replay {
-
-/// The 2-D schemes a campaign can replay under (campaigns run on matrix
-/// maps). Accepts "raw"/"RAW"/"Rap"... — case-insensitive; nullopt for
-/// anything else.
-[[nodiscard]] std::optional<core::Scheme> parse_scheme_name(
-    const std::string& name);
 
 struct CampaignConfig {
   std::vector<std::string> trace_paths;

@@ -71,7 +71,7 @@ core::Scheme get_scheme(const JsonValue& params, const char* key = "scheme",
                              " must be a string");
     name = v->as_string();
   }
-  const std::optional<core::Scheme> scheme = replay::parse_scheme_name(name);
+  const std::optional<core::Scheme> scheme = core::parse_scheme_name(name);
   if (!scheme) bad("unknown scheme '" + name + "' (use raw, ras, rap, pad)");
   return *scheme;
 }

@@ -252,7 +252,7 @@ TEST(AdversarySearch, FindsStrideAttackAgainstRaw) {
   // scoring well above random (~w/4 at least in few iterations).
   const auto result = search_adversary(
       [](std::uint64_t) {
-        return std::make_unique<core::RawMap>(8, 8);
+        return std::make_unique<core::AddressMap>(core::Scheme::kRaw, 8, 8);
       },
       8, 64, 300, 1, 42);
   EXPECT_GE(result.mean_congestion, 4.0);

@@ -180,5 +180,19 @@ TEST(AllocGate, Estimate2dAllocationsDoNotGrowWithTrials) {
   }
 }
 
+TEST(AllocGate, Estimate4dAllocationsDoNotGrowWithTrials) {
+  (void)access::estimate_congestion_4d(core::Scheme::kRap3P,
+                                       access::Pattern4d::kRandom, 16, 100, 9);
+  for (const core::Scheme scheme : core::table4_schemes()) {
+    const auto run = [&](std::uint64_t trials) {
+      return allocations_during([&] {
+        (void)access::estimate_congestion_4d(
+            scheme, access::Pattern4d::kRandom, 16, trials, 9);
+      });
+    };
+    EXPECT_EQ(run(200), run(2000)) << core::scheme_name(scheme);
+  }
+}
+
 }  // namespace
 }  // namespace rapsim

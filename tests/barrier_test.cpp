@@ -2,14 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
 #include "dmm/machine.hpp"
 #include "dmm/umm.hpp"
 
 namespace rapsim::dmm {
 namespace {
 
-using core::RawMap;
 
 TEST(Barrier, PushBarrierAppendsFullWidthBarrier) {
   Kernel k{8, {}, {}};
@@ -21,7 +20,7 @@ TEST(Barrier, PushBarrierAppendsFullWidthBarrier) {
 }
 
 TEST(Barrier, BarrierOnlyKernelCompletesInZeroTime) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 5}, map);
   Kernel k{8, {}, {}};
   k.push_barrier();
@@ -36,7 +35,7 @@ TEST(Barrier, OrdersCrossWarpProducerConsumer) {
   // write is delayed behind a long serialized prefix; without the barrier
   // the scheduler would let warp 1's read run first (and read 0).
   const std::uint32_t w = 4, l = 8;
-  RawMap map(w, 8);
+  const core::AddressMap map(core::Scheme::kRaw, w, 8);
   Dmm machine(DmmConfig{w, l}, map);
 
   Kernel k{2 * w, {}, {}};
@@ -72,7 +71,7 @@ TEST(Barrier, ReleaseWaitsForOutstandingRequests) {
   // access: the second access cannot start before the first completes
   // (start >= completion + 1), so time >= (w + l - 1) + 1 + l.
   const std::uint32_t w = 4, l = 6;
-  RawMap map(w, 8);
+  const core::AddressMap map(core::Scheme::kRaw, w, 8);
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k{w, {}, {}};
   Instruction first(w), second(w);
@@ -94,7 +93,7 @@ TEST(Barrier, WarpsWithDifferentSpeedsResynchronize) {
   // barrier, both perform a second access. The total dispatch count and
   // data correctness confirm no warp ran ahead.
   const std::uint32_t w = 4, l = 2;
-  RawMap map(w, 16);
+  const core::AddressMap map(core::Scheme::kRaw, w, 16);
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k{2 * w, {}, {}};
   Instruction phase1(2 * w);
@@ -127,7 +126,7 @@ TEST(Barrier, WarpsWithDifferentSpeedsResynchronize) {
 }
 
 TEST(Barrier, ConsecutiveBarriersAreHarmless) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 3}, map);
   Kernel k{8, {}, {}};
   Instruction a(8);
@@ -148,7 +147,7 @@ TEST(Barrier, ConsecutiveBarriersAreHarmless) {
 
 TEST(Barrier, SingleWarpBarrierIsCheap) {
   // With one warp the barrier degenerates to a no-op ordering point.
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 2}, map);
   Kernel k{4, {}, {}};
   Instruction a(4);
@@ -168,7 +167,7 @@ TEST(Barrier, WorksOnTheUmmToo) {
   // The barrier logic is machine-kind agnostic: the UMM's row-based slot
   // accounting must compose with cross-warp synchronization.
   const std::uint32_t w = 4, l = 3;
-  RawMap map(w, 8);
+  const core::AddressMap map(core::Scheme::kRaw, w, 8);
   Dmm machine(umm_config(w, l), map);
   Kernel k{2 * w, {}, {}};
   Instruction produce(2 * w);
@@ -193,7 +192,7 @@ TEST(Barrier, WorksOnTheUmmToo) {
 // Trace invariants: dispatch records are pipeline-consistent.
 TEST(TraceInvariants, SlotsDoNotOverlapAndCompletionsAreConsistent) {
   const std::uint32_t w = 8, l = 4;
-  RawMap map(w, 2 * w);
+  const core::AddressMap map(core::Scheme::kRaw, w, 2 * w);
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k{w * 2, {}, {}};
   util::Pcg32 rng(5);

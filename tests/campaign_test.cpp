@@ -85,15 +85,6 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-TEST(CampaignCellTest, SchemeNamesParseCaseInsensitively) {
-  EXPECT_EQ(replay::parse_scheme_name("raw"), core::Scheme::kRaw);
-  EXPECT_EQ(replay::parse_scheme_name("RAS"), core::Scheme::kRas);
-  EXPECT_EQ(replay::parse_scheme_name("Rap"), core::Scheme::kRap);
-  EXPECT_EQ(replay::parse_scheme_name("pAd"), core::Scheme::kPad);
-  EXPECT_EQ(replay::parse_scheme_name("rot13"), std::nullopt);
-  EXPECT_EQ(replay::parse_scheme_name(""), std::nullopt);
-}
-
 TEST(CampaignCellTest, KeyCoversResultDeterminingFieldsOnly) {
   const AccessTrace trace = make_trace(16, 0);
   const CampaignCell cell = make_cell(trace, core::Scheme::kRap);

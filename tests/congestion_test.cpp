@@ -12,7 +12,8 @@
 
 #include "analyze/sanitizer.hpp"
 #include "core/factory.hpp"
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
+#include "core/permutation.hpp"
 #include "dmm/machine.hpp"
 #include "util/rng.hpp"
 
@@ -73,14 +74,14 @@ TEST(Congestion, WidthOnePutsEverythingInOneBank) {
 
 TEST(Congestion, LogicalGoesThroughMapping) {
   // RAW stride on a 4x4 matrix: column 0 -> all in bank 0.
-  RawMap raw(4, 4);
+  const AddressMap raw(Scheme::kRaw, 4, 4);
   std::vector<std::uint64_t> col;
   for (std::uint64_t i = 0; i < 4; ++i) col.push_back(raw.index(i, 0));
   EXPECT_EQ(congestion_value(col, raw), 4u);
 
   // Same logical access through the Figure 6 RAP map: banks become
   // (0 + p_i) mod 4 = {2, 0, 3, 1} — all distinct.
-  RapMap rap(4, 4, Permutation({2, 0, 3, 1}));
+  const AddressMap rap(Scheme::kRap, 4, 4, Permutation({2, 0, 3, 1}).image());
   EXPECT_EQ(congestion_value(col, rap), 1u);
 }
 
@@ -164,7 +165,7 @@ TEST(BankTally, MatchesSortedReferenceOnRandomStreamsWithDuplicates) {
 TEST(BankTally, MatchesReferenceOnOneBankAndOneAddress) {
   for (const std::uint32_t w : {1u, 16u, 24u, 48u, 64u, 256u}) {
     // RAW stride: w distinct addresses in bank 0, congestion w.
-    RawMap raw(w, w);
+    const AddressMap raw(Scheme::kRaw, w, w);
     std::vector<std::uint64_t> column;
     for (std::uint32_t i = 0; i < w; ++i) column.push_back(raw.index(i, 0));
     expect_matches_reference(column, w);
@@ -205,7 +206,7 @@ TEST(BankTally, RejectsMoreRequestsThanLanes) {
   EXPECT_THROW((void)tally.add(3, 3), std::length_error);
 }
 
-// --- translate_warp is translate, lane by lane ---------------------------
+// --- A warp translates lane by lane, through the row rule --------------
 
 TEST(TranslateWarp, MatchesScalarTranslateForEveryScheme) {
   for (const std::uint32_t w : {1u, 4u, 7u, 16u, 24u, 32u, 48u}) {
@@ -213,18 +214,23 @@ TEST(TranslateWarp, MatchesScalarTranslateForEveryScheme) {
     for (const Scheme scheme :
          {Scheme::kRaw, Scheme::kRas, Scheme::kRap, Scheme::kPad}) {
       const auto map = make_matrix_map(scheme, w, rows, w + 11);
-      std::vector<std::uint64_t> logical(map->size());
-      std::iota(logical.begin(), logical.end(), 0u);
-      std::vector<std::uint64_t> physical(logical.size());
-      map->translate_warp(logical, physical);
+      std::vector<std::uint64_t> physical(map->size());
       for (std::uint64_t a = 0; a < map->size(); ++a) {
-        ASSERT_EQ(physical[a], map->translate(a))
+        physical[a] = map->translate(a);
+        const std::uint64_t row = a / w;
+        ASSERT_EQ(physical[a], row * w + (a % w + map->row_term(row)) % w)
             << scheme_name(scheme) << " w=" << w << " a=" << a;
       }
-      // The base class's lane-by-lane loop agrees too.
-      std::vector<std::uint64_t> generic(logical.size());
-      map->AddressMap::translate_warp(logical, generic);
-      EXPECT_EQ(generic, physical);
+      // Each warp-sized block tallied through the map (one translate per
+      // lane) sees exactly the scalar translations.
+      for (std::uint64_t base = 0; base < map->size(); base += w) {
+        std::vector<std::uint64_t> logical(w);
+        std::iota(logical.begin(), logical.end(), base);
+        const std::span<const std::uint64_t> lanes(
+            physical.data() + base, static_cast<std::size_t>(w));
+        EXPECT_EQ(congestion_of_logical(logical, *map).per_bank,
+                  congestion_of_physical(lanes, w).per_bank);
+      }
     }
   }
 }
@@ -233,7 +239,7 @@ TEST(TranslateWarp, MatchesScalarTranslateForEveryScheme) {
 
 TEST(BankTally, DmmLowestLaneWinsAndSanitizerNamesIt) {
   const std::uint32_t w = 8;
-  RawMap map(w, w);
+  const AddressMap map(Scheme::kRaw, w, w);
   dmm::Dmm machine(dmm::DmmConfig{w, 1}, map);
   analyze::ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);

@@ -9,13 +9,13 @@
 #include <tuple>
 #include <vector>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
+#include "core/permutation.hpp"
 #include "dmm/umm.hpp"
 
 namespace rapsim::dmm {
 namespace {
 
-using core::RawMap;
 
 /// Kernel in which every thread t performs a single load of address
 /// addr_fn(t).
@@ -38,19 +38,20 @@ TEST(DmmConfig, RejectsZeroWidthOrLatency) {
 }
 
 TEST(Dmm, RejectsWidthMismatchWithMap) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   EXPECT_THROW(Dmm(DmmConfig{8, 1}, map), std::invalid_argument);
 }
 
 TEST(Dmm, HostLoadStoreRoundTrip) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 1}, map);
   machine.store(7, 99);
   EXPECT_EQ(machine.load(7), 99u);
 }
 
 TEST(Dmm, FillIdentityThroughMapping) {
-  core::RapMap map(4, 4, core::Permutation({2, 0, 3, 1}));
+  const core::AddressMap map(core::Scheme::kRap, 4, 4,
+                             core::Permutation({2, 0, 3, 1}).image());
   Dmm machine(DmmConfig{4, 1}, map);
   machine.fill_identity();
   for (std::uint64_t a = 0; a < 16; ++a) EXPECT_EQ(machine.load(a), a);
@@ -61,7 +62,7 @@ TEST(Dmm, FillIdentityThroughMapping) {
 // ---- (4 distinct banks -> 1 stage). Total pipeline occupancy 3 stages,
 // ---- completion at 3 + 5 - 1 = 7 time units.
 TEST(Dmm, Figure3WorkedExample) {
-  RawMap map(4, 16 / 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 16 / 4);
   Dmm machine(DmmConfig{4, 5}, map);
   Kernel k;
   k.num_threads = 8;
@@ -91,7 +92,7 @@ class AccessTimeClosedForm
 
 TEST_P(AccessTimeClosedForm, ContiguousTakesWPlusLMinus1) {
   const auto [w, l] = GetParam();
-  RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   Dmm machine(DmmConfig{w, l}, map);
   // Contiguous: thread t = i*w + j accesses (i, j) = address t.
   const auto k = single_load_kernel(w * w, [&](std::uint32_t t) { return t; });
@@ -102,7 +103,7 @@ TEST_P(AccessTimeClosedForm, ContiguousTakesWPlusLMinus1) {
 
 TEST_P(AccessTimeClosedForm, StrideTakesW2PlusLMinus1) {
   const auto [w, l] = GetParam();
-  RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   Dmm machine(DmmConfig{w, l}, map);
   // Stride: thread t = i*w + j accesses (j, i) = address j*w + i.
   const auto k = single_load_kernel(w * w, [&](std::uint32_t t) {
@@ -116,7 +117,7 @@ TEST_P(AccessTimeClosedForm, StrideTakesW2PlusLMinus1) {
 
 TEST_P(AccessTimeClosedForm, DiagonalTakesWPlusLMinus1) {
   const auto [w, l] = GetParam();
-  RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   Dmm machine(DmmConfig{w, l}, map);
   const auto k = single_load_kernel(w * w, [&](std::uint32_t t) {
     const std::uint32_t i = t / w, j = t % w;
@@ -139,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(
 // k requests to one bank take k + l - 1 time units (Section II).
 TEST(Dmm, SameBankRequestsSerialize) {
   const std::uint32_t w = 4, l = 3;
-  RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   Dmm machine(DmmConfig{w, l}, map);
   const auto k = single_load_kernel(
       w, [&](std::uint32_t t) { return static_cast<std::uint64_t>(t) * w; });
@@ -148,7 +149,7 @@ TEST(Dmm, SameBankRequestsSerialize) {
 }
 
 TEST(Dmm, MergedAccessTakesOneStage) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 2}, map);
   const auto k = single_load_kernel(4, [](std::uint32_t) { return 5ull; });
   const RunStats stats = machine.run(k);
@@ -157,7 +158,7 @@ TEST(Dmm, MergedAccessTakesOneStage) {
 }
 
 TEST(Dmm, CrcwWriteLowestThreadWins) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 1}, map);
   Kernel k;
   k.num_threads = 4;
@@ -171,7 +172,7 @@ TEST(Dmm, CrcwWriteLowestThreadWins) {
 }
 
 TEST(Dmm, MixedReadWriteInOneWarpInstructionThrows) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 1}, map);
   Kernel k;
   k.num_threads = 4;
@@ -183,7 +184,7 @@ TEST(Dmm, MixedReadWriteInOneWarpInstructionThrows) {
 }
 
 TEST(Dmm, LoadThenStoreMovesData) {
-  RawMap map(4, 8);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 8);
   Dmm machine(DmmConfig{4, 2}, map);
   machine.store(2, 77);
   Kernel k;
@@ -202,7 +203,7 @@ TEST(Dmm, DependentInstructionsRespectLatency) {
   // pipeline before the first completes at 1 + l - 1 = l, so it starts at
   // l + 1 and completes at (l + 1) + 1 + l - 1 = 2l + 1.
   const std::uint32_t w = 4, l = 5;
-  RawMap map(w, w * 2);
+  const core::AddressMap map(core::Scheme::kRaw, w, w * 2);
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k;
   k.num_threads = w;
@@ -220,7 +221,7 @@ TEST(Dmm, DependentInstructionsRespectLatency) {
 TEST(Dmm, IndependentWarpsPipelineWithoutWaiting) {
   // Two warps, one instruction each: dispatch back to back.
   const std::uint32_t w = 4, l = 5;
-  RawMap map(w, 2);
+  const core::AddressMap map(core::Scheme::kRaw, w, 2);
   Dmm machine(DmmConfig{w, l}, map);
   const auto k = single_load_kernel(2 * w, [&](std::uint32_t t) {
     return static_cast<std::uint64_t>(t);
@@ -230,7 +231,7 @@ TEST(Dmm, IndependentWarpsPipelineWithoutWaiting) {
 }
 
 TEST(Dmm, IdleInstructionsCostNothing) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 3}, map);
   Kernel k;
   k.num_threads = 4;
@@ -245,7 +246,7 @@ TEST(Dmm, IdleInstructionsCostNothing) {
 }
 
 TEST(Dmm, EmptyKernelRunsInZeroTime) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 3}, map);
   Kernel k;
   k.num_threads = 4;
@@ -255,14 +256,14 @@ TEST(Dmm, EmptyKernelRunsInZeroTime) {
 }
 
 TEST(Dmm, OutOfRangeAccessThrows) {
-  RawMap map(4, 1);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 1);
   Dmm machine(DmmConfig{4, 1}, map);
   const auto k = single_load_kernel(4, [](std::uint32_t) { return 100ull; });
   EXPECT_THROW(machine.run(k), std::out_of_range);
 }
 
 TEST(Trace, CsvExportHasHeaderAndOneLinePerDispatch) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 2}, map);
   const auto k = single_load_kernel(8, [](std::uint32_t t) {
     return static_cast<std::uint64_t>(t % 4);
@@ -328,7 +329,7 @@ TEST(Kernel, ReindexRebuildsAfterAnInPlaceEdit) {
 }
 
 TEST(Kernel, StaleIndexIsRejected) {
-  RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 2}, map);
 
   // An instruction appended behind the index's back: not covered.
@@ -377,7 +378,7 @@ TEST(Kernel, SetActiveIndexRejectsMalformedShapes) {
 // ---- banks AND distinct rows): DMM 1 slot, UMM 4 slots.
 TEST(Umm, BroadcastRowAccounting) {
   const std::uint32_t w = 4, l = 2;
-  RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
 
   const auto diagonal = single_load_kernel(w, [&](std::uint32_t t) {
     return static_cast<std::uint64_t>(t) * w + t;  // distinct rows and banks
@@ -395,7 +396,7 @@ TEST(Umm, BroadcastRowAccounting) {
 
 TEST(Umm, SameRowIsOneSlot) {
   const std::uint32_t w = 4, l = 2;
-  RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   Umm umm(umm_config(w, l), map);
   const auto k = single_load_kernel(
       w, [&](std::uint32_t t) { return static_cast<std::uint64_t>(t); });

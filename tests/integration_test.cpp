@@ -156,10 +156,8 @@ TEST(MachineGenericity, DmmRunsOver4dMaps) {
   // instruction costs exactly one pipeline slot.
   dmm::Kernel k{w, {}, {}};
   dmm::Instruction loads(w);
-  const auto* tensor = dynamic_cast<const core::Tensor4dMap*>(map.get());
-  ASSERT_NE(tensor, nullptr);
   for (std::uint32_t t = 0; t < w; ++t) {
-    loads[t] = dmm::ThreadOp::load(tensor->index({2, t, 3, 4}));
+    loads[t] = dmm::ThreadOp::load(core::index(w, {2, t, 3, 4}));
   }
   k.push(std::move(loads));
   const auto stats = machine.run(k);
@@ -167,8 +165,8 @@ TEST(MachineGenericity, DmmRunsOver4dMaps) {
   EXPECT_EQ(stats.time, 1u + 2 - 1);
 
   // And host access round-trips through the 4-D translation.
-  EXPECT_EQ(machine.load(tensor->index({1, 2, 3, 4})),
-            tensor->index({1, 2, 3, 4}));
+  EXPECT_EQ(machine.load(core::index(w, {1, 2, 3, 4})),
+            core::index(w, {1, 2, 3, 4}));
 }
 
 // ---- DMM vs UMM on the same kernel: the DMM can exploit bank-level

@@ -6,7 +6,6 @@
 #include "access/montecarlo.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
-#include "core/mappingnd.hpp"
 #include "gpu/register_pack.hpp"
 #include "util/table.hpp"
 
@@ -43,7 +42,7 @@ TEST(Robustness, WidthOneMappingsDegradeGracefully) {
 
 TEST(Robustness, OddWidthPadDiagonalIsConflictFree) {
   // PAD's diagonal weakness (2i + d) disappears for odd w: gcd(2, w) = 1.
-  core::PadMap map(15, 15);
+  const core::AddressMap map(Scheme::kPad, 15, 15);
   std::vector<std::uint64_t> addrs;
   for (std::uint64_t i = 0; i < 15; ++i) addrs.push_back(map.index(i, i));
   EXPECT_EQ(core::congestion_value(addrs, map), 1u);
@@ -95,21 +94,6 @@ TEST(Robustness, MonteCarloIndependentOfWorkerCount) {
   unsetenv("RAPSIM_THREADS");
   EXPECT_EQ(parallel.mean, serial.mean);
   EXPECT_EQ(parallel.max, serial.max);
-}
-
-TEST(Robustness, NdMapSixDimensions) {
-  util::Pcg32 rng(1);
-  core::MultiPermNdMap map(4, 6, rng);
-  EXPECT_EQ(map.size(), 4096u);
-  EXPECT_EQ(map.random_words(), 5u * 4);
-  // Innermost sweep from a random base is conflict-free.
-  std::vector<std::uint32_t> base = {1, 2, 3, 0, 2, 0};
-  std::vector<std::uint64_t> addrs;
-  for (std::uint32_t l = 0; l < 4; ++l) {
-    base[5] = l;
-    addrs.push_back(map.index(base));
-  }
-  EXPECT_EQ(core::congestion_value(addrs, map), 1u);
 }
 
 TEST(Robustness, Table2SchemesAndTable4SchemesAreStable) {

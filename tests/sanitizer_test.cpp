@@ -9,7 +9,7 @@
 
 #include <cstdint>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
 #include "dmm/config.hpp"
 #include "dmm/kernel.hpp"
 #include "dmm/machine.hpp"
@@ -27,7 +27,7 @@ dmm::DmmConfig small_config(std::uint32_t width) {
 
 TEST(Sanitizer, CatchesSeededOutOfBoundsAccess) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);  // 16 words
+  const core::AddressMap map(core::Scheme::kRaw, w, w);  // 16 words
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -59,7 +59,7 @@ TEST(Sanitizer, CatchesSeededOutOfBoundsAccess) {
 
 TEST(Sanitizer, WithoutSanitizerOutOfBoundsStillThrows) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   dmm::Kernel kernel;
   kernel.num_threads = w;
@@ -71,7 +71,7 @@ TEST(Sanitizer, WithoutSanitizerOutOfBoundsStillThrows) {
 
 TEST(Sanitizer, CatchesSeededWriteWriteConflict) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -99,7 +99,7 @@ TEST(Sanitizer, CatchesSeededWriteWriteConflict) {
 
 TEST(Sanitizer, BroadcastStoreOfOneValueIsBenign) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -118,7 +118,7 @@ TEST(Sanitizer, BroadcastStoreOfOneValueIsBenign) {
 
 TEST(Sanitizer, CatchesUninitializedReads) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -142,7 +142,7 @@ TEST(Sanitizer, CatchesUninitializedReads) {
 
 TEST(Sanitizer, KernelStoreInitializesForLaterReads) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -164,7 +164,7 @@ TEST(Sanitizer, KernelStoreInitializesForLaterReads) {
 
 TEST(Sanitizer, AtomicAddReadsTheCell) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -180,7 +180,7 @@ TEST(Sanitizer, AtomicAddReadsTheCell) {
 
 TEST(Sanitizer, FillIdentityMarksEverythingWritten) {
   const std::uint32_t w = 8;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -199,7 +199,7 @@ TEST(Sanitizer, FillIdentityMarksEverythingWritten) {
 
 TEST(Sanitizer, FlushesCountersIntoTelemetryRegistry) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -230,7 +230,7 @@ TEST(Sanitizer, FlushesCountersIntoTelemetryRegistry) {
 
 TEST(Sanitizer, ReportListsFindingsAndBoundsThem) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   sanitizer.max_findings = 2;
@@ -277,7 +277,7 @@ dmm::Kernel two_warp_kernel(std::uint32_t w, dmm::ThreadOp first,
 
 TEST(SanitizerRace, CrossWarpRawIsDetectedAndAttributed) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -306,7 +306,7 @@ TEST(SanitizerRace, CrossWarpRawIsDetectedAndAttributed) {
 
 TEST(SanitizerRace, BarrierOrdersTheSamePair) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -321,7 +321,7 @@ TEST(SanitizerRace, BarrierOrdersTheSamePair) {
 
 TEST(SanitizerRace, SameWarpAccessesNeverRace) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -342,7 +342,7 @@ TEST(SanitizerRace, SameWarpAccessesNeverRace) {
 
 TEST(SanitizerRace, WawAndWarAreClassified) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -363,7 +363,7 @@ TEST(SanitizerRace, WawAndWarAreClassified) {
 
 TEST(SanitizerRace, RunBoundaryAdvancesTheEpoch) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -388,7 +388,7 @@ TEST(SanitizerRace, RunBoundaryAdvancesTheEpoch) {
 
 TEST(SanitizerRace, AtomicAtomicIsExemptButAtomicStoreIsNot) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -412,7 +412,7 @@ TEST(SanitizerRace, AtomicAtomicIsExemptButAtomicStoreIsNot) {
 
 TEST(SanitizerRace, TwoReaderSlotsCatchEveryWarPair) {
   const std::uint32_t w = 2;
-  core::RawMap map(w, 8);  // 16 words
+  const core::AddressMap map(core::Scheme::kRaw, w, 8);  // 16 words
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
@@ -444,7 +444,7 @@ TEST(SanitizerRace, TwoReaderSlotsCatchEveryWarPair) {
 
 TEST(SanitizerRace, FlushEmitsRaceCountersAndSiteLabels) {
   const std::uint32_t w = 4;
-  core::RawMap map(w, w);
+  const core::AddressMap map(core::Scheme::kRaw, w, w);
   dmm::Dmm machine(small_config(w), map);
   ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);

@@ -11,7 +11,8 @@
 //   4. the result's own witness trace attains the bound.
 //
 // This is the same harness shape as differential_kernel_test.cpp, with
-// the synthesized SynthMap standing in for the fixed scheme draws.
+// the synthesized map (make_synth_map) standing in for the fixed scheme
+// draws.
 
 #include <gtest/gtest.h>
 

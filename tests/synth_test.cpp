@@ -1,7 +1,9 @@
 // Unit + property tests for the layout synthesizer (analyze/synth.hpp):
 // SynthMapping algebra (bijection, RAP equivalence, spec round-trip),
-// SynthMap validation, witness semantics (bound-one / atomic-floor /
-// family-minimal), the independent certify_mapping audit, and the
+// make_synth_map validation, the (d-1)P permutation corner of the family
+// on w^d arrays, full-domain translate pins, witness semantics
+// (bound-one / atomic-floor / family-minimal), the independent
+// certify_mapping audit, and the
 // property test required by ISSUE 7 — random affine kernels whose
 // synthesized certified bound must EQUAL the congestion measured on the
 // full DMM replay of the kernel's materialized trace. The whole-catalog
@@ -15,12 +17,15 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analyze/kernelir.hpp"
 #include "core/congestion.hpp"
 #include "core/permutation.hpp"
 #include "replay/replay.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rapsim::analyze {
@@ -65,11 +70,12 @@ TEST(SynthMapping, TranslateIsARowPreservingBijection) {
     SynthMapping mapping = random_mapping(16, 2, 7);
     mapping.transform = transform;
     const std::uint64_t size = 16 * 300;  // > w^2 rows: exercises digit 1
+    const auto map = make_synth_map(mapping, size);
     std::set<std::uint64_t> images;
     for (std::uint64_t a = 0; a < size; ++a) {
-      const std::uint64_t p = mapping.translate(a);
+      const std::uint64_t p = map->translate(a);
       EXPECT_EQ(p / 16, a / 16) << "rows must be preserved";
-      EXPECT_EQ(p % 16, mapping.bank_of(a));
+      EXPECT_EQ(p % 16, map->bank_of(a));
       images.insert(p);
     }
     EXPECT_EQ(images.size(), size) << row_transform_name(transform);
@@ -88,10 +94,11 @@ TEST(SynthMapping, SingleTableRotateIsExactlyRap) {
   for (std::uint32_t r = 0; r < w; ++r) {
     mapping.tables[0].push_back(static_cast<std::uint32_t>(perm[r]));
   }
+  const auto map = make_synth_map(mapping, w * w * 3);
   for (std::uint64_t a = 0; a < w * w * 3; ++a) {
     const std::uint64_t row = a / w;
     const std::uint64_t col = a % w;
-    EXPECT_EQ(mapping.bank_of(a), (col + perm[row % w]) % w);
+    EXPECT_EQ(map->bank_of(a), (col + perm[row % w]) % w);
   }
 }
 
@@ -137,19 +144,21 @@ TEST(SynthMapping, ParseSpecRejectsMalformedInput) {
 
 TEST(SynthMap, ValidatesItsMapping) {
   SynthMapping mapping = random_mapping(8, 1, 1);
-  EXPECT_NO_THROW(SynthMap(mapping, 64));
-  EXPECT_THROW(SynthMap(mapping, 63), std::invalid_argument);  // not rows
+  EXPECT_NO_THROW((void)make_synth_map(mapping, 64));
+  EXPECT_THROW(core::AddressMap("synth", 8, 63, mapping.transform,
+                                {{0, mapping.tables[0]}}),
+               std::invalid_argument);  // not rows
   SynthMapping bad = mapping;
   bad.tables[0][3] = 8;  // entry >= width
-  EXPECT_THROW(SynthMap(bad, 64), std::invalid_argument);
+  EXPECT_THROW((void)make_synth_map(bad, 64), std::invalid_argument);
   SynthMapping empty = mapping;
   empty.tables.clear();
-  EXPECT_THROW(SynthMap(empty, 64), std::invalid_argument);
+  EXPECT_THROW((void)make_synth_map(empty, 64), std::invalid_argument);
   SynthMapping xodd = mapping;
   xodd.width = 6;
   xodd.transform = RowTransform::kXor;
   xodd.tables[0].assign(6, 0);
-  EXPECT_THROW(SynthMap(xodd, 36), std::invalid_argument);
+  EXPECT_THROW((void)make_synth_map(xodd, 36), std::invalid_argument);
 }
 
 TEST(SynthMap, MakeSynthMapRoundsUpToWholeRows) {
@@ -159,6 +168,136 @@ TEST(SynthMap, MakeSynthMapRoundsUpToWholeRows) {
   EXPECT_EQ(map->width(), 8u);
   EXPECT_EQ(map->scheme(), core::Scheme::kSynth);
   EXPECT_EQ(map->random_words(), 0u);
+}
+
+// ---- Full-domain pins: FNV-1a over translate(a) for a 3-table rot and
+// ---- xor spec over two w^4 blocks (so the rows wrap past digit 2),
+// ---- recorded from the earlier SynthMap class.
+
+TEST(SynthMapPins, FullDomainDigestsAreUnchanged) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"ps1:rot:w=8:3,1,4,0,5,2,7,6|2,7,1,0,6,3,5,4|5,5,0,7,1,2,6,3",
+       0x2d12e2d1823a60a5ull},
+      {"ps1:xor:w=8:6,0,3,5,1,7,2,4|1,4,4,0,7,2,6,3|0,3,7,5,2,6,1,4",
+       0xe214e1dbbb1b3be5ull},
+  };
+  for (const auto& [spec, digest] : pins) {
+    const auto map =
+        make_synth_map(SynthMapping::parse_spec(spec), 2 * 8 * 8 * 8 * 8 + 5);
+    ASSERT_EQ(map->size(), 8200u);
+    std::uint64_t hash = util::kFnvOffsetBasis;
+    for (std::uint64_t a = 0; a < map->size(); ++a) {
+      hash = util::fnv1a_u64(map->translate(a), hash);
+    }
+    EXPECT_EQ(hash, digest) << spec;
+  }
+}
+
+// ---- (d-1)P: d-1 independent permutation tables over a w^d array, one
+// ---- per outer coordinate (table t on row digit t). d = 2 is RAP, d = 4
+// ---- is Table IV's 3P.
+
+/// A rotate mapping whose `tables` tables are random permutations.
+SynthMapping multi_perm(std::uint32_t w, std::uint32_t tables,
+                        util::Pcg32& rng) {
+  SynthMapping mapping;
+  mapping.width = w;
+  for (std::uint32_t t = 0; t < tables; ++t) {
+    const core::Permutation p = core::Permutation::random(w, rng);
+    mapping.tables.emplace_back(p.image().begin(), p.image().end());
+  }
+  return mapping;
+}
+
+TEST(MultiPermNd, TwoDimMatchesRapMap) {
+  const core::Permutation p({2, 0, 3, 1});
+  SynthMapping mapping;
+  mapping.width = 4;
+  mapping.tables = {{2, 0, 3, 1}};
+  const auto nd = make_synth_map(mapping, 16);
+  const core::AddressMap rap(core::Scheme::kRap, 4, 4, p.image());
+  for (std::uint64_t a = 0; a < rap.size(); ++a) {
+    EXPECT_EQ(nd->translate(a), rap.translate(a));
+  }
+}
+
+TEST(MultiPermNd, FourDimMatchesThreePermMap) {
+  const core::Permutation p({1, 0, 3, 2}), q({2, 3, 0, 1}), s({0, 1, 2, 3});
+  SynthMapping mapping;
+  mapping.width = 4;
+  // Digit 0 is k (s), digit 1 is j (q), digit 2 is i (p).
+  for (const core::Permutation* t : {&s, &q, &p}) {
+    mapping.tables.emplace_back(t->image().begin(), t->image().end());
+  }
+  const auto nd = make_synth_map(mapping, 256);
+  std::vector<std::uint32_t> words;
+  for (const core::Permutation* t : {&p, &q, &s}) {
+    words.insert(words.end(), t->image().begin(), t->image().end());
+  }
+  const core::AddressMap three(core::Scheme::kRap3P, 4, 64, words);
+  for (std::uint64_t a = 0; a < three.size(); ++a) {
+    EXPECT_EQ(nd->translate(a), three.translate(a));
+  }
+}
+
+class NdStrideProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint32_t>> {
+};
+
+TEST_P(NdStrideProperty, EverySingleAxisSweepIsConflictFree) {
+  const auto [w, d] = GetParam();
+  util::Pcg32 rng(d * 100 + w);
+  std::uint64_t size = 1;
+  for (std::uint32_t k = 0; k < d; ++k) size *= w;
+  const auto map = make_synth_map(multi_perm(w, d - 1, rng), size);
+
+  for (std::uint32_t axis = 0; axis < d; ++axis) {
+    // Random base point; sweep `axis` through all w values.
+    std::vector<std::uint32_t> base(d);
+    for (auto& c : base) c = rng.bounded(w);
+    std::vector<std::uint64_t> addrs;
+    for (std::uint32_t v = 0; v < w; ++v) {
+      auto coords = base;
+      coords[axis] = v;
+      std::uint64_t addr = 0;
+      for (const std::uint32_t c : coords) addr = addr * w + c;
+      addrs.push_back(addr);
+    }
+    EXPECT_EQ(core::congestion_value(addrs, *map), 1u)
+        << "axis " << axis << " w " << w << " d " << d;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, NdStrideProperty,
+    ::testing::Combine(::testing::Values(4u, 8u, 16u),
+                       ::testing::Values(2u, 3u, 4u)),
+    [](const auto& param_info) {
+      return "w" + std::to_string(std::get<0>(param_info.param)) + "_d" +
+             std::to_string(std::get<1>(param_info.param));
+    });
+
+TEST(MultiPermNd, IsABijectionForSmallShapes) {
+  util::Pcg32 rng(9);
+  for (const std::uint32_t d : {2u, 3u, 4u}) {
+    std::uint64_t size = 1;
+    for (std::uint32_t k = 0; k < d; ++k) size *= 4;
+    const auto map = make_synth_map(multi_perm(4, d - 1, rng), size);
+    std::set<std::uint64_t> images;
+    for (std::uint64_t a = 0; a < map->size(); ++a) {
+      const std::uint64_t phys = map->translate(a);
+      ASSERT_LT(phys, map->size());
+      images.insert(phys);
+    }
+    EXPECT_EQ(images.size(), map->size());
+  }
+}
+
+TEST(MultiPermNd, RejectsWrongPermutationSize) {
+  SynthMapping mapping;
+  mapping.width = 4;
+  mapping.tables = {{0, 1, 2, 3, 4}};
+  EXPECT_THROW((void)make_synth_map(mapping, 16), std::invalid_argument);
 }
 
 TEST(Synthesize, CrswReachesCertifiedBoundOne) {

@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/mapping2d.hpp"
+#include "core/mapping.hpp"
 #include "dmm/machine.hpp"
 #include "telemetry/bank_profile.hpp"
 #include "telemetry/chrome_trace.hpp"
@@ -135,7 +135,7 @@ dmm::Kernel fig3_kernel() {
 }
 
 TEST(RunTelemetry, Fig3BankCountsAndCongestion) {
-  core::RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   dmm::Dmm machine(dmm::DmmConfig{4, 5}, map);
   telemetry::RunTelemetry sink;
   machine.set_telemetry(&sink);
@@ -163,7 +163,7 @@ TEST(RunTelemetry, Fig3BankCountsAndCongestion) {
 }
 
 TEST(RunTelemetry, ResetBetweenRuns) {
-  core::RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   dmm::Dmm machine(dmm::DmmConfig{4, 5}, map);
   telemetry::RunTelemetry sink;
   machine.set_telemetry(&sink);
@@ -175,7 +175,7 @@ TEST(RunTelemetry, ResetBetweenRuns) {
 }
 
 TEST(RunTelemetry, NullSinkRunMatchesInstrumentedRun) {
-  core::RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   dmm::Dmm plain(dmm::DmmConfig{4, 5}, map);
   dmm::Dmm instrumented(dmm::DmmConfig{4, 5}, map);
   telemetry::RunTelemetry sink;
@@ -188,7 +188,7 @@ TEST(RunTelemetry, NullSinkRunMatchesInstrumentedRun) {
 }
 
 TEST(RunTelemetry, FlushIntoRegistry) {
-  core::RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   dmm::Dmm machine(dmm::DmmConfig{4, 5}, map);
   telemetry::RunTelemetry sink;
   machine.set_telemetry(&sink);
@@ -212,7 +212,7 @@ TEST(RunTelemetry, FlushIntoRegistry) {
 // --- Trace text renderings -------------------------------------------------
 
 dmm::Trace fig3_trace() {
-  core::RawMap map(4, 4);
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   dmm::Dmm machine(dmm::DmmConfig{4, 5}, map);
   dmm::Trace trace;
   (void)machine.run(fig3_kernel(), &trace);
@@ -242,7 +242,7 @@ TEST(TraceText, ToStringDescribesDispatches) {
 
 TEST(PhaseStats, SplitsTransposeIntoReadAndWrite) {
   const transpose::MatrixPair layout{8};
-  const core::RawMap map(8, layout.rows());
+  const core::AddressMap map(core::Scheme::kRaw, 8, layout.rows());
   dmm::Dmm machine(dmm::DmmConfig{8, 1}, map);
   dmm::Trace trace;
   const auto report = transpose::run_transpose_on(

@@ -221,7 +221,7 @@ int run(int argc, char** argv) {
   }
 
   const std::string scheme_arg = args.get_string("scheme", "rap");
-  const auto scheme = replay::parse_scheme_name(scheme_arg);
+  const auto scheme = core::parse_scheme_name(scheme_arg);
   if (!scheme) {
     throw std::invalid_argument("unknown scheme: " + scheme_arg +
                                 " (raw, ras, rap)");

@@ -34,6 +34,7 @@
 #include "analyze/kernelir.hpp"
 #include "analyze/lint.hpp"
 #include "builtin_kernels.hpp"
+#include "core/mapping.hpp"
 #include "telemetry/json.hpp"
 #include "util/cli.hpp"
 #include "vm/assembler.hpp"
@@ -44,10 +45,7 @@ namespace {
 using namespace rapsim;
 
 core::Scheme parse_scheme(const std::string& name) {
-  if (name == "raw") return core::Scheme::kRaw;
-  if (name == "pad") return core::Scheme::kPad;
-  if (name == "ras") return core::Scheme::kRas;
-  if (name == "rap") return core::Scheme::kRap;
+  if (const auto scheme = core::parse_scheme_name(name)) return *scheme;
   throw std::invalid_argument("unknown scheme '" + name +
                               "' (expected raw, pad, ras or rap)");
 }

@@ -93,7 +93,7 @@ std::vector<core::Scheme> parse_schemes_csv(const std::string& csv) {
   for (std::size_t i = 0; i <= csv.size(); ++i) {
     if (i == csv.size() || csv[i] == ',') {
       if (!item.empty()) {
-        const auto scheme = replay::parse_scheme_name(item);
+        const auto scheme = core::parse_scheme_name(item);
         if (!scheme) {
           throw std::invalid_argument("unknown scheme: " + item +
                                       " (use raw, ras, rap, pad)");
@@ -172,7 +172,7 @@ int cmd_capture(const util::CliArgs& args) {
 
 int cmd_replay(const util::CliArgs& args, const std::string& path) {
   const std::string scheme_name = args.get_string("scheme", "raw");
-  const auto scheme = replay::parse_scheme_name(scheme_name);
+  const auto scheme = core::parse_scheme_name(scheme_name);
   if (!scheme) {
     throw std::invalid_argument("unknown scheme: " + scheme_name +
                                 " (use raw, ras, rap, pad)");
