@@ -131,36 +131,60 @@ std::vector<std::string> validate_kernel(const KernelDesc& kernel) {
   return errors;
 }
 
+void materialize_site(const KernelDesc& kernel, const AccessSite& site,
+                      std::span<const std::uint64_t> binding,
+                      std::vector<std::int64_t>& trace) {
+  const std::uint32_t n = site.lanes == 0 ? kernel.width : site.lanes;
+  trace.resize(n);
+  const auto mod_pos = [](std::int64_t value, std::int64_t m) {
+    return ((value % m) + m) % m;
+  };
+  switch (site.form) {
+    case IndexForm::kFlat: {
+      // The binding-dependent part is lane-invariant: evaluate it once,
+      // then step by the lane coefficient.
+      std::int64_t addr = site.flat.eval(0, binding);
+      for (std::uint32_t t = 0; t < n; ++t) {
+        trace[t] = addr;
+        addr += site.flat.lane_coeff;
+      }
+      break;
+    }
+    case IndexForm::kRowCol: {
+      const std::int64_t w = static_cast<std::int64_t>(kernel.width);
+      // Both indices are stepped in their residue ring when reduced, so
+      // no lane divides.
+      const std::int64_t m = static_cast<std::int64_t>(site.row_mod);
+      std::int64_t row = site.row.eval(0, binding);
+      std::int64_t row_step = site.row.lane_coeff;
+      if (m != 0) {
+        row = mod_pos(row, m);
+        row_step = mod_pos(row_step, m);
+      }
+      std::int64_t col = mod_pos(site.col.eval(0, binding), w);
+      const std::int64_t col_step = mod_pos(site.col.lane_coeff, w);
+      for (std::uint32_t t = 0; t < n; ++t) {
+        trace[t] = (row + site.row_base) * w + col;
+        row += row_step;
+        if (m != 0 && row >= m) row -= m;
+        col += col_step;
+        if (col >= w) col -= w;
+      }
+      break;
+    }
+    case IndexForm::kOpaque:
+      for (std::uint32_t t = 0; t < n; ++t) {
+        trace[t] = static_cast<std::int64_t>(site.opaque(t, binding));
+      }
+      break;
+  }
+}
+
 std::vector<std::int64_t> materialize_site(
     const KernelDesc& kernel, const AccessSite& site,
     std::span<const std::uint64_t> binding) {
-  const std::uint32_t n = site.lanes == 0 ? kernel.width : site.lanes;
-  const std::int64_t w = static_cast<std::int64_t>(kernel.width);
   std::vector<std::int64_t> trace;
-  trace.reserve(n);
-  for (std::uint32_t t = 0; t < n; ++t) {
-    switch (site.form) {
-      case IndexForm::kFlat:
-        trace.push_back(site.flat.eval(t, binding));
-        break;
-      case IndexForm::kRowCol: {
-        std::int64_t row = site.row.eval(t, binding);
-        if (site.row_mod != 0) {
-          const std::int64_t m = static_cast<std::int64_t>(site.row_mod);
-          row = ((row % m) + m) % m;
-        }
-        row += site.row_base;
-        const std::int64_t col =
-            ((site.col.eval(t, binding) % w) + w) % w;
-        trace.push_back(row * w + col);
-        break;
-      }
-      case IndexForm::kOpaque:
-        trace.push_back(
-            static_cast<std::int64_t>(site.opaque(t, binding)));
-        break;
-    }
-  }
+  materialize_site(kernel, site, binding, trace);
   return trace;
 }
 

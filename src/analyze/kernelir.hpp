@@ -149,10 +149,17 @@ struct KernelDesc {
 
 /// Materialize the concrete warp trace of `site` under `binding` (one
 /// value per kernel var, in order). Addresses are returned as signed
-/// values so out-of-range expressions stay visible to the caller.
+/// values so out-of-range expressions stay visible to the caller. Affine
+/// sites evaluate the binding once and step per lane: O(vars + lanes).
 [[nodiscard]] std::vector<std::int64_t> materialize_site(
     const KernelDesc& kernel, const AccessSite& site,
     std::span<const std::uint64_t> binding);
+
+/// The same trace written into `trace` (resized to the lane count), so a
+/// caller materializing many bindings reuses one buffer.
+void materialize_site(const KernelDesc& kernel, const AccessSite& site,
+                      std::span<const std::uint64_t> binding,
+                      std::vector<std::int64_t>& trace);
 
 /// Parse the lint text format (see DESIGN.md "rapsim-lint"):
 ///

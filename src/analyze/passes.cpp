@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,46 +27,120 @@ std::uint64_t residue_period(std::int64_t coeff, std::uint64_t m) {
   return m / std::gcd(mod_pos(coeff, m), m);
 }
 
-/// The stride-lattice closure. States are pairs (a mod ma, b mod mb)
+/// A site's stride lattice. States are pairs (a mod ma, b mod mb)
 /// encoded as a*mb + b; for flat sites mb = 1 and `a` is the base
-/// address, for row/col sites `a` is the row expression's constant part
-/// and `b` the column's. Returns one witness binding per reachable
-/// state; bindings list every kernel variable in declaration order.
-std::vector<std::optional<Binding>> reach_residues(
-    const KernelDesc& kernel, std::int64_t base_a, std::int64_t base_b,
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& coeffs,
-    std::uint64_t ma, std::uint64_t mb) {
-  const std::uint64_t states = ma * mb;
-  std::vector<std::optional<Binding>> reach(states);
-  reach[mod_pos(base_a, ma) * mb + mod_pos(base_b, mb)] = Binding{};
+/// address (bank behaviour is periodic in it with period w^2), for
+/// row/col sites `a` is the row expression's constant part and `b` the
+/// column's, which evolve jointly over the bindings.
+struct Lattice {
+  std::uint64_t ma = 1;
+  std::uint64_t mb = 1;
+  std::int64_t base_a = 0;
+  std::int64_t base_b = 0;
+  std::vector<std::pair<std::int64_t, std::int64_t>> coeffs;  // per var
+};
 
-  for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-    const std::uint64_t trip = kernel.vars[v].count;
-    const auto [ca, cb] = coeffs[v];
-    const std::uint64_t pa = residue_period(ca, ma);
-    const std::uint64_t pb = residue_period(cb, mb);
-    const std::uint64_t period = std::lcm(pa, pb);
-    const std::uint64_t limit = std::min(trip, period);
+Lattice site_lattice(const KernelDesc& kernel, const AccessSite& site) {
+  Lattice lattice;
+  const std::uint64_t w = kernel.width;
+  lattice.coeffs.reserve(kernel.vars.size());
+  if (site.form == IndexForm::kFlat) {
+    lattice.ma = w * w;
+    lattice.base_a = site.flat.base;
+    for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
+      lattice.coeffs.emplace_back(site.flat.coeff(v), 0);
+    }
+  } else {
+    lattice.ma = site.row_mod != 0 ? site.row_mod : w;
+    lattice.mb = w;
+    lattice.base_a = site.row.base;
+    lattice.base_b = site.col.base;
+    for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
+      lattice.coeffs.emplace_back(site.row.coeff(v), site.col.coeff(v));
+    }
+  }
+  return lattice;
+}
+
+/// The reachable states in ascending state order, each with one witness
+/// binding (every kernel variable in declaration order).
+struct Residues {
+  std::size_t vars = 0;
+  std::vector<std::uint64_t> states;
+  std::vector<std::uint64_t> bindings;  // row k belongs to states[k]
+
+  [[nodiscard]] std::span<const std::uint64_t> binding(std::size_t k) const {
+    return {bindings.data() + k * vars, vars};
+  }
+};
+
+/// The stride-lattice closure: a sweep per loop variable over a sparse
+/// frontier. A new state keeps the binding of the first (lowest) frontier
+/// state that reaches it, at the fewest steps. A variable whose steps are
+/// 0 mod (ma, mb), or whose trip count is 1, only ever contributes the
+/// value 0, so it costs no sweep: the bindings start zeroed.
+Residues reach_residues(const KernelDesc& kernel, const Lattice& lattice) {
+  const std::uint64_t ma = lattice.ma;
+  const std::uint64_t mb = lattice.mb;
+  const std::size_t vars = kernel.vars.size();
+  Residues reach;
+  reach.vars = vars;
+  reach.states.push_back(mod_pos(lattice.base_a, ma) * mb +
+                         mod_pos(lattice.base_b, mb));
+  reach.bindings.assign(vars, 0);
+
+  // Per state: the sweep that last reached it (0 = none yet), and from
+  // which frontier entry at which step.
+  std::vector<std::uint32_t> seen;
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint64_t> step;
+  std::vector<std::uint64_t> found;
+  Residues next;
+  next.vars = vars;
+  std::uint32_t sweep = 0;
+  for (std::size_t v = 0; v < vars; ++v) {
+    const auto [ca, cb] = lattice.coeffs[v];
+    const std::uint64_t period =
+        std::lcm(residue_period(ca, ma), residue_period(cb, mb));
+    const std::uint64_t limit = std::min(kernel.vars[v].count, period);
+    if (limit == 1) continue;
+    if (seen.empty()) {
+      seen.assign(ma * mb, 0);
+      parent.resize(ma * mb);
+      step.resize(ma * mb);
+    }
+    ++sweep;
     const std::uint64_t step_a = mod_pos(ca, ma);
     const std::uint64_t step_b = mod_pos(cb, mb);
-
-    std::vector<std::optional<Binding>> next(states);
-    for (std::uint64_t s = 0; s < states; ++s) {
-      if (!reach[s]) continue;
-      std::uint64_t ra = s / mb;
-      std::uint64_t rb = s % mb;
+    found.clear();
+    for (std::size_t k = 0; k < reach.states.size(); ++k) {
+      std::uint64_t ra = reach.states[k] / mb;
+      std::uint64_t rb = reach.states[k] % mb;
       for (std::uint64_t i = 0; i < limit; ++i) {
         const std::uint64_t idx = ra * mb + rb;
-        if (!next[idx]) {
-          Binding binding = *reach[s];
-          binding.push_back(i);
-          next[idx] = std::move(binding);
+        if (seen[idx] != sweep) {
+          seen[idx] = sweep;
+          parent[idx] = static_cast<std::uint32_t>(k);
+          step[idx] = i;
+          found.push_back(idx);
         }
-        ra = (ra + step_a) % ma;
-        rb = (rb + step_b) % mb;
+        ra += step_a;
+        if (ra >= ma) ra -= ma;
+        rb += step_b;
+        if (rb >= mb) rb -= mb;
       }
     }
-    reach = std::move(next);
+    std::sort(found.begin(), found.end());
+    next.states.swap(found);
+    next.bindings.resize(next.states.size() * vars);
+    for (std::size_t k = 0; k < next.states.size(); ++k) {
+      const std::uint64_t idx = next.states[k];
+      const auto from = reach.binding(parent[idx]);
+      std::uint64_t* row = next.bindings.data() + k * vars;
+      std::copy(from.begin(), from.end(), row);
+      row[v] = step[idx];
+    }
+    std::swap(reach, next);
   }
   return reach;
 }
@@ -200,12 +274,13 @@ struct WorstTracker {
   bool all_exact = true;
   bool first = true;
 
-  void fold(CongestionCertificate candidate, const Binding& b,
+  void fold(CongestionCertificate candidate,
+            std::span<const std::uint64_t> b,
             const std::vector<std::int64_t>& t) {
     all_exact = all_exact && candidate.exact();
     if (first || candidate.bound > cert.bound) {
       cert = std::move(candidate);
-      binding = b;
+      binding.assign(b.begin(), b.end());
       trace = t;
       first = false;
     }
@@ -389,40 +464,17 @@ SiteAnalysis analyze_site_symbolic(const KernelDesc& kernel,
   }
 
   // Stride-lattice pass: one representative binding per residue class.
-  std::vector<std::pair<std::int64_t, std::int64_t>> coeffs;
-  std::int64_t base_a = 0;
-  std::int64_t base_b = 0;
-  std::uint64_t ma = 1;
-  std::uint64_t mb = 1;
-  if (site.form == IndexForm::kFlat) {
-    // Bank behaviour is periodic in the base address with period w^2.
-    ma = static_cast<std::uint64_t>(w) * w;
-    base_a = site.flat.base;
-    for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-      coeffs.emplace_back(site.flat.coeff(v), 0);
-    }
-  } else {
-    // Row and column constants evolve jointly over the bindings.
-    ma = site.row_mod != 0 ? site.row_mod : w;
-    mb = w;
-    base_a = site.row.base;
-    base_b = site.col.base;
-    for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-      coeffs.emplace_back(site.row.coeff(v), site.col.coeff(v));
-    }
-  }
-
-  const auto reach =
-      reach_residues(kernel, base_a, base_b, coeffs, ma, mb);
+  const Residues reach = reach_residues(kernel, site_lattice(kernel, site));
+  analysis.classes_analyzed = reach.states.size();
 
   WorstTracker worst;
-  for (const auto& entry : reach) {
-    if (!entry) continue;
-    ++analysis.classes_analyzed;
-    const std::vector<std::int64_t> trace =
-        materialize_site(kernel, site, *entry);
-    const std::vector<std::uint64_t> addrs(trace.begin(), trace.end());
-    worst.fold(prove_class(addrs, w, size, scheme, site.dir), *entry, trace);
+  std::vector<std::int64_t> trace;
+  std::vector<std::uint64_t> addrs;
+  for (std::size_t k = 0; k < reach.states.size(); ++k) {
+    materialize_site(kernel, site, reach.binding(k), trace);
+    addrs.assign(trace.begin(), trace.end());
+    worst.fold(prove_class(addrs, w, size, scheme, site.dir),
+               reach.binding(k), trace);
   }
   worst.finish();
   analysis.cert = std::move(worst.cert);
@@ -514,31 +566,12 @@ std::vector<std::vector<std::uint64_t>> enumerate_warp_traces(
     // Re-enumerate the classes to materialize each one (the analysis
     // keeps only the worst witness); the class count is small.
     if (symbolic_applicable(kernel, site)) {
-      std::vector<std::pair<std::int64_t, std::int64_t>> coeffs;
-      std::int64_t base_a = 0;
-      std::int64_t base_b = 0;
-      std::uint64_t ma = 1;
-      std::uint64_t mb = 1;
-      if (site.form == IndexForm::kFlat) {
-        ma = static_cast<std::uint64_t>(kernel.width) * kernel.width;
-        base_a = site.flat.base;
-        for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-          coeffs.emplace_back(site.flat.coeff(v), 0);
-        }
-      } else {
-        ma = site.row_mod != 0 ? site.row_mod : kernel.width;
-        mb = kernel.width;
-        base_a = site.row.base;
-        base_b = site.col.base;
-        for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-          coeffs.emplace_back(site.row.coeff(v), site.col.coeff(v));
-        }
-      }
-      for (const auto& entry :
-           reach_residues(kernel, base_a, base_b, coeffs, ma, mb)) {
-        if (!entry) continue;
+      const Residues reach =
+          reach_residues(kernel, site_lattice(kernel, site));
+      std::vector<std::int64_t> trace;
+      for (std::size_t k = 0; k < reach.states.size(); ++k) {
         if (traces.size() >= max_traces) break;
-        const auto trace = materialize_site(kernel, site, *entry);
+        materialize_site(kernel, site, reach.binding(k), trace);
         if (std::any_of(trace.begin(), trace.end(), [&](auto a) {
               return a < 0 || static_cast<std::uint64_t>(a) >= size;
             })) {

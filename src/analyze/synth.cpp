@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory_resource>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -28,38 +31,49 @@ std::uint64_t mod_pos(std::int64_t value, std::uint64_t modulus) {
   return static_cast<std::uint64_t>(((value % m) + m) % m);
 }
 
-std::uint64_t gcd_u64(std::uint64_t a, std::uint64_t b) {
-  while (b != 0) {
-    a %= b;
-    std::swap(a, b);
-  }
-  return a;
-}
-
-std::uint64_t lcm_capped(std::uint64_t a, std::uint64_t b,
-                         std::uint64_t cap) {
-  if (a == 0 || b == 0) return 0;
-  const std::uint64_t g = gcd_u64(a, b);
-  const std::uint64_t l = (a / g) * b;  // both <= cap, no overflow risk here
-  return std::min(l, cap);
-}
-
 /// One constraint entry: the (column, key digits) of one memory request.
 /// Byte-packed (width <= 64, so every field fits a byte); equal packings
 /// collide under EVERY family member.
 using PackedEntry = std::uint32_t;
 
-PackedEntry pack_entry(std::uint64_t addr, std::uint32_t width,
-                       std::uint32_t digits) {
-  const std::uint64_t w = width;
-  PackedEntry packed = static_cast<PackedEntry>(addr % w);
-  std::uint64_t row = addr / w;
-  for (std::uint32_t d = 0; d < digits; ++d) {
-    packed |= static_cast<PackedEntry>((row % w)) << (8u * (d + 1));
-    row /= w;
+/// Packs addresses into entries: shift and mask when the width is a
+/// power of two, division otherwise (the same input-observable choice as
+/// AddressMap::translate), decided once per closure, not per address.
+class EntryPacker {
+ public:
+  EntryPacker(std::uint32_t width, std::uint32_t digits)
+      : width_(width),
+        digits_(digits),
+        pow2_(std::has_single_bit(width)),
+        shift_(static_cast<std::uint32_t>(std::countr_zero(width))) {}
+
+  [[nodiscard]] PackedEntry operator()(std::uint64_t addr) const {
+    if (pow2_) {
+      const std::uint64_t mask = width_ - 1;
+      auto packed = static_cast<PackedEntry>(addr & mask);
+      std::uint64_t row = addr >> shift_;
+      for (std::uint32_t d = 0; d < digits_; ++d) {
+        packed |= static_cast<PackedEntry>(row & mask) << (8u * (d + 1));
+        row >>= shift_;
+      }
+      return packed;
+    }
+    const std::uint64_t w = width_;
+    auto packed = static_cast<PackedEntry>(addr % w);
+    std::uint64_t row = addr / w;
+    for (std::uint32_t d = 0; d < digits_; ++d) {
+      packed |= static_cast<PackedEntry>(row % w) << (8u * (d + 1));
+      row /= w;
+    }
+    return packed;
   }
-  return packed;
-}
+
+ private:
+  std::uint32_t width_;
+  std::uint32_t digits_;
+  bool pow2_;
+  std::uint32_t shift_;
+};
 
 std::uint32_t entry_col(PackedEntry e) { return e & 0xffu; }
 std::uint32_t entry_key(PackedEntry e, std::uint32_t d) {
@@ -114,11 +128,33 @@ std::vector<std::uint64_t> sample_var(std::uint64_t count,
   return values;
 }
 
+template <typename It>
+void sort_unless_sorted(It first, It last) {
+  if (!std::is_sorted(first, last)) std::sort(first, last);
+}
+
+/// Word-wise multiplicative hash of a normal form (a dedupe probe; every
+/// hit is confirmed by an exact compare).
+std::uint64_t hash_words(std::span<const PackedEntry> words) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = kMul ^ words.size();
+  std::size_t k = 0;
+  for (; k + 1 < words.size(); k += 2) {  // two words per multiply
+    h = (std::rotl(h, 5) ^ words[k] ^ (std::uint64_t{words[k + 1]} << 32)) *
+        kMul;
+  }
+  if (k < words.size()) h = (std::rotl(h, 5) ^ words[k]) * kMul;
+  return h ^ (h >> 32);
+}
+
 class ClosureBuilder {
  public:
   ClosureBuilder(const KernelDesc& kernel, std::uint32_t digits,
                  std::uint64_t class_cap)
-      : kernel_(kernel), digits_(digits), class_cap_(class_cap) {
+      : kernel_(kernel),
+        digits_(digits),
+        class_cap_(class_cap),
+        pack_(kernel.width, digits) {
     closure_.width = kernel.width;
     closure_.digits = digits;
     closure_.const_floor_per_site.assign(kernel.sites.size(), 1.0);
@@ -141,6 +177,12 @@ class ClosureBuilder {
   }
 
  private:
+  /// Class key -> row of its witness binding in a flat binding arena.
+  /// Nodes come from a pool that recycles one sweep's map into the next.
+  /// The iteration order, which fixes the stored classes' order and
+  /// witnesses, depends only on the insertions, not on the allocator.
+  using StateMap = std::pmr::unordered_map<std::uint64_t, std::size_t>;
+
   /// Close the site's class keys over all bindings by a sparse sumset DP
   /// and record one representative binding per class. The key is
   ///   kFlat:   flat value mod w^(digits+1)
@@ -179,34 +221,38 @@ class ClosureBuilder {
     }
 
     // state key = (a mod ma) * mb + (b mod mb)
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> states;
+    const std::size_t vars = kernel_.vars.size();
+    StateMap states(&pool_);
     states.reserve(256);
-    states.emplace(mod_pos(base_a, ma) * mb + mod_pos(base_b, mb),
-                   std::vector<std::uint64_t>(kernel_.vars.size(), 0));
+    states.emplace(mod_pos(base_a, ma) * mb + mod_pos(base_b, mb), 0);
+    std::vector<std::uint64_t> bindings(vars, 0);
+    std::vector<std::uint64_t> next_bindings;
     bool truncated = false;
-    for (std::size_t v = 0; v < kernel_.vars.size() && !truncated; ++v) {
+    for (std::size_t v = 0; v < vars && !truncated; ++v) {
       const std::uint64_t ca = mod_pos(coeff_a[v], ma);
       const std::uint64_t cb = mod_pos(coeff_b[v], mb);
       if (ca == 0 && cb == 0) continue;
       // Orbit length of (ca, cb) in Z_ma x Z_mb.
-      const std::uint64_t la = ca == 0 ? 1 : ma / gcd_u64(ca, ma);
-      const std::uint64_t lb = cb == 0 ? 1 : mb / gcd_u64(cb, mb);
-      const std::uint64_t steps =
-          std::min<std::uint64_t>(kernel_.vars[v].count,
-                                  lcm_capped(la, lb, ma * mb));
-      std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> next;
+      const std::uint64_t la = ca == 0 ? 1 : ma / std::gcd(ca, ma);
+      const std::uint64_t lb = cb == 0 ? 1 : mb / std::gcd(cb, mb);
+      const std::uint64_t steps = std::min<std::uint64_t>(
+          kernel_.vars[v].count, std::min(std::lcm(la, lb), ma * mb));
+      StateMap next(&pool_);
       next.reserve(states.size() * static_cast<std::size_t>(
                                        std::min<std::uint64_t>(steps, 64)));
-      for (const auto& [key, binding] : states) {
+      next_bindings.clear();
+      for (const auto& [key, row] : states) {
         std::uint64_t ra = key / mb;
         std::uint64_t rb = key % mb;
         for (std::uint64_t i = 0; i < steps; ++i) {
           const std::uint64_t k = ra * mb + rb;
-          auto it = next.find(k);
-          if (it == next.end()) {
-            std::vector<std::uint64_t> witness = binding;
-            witness[v] = i;
-            next.emplace(k, std::move(witness));
+          if (next.find(k) == next.end()) {
+            next.emplace(k, next.size());
+            const auto from = bindings.begin() +
+                              static_cast<std::ptrdiff_t>(row * vars);
+            next_bindings.insert(next_bindings.end(), from,
+                                 from + static_cast<std::ptrdiff_t>(vars));
+            next_bindings[next_bindings.size() - vars + v] = i;
             if (next.size() > class_cap_) {
               truncated = true;
               break;
@@ -218,12 +264,15 @@ class ClosureBuilder {
         if (truncated) break;
       }
       states = std::move(next);
+      bindings.swap(next_bindings);
     }
     if (truncated) closure_.coverage = Coverage::kSampled;
 
-    for (const auto& [key, binding] : states) {
-      ingest_trace(site_index, site,
-                   materialize_site(kernel_, site, binding), binding);
+    for (const auto& [key, row] : states) {
+      const std::span<const std::uint64_t> binding(
+          bindings.data() + row * vars, vars);
+      materialize_site(kernel_, site, binding, trace_);
+      ingest_trace(site_index, site, trace_, binding);
     }
   }
 
@@ -267,8 +316,8 @@ class ClosureBuilder {
       for (std::size_t v = 0; v < kernel_.vars.size(); ++v) {
         binding[v] = per_var[v][index[v]];
       }
-      ingest_trace(site_index, site,
-                   materialize_site(kernel_, site, binding), binding);
+      materialize_site(kernel_, site, binding, trace_);
+      ingest_trace(site_index, site, trace_, binding);
       std::size_t v = 0;
       for (; v < index.size(); ++v) {
         if (++index[v] < per_var[v].size()) break;
@@ -280,51 +329,46 @@ class ClosureBuilder {
 
   /// Reduce one warp trace to entries, fold floors, filter trivial
   /// classes and dedupe the rest by their (rotate-, xor-) normal forms.
+  /// Works in the builder's scratch buffers: once they have grown, a
+  /// class allocates only when it is stored.
   void ingest_trace(std::size_t site_index, const AccessSite& site,
-                    const std::vector<std::int64_t>& raw_trace,
-                    const std::vector<std::uint64_t>& binding) {
+                    std::span<const std::int64_t> raw_trace,
+                    std::span<const std::uint64_t> binding) {
     ++closure_.classes_seen;
-    // The kernel was proven in-bounds before synthesis started.
-    std::vector<std::uint64_t> addrs;
-    addrs.reserve(raw_trace.size());
-    for (const std::int64_t a : raw_trace) {
-      addrs.push_back(static_cast<std::uint64_t>(a));
-    }
-    std::sort(addrs.begin(), addrs.end());
+    // The kernel was proven in-bounds before synthesis started. Affine
+    // traces usually arrive sorted already.
+    addrs_.assign(raw_trace.begin(), raw_trace.end());
+    sort_unless_sorted(addrs_.begin(), addrs_.end());
 
-    std::vector<PackedEntry> entries;
-    entries.reserve(addrs.size());
+    entries_.clear();
     const bool atomic = site.dir == AccessDir::kAtomic;
     std::size_t i = 0;
-    while (i < addrs.size()) {
+    while (i < addrs_.size()) {
       std::size_t j = i;
-      while (j < addrs.size() && addrs[j] == addrs[i]) ++j;
+      while (j < addrs_.size() && addrs_[j] == addrs_[i]) ++j;
       const std::size_t multiplicity = j - i;
-      const PackedEntry packed =
-          pack_entry(addrs[i], kernel_.width, digits_);
+      const PackedEntry packed = pack_(addrs_[i]);
       if (atomic) {
         // Same-address atomics serialize under EVERY bijection.
         closure_.atomic_floor = std::max(
             closure_.atomic_floor, static_cast<double>(multiplicity));
-        for (std::size_t k = 0; k < multiplicity; ++k) {
-          entries.push_back(packed);
-        }
+        entries_.insert(entries_.end(), multiplicity, packed);
       } else {
-        entries.push_back(packed);  // CRCW merge: one request per address
+        entries_.push_back(packed);  // CRCW merge: one request per address
       }
       i = j;
     }
-    std::sort(entries.begin(), entries.end());
+    sort_unless_sorted(entries_.begin(), entries_.end());
 
     // Identical (col, keys) packings collide under every family member.
     std::size_t max_same = 1;
     bool keys_all_equal = true;
-    const PackedEntry key0 = entries.empty() ? 0 : entries[0] & ~0xffu;
+    const PackedEntry key0 = entries_.empty() ? 0 : entries_[0] & ~0xffu;
     std::size_t run = 1;
-    for (std::size_t k = 1; k < entries.size(); ++k) {
-      run = entries[k] == entries[k - 1] ? run + 1 : 1;
+    for (std::size_t k = 1; k < entries_.size(); ++k) {
+      run = entries_[k] == entries_[k - 1] ? run + 1 : 1;
       max_same = std::max(max_same, run);
-      if ((entries[k] & ~0xffu) != key0) keys_all_equal = false;
+      if ((entries_[k] & ~0xffu) != key0) keys_all_equal = false;
     }
     closure_.family_floor =
         std::max(closure_.family_floor, static_cast<double>(max_same));
@@ -337,15 +381,16 @@ class ClosureBuilder {
       floor = std::max(floor, value);
       if (value > closure_.const_floor) {
         closure_.const_floor = value;
-        closure_.worst_const = {value, site_index, binding};
+        closure_.worst_const = {value, site_index,
+                                {binding.begin(), binding.end()}};
       }
       return;
     }
 
-    const std::string norm = normal_forms(entries);
-    const auto it = dedupe_.find(norm);
-    if (it != dedupe_.end()) {
-      StoredClass& cls = closure_.classes[it->second];
+    normal_forms();
+    const std::uint64_t hash = hash_words(norm_);
+    if (const auto known = find_class(hash)) {
+      StoredClass& cls = closure_.classes[*known];
       const auto s32 = static_cast<std::uint32_t>(site_index);
       if (std::find(cls.sites.begin(), cls.sites.end(), s32) ==
           cls.sites.end()) {
@@ -353,47 +398,71 @@ class ClosureBuilder {
       }
       return;
     }
+    dedupe_.emplace(hash, closure_.classes.size());
+    norm_arena_.insert(norm_arena_.end(), norm_.begin(), norm_.end());
+    norm_bounds_.push_back(norm_arena_.size());
     StoredClass cls;
-    cls.entries = entries;
+    cls.entries = entries_;
     cls.sites.push_back(static_cast<std::uint32_t>(site_index));
     cls.first_site = site_index;
-    cls.binding = binding;
-    dedupe_.emplace(norm, closure_.classes.size());
+    cls.binding.assign(binding.begin(), binding.end());
     closure_.classes.push_back(std::move(cls));
   }
 
-  /// Concatenated rotate- and xor-normal forms. Shifting (or xoring)
-  /// every column by a constant permutes banks, so two classes whose
-  /// BOTH normal forms agree are congestion-equivalent under every
-  /// rotate member and every xor member respectively.
-  std::string normal_forms(const std::vector<PackedEntry>& entries) const {
+  /// Rotate- and xor-normal forms of entries_, concatenated into norm_.
+  /// Shifting (or xoring) every column by a constant permutes banks, so
+  /// two classes whose BOTH normal forms agree are congestion-equivalent
+  /// under every rotate member and every xor member respectively.
+  void normal_forms() {
     const std::uint32_t w = kernel_.width;
-    const std::uint32_t c = entries.empty() ? 0 : entry_col(entries[0]);
-    std::vector<PackedEntry> rot(entries.size());
-    std::vector<PackedEntry> xored(entries.size());
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      const PackedEntry keys = entries[k] & ~0xffu;
-      rot[k] = keys | ((entry_col(entries[k]) + w - c) % w);
-      xored[k] = keys | ((entry_col(entries[k]) ^ c) % w);
+    const std::size_t n = entries_.size();
+    const std::uint32_t c = n == 0 ? 0 : entry_col(entries_[0]);
+    const bool pow2 = std::has_single_bit(w);
+    norm_.resize(2 * n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const PackedEntry keys = entries_[k] & ~0xffu;
+      const std::uint32_t col = entry_col(entries_[k]);
+      norm_[k] = keys | (col >= c ? col - c : col + w - c);
+      // Both columns are below w, so a power-of-two w needs no reduction.
+      norm_[n + k] = keys | (pow2 ? col ^ c : (col ^ c) % w);
     }
-    std::sort(rot.begin(), rot.end());
-    std::sort(xored.begin(), xored.end());
-    std::string norm;
-    norm.reserve((rot.size() + xored.size()) * sizeof(PackedEntry));
-    const auto append = [&norm](const std::vector<PackedEntry>& v) {
-      norm.append(reinterpret_cast<const char*>(v.data()),
-                  v.size() * sizeof(PackedEntry));
-    };
-    append(rot);
-    append(xored);
-    return norm;
+    const auto half = norm_.begin() + static_cast<std::ptrdiff_t>(n);
+    sort_unless_sorted(norm_.begin(), half);
+    sort_unless_sorted(half, norm_.end());
+  }
+
+  /// The stored class whose normal forms equal norm_, if any.
+  [[nodiscard]] std::optional<std::size_t> find_class(
+      std::uint64_t hash) const {
+    const auto [first, last] = dedupe_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      const std::size_t c = it->second;
+      const auto begin = norm_arena_.begin() +
+                         static_cast<std::ptrdiff_t>(norm_bounds_[c]);
+      const auto end = norm_arena_.begin() +
+                       static_cast<std::ptrdiff_t>(norm_bounds_[c + 1]);
+      if (std::equal(norm_.begin(), norm_.end(), begin, end)) return c;
+    }
+    return std::nullopt;
   }
 
   const KernelDesc& kernel_;
   std::uint32_t digits_;
   std::uint64_t class_cap_;
+  EntryPacker pack_;
   Closure closure_;
-  std::unordered_map<std::string, std::size_t> dedupe_;
+  std::pmr::unsynchronized_pool_resource pool_;
+  // Per-class scratch, reused across ingest_trace calls.
+  std::vector<std::int64_t> trace_;
+  std::vector<std::uint64_t> addrs_;
+  std::vector<PackedEntry> entries_;
+  std::vector<PackedEntry> norm_;
+  // Normal-form dedupe: the stored classes' forms laid end to end in one
+  // arena, class c's at [norm_bounds_[c], norm_bounds_[c + 1]), indexed
+  // by hash.
+  std::unordered_multimap<std::uint64_t, std::size_t> dedupe_;
+  std::vector<PackedEntry> norm_arena_;
+  std::vector<std::size_t> norm_bounds_{0};
 };
 
 /// Candidate evaluator with epoch-stamped bank counters and sound
@@ -420,33 +489,11 @@ class Evaluator {
       out.completed = false;
       return out;
     }
-    const std::uint32_t w = closure_.width;
-    const bool rotate = mapping.transform == RowTransform::kRotate;
-    const std::uint32_t digits = closure_.digits;
     for (std::size_t c = 0; c < closure_.classes.size(); ++c) {
-      ++epoch_;
-      std::uint32_t class_max = 0;
-      for (const PackedEntry e : closure_.classes[c].entries) {
-        std::uint32_t term = 0;
-        if (rotate) {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term += mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) + term) % w;
-        } else {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term ^= mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) ^ term) % w;
-        }
-        if (stamp_[term] != epoch_) {
-          stamp_[term] = epoch_;
-          counts_[term] = 0;
-        }
-        class_max = std::max(class_max, ++counts_[term]);
-      }
-      if (static_cast<double>(class_max) > out.bound) {
-        out.bound = static_cast<double>(class_max);
+      const auto max = static_cast<double>(
+          class_max(closure_.classes[c], mapping));
+      if (max > out.bound) {
+        out.bound = max;
         out.worst_class = c;
         if (out.bound >= abort_at) {
           out.completed = false;
@@ -464,39 +511,47 @@ class Evaluator {
     for (std::size_t s = 0; s < num_sites; ++s) {
       bounds[s] = closure_.const_floor_per_site[s];
     }
-    const std::uint32_t w = closure_.width;
-    const bool rotate = mapping.transform == RowTransform::kRotate;
-    const std::uint32_t digits = closure_.digits;
     for (const StoredClass& cls : closure_.classes) {
-      ++epoch_;
-      std::uint32_t class_max = 0;
-      for (const PackedEntry e : cls.entries) {
-        std::uint32_t term = 0;
-        if (rotate) {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term += mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) + term) % w;
-        } else {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term ^= mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) ^ term) % w;
-        }
-        if (stamp_[term] != epoch_) {
-          stamp_[term] = epoch_;
-          counts_[term] = 0;
-        }
-        class_max = std::max(class_max, ++counts_[term]);
-      }
+      const auto max = static_cast<double>(class_max(cls, mapping));
       for (const std::uint32_t s : cls.sites) {
-        bounds[s] = std::max(bounds[s], static_cast<double>(class_max));
+        bounds[s] = std::max(bounds[s], max);
       }
     }
     return bounds;
   }
 
  private:
+  /// The class's congestion under `mapping`: the most requests on one
+  /// bank.
+  std::uint32_t class_max(const StoredClass& cls,
+                          const SynthMapping& mapping) {
+    const std::uint32_t w = closure_.width;
+    const bool rotate = mapping.transform == RowTransform::kRotate;
+    const std::uint32_t digits = closure_.digits;
+    ++epoch_;
+    std::uint32_t max = 0;
+    for (const PackedEntry e : cls.entries) {
+      std::uint32_t term = 0;
+      if (rotate) {
+        for (std::uint32_t d = 0; d < digits; ++d) {
+          term += mapping.tables[d][entry_key(e, d)];
+        }
+        term = (entry_col(e) + term) % w;
+      } else {
+        for (std::uint32_t d = 0; d < digits; ++d) {
+          term ^= mapping.tables[d][entry_key(e, d)];
+        }
+        term = (entry_col(e) ^ term) % w;
+      }
+      if (stamp_[term] != epoch_) {
+        stamp_[term] = epoch_;
+        counts_[term] = 0;
+      }
+      max = std::max(max, ++counts_[term]);
+    }
+    return max;
+  }
+
   const Closure& closure_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint64_t> stamp_;
@@ -1015,8 +1070,8 @@ CongestionCertificate certify_mapping(const KernelDesc& kernel,
   if (digits == 0 || digits > kMaxDigits) {
     throw std::invalid_argument("certify_mapping: mapping needs 1..3 tables");
   }
-  const Closure closure =
-      build_closure(kernel, digits, std::uint64_t{1} << 18);
+  // A closure of its own: nothing is shared with the search.
+  const Closure closure = build_closure(kernel, digits, kDefaultClassCap);
   Evaluator evaluator(closure);
   const Evaluator::Outcome outcome =
       evaluator.evaluate(mapping, std::numeric_limits<double>::infinity());

@@ -136,6 +136,10 @@ struct OptimalityWitness {
   std::uint64_t pruned = 0;       // soundly discarded mid-evaluation
 };
 
+/// Stored constraint-class budget of a closure: the search's default and
+/// the audit's fixed cap.
+inline constexpr std::uint64_t kDefaultClassCap = std::uint64_t{1} << 18;
+
 struct SynthesisOptions {
   /// Digit tables to search (clamped to what `rows` needs; <= kMaxDigits).
   std::uint32_t max_digits = kMaxDigits;
@@ -146,7 +150,7 @@ struct SynthesisOptions {
   std::uint64_t seed = 1;
   /// Stored constraint-class budget; past it coverage degrades to a
   /// deterministic sample and the witness to best-effort.
-  std::uint64_t class_cap = 1u << 18;
+  std::uint64_t class_cap = kDefaultClassCap;
   /// Candidate-evaluation budget (evaluated + pruned).
   std::uint64_t candidate_budget = 1u << 20;
   /// Cooperative cancellation, polled between candidates. May throw (the

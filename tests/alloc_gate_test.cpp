@@ -1,4 +1,5 @@
-// Deterministic allocation gates for the warp-access hot path. Heap
+// Deterministic allocation gates for the warp-access hot path and the
+// static analyzer's class closure. Heap
 // allocations are counted by a replacement global operator new that only
 // this test executable links, so the counts are exact and repeat on every
 // machine, unlike wall time.
@@ -13,6 +14,9 @@
 #include <vector>
 
 #include "access/montecarlo.hpp"
+#include "analyze/passes.hpp"
+#include "analyze/synth.hpp"
+#include "builtin_kernels.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
@@ -192,6 +196,38 @@ TEST(AllocGate, Estimate4dAllocationsDoNotGrowWithTrials) {
     };
     EXPECT_EQ(run(200), run(2000)) << core::scheme_name(scheme);
   }
+}
+
+TEST(AllocGate, RawAnalyzeKernelOnBitonic) {
+  // 144 sites x 115 loop variables, almost all of zero stride at a given
+  // site. The dense residue sweep copied every reached binding once per
+  // variable: 1,031,745 allocations per call. The sparse sweep skips the
+  // zero-stride variables and materializes into reused buffers (26,701
+  // with libstdc++ 12); the gate leaves room for other libraries.
+  const analyze::KernelDesc kernel = tools::builtin_kernel("bitonic", 32);
+  const std::uint64_t allocs = allocations_during(
+      [&] { (void)analyze::analyze_kernel(kernel, core::Scheme::kRaw); });
+  EXPECT_LT(allocs, 40000u) << "before the sparse residue sweep: 1,031,745";
+}
+
+TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
+  // tensor4d-stride3 at w = 32: 32,768 classes per closure, built once by
+  // the search and once, independently, by the audit. Before the
+  // allocation-free ingest: 557,470 allocations for the 2 x 32,768
+  // classes seen (8.5 per class). Now the ingest allocates only for the
+  // classes it stores (0.26 allocations per class seen in all).
+  const analyze::KernelDesc kernel =
+      tools::builtin_kernel("tensor4d-stride3", 32);
+  analyze::SynthesisResult result;
+  const std::uint64_t allocs = allocations_during([&] {
+    result = analyze::synthesize_mapping(kernel);
+    (void)analyze::certify_mapping(kernel, result.mapping);
+  });
+  ASSERT_EQ(result.classes, 32768u);
+  const double per_class =
+      static_cast<double>(allocs) / static_cast<double>(2 * result.classes);
+  EXPECT_LT(per_class, 1.0)
+      << allocs << " allocations; before the allocation-free ingest: 557,470";
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 
 #include "analyze/kernelir.hpp"
 #include "analyze/passes.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace rapsim::analyze {
@@ -66,6 +68,91 @@ TEST(KernelIr, MaterializeFlatAndRowCol) {
   const auto trace = materialize_site(kernel, diag, binding);
   EXPECT_EQ(trace[0], (8 + 3) * 8 + 0);
   EXPECT_EQ(trace[6], (8 + (3 + 6) % 8) * 8 + 6);  // row wrapped
+}
+
+/// The per-lane definition materialize_site must agree with: every lane
+/// evaluates the whole affine expression.
+std::vector<std::int64_t> reference_trace(const KernelDesc& kernel,
+                                          const AccessSite& site,
+                                          const std::vector<std::uint64_t>& b) {
+  const std::uint32_t n = site.lanes == 0 ? kernel.width : site.lanes;
+  const auto w = static_cast<std::int64_t>(kernel.width);
+  std::vector<std::int64_t> trace;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    if (site.form == IndexForm::kFlat) {
+      trace.push_back(site.flat.eval(t, b));
+    } else if (site.form == IndexForm::kRowCol) {
+      std::int64_t row = site.row.eval(t, b);
+      if (site.row_mod != 0) {
+        const auto m = static_cast<std::int64_t>(site.row_mod);
+        row = ((row % m) + m) % m;
+      }
+      const std::int64_t col = ((site.col.eval(t, b) % w) + w) % w;
+      trace.push_back((row + site.row_base) * w + col);
+    } else {
+      trace.push_back(static_cast<std::int64_t>(site.opaque(t, b)));
+    }
+  }
+  return trace;
+}
+
+TEST(KernelIr, LaneSteppedMaterializeMatchesPerLaneEval) {
+  util::Pcg32 rng(2024, 11);
+  const auto coeff = [&] {
+    return static_cast<std::int64_t>(rng.bounded(201)) - 100;
+  };
+  std::vector<std::int64_t> buffer;
+  for (int trial = 0; trial < 2000; ++trial) {
+    KernelDesc kernel;
+    kernel.width = 1 + rng.bounded(64);
+    kernel.rows = 64;
+    const std::uint32_t nvars = rng.bounded(4);
+    for (std::uint32_t v = 0; v < nvars; ++v) {
+      kernel.vars.push_back({"v" + std::to_string(v), 1 + rng.bounded(9)});
+    }
+    const auto expr = [&] {
+      AffineExpr e{coeff() * 50, coeff(), {}};
+      // Trailing coefficients may be missing (treated as zero).
+      const std::uint32_t given = rng.bounded(nvars + 1);
+      for (std::uint32_t v = 0; v < given; ++v) e.coeffs.push_back(coeff());
+      return e;
+    };
+    AccessSite site;
+    site.lanes = rng.bounded(2) == 0 ? 0 : 1 + rng.bounded(kernel.width);
+    switch (rng.bounded(3)) {
+      case 0:
+        site.form = IndexForm::kFlat;
+        site.flat = expr();
+        break;
+      case 1:
+        site.form = IndexForm::kRowCol;
+        site.row = expr();
+        site.col = expr();
+        site.row_mod = rng.bounded(2) == 0 ? 0 : 1 + rng.bounded(40);
+        site.row_base = coeff();
+        break;
+      default: {
+        site.form = IndexForm::kOpaque;
+        const std::uint64_t salt = rng.bounded(1000);
+        site.opaque = [salt](std::uint32_t lane,
+                             std::span<const std::uint64_t> b) {
+          std::uint64_t a = salt ^ (lane * 7u);
+          for (const std::uint64_t x : b) a = a * 31 + x;
+          return a % 4096;
+        };
+        break;
+      }
+    }
+    std::vector<std::uint64_t> binding;
+    for (const LoopVar& var : kernel.vars) {
+      binding.push_back(rng.bounded(static_cast<std::uint32_t>(var.count)));
+    }
+    const auto expected = reference_trace(kernel, site, binding);
+    EXPECT_EQ(materialize_site(kernel, site, binding), expected)
+        << "trial " << trial;
+    materialize_site(kernel, site, binding, buffer);  // reused buffer
+    EXPECT_EQ(buffer, expected) << "trial " << trial;
+  }
 }
 
 TEST(KernelIr, ValidationCatchesStructuralErrors) {

@@ -22,10 +22,12 @@
 #include <vector>
 
 #include "analyze/kernelir.hpp"
+#include "analyze/passes.hpp"
 #include "analyze/synth.hpp"
 #include "builtin_kernels.hpp"
 #include "core/congestion.hpp"
 #include "replay/replay.hpp"
+#include "util/hash.hpp"
 
 namespace rapsim::analyze {
 namespace {
@@ -104,6 +106,65 @@ TEST(SynthDifferential, CatalogIsTheDocumentedSeventeen) {
   // (15 hand-described + the two affine VM suite extractions); keep this
   // test honest if the catalog grows.
   EXPECT_EQ(tools::builtin_kernels(32).size(), 17u);
+}
+
+// ---- Digest pins: FNV-1a over the search result, the audit and every
+// ---- analyze_kernel site field, per width, recorded before the class
+// ---- closure was made allocation-free. A faster closure must compute
+// ---- the same classes, witnesses and certificates byte for byte.
+
+TEST(SynthPins, SearchAndAuditJsonDigestsAreUnchanged) {
+  const std::pair<std::uint32_t, std::uint64_t> pins[] = {
+      {16, 0x3fdfd0d1de546444ull},
+      {32, 0x2e3630182dd22593ull},
+      {64, 0xbfa3fcef9f453f11ull},
+  };
+  for (const auto& [width, digest] : pins) {
+    std::uint64_t hash = util::kFnvOffsetBasis;
+    for (const KernelDesc& kernel : tools::builtin_kernels(width)) {
+      const SynthesisResult result = synthesize_mapping(kernel);
+      hash = util::fnv1a(result.to_json(), hash);
+      hash = util::fnv1a(certify_mapping(kernel, result.mapping).to_json(),
+                         hash);
+    }
+    EXPECT_EQ(util::hex64(hash), util::hex64(digest)) << "w=" << width;
+  }
+}
+
+TEST(SynthPins, AnalyzeKernelSiteDigestsAreUnchanged) {
+  const std::pair<std::uint32_t, std::uint64_t> pins[] = {
+      {16, 0x3b466a6036e68121ull},
+      {32, 0x55d6913bd1f4edfeull},
+      {64, 0xcb0b64dde9116c10ull},
+  };
+  for (const auto& [width, digest] : pins) {
+    std::uint64_t hash = util::kFnvOffsetBasis;
+    for (const KernelDesc& kernel : tools::builtin_kernels(width)) {
+      for (const core::Scheme scheme :
+           {core::Scheme::kRaw, core::Scheme::kPad, core::Scheme::kRas,
+            core::Scheme::kRap}) {
+        for (const SiteAnalysis& site :
+             analyze_kernel(kernel, scheme).sites) {
+          hash = util::fnv1a(site.cert.to_json(), hash);
+          for (const auto& [name, value] : site.witness) {
+            hash = util::fnv1a_u64(value, util::fnv1a(name, hash));
+          }
+          for (const std::uint64_t a : site.witness_trace) {
+            hash = util::fnv1a_u64(a, hash);
+          }
+          hash = util::fnv1a_u64(site.classes_analyzed, hash);
+          hash = util::fnv1a_u64(site.binding_count, hash);
+          hash = util::fnv1a_u64(site.out_of_bounds ? 1 : 0, hash);
+          hash = util::fnv1a(coverage_name(site.coverage), hash);
+          hash = util::fnv1a_u64(
+              static_cast<std::uint64_t>(site.address_low), hash);
+          hash = util::fnv1a_u64(
+              static_cast<std::uint64_t>(site.address_high), hash);
+        }
+      }
+    }
+    EXPECT_EQ(util::hex64(hash), util::hex64(digest)) << "w=" << width;
+  }
 }
 
 }  // namespace
