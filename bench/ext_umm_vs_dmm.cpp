@@ -31,7 +31,7 @@ using namespace rapsim;
 
 dmm::Kernel access_kernel(std::uint32_t w, int pattern) {
   dmm::Kernel k{w * w, {}, {}};
-  dmm::Instruction instr(k.num_threads);
+  dmm::Row instr(k.num_threads);
   for (std::uint32_t i = 0; i < w; ++i) {
     for (std::uint32_t j = 0; j < w; ++j) {
       std::uint64_t addr = 0;

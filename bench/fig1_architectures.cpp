@@ -30,7 +30,7 @@ int main() {
   // A warp reading one cell per row AND per bank (the diagonal): the
   // defining workload that separates the two machines.
   dmm::Kernel kernel{kWidth, {}, {}};
-  dmm::Instruction instr(kWidth);
+  dmm::Row instr(kWidth);
   for (std::uint32_t t = 0; t < kWidth; ++t) {
     instr[t] = dmm::ThreadOp::load(static_cast<std::uint64_t>(t) * kWidth + t);
   }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   dmm::Kernel kernel;
   kernel.num_threads = 8;
-  dmm::Instruction instr(8);
+  dmm::Row instr(8);
   const std::uint64_t w0[4] = {7, 5, 15, 0};
   const std::uint64_t w1[4] = {10, 11, 12, 9};
   for (std::uint32_t t = 0; t < 4; ++t) {

@@ -25,7 +25,8 @@
 //     kMinMax     — (reg[r], reg[r2]) <- (min, max) of the pair
 //                   (bitonic compare-exchange)
 //
-//   kNone         — thread idles for this instruction
+//   kNone         — thread idles for this instruction (a builder's
+//                   placeholder: the kernel never stores it)
 //
 //   kBarrier      — block-wide synchronization (__syncthreads()): no warp
 //                   proceeds past it until every warp has completed all
@@ -62,10 +63,10 @@ enum class OpKind : std::uint8_t {
   kBarrier,
 };
 
-/// One thread's slot of one SIMD instruction. The fields are ordered
-/// widest first so the slot packs into 24 bytes: every walk over a
-/// kernel's dense rows reads three quarters of the memory a naturally
-/// ordered 32-byte slot would.
+/// One thread's op in one SIMD instruction. The fields are ordered
+/// widest first so the op packs into 24 bytes: every walk over a
+/// kernel's ops reads three quarters of the memory a naturally ordered
+/// 32-byte op would.
 struct ThreadOp {
   std::uint64_t logical = 0;    // logical address (pre-mapping)
   std::uint64_t immediate = 0;  // used by kStoreImm
@@ -100,25 +101,132 @@ struct ThreadOp {
 };
 static_assert(sizeof(ThreadOp) == 24, "ThreadOp must stay 24 bytes");
 
-/// One SIMD instruction: a ThreadOp per thread (indexed by thread id).
-using Instruction = std::vector<ThreadOp>;
+/// A dense builder row: one ThreadOp per thread, indexed by thread id,
+/// kNone for a thread that idles. Builders fill one and hand it to
+/// Kernel::push, which keeps only its active ops.
+using Row = std::vector<ThreadOp>;
 
-/// A straight-line SIMD program.
+/// Read-only view of one stored instruction: its active ops and, side by
+/// side, their thread ids in ascending order. Iterating it visits only
+/// the active ops; an idle thread has no entry.
+class Instruction {
+ public:
+  Instruction() = default;
+  Instruction(std::span<const std::uint32_t> threads,
+              std::span<const ThreadOp> ops) noexcept
+      : threads_(threads), ops_(ops) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
+  /// The k-th active op (thread threads()[k]).
+  [[nodiscard]] const ThreadOp& operator[](std::size_t k) const noexcept {
+    return ops_[k];
+  }
+  [[nodiscard]] const ThreadOp* begin() const noexcept { return ops_.data(); }
+  [[nodiscard]] const ThreadOp* end() const noexcept {
+    return ops_.data() + ops_.size();
+  }
+  [[nodiscard]] std::span<const std::uint32_t> threads() const noexcept {
+    return threads_;
+  }
+  [[nodiscard]] std::span<const ThreadOp> ops() const noexcept {
+    return ops_;
+  }
+
+  /// The part of this instruction with thread ids in [first, last) —
+  /// one warp's lanes.
+  [[nodiscard]] Instruction slice(std::uint32_t first,
+                                  std::uint32_t last) const noexcept {
+    const auto lo = std::lower_bound(threads_.begin(), threads_.end(), first);
+    const auto hi = std::lower_bound(lo, threads_.end(), last);
+    const auto offset = static_cast<std::size_t>(lo - threads_.begin());
+    const auto count = static_cast<std::size_t>(hi - lo);
+    return {threads_.subspan(offset, count), ops_.subspan(offset, count)};
+  }
+
+ private:
+  std::span<const std::uint32_t> threads_;
+  std::span<const ThreadOp> ops_;
+};
+
+/// A kernel's instructions, stored once and sparse: one instruction-major
+/// CSR of per-instruction ends, ascending thread ids, and the ThreadOps
+/// of exactly those threads. Read-only: only Kernel appends to it, so
+/// there is no second copy that could go stale. Elements are Instruction
+/// views, valid until the kernel next changes.
+class InstructionTable {
+ public:
+  class iterator {
+   public:
+    using value_type = Instruction;
+    using difference_type = std::ptrdiff_t;
+
+    iterator() = default;
+    iterator(const InstructionTable* table, std::size_t index) noexcept
+        : table_(table), index_(index) {}
+    Instruction operator*() const noexcept { return (*table_)[index_]; }
+    iterator& operator++() noexcept {
+      ++index_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++index_;
+      return old;
+    }
+    bool operator==(const iterator& other) const noexcept {
+      return index_ == other.index_;
+    }
+
+   private:
+    const InstructionTable* table_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return ends_.empty(); }
+  [[nodiscard]] Instruction operator[](std::size_t instr) const noexcept {
+    const std::size_t begin = instr == 0 ? 0 : ends_[instr - 1];
+    const std::size_t count = ends_[instr] - begin;
+    return {{threads_.data() + begin, count}, {ops_.data() + begin, count}};
+  }
+  [[nodiscard]] iterator begin() const noexcept { return {this, 0}; }
+  [[nodiscard]] iterator end() const noexcept { return {this, size()}; }
+
+  /// Every active op of every instruction, instruction-major, and their
+  /// thread ids; instruction i occupies [i == 0 ? 0 : ends()[i-1],
+  /// ends()[i]).
+  [[nodiscard]] std::span<const std::size_t> ends() const noexcept {
+    return ends_;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> threads() const noexcept {
+    return threads_;
+  }
+  [[nodiscard]] std::span<const ThreadOp> ops() const noexcept {
+    return ops_;
+  }
+
+ private:
+  friend class Kernel;
+
+  std::vector<std::size_t> ends_;      // one past each instruction's ops
+  std::vector<std::uint32_t> threads_;  // ascending within an instruction
+  std::vector<ThreadOp> ops_;           // parallel to threads_, never kNone
+};
+
+/// A straight-line SIMD program over num_threads threads.
 ///
-/// Besides the dense rows, a kernel keeps an active-thread index: for
-/// each instruction, the ascending ids of the threads whose op is not
-/// kNone. The execution layers (Dmm, KernelWarpSource, hier) read only
-/// those threads, so an idle lane costs nothing — a sparse kernel such
-/// as a masked sorting network touches a few percent of its slots.
-/// push(), push_barrier() and the constructor keep the index current;
-/// code that edits `instructions` in place must call reindex() before
-/// running the kernel. KernelWarpSource rejects a kernel whose index
-/// does not cover every instruction, and Dmm rejects an indexed thread
-/// whose op is kNone.
+/// The kernel stores only active ops (InstructionTable), so an idle
+/// thread costs nothing to store or to run: a masked sorting network
+/// touches a few percent of its num_instr x num_threads slots. The store
+/// is instruction-major and does not depend on warp width, so one kernel
+/// runs on a machine of any width. Builders append dense rows with
+/// push(), which drops their kNone slots, or hand a whole sparse store to
+/// from_sparse(), which validates it.
 class Kernel {
  public:
   std::uint32_t num_threads = 0;
-  std::vector<Instruction> instructions;
+  InstructionTable instructions;
   /// Optional per-instruction labels (access-site names), parallel to
   /// `instructions`; empty entries (or an empty vector) mean unlabeled.
   /// The sanitizer reports findings by label so they cross-reference
@@ -127,61 +235,31 @@ class Kernel {
 
   Kernel() = default;
   /// A kernel over `num_threads` threads with the given rows (each of
-  /// exactly num_threads slots) and labels, indexed.
+  /// exactly num_threads slots) and labels.
   explicit Kernel(std::uint32_t num_threads,
-                  std::vector<Instruction> instructions = {},
+                  const std::vector<Row>& rows = {},
                   std::vector<std::string> labels = {});
 
-  /// Append an instruction; it must have exactly num_threads slots.
-  /// The optional label names the instruction in sanitizer findings.
-  void push(Instruction instr, std::string label = {});
+  /// Append an instruction given as a dense row; it must have exactly
+  /// num_threads slots, and only its non-kNone slots are kept. The
+  /// optional label names the instruction in sanitizer findings.
+  void push(const Row& row, std::string label = {});
 
-  /// Append a block-wide barrier (__syncthreads()).
+  /// Append a block-wide barrier (__syncthreads()): a kBarrier op for
+  /// every thread.
   void push_barrier();
 
-  /// Rebuild the active-thread index from `instructions` (after an
-  /// in-place edit). Throws std::invalid_argument if a row does not have
-  /// exactly num_threads slots.
-  void reindex();
-
-  /// Install an index built by the caller, for builders that know the
-  /// active threads without rescanning the rows (replay lowering).
-  /// `ends[i]` is one past instruction i's last entry in `threads`; each
-  /// instruction's entries must be ascending thread ids below
-  /// num_threads, and must be exactly its non-kNone threads. Throws
-  /// std::invalid_argument on a malformed shape.
-  void set_active_index(std::vector<std::size_t> ends,
-                        std::vector<std::uint32_t> threads);
-
-  /// The index covers every instruction (it may still be stale after an
-  /// in-place edit of a row; see reindex()).
-  [[nodiscard]] bool indexed() const noexcept {
-    return active_ends_.size() == instructions.size();
-  }
-
-  /// Active threads of instruction `instr`, ascending.
-  [[nodiscard]] std::span<const std::uint32_t> active_threads(
-      std::size_t instr) const noexcept {
-    const std::size_t begin = instr == 0 ? 0 : active_ends_[instr - 1];
-    return {active_threads_.data() + begin, active_ends_[instr] - begin};
-  }
-
-  /// Active threads of instruction `instr` with ids in [first, last),
-  /// ascending — one warp's lanes.
-  [[nodiscard]] std::span<const std::uint32_t> active_threads(
-      std::size_t instr, std::uint32_t first,
-      std::uint32_t last) const noexcept {
-    const std::span<const std::uint32_t> all = active_threads(instr);
-    if (all.empty() || all.back() < first || all.front() >= last) return {};
-    const auto lo = std::lower_bound(all.begin(), all.end(), first);
-    return {lo, std::lower_bound(lo, all.end(), last)};
-  }
-
- private:
-  void index_row(const Instruction& row);
-
-  std::vector<std::size_t> active_ends_;       // CSR ends, one per instr
-  std::vector<std::uint32_t> active_threads_;  // concatenated thread ids
+  /// A kernel built straight from its sparse store, for builders that
+  /// know the active ops without a dense row (replay lowering). `ends[i]`
+  /// is one past instruction i's last entry; `threads` and `ops` are
+  /// parallel. Throws std::invalid_argument unless threads and ops have
+  /// the same length, the ends do not decrease and end at that length,
+  /// each instruction's thread ids strictly ascend below num_threads, and
+  /// no op is kNone.
+  [[nodiscard]] static Kernel from_sparse(std::uint32_t num_threads,
+                                          std::vector<std::size_t> ends,
+                                          std::vector<std::uint32_t> threads,
+                                          std::vector<ThreadOp> ops);
 };
 
 }  // namespace rapsim::dmm

@@ -10,70 +10,75 @@
 
 namespace rapsim::dmm {
 
-Kernel::Kernel(std::uint32_t num_threads_in,
-               std::vector<Instruction> instructions_in,
+Kernel::Kernel(std::uint32_t num_threads_in, const std::vector<Row>& rows,
                std::vector<std::string> labels_in)
-    : num_threads(num_threads_in),
-      instructions(std::move(instructions_in)),
-      labels(std::move(labels_in)) {
-  reindex();
+    : num_threads(num_threads_in) {
+  for (const Row& row : rows) push(row);
+  labels = std::move(labels_in);
 }
 
-void Kernel::index_row(const Instruction& row) {
+void Kernel::push(const Row& row, std::string label) {
   if (row.size() != num_threads) {
     throw std::invalid_argument(
         "Kernel: instruction must have one ThreadOp per thread");
   }
+  InstructionTable& table = instructions;
   for (std::uint32_t t = 0; t < num_threads; ++t) {
-    if (row[t].kind != OpKind::kNone) active_threads_.push_back(t);
+    if (row[t].kind == OpKind::kNone) continue;
+    table.threads_.push_back(t);
+    table.ops_.push_back(row[t]);
   }
-  active_ends_.push_back(active_threads_.size());
-}
-
-void Kernel::push(Instruction instr, std::string label) {
-  index_row(instr);
-  instructions.push_back(std::move(instr));
+  table.ends_.push_back(table.ops_.size());
   labels.push_back(std::move(label));
 }
 
 void Kernel::push_barrier() {
-  instructions.emplace_back(num_threads, ThreadOp::barrier());
-  index_row(instructions.back());
+  InstructionTable& table = instructions;
+  for (std::uint32_t t = 0; t < num_threads; ++t) {
+    table.threads_.push_back(t);
+    table.ops_.push_back(ThreadOp::barrier());
+  }
+  table.ends_.push_back(table.ops_.size());
   labels.emplace_back();
 }
 
-void Kernel::reindex() {
-  active_ends_.clear();
-  active_threads_.clear();
-  active_ends_.reserve(instructions.size());
-  for (const Instruction& row : instructions) index_row(row);
-}
-
-void Kernel::set_active_index(std::vector<std::size_t> ends,
-                              std::vector<std::uint32_t> threads) {
-  if (ends.size() != instructions.size() ||
+Kernel Kernel::from_sparse(std::uint32_t num_threads,
+                           std::vector<std::size_t> ends,
+                           std::vector<std::uint32_t> threads,
+                           std::vector<ThreadOp> ops) {
+  if (threads.size() != ops.size() ||
       (ends.empty() ? !threads.empty() : ends.back() != threads.size())) {
     throw std::invalid_argument(
-        "Kernel::set_active_index: index shape does not match the kernel");
+        "Kernel::from_sparse: ends, threads and ops do not have matching "
+        "shapes");
   }
   std::size_t begin = 0;
   for (const std::size_t end : ends) {
     if (end < begin) {
       throw std::invalid_argument(
-          "Kernel::set_active_index: instruction ends must not decrease");
+          "Kernel::from_sparse: instruction ends must not decrease");
     }
     for (std::size_t i = begin; i < end; ++i) {
       if (threads[i] >= num_threads ||
           (i > begin && threads[i] <= threads[i - 1])) {
         throw std::invalid_argument(
-            "Kernel::set_active_index: thread ids must ascend below "
+            "Kernel::from_sparse: thread ids must ascend below "
             "num_threads");
+      }
+      if (ops[i].kind == OpKind::kNone) {
+        throw std::invalid_argument(
+            "Kernel::from_sparse: the store holds active ops only, not "
+            "kNone");
       }
     }
     begin = end;
   }
-  active_ends_ = std::move(ends);
-  active_threads_ = std::move(threads);
+  Kernel kernel;
+  kernel.num_threads = num_threads;
+  kernel.instructions.ends_ = std::move(ends);
+  kernel.instructions.threads_ = std::move(threads);
+  kernel.instructions.ops_ = std::move(ops);
+  return kernel;
 }
 
 Dmm::Dmm(DmmConfig config, const core::AddressMap& map)
@@ -128,9 +133,10 @@ void Dmm::note_bank_peaks() {
   }
 }
 
-Dmm::WarpAccess Dmm::perform_warp_access(
-    const Instruction& instr, std::uint32_t instr_idx, std::uint32_t warp_id,
-    std::span<const std::uint32_t> lanes) {
+Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
+                                         std::span<const ThreadOp> ops,
+                                         std::uint32_t instr_idx,
+                                         std::uint32_t warp_id) {
   WarpAccess result;
 
   // SIMD check: a warp executes one instruction, so active ops must be of
@@ -141,13 +147,7 @@ Dmm::WarpAccess Dmm::perform_warp_access(
   bool saw_write = false;
   bool saw_atomic = false;
   bool saw_register = false;
-  for (const std::uint32_t t : lanes) {
-    const ThreadOp& op = instr[t];
-    if (op.kind == OpKind::kNone) {
-      throw std::logic_error(
-          "Dmm: the kernel's active-thread index lists an idle thread "
-          "(call Kernel::reindex() after editing instructions)");
-    }
+  for (const ThreadOp& op : ops) {
     if (op.kind == OpKind::kBarrier) {
       throw std::logic_error(
           "Dmm: barrier instruction reached the access path (scheduler bug)");
@@ -178,17 +178,19 @@ Dmm::WarpAccess Dmm::perform_warp_access(
     // memory ops' addresses in ascending lane order.
     const std::uint32_t warp_begin = warp_id * config_.width;
     std::uint64_t lane_mask = 0;
-    std::vector<std::uint64_t> logical;
-    if (!saw_register) logical.reserve(result.active_threads);
     for (const std::uint32_t t : lanes) {
       lane_mask |= std::uint64_t{1} << (t - warp_begin);
-      if (!saw_register) logical.push_back(instr[t].logical);
+    }
+    capture_addrs_.clear();
+    if (!saw_register) {
+      for (const ThreadOp& op : ops) capture_addrs_.push_back(op.logical);
     }
     const CapturedOpClass cls = saw_atomic    ? CapturedOpClass::kAtomic
                                 : saw_write   ? CapturedOpClass::kWrite
                                 : saw_read    ? CapturedOpClass::kRead
                                               : CapturedOpClass::kRegister;
-    capture_->on_warp_access(instr_idx, warp_id, cls, lane_mask, logical);
+    capture_->on_warp_access(instr_idx, warp_id, cls, lane_mask,
+                             capture_addrs_);
   }
 
   if (saw_atomic) {
@@ -198,8 +200,9 @@ Dmm::WarpAccess Dmm::perform_warp_access(
     tally_.begin(config_.width, config_.width);
     std::uint64_t rows_touched = 0;
     std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
-    for (const std::uint32_t t : lanes) {
-      const ThreadOp& op = instr[t];
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::uint32_t t = lanes[k];
+      const ThreadOp& op = ops[k];
       const std::uint64_t phys = map_.translate(op.logical);
       if (phys >= memory_.size()) {
         if (sanitizer_) {
@@ -251,8 +254,9 @@ Dmm::WarpAccess Dmm::perform_warp_access(
   if (saw_register) {
     // Register-only instruction: executes without touching the memory
     // pipeline (congestion stays 0; arithmetic is free in this model).
-    for (const std::uint32_t t : lanes) {
-      const ThreadOp& op = instr[t];
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::uint32_t t = lanes[k];
+      const ThreadOp& op = ops[k];
       if (op.kind != OpKind::kMinMax) continue;
       auto& lo = registers_[static_cast<std::size_t>(t) *
                                 kRegistersPerThread + op.reg];
@@ -268,8 +272,9 @@ Dmm::WarpAccess Dmm::perform_warp_access(
   // physical address. Lanes are added in ascending order, so the tally's
   // first writer is the lowest lane.
   tally_.begin(config_.width, config_.width);
-  for (const std::uint32_t t : lanes) {
-    const ThreadOp& op = instr[t];
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    const std::uint32_t t = lanes[k];
+    const ThreadOp& op = ops[k];
     const std::uint64_t phys = map_.translate(op.logical);
     if (phys >= memory_.size()) {
       if (sanitizer_) {
@@ -372,16 +377,10 @@ void Dmm::begin_run(const Kernel& kernel) {
 Dmm::WarpAccess Dmm::warp_access(const Kernel& kernel,
                                  std::uint32_t instr_idx,
                                  std::uint32_t warp) {
-  if (!kernel.indexed()) {
-    throw std::logic_error(
-        "Dmm: kernel's active-thread index does not cover its instructions "
-        "(call Kernel::reindex())");
-  }
   const std::uint32_t begin = warp * config_.width;
-  const std::uint32_t end =
-      std::min(begin + config_.width, kernel.num_threads);
-  return perform_warp_access(kernel.instructions[instr_idx], instr_idx, warp,
-                             kernel.active_threads(instr_idx, begin, end));
+  const Instruction lanes =
+      kernel.instructions[instr_idx].slice(begin, begin + config_.width);
+  return perform_warp_access(lanes.threads(), lanes.ops(), instr_idx, warp);
 }
 
 void Dmm::finish_barrier(std::uint32_t instr_idx) {
@@ -396,61 +395,70 @@ void Dmm::finish_barrier(std::uint32_t instr_idx) {
 KernelWarpSource::KernelWarpSource(Dmm& machine, const Kernel& kernel)
     : machine_(&machine),
       kernel_(&kernel),
-      width_(machine.config().width),
       num_warps_((kernel.num_threads + machine.config().width - 1) /
                  machine.config().width),
       cursors_(num_warps_) {
-  if (!kernel.indexed()) {
-    throw std::logic_error(
-        "KernelWarpSource: kernel's active-thread index does not cover its "
-        "instructions (call Kernel::reindex())");
-  }
-  // Skip leading instructions in which a warp has nothing to do (no cost:
-  // warps with no pending memory request are not dispatched).
-  for (std::uint32_t warp = 0; warp < num_warps_; ++warp) seek(warp, 0);
-}
-
-void KernelWarpSource::seek(std::uint32_t warp, std::size_t from) {
-  Cursor& cursor = cursors_[warp];
-  const std::uint32_t first = warp * width_;
-  const std::uint32_t last = std::min(first + width_, kernel_->num_threads);
-  const std::size_t count = kernel_->instructions.size();
-  for (cursor.pc = from; cursor.pc < count; ++cursor.pc) {
-    cursor.lanes = kernel_->active_threads(cursor.pc, first, last);
-    if (!cursor.lanes.empty()) {
-      cursor.barrier = kernel_->instructions[cursor.pc][cursor.lanes.front()]
-                           .kind == OpKind::kBarrier;
-      return;
+  // One pass over the store cuts each instruction's ascending thread ids
+  // into per-warp runs: a warp's steps are exactly the instructions in
+  // which it has an active lane, so idle instructions are never visited
+  // (no cost: warps with no pending request are not dispatched). A
+  // counting pass first sizes each warp's slice of the one step array.
+  const std::uint32_t width = machine.config().width;
+  const std::span<const std::size_t> ends = kernel.instructions.ends();
+  const std::span<const std::uint32_t> threads =
+      kernel.instructions.threads();
+  const auto for_each_run = [&](auto&& emit) {
+    std::size_t k = 0;
+    for (std::size_t pc = 0; pc < ends.size(); ++pc) {
+      while (k < ends[pc]) {
+        const std::uint32_t warp = threads[k] / width;
+        const std::uint32_t last = (warp + 1) * width;
+        const std::size_t offset = k;
+        while (k < ends[pc] && threads[k] < last) ++k;
+        emit(warp, Step{offset, static_cast<std::uint32_t>(pc),
+                        static_cast<std::uint32_t>(k - offset)});
+      }
     }
+  };
+  for_each_run([&](std::uint32_t warp, const Step&) { ++cursors_[warp].end; });
+  std::size_t total = 0;
+  for (Cursor& cursor : cursors_) {
+    cursor.next = total;
+    total += cursor.end;
+    cursor.end = cursor.next;  // the fill below moves it to the real end
   }
-  cursor.lanes = {};
-  cursor.barrier = false;
+  steps_.resize(total);
+  for_each_run([&](std::uint32_t warp, const Step& step) {
+    steps_[cursors_[warp].end++] = step;
+  });
 }
 
 bool KernelWarpSource::done(std::uint32_t warp) const {
-  return cursors_[warp].pc >= kernel_->instructions.size();
+  return cursors_[warp].next == cursors_[warp].end;
 }
 
 bool KernelWarpSource::at_barrier(std::uint32_t warp) const {
-  return cursors_[warp].barrier;
+  return !done(warp) &&
+         kernel_->instructions.ops()[steps_[cursors_[warp].next].offset]
+                 .kind == OpKind::kBarrier;
 }
 
 std::size_t KernelWarpSource::pc(std::uint32_t warp) const {
-  return cursors_[warp].pc;
+  return done(warp) ? kernel_->instructions.size()
+                    : steps_[cursors_[warp].next].pc;
 }
 
 hier::IssueResult KernelWarpSource::issue(std::uint32_t warp) {
-  const Cursor& cursor = cursors_[warp];
+  const Step& step = steps_[cursors_[warp].next];
   const Dmm::WarpAccess access = machine_->perform_warp_access(
-      kernel_->instructions[cursor.pc],
-      static_cast<std::uint32_t>(cursor.pc), warp, cursor.lanes);
+      kernel_->instructions.threads().subspan(step.offset, step.count),
+      kernel_->instructions.ops().subspan(step.offset, step.count), step.pc,
+      warp);
   return {access.congestion, access.active_threads, access.unique_requests,
           0};
 }
 
-void KernelWarpSource::advance(std::uint32_t warp) {
-  seek(warp, cursors_[warp].pc + 1);
-}
+void KernelWarpSource::advance(std::uint32_t warp) { ++cursors_[warp].next; }
 
 // --- Dmm::run on the event core --------------------------------------------
 

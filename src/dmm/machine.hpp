@@ -107,12 +107,10 @@ class Dmm {
   void begin_run(const Kernel& kernel);
 
   /// Execute the data movement of warp `warp`'s instruction `instr_idx`
-  /// and report its cost, walking only the warp's active threads from the
-  /// kernel's index (std::logic_error if the index does not cover the
-  /// kernel). Untimed: the caller's clock decides when the effects
-  /// "happen" — within one warp the semantics are fixed, across warps
-  /// they follow the caller's dispatch order (scheduler-defined, as on
-  /// real hardware).
+  /// and report its cost, walking only the warp's active ops. Untimed:
+  /// the caller's clock decides when the effects "happen" — within one
+  /// warp the semantics are fixed, across warps they follow the caller's
+  /// dispatch order (scheduler-defined, as on real hardware).
   WarpAccess warp_access(const Kernel& kernel, std::uint32_t instr_idx,
                          std::uint32_t warp);
 
@@ -168,38 +166,40 @@ class Dmm {
   AccessCapture* capture_ = nullptr;              // optional, not owned
   // Per-access scratch, reused so a warp access does not allocate.
   core::BankTally tally_;
-  std::vector<std::uint64_t> umm_rows_;  // UMM: merged addresses, sorted
+  std::vector<std::uint64_t> umm_rows_;       // UMM: merged addresses, sorted
+  std::vector<std::uint64_t> capture_addrs_;  // capture: logical addresses
 
   /// Fold this access's per-bank counts into the telemetry peaks.
   void note_bank_peaks();
 
   /// Execute the data movement of one warp-instruction and return its
   /// congestion (pipeline slots) and unique-request count. `lanes` are
-  /// the warp's active threads in ascending order (the kernel index's
-  /// span); no other lane is read. `instr_idx` is the kernel instruction
-  /// index (sanitizer findings cite it).
-  WarpAccess perform_warp_access(const Instruction& instr,
+  /// the warp's active threads in ascending order and `ops` their ops,
+  /// side by side (a contiguous run of the kernel's store); nothing else
+  /// is read. `instr_idx` is the kernel instruction index (sanitizer
+  /// findings and the capture cite it).
+  WarpAccess perform_warp_access(std::span<const std::uint32_t> lanes,
+                                 std::span<const ThreadOp> ops,
                                  std::uint32_t instr_idx,
-                                 std::uint32_t warp_id,
-                                 std::span<const std::uint32_t> lanes);
+                                 std::uint32_t warp_id);
 
-  friend class KernelWarpSource;  // issues with its cached lane span
+  friend class KernelWarpSource;  // issues with its steps' spans
 };
 
 /// hier::WarpSource adapter over a straight-line dmm::Kernel: per-warp
 /// program counters with idle-instruction skipping (a warp with nothing
-/// to do in an instruction is never dispatched for it). The skipping and
-/// every issue read the kernel's active-thread index, never the idle
-/// lanes; each warp's cursor caches its instruction's lane span and
-/// whether it is a barrier. Dmm::run drives one internally; the
-/// hierarchy simulator wraps one per SM and adds the memory-path penalty
-/// to each issue.
+/// to do in an instruction is never dispatched for it). At construction
+/// one pass over the kernel's store builds each warp's step list — the
+/// instructions in which the warp has an active lane, each as a
+/// contiguous run {offset, count} of the store's threads and ops — so
+/// advancing a warp is a cursor increment and an issue reads only that
+/// run. Dmm::run drives one internally; the hierarchy simulator wraps one
+/// per SM and adds the memory-path penalty to each issue.
 class KernelWarpSource final : public hier::WarpSource {
  public:
-  /// Machine and kernel must outlive the source; the machine must have
-  /// begin_run(kernel) called before the first issue(). Throws
-  /// std::logic_error if the kernel's index does not cover every
-  /// instruction.
+  /// Machine and kernel must outlive the source, and the kernel must not
+  /// change while it does; the machine must have begin_run(kernel)
+  /// called before the first issue().
   KernelWarpSource(Dmm& machine, const Kernel& kernel);
 
   [[nodiscard]] std::uint32_t num_warps() const noexcept {
@@ -212,28 +212,32 @@ class KernelWarpSource final : public hier::WarpSource {
   [[nodiscard]] hier::IssueResult issue(std::uint32_t warp) override;
   void advance(std::uint32_t warp) override;
 
-  /// Active threads of the warp's current instruction, ascending (empty
-  /// once the warp is done).
-  [[nodiscard]] std::span<const std::uint32_t> lanes(
+  /// Active ops of the warp's current instruction, in ascending lane
+  /// order. The warp must not be done.
+  [[nodiscard]] std::span<const ThreadOp> ops(
       std::uint32_t warp) const noexcept {
-    return cursors_[warp].lanes;
+    const Step& step = steps_[cursors_[warp].next];
+    return kernel_->instructions.ops().subspan(step.offset, step.count);
   }
 
  private:
-  struct Cursor {
-    std::size_t pc = 0;                     // next instruction to issue
-    std::span<const std::uint32_t> lanes;   // its active threads here
-    bool barrier = false;                   // it is a block barrier
+  /// One instruction of one warp: its run of the kernel's store.
+  struct Step {
+    std::size_t offset = 0;   // first of the warp's ops in the store
+    std::uint32_t pc = 0;     // instruction index
+    std::uint32_t count = 0;  // active lanes
   };
 
-  /// Point the warp at its first instruction at or after `from` that has
-  /// an active thread in the warp.
-  void seek(std::uint32_t warp, std::size_t from);
+  /// One warp's slice of steps_ and its position in it.
+  struct Cursor {
+    std::size_t next = 0;  // the current step
+    std::size_t end = 0;   // one past the warp's last step
+  };
 
   Dmm* machine_;
   const Kernel* kernel_;
-  std::uint32_t width_;
   std::uint32_t num_warps_;
+  std::vector<Step> steps_;  // warp-major step lists
   std::vector<Cursor> cursors_;
 };
 

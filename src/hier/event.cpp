@@ -7,15 +7,36 @@
 namespace rapsim::hier {
 
 EventCore::EventCore(std::uint32_t num_warps, std::uint32_t latency)
-    : num_warps_(num_warps), latency_(latency), ready_(num_warps, 0) {
+    : num_warps_(num_warps),
+      latency_(latency),
+      ready_(num_warps, 0),
+      state_(num_warps) {
   if (latency == 0) {
     throw std::invalid_argument("EventCore: pipeline latency must be > 0");
   }
   candidates_.reserve(num_warps);
 }
 
+void EventCore::refresh(const WarpSource& source, std::uint32_t warp) {
+  WarpState& state = state_[warp];
+  state.done = source.done(warp);
+  state.parked = !state.done && source.at_barrier(warp);
+  state.pc = state.done ? 0 : source.pc(warp);
+}
+
+void EventCore::advance(WarpSource& source, std::uint32_t warp) {
+  source.advance(warp);
+  refresh(source, warp);
+}
+
 bool EventCore::step(WarpSource& source, Scheduler& scheduler,
                      CoreHooks* hooks) {
+  if (!mirrored_) {
+    for (std::uint32_t warp = 0; warp < num_warps_; ++warp) {
+      refresh(source, warp);
+    }
+    mirrored_ = true;
+  }
   // One scan establishes everything the decision needs: whether any warp
   // is still pending, whether any pending warp is NOT parked at a
   // barrier, the earliest readiness among those, and the candidate set
@@ -25,9 +46,10 @@ bool EventCore::step(WarpSource& source, Scheduler& scheduler,
   std::uint64_t min_ready = std::numeric_limits<std::uint64_t>::max();
   candidates_.clear();
   for (std::uint32_t warp = 0; warp < num_warps_; ++warp) {
-    if (source.done(warp)) continue;
+    const WarpState& state = state_[warp];
+    if (state.done) continue;
     any_pending = true;
-    if (source.at_barrier(warp)) continue;
+    if (state.parked) continue;
     any_non_barrier = true;
     min_ready = std::min(min_ready, ready_[warp]);
     if (ready_[warp] <= pipeline_next_) candidates_.push_back(warp);
@@ -48,7 +70,9 @@ bool EventCore::step(WarpSource& source, Scheduler& scheduler,
     // a barrier other warps still approach).
     std::size_t barrier_pc = std::numeric_limits<std::size_t>::max();
     for (std::uint32_t warp = 0; warp < num_warps_; ++warp) {
-      if (!source.done(warp)) barrier_pc = std::min(barrier_pc, source.pc(warp));
+      if (!state_[warp].done) {
+        barrier_pc = std::min(barrier_pc, state_[warp].pc);
+      }
     }
     std::uint64_t release = 0;
     for (std::uint32_t warp = 0; warp < num_warps_; ++warp) {
@@ -56,9 +80,9 @@ bool EventCore::step(WarpSource& source, Scheduler& scheduler,
     }
     if (hooks) hooks->on_barrier_release(barrier_pc);
     for (std::uint32_t warp = 0; warp < num_warps_; ++warp) {
-      if (!source.done(warp) && source.pc(warp) == barrier_pc) {
+      if (!state_[warp].done && state_[warp].pc == barrier_pc) {
         ready_[warp] = release;
-        source.advance(warp);
+        advance(source, warp);
       }
     }
     return true;
@@ -72,13 +96,13 @@ bool EventCore::step(WarpSource& source, Scheduler& scheduler,
         "EventCore: scheduler picked a warp outside the candidate set");
   }
 
-  const std::size_t pc = source.pc(chosen);
+  const std::size_t pc = state_[chosen].pc;
   const IssueResult access = source.issue(chosen);
 
   if (access.stages == 0) {
     // Register-only instruction: executed by the source, no pipeline
     // traffic and no completion to wait for.
-    source.advance(chosen);
+    advance(source, chosen);
     scheduler.on_dispatch(chosen);
     return true;
   }
@@ -96,7 +120,7 @@ bool EventCore::step(WarpSource& source, Scheduler& scheduler,
 
   pipeline_next_ = start + access.stages;
   ready_[chosen] = completion + 1;
-  source.advance(chosen);
+  advance(source, chosen);
   scheduler.on_dispatch(chosen);
   return true;
 }

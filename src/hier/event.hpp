@@ -7,9 +7,10 @@
 // header hoists that machinery into one place:
 //
 //   * EventCore — the clock. Owns the MMU pipeline slot counter, the
-//     per-warp earliest-issue times, and the dispatch totals. One step()
-//     performs exactly one scheduling decision: dispatch a warp, advance
-//     the clock over an idle gap, or release a barrier group.
+//     per-warp earliest-issue times, a mirror of each warp's program
+//     state, and the dispatch totals. One step() performs exactly one
+//     scheduling decision: dispatch a warp, advance the clock over an
+//     idle gap, or release a barrier group.
 //   * WarpSource — what the machine provides: per-warp program state
 //     (done / at-barrier / program counter) and the data movement of one
 //     warp-instruction (issue/advance). dmm::KernelWarpSource adapts a
@@ -66,6 +67,11 @@ struct DispatchEvent {
 };
 
 /// Per-warp program state + data movement, provided by the machine.
+///
+/// Contract: a warp's state (done / at_barrier / pc) changes only in
+/// advance(warp). The core relies on it: it reads every warp's state once
+/// at its first step and then only for the warp it just advanced, and
+/// answers every other question from its own copy.
 class WarpSource {
  public:
   virtual ~WarpSource() = default;
@@ -159,7 +165,8 @@ class EventCore {
   EventCore(std::uint32_t num_warps, std::uint32_t latency);
 
   /// Perform one scheduling decision. Returns false when every warp has
-  /// finished (and performs nothing).
+  /// finished (and performs nothing). A core serves one source for its
+  /// whole run: the first step mirrors that source's warp state.
   bool step(WarpSource& source, Scheduler& scheduler,
             CoreHooks* hooks = nullptr);
 
@@ -183,6 +190,21 @@ class EventCore {
   std::vector<std::uint64_t> ready_;      // per-warp earliest issue slot
   std::vector<std::uint32_t> candidates_; // scratch, reused across steps
   DispatchTotals totals_;
+  // The source's per-warp state, mirrored: filled at the first step and
+  // refreshed for a warp only right after the core advances it (the
+  // WarpSource contract), so a step's warp scan makes no virtual call.
+  struct WarpState {
+    std::size_t pc = 0;
+    bool done = false;
+    bool parked = false;  // at a barrier
+  };
+  bool mirrored_ = false;
+  std::vector<WarpState> state_;
+
+  /// Re-read `warp`'s state from the source.
+  void refresh(const WarpSource& source, std::uint32_t warp);
+  /// source.advance(warp), then refresh it.
+  void advance(WarpSource& source, std::uint32_t warp);
 };
 
 }  // namespace rapsim::hier

@@ -30,15 +30,17 @@ namespace {
 /// without blocking the shared-memory pipeline.
 class PathWarpSource final : public WarpSource {
  public:
-  PathWarpSource(dmm::KernelWarpSource& inner, const dmm::Kernel& kernel,
-                 SmMemoryPath& path, const PathParams& params,
-                 const EventCore& core, std::uint32_t latency)
+  PathWarpSource(dmm::KernelWarpSource& inner, SmMemoryPath& path,
+                 const PathParams& params, const EventCore& core,
+                 std::uint32_t width, std::uint32_t latency)
       : inner_(&inner),
-        kernel_(&kernel),
         path_(&path),
         params_(&params),
         core_(&core),
-        latency_(latency) {}
+        latency_(latency) {
+    // A warp-instruction touches at most one line per lane.
+    if (params.enabled()) lines_.reserve(width);
+  }
 
   [[nodiscard]] bool done(std::uint32_t warp) const override {
     return inner_->done(warp);
@@ -51,17 +53,15 @@ class PathWarpSource final : public WarpSource {
   }
 
   [[nodiscard]] IssueResult issue(std::uint32_t warp) override {
-    const std::size_t pc = inner_->pc(warp);
     IssueResult result = inner_->issue(warp);
     if (result.stages == 0 || !params_->enabled()) return result;
     // Collect the lines this warp-instruction touches (logical address
     // space: the backing store is scheme-independent; only the banked
     // shared memory sees the permuted layout).
     lines_.clear();
-    const dmm::Instruction& instr = kernel_->instructions[pc];
-    for (const std::uint32_t t : inner_->lanes(warp)) {
-      if (is_memory_op(instr[t].kind)) {
-        lines_.push_back(instr[t].logical / params_->line_words);
+    for (const dmm::ThreadOp& op : inner_->ops(warp)) {
+      if (is_memory_op(op.kind)) {
+        lines_.push_back(op.logical / params_->line_words);
       }
     }
     // At issue time the core's clock IS the dispatch slot (candidates
@@ -82,7 +82,6 @@ class PathWarpSource final : public WarpSource {
 
  private:
   dmm::KernelWarpSource* inner_;
-  const dmm::Kernel* kernel_;
   SmMemoryPath* path_;
   const PathParams* params_;
   const EventCore* core_;
@@ -170,7 +169,7 @@ HierResult HierSim::run(const dmm::Kernel& kernel, core::Scheme scheme,
         : inner(machine, kernel),
           path(config.path, &shared),
           core(inner.num_warps(), config.shared_latency),
-          source(inner, kernel, path, config.path, core,
+          source(inner, path, config.path, core, config.width,
                  config.shared_latency),
           scheduler(make_scheduler(config.scheduler)),
           hooks(machine, stats) {

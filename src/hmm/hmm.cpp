@@ -52,7 +52,7 @@ void Hmm::copy_in(const CopyPhase& phase, std::uint32_t num_threads) {
   // stores. Data: moved host-side between the two memories.
   dmm::Kernel global_kernel{num_threads, {}, {}};
   dmm::Kernel shared_kernel{num_threads, {}, {}};
-  dmm::Instruction loads(num_threads), stores(num_threads);
+  dmm::Row loads(num_threads), stores(num_threads);
   for (std::uint32_t t = 0; t < num_threads; ++t) {
     if (!phase[t]) continue;
     loads[t] = dmm::ThreadOp::load(phase[t]->global);
@@ -71,7 +71,7 @@ void Hmm::copy_out(const CopyPhase& phase, std::uint32_t num_threads) {
   }
   dmm::Kernel shared_kernel{num_threads, {}, {}};
   dmm::Kernel global_kernel{num_threads, {}, {}};
-  dmm::Instruction loads(num_threads), stores(num_threads);
+  dmm::Row loads(num_threads), stores(num_threads);
   for (std::uint32_t t = 0; t < num_threads; ++t) {
     if (!phase[t]) continue;
     loads[t] = dmm::ThreadOp::load(phase[t]->shared);
@@ -90,7 +90,7 @@ void Hmm::copy_global(const CopyPhase& phase, std::uint32_t num_threads) {
         "Hmm::copy_global: one op per thread required");
   }
   dmm::Kernel kernel{num_threads, {}, {}};
-  dmm::Instruction loads(num_threads), stores(num_threads);
+  dmm::Row loads(num_threads), stores(num_threads);
   for (std::uint32_t t = 0; t < num_threads; ++t) {
     if (!phase[t]) continue;
     loads[t] = dmm::ThreadOp::load(phase[t]->global);

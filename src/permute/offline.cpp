@@ -20,8 +20,8 @@ dmm::Kernel build_direct_kernel(const core::Permutation& pi,
   }
   dmm::Kernel kernel;
   kernel.num_threads = static_cast<std::uint32_t>(n);
-  dmm::Instruction reads(kernel.num_threads);
-  dmm::Instruction writes(kernel.num_threads);
+  dmm::Row reads(kernel.num_threads);
+  dmm::Row writes(kernel.num_threads);
   for (std::uint64_t i = 0; i < n; ++i) {
     reads[i] = dmm::ThreadOp::load(layout.a_addr(i));
     writes[i] = dmm::ThreadOp::store(layout.b_addr(pi[i]));
@@ -124,8 +124,8 @@ dmm::Kernel build_scheduled_kernel(const core::Permutation& pi,
   // is a bijection elements -> threads and warp c executes color class c.
   dmm::Kernel kernel;
   kernel.num_threads = static_cast<std::uint32_t>(n);
-  dmm::Instruction reads(kernel.num_threads);
-  dmm::Instruction writes(kernel.num_threads);
+  dmm::Row reads(kernel.num_threads);
+  dmm::Row writes(kernel.num_threads);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t thread =
         static_cast<std::uint64_t>(color[i]) * w + (i % w);

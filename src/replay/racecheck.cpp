@@ -104,7 +104,7 @@ LoweredKernel lower_kernel_desc(const analyze::KernelDesc& kernel,
         out.truncated = true;
         break;
       }
-      dmm::Instruction instr(out.kernel.num_threads, dmm::ThreadOp::none());
+      dmm::Row instr(out.kernel.num_threads, dmm::ThreadOp::none());
       for (std::uint64_t g = 0; g < warps; ++g) {
         if (wv != kNoVar) binding[wv] = g;
         const std::vector<std::int64_t> addrs =
@@ -172,10 +172,10 @@ WitnessReplay replay_race_witness(const analyze::KernelDesc& kernel,
   // RAW/WAW/WAR classification must equal the static finding's kind.
   dmm::Kernel micro;
   micro.num_threads = 2 * w;
-  dmm::Instruction first(micro.num_threads, dmm::ThreadOp::none());
+  dmm::Row first(micro.num_threads, dmm::ThreadOp::none());
   first[finding.first.lane] = make_op(finding.first.dir, addr);
   micro.push(std::move(first), finding.first.site);
-  dmm::Instruction second(micro.num_threads, dmm::ThreadOp::none());
+  dmm::Row second(micro.num_threads, dmm::ThreadOp::none());
   second[w + finding.second.lane] = make_op(finding.second.dir, addr);
   micro.push(std::move(second), finding.second.site);
 

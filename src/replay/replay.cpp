@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace rapsim::replay {
 
@@ -90,62 +91,58 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
   }
 
   const auto count = static_cast<std::size_t>(num_instr);
-  dmm::Kernel kernel;
-  kernel.num_threads = trace.header.num_threads;
-  kernel.instructions.assign(
-      count, dmm::Instruction(kernel.num_threads, dmm::ThreadOp::none()));
+  const std::uint32_t num_threads = trace.header.num_threads;
 
-  // The active-thread index comes straight from the lane masks, never
-  // from a rescan of the dense rows: count each instruction's threads
-  // (validate() rules out duplicate records, so the counts are exact),
-  // turn the counts into start offsets, then fill — each fill advances
-  // its instruction's offset, which leaves it at the instruction's end.
+  // The kernel's sparse store comes straight from the lane masks: count
+  // each instruction's ops (validate() rules out duplicate records, so
+  // the counts are exact), turn the counts into start offsets, then fill
+  // — each fill advances its instruction's offset, which leaves it at
+  // the instruction's end.
   std::vector<std::size_t> ends(count, 0);
   for (const TraceRecord& record : trace.records) {
     ends[record.instr] += record.kind == RecordKind::kBarrier
-                              ? kernel.num_threads
+                              ? num_threads
                               : static_cast<std::size_t>(
                                     std::popcount(record.lane_mask));
   }
   std::size_t total = 0;
   for (std::size_t& end : ends) {
-    const std::size_t threads_here = end;
+    const std::size_t ops_here = end;
     end = total;
-    total += threads_here;
+    total += ops_here;
   }
   std::vector<std::uint32_t> threads(total);
+  std::vector<dmm::ThreadOp> ops(total);
 
   const std::uint32_t w = trace.header.width;
   for (const TraceRecord& record : trace.records) {
-    dmm::Instruction& instr = kernel.instructions[record.instr];
     std::size_t& fill = ends[record.instr];
     if (record.kind == RecordKind::kBarrier) {
-      for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
-        instr[t] = dmm::ThreadOp::barrier();
-        threads[fill++] = t;
+      for (std::uint32_t t = 0; t < num_threads; ++t) {
+        threads[fill] = t;
+        ops[fill++] = dmm::ThreadOp::barrier();
       }
       continue;
     }
     std::size_t next_addr = 0;
     for (std::uint64_t mask = record.lane_mask; mask != 0; mask &= mask - 1) {
       const auto lane = static_cast<std::uint32_t>(std::countr_zero(mask));
-      const std::uint32_t thread = record.warp * w + lane;
-      threads[fill++] = thread;
+      threads[fill] = record.warp * w + lane;
+      dmm::ThreadOp& op = ops[fill++];
       switch (record.kind) {
         case RecordKind::kRead:
-          instr[thread] = dmm::ThreadOp::load(record.addrs[next_addr++]);
+          op = dmm::ThreadOp::load(record.addrs[next_addr++]);
           break;
         case RecordKind::kWrite:
           // Congestion is value-independent; stores replay as immediate
           // zeros so replay needs no register state reconstruction.
-          instr[thread] =
-              dmm::ThreadOp::store_imm(record.addrs[next_addr++], 0);
+          op = dmm::ThreadOp::store_imm(record.addrs[next_addr++], 0);
           break;
         case RecordKind::kAtomic:
-          instr[thread] = dmm::ThreadOp::atomic_add(record.addrs[next_addr++]);
+          op = dmm::ThreadOp::atomic_add(record.addrs[next_addr++]);
           break;
         case RecordKind::kRegister:
-          instr[thread] = dmm::ThreadOp::min_max(0, 1);
+          op = dmm::ThreadOp::min_max(0, 1);
           break;
         case RecordKind::kBarrier:
           break;  // unreachable: handled above
@@ -153,15 +150,27 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
     }
   }
   // Records of one instruction may arrive out of warp order (a trace
-  // keeps dispatch order); their threads must still ascend.
+  // keeps dispatch order); their threads must still ascend, and each op
+  // moves with its thread.
+  std::vector<std::pair<std::uint32_t, dmm::ThreadOp>> reorder;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto first = threads.begin() +
-                       static_cast<std::ptrdiff_t>(i == 0 ? 0 : ends[i - 1]);
-    const auto last = threads.begin() + static_cast<std::ptrdiff_t>(ends[i]);
-    if (!std::is_sorted(first, last)) std::sort(first, last);
+    const std::size_t first = i == 0 ? 0 : ends[i - 1];
+    const auto begin = threads.begin() + static_cast<std::ptrdiff_t>(first);
+    const auto end = threads.begin() + static_cast<std::ptrdiff_t>(ends[i]);
+    if (std::is_sorted(begin, end)) continue;
+    reorder.clear();
+    for (std::size_t k = first; k < ends[i]; ++k) {
+      reorder.emplace_back(threads[k], ops[k]);
+    }
+    std::sort(reorder.begin(), reorder.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t k = first; k < ends[i]; ++k) {
+      threads[k] = reorder[k - first].first;
+      ops[k] = reorder[k - first].second;
+    }
   }
-  kernel.set_active_index(std::move(ends), std::move(threads));
-  return kernel;
+  return dmm::Kernel::from_sparse(num_threads, std::move(ends),
+                                  std::move(threads), std::move(ops));
 }
 
 ReplayResult replay_trace(const AccessTrace& trace,

@@ -16,8 +16,8 @@ dmm::Kernel build_kernel(Algorithm algorithm, const MatrixPair& layout) {
   dmm::Kernel kernel;
   kernel.num_threads = w * w;
 
-  dmm::Instruction reads(kernel.num_threads);
-  dmm::Instruction writes(kernel.num_threads);
+  dmm::Row reads(kernel.num_threads);
+  dmm::Row writes(kernel.num_threads);
 
   for (std::uint32_t i = 0; i < w; ++i) {
     for (std::uint32_t j = 0; j < w; ++j) {

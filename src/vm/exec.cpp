@@ -111,7 +111,7 @@ struct Interp {
     return addr;
   }
 
-  void emit(const Instr& instr, dmm::Instruction row, bool memory_op) {
+  void emit(const Instr& instr, const dmm::Row& row, bool memory_op) {
     if (out.kernel.instructions.size() >= kMaxKernelInstructions) {
       fail(instr, "kernel exceeds " +
                       std::to_string(kMaxKernelInstructions) +
@@ -122,7 +122,7 @@ struct Interp {
       label = std::string(op_name(instr.op)) + "@" +
               std::to_string(instr.line);
     }
-    out.kernel.push(std::move(row), std::move(label));
+    out.kernel.push(row, std::move(label));
     if (memory_op) ++out.memory_instructions;
   }
 
@@ -178,7 +178,7 @@ struct Interp {
           break;
         }
         case Op::kLd: {
-          dmm::Instruction row(threads, dmm::ThreadOp::none());
+          dmm::Row row(threads, dmm::ThreadOp::none());
           bool any = false;
           std::vector<std::uint64_t> addrs(threads, 0);
           for (std::uint32_t t = 0; t < threads; ++t) {
@@ -208,11 +208,11 @@ struct Interp {
               any = true;
             }
           }
-          if (any) emit(instr, std::move(row), true);
+          if (any) emit(instr, row, true);
           break;
         }
         case Op::kSt: {
-          dmm::Instruction row(threads, dmm::ThreadOp::none());
+          dmm::Row row(threads, dmm::ThreadOp::none());
           bool any = false;
           const bool device_value =
               instr.b.kind == Operand::Kind::kReg &&
@@ -230,7 +230,7 @@ struct Interp {
                                                     eval(instr, instr.b, t));
             any = true;
           }
-          if (any) emit(instr, std::move(row), true);
+          if (any) emit(instr, row, true);
           break;
         }
         case Op::kAmo: {
@@ -239,14 +239,14 @@ struct Interp {
           }
           const std::uint8_t slot =
               device_slot(instr, static_cast<std::uint8_t>(instr.b.value));
-          dmm::Instruction row(threads, dmm::ThreadOp::none());
+          dmm::Row row(threads, dmm::ThreadOp::none());
           bool any = false;
           for (std::uint32_t t = 0; t < threads; ++t) {
             if (!active(t)) continue;
             row[t] = dmm::ThreadOp::atomic_add(address(instr, t), slot);
             any = true;
           }
-          if (any) emit(instr, std::move(row), true);
+          if (any) emit(instr, row, true);
           break;
         }
         case Op::kCmpx: {
@@ -254,14 +254,14 @@ struct Interp {
           const std::uint8_t hi = device_slot(
               instr, static_cast<std::uint8_t>(instr.a.value));
           if (lo == hi) fail(instr, "cmpx needs two distinct registers");
-          dmm::Instruction row(threads, dmm::ThreadOp::none());
+          dmm::Row row(threads, dmm::ThreadOp::none());
           bool any = false;
           for (std::uint32_t t = 0; t < threads; ++t) {
             if (!active(t)) continue;
             row[t] = dmm::ThreadOp::min_max(lo, hi);
             any = true;
           }
-          if (any) emit(instr, std::move(row), false);
+          if (any) emit(instr, row, false);
           break;
         }
         case Op::kLoop: {

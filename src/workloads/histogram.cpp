@@ -77,14 +77,14 @@ HistogramReport run_histogram(const HistogramConfig& config,
 
   dmm::Kernel kernel{w, {}, {}};
   {
-    dmm::Instruction load_one(w);
+    dmm::Row load_one(w);
     for (std::uint32_t t = 0; t < w; ++t) {
       load_one[t] = dmm::ThreadOp::load(scratch, 0);  // merged: 1 request
     }
     kernel.push(std::move(load_one));
   }
   for (std::uint32_t item = 0; item < config.items_per_thread; ++item) {
-    dmm::Instruction increment(w);
+    dmm::Row increment(w);
     for (std::uint32_t t = 0; t < w; ++t) {
       const std::uint32_t value = input[item * w + t];
       increment[t] = dmm::ThreadOp::atomic_add(

@@ -24,7 +24,7 @@ dmm::Kernel build_matmul_kernel(MatmulLayout layout,
   // r0 = accumulator, r1 = current A element. Zero the accumulator by
   // multiplying into a fresh register file (registers start at 0).
   for (std::uint32_t k = 0; k < w; ++k) {
-    dmm::Instruction load_a(kernel.num_threads), fma_b(kernel.num_threads);
+    dmm::Row load_a(kernel.num_threads), fma_b(kernel.num_threads);
     for (std::uint32_t i = 0; i < w; ++i) {
       for (std::uint32_t j = 0; j < w; ++j) {
         const std::uint32_t t = i * w + j;
@@ -39,7 +39,7 @@ dmm::Kernel build_matmul_kernel(MatmulLayout layout,
     kernel.push(std::move(fma_b));
   }
 
-  dmm::Instruction store_c(kernel.num_threads);
+  dmm::Row store_c(kernel.num_threads);
   for (std::uint32_t i = 0; i < w; ++i) {
     for (std::uint32_t j = 0; j < w; ++j) {
       store_c[i * w + j] = dmm::ThreadOp::store(arrays.c(i, j), 0);

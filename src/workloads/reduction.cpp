@@ -27,7 +27,7 @@ dmm::Kernel build_reduction_kernel(ReductionVariant variant, std::uint64_t n,
   // right operand (kLoadAdd), then store back — three instructions, so
   // the SIMD one-class-per-instruction rule holds.
   for (std::uint64_t active = n / 2; active >= 1; active /= 2) {
-    dmm::Instruction load(kernel.num_threads), add(kernel.num_threads),
+    dmm::Row load(kernel.num_threads), add(kernel.num_threads),
         store(kernel.num_threads);
     for (std::uint64_t t = 0; t < active; ++t) {
       std::uint64_t left = 0, right = 0;

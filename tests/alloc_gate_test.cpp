@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "access/montecarlo.hpp"
@@ -20,6 +21,7 @@
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
+#include "hier/hier.hpp"
 #include "replay/replay.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
@@ -86,11 +88,11 @@ TEST(AllocGate, CountingOperatorNewIsLinked) {
 dmm::Kernel mixed_kernel(std::uint32_t w) {
   dmm::Kernel kernel;
   kernel.num_threads = 2 * w;
-  dmm::Instruction loads(kernel.num_threads);
-  dmm::Instruction stores(kernel.num_threads);
-  dmm::Instruction atomics(kernel.num_threads);
-  dmm::Instruction minmax(kernel.num_threads);
-  dmm::Instruction sparse(kernel.num_threads, dmm::ThreadOp::none());
+  dmm::Row loads(kernel.num_threads);
+  dmm::Row stores(kernel.num_threads);
+  dmm::Row atomics(kernel.num_threads);
+  dmm::Row minmax(kernel.num_threads);
+  dmm::Row sparse(kernel.num_threads, dmm::ThreadOp::none());
   for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
     loads[t] = dmm::ThreadOp::load((t * 7) % (w * w / 2));
     stores[t] = dmm::ThreadOp::store_imm((t / 2) * w, t);
@@ -106,43 +108,120 @@ dmm::Kernel mixed_kernel(std::uint32_t w) {
   return kernel;
 }
 
+/// An access-capture sink that keeps nothing, so every allocation the
+/// gate sees is the machine's own.
+class NullCapture final : public dmm::AccessCapture {
+ public:
+  void begin_kernel(std::uint32_t, std::uint32_t, std::uint64_t) override {}
+  void on_warp_access(std::uint32_t, std::uint32_t, dmm::CapturedOpClass,
+                      std::uint64_t, std::span<const std::uint64_t>) override {
+  }
+  void on_barrier(std::uint32_t) override {}
+};
+
 TEST(AllocGate, DmmWarpAccessAllocatesOnlyOnItsFirstCall) {
-  for (const dmm::MachineKind kind :
-       {dmm::MachineKind::kDmm, dmm::MachineKind::kUmm}) {
-    for (const std::uint32_t w : {4u, 32u, 64u}) {
-      const auto map = core::make_matrix_map(core::Scheme::kRap, w, w, 3);
-      dmm::Dmm machine(dmm::DmmConfig{w, 2, kind}, *map);
-      const dmm::Kernel kernel = mixed_kernel(w);
-      machine.begin_run(kernel);
-      (void)machine.warp_access(kernel, 0, 0);
-      const std::uint64_t allocs = allocations_during([&] {
-        for (int run = 0; run < 3; ++run) {
-          for (std::uint32_t i = 0; i < kernel.instructions.size(); ++i) {
-            for (std::uint32_t warp = 0; warp < 2; ++warp) {
-              (void)machine.warp_access(kernel, i, warp);
+  // With a capture installed, the machine used to build a std::vector of
+  // logical addresses on every memory access: 24 allocations over these
+  // three passes (8 memory accesses each).
+  NullCapture null_capture;
+  for (dmm::AccessCapture* capture :
+       {static_cast<dmm::AccessCapture*>(nullptr),
+        static_cast<dmm::AccessCapture*>(&null_capture)}) {
+    for (const dmm::MachineKind kind :
+         {dmm::MachineKind::kDmm, dmm::MachineKind::kUmm}) {
+      for (const std::uint32_t w : {4u, 32u, 64u}) {
+        const auto map = core::make_matrix_map(core::Scheme::kRap, w, w, 3);
+        dmm::Dmm machine(dmm::DmmConfig{w, 2, kind}, *map);
+        machine.set_capture(capture);
+        const dmm::Kernel kernel = mixed_kernel(w);
+        machine.begin_run(kernel);
+        (void)machine.warp_access(kernel, 0, 0);
+        const std::uint64_t allocs = allocations_during([&] {
+          for (int run = 0; run < 3; ++run) {
+            for (std::uint32_t i = 0; i < kernel.instructions.size(); ++i) {
+              for (std::uint32_t warp = 0; warp < 2; ++warp) {
+                (void)machine.warp_access(kernel, i, warp);
+              }
             }
           }
-        }
-      });
-      EXPECT_EQ(allocs, 0u) << "w=" << w << " umm="
-                            << (kind == dmm::MachineKind::kUmm);
+        });
+        EXPECT_EQ(allocs, 0u)
+            << "w=" << w << " umm=" << (kind == dmm::MachineKind::kUmm)
+            << " capture=" << (capture != nullptr);
+      }
     }
   }
+}
+
+/// The bitonic sorting network lowered at w = 32, and its capture.
+struct BitonicCapture {
+  vm::LoweredProgram lowered;
+  replay::AccessTrace trace;
+};
+
+const BitonicCapture& bitonic_capture() {
+  static const BitonicCapture capture = [] {
+    BitonicCapture c;
+    c.lowered = vm::lower_program(
+        vm::assemble(vm::suite_program("vm-bitonic", 32).text, 32));
+    const auto map =
+        core::make_matrix_map(core::Scheme::kRaw, 32, c.lowered.rows, 0);
+    dmm::Dmm recorder(dmm::DmmConfig{32, 2}, *map);
+    c.trace = replay::capture_run(recorder, c.lowered.kernel);
+    return c;
+  }();
+  return capture;
 }
 
 TEST(AllocGate, TraceValidationAllocatesPerTableGrowthNotPerRecord) {
   // The bitonic capture: thousands of records, valid throughout. The
   // validator's one open-addressing table grows by doubling, so its
   // allocations are logarithmic in the record count.
-  const vm::LoweredProgram lowered = vm::lower_program(
-      vm::assemble(vm::suite_program("vm-bitonic", 32).text, 32));
-  const auto map =
-      core::make_matrix_map(core::Scheme::kRaw, 32, lowered.rows, 0);
-  dmm::Dmm recorder(dmm::DmmConfig{32, 2}, *map);
-  const replay::AccessTrace trace =
-      replay::capture_run(recorder, lowered.kernel);
+  const replay::AccessTrace& trace = bitonic_capture().trace;
   ASSERT_GT(trace.records.size(), 9000u);
   EXPECT_LT(allocations_during([&] { trace.validate(); }), 100u);
+}
+
+TEST(AllocGate, ReplayLoweringAllocationsDoNotGrowWithInstructions) {
+  // Lowering builds the kernel's sparse store straight from the lane
+  // masks: a fixed number of arrays, however many instructions. The
+  // dense-row lowering made 4,549 allocations for this trace, about one
+  // per instruction.
+  const replay::AccessTrace& trace = bitonic_capture().trace;
+  dmm::Kernel kernel;
+  const std::uint64_t allocs =
+      allocations_during([&] { kernel = replay::lower_to_kernel(trace); });
+  ASSERT_GT(kernel.instructions.size(), 4000u);
+  EXPECT_LT(allocs, 32u);
+}
+
+TEST(AllocGate, HierSimRunAllocationsStayAtTheDenseRowCount) {
+  // vm-bitonic at w = 32 on the hot memory path (4-line L1, 2 MSHRs).
+  // Per-run set-up (the per-SM sources, cores and caches) must not grow
+  // beyond what the dense-row machine allocated over these nine runs.
+  const vm::LoweredProgram& lowered = bitonic_capture().lowered;
+  const auto map =
+      core::make_matrix_map(core::Scheme::kRap, 32, lowered.rows, 1);
+  std::uint64_t allocs = 0;
+  std::uint64_t dispatches = 0;
+  for (const std::uint32_t sms : {1u, 2u, 4u}) {
+    for (const char* scheduler : {"roundrobin", "gto", "dwr"}) {
+      hier::HierConfig config;
+      config.sms = sms;
+      config.width = 32;
+      config.scheduler = scheduler;
+      config.path = hier::PathParams::defaults();
+      config.path.l1.lines = 4;
+      config.path.mshrs = 2;
+      hier::HierSim sim(config, *map);
+      (void)sim.run(lowered.kernel, core::Scheme::kRap);  // warm-up
+      allocs += allocations_during([&] {
+        dispatches += sim.run(lowered.kernel, core::Scheme::kRap).dispatches;
+      });
+    }
+  }
+  ASSERT_GT(dispatches, 0u);
+  EXPECT_LE(allocs, 6975u) << "dense rows: 6,975 over 151,200 dispatches";
 }
 
 TEST(AllocGate, CongestionValueDoesNotAllocateUpToWidth256) {

@@ -41,20 +41,20 @@ TEST(Barrier, OrdersCrossWarpProducerConsumer) {
   Kernel k{2 * w, {}, {}};
   // Instruction 0: warp 0 performs a fully-conflicted (4-slot) write of
   // marker values; warp 1 idles.
-  Instruction produce(2 * w);
+  Row produce(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     produce[t] = ThreadOp::store_imm(static_cast<std::uint64_t>(t) * w, 7);
   }
   k.push(std::move(produce));
   k.push_barrier();
   // Instruction 2: warp 1 reads what warp 0 wrote; warp 0 idles.
-  Instruction consume(2 * w);
+  Row consume(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     consume[w + t] = ThreadOp::load(static_cast<std::uint64_t>(t) * w, 0);
   }
   k.push(std::move(consume));
   // Instruction 3: warp 1 stores its registers to fresh addresses.
-  Instruction out(2 * w);
+  Row out(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     out[w + t] = ThreadOp::store(static_cast<std::uint64_t>(t) * w + 1, 0);
   }
@@ -74,7 +74,7 @@ TEST(Barrier, ReleaseWaitsForOutstandingRequests) {
   const core::AddressMap map(core::Scheme::kRaw, w, 8);
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k{w, {}, {}};
-  Instruction first(w), second(w);
+  Row first(w), second(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     first[t] = ThreadOp::load(static_cast<std::uint64_t>(t) * w);  // 4 slots
     second[t] = ThreadOp::load(t);
@@ -96,7 +96,7 @@ TEST(Barrier, WarpsWithDifferentSpeedsResynchronize) {
   const core::AddressMap map(core::Scheme::kRaw, w, 16);
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k{2 * w, {}, {}};
-  Instruction phase1(2 * w);
+  Row phase1(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     phase1[t] = ThreadOp::store_imm(t, 1);  // warp 0: conflict-free
     phase1[w + t] =
@@ -104,14 +104,14 @@ TEST(Barrier, WarpsWithDifferentSpeedsResynchronize) {
   }
   k.push(std::move(phase1));
   k.push_barrier();
-  Instruction phase2(2 * w);
+  Row phase2(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     // Warp 0 reads warp 1's data and vice versa.
     phase2[t] = ThreadOp::load(static_cast<std::uint64_t>(t) * w + 8);
     phase2[w + t] = ThreadOp::load(t);
   }
   k.push(std::move(phase2));
-  Instruction phase3(2 * w);
+  Row phase3(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     phase3[t] = ThreadOp::store(32 + t);
     phase3[w + t] = ThreadOp::store(36 + t);
@@ -129,16 +129,16 @@ TEST(Barrier, ConsecutiveBarriersAreHarmless) {
   const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 3}, map);
   Kernel k{8, {}, {}};
-  Instruction a(8);
+  Row a(8);
   a[0] = ThreadOp::store_imm(0, 5);
   k.push(std::move(a));
   k.push_barrier();
   k.push_barrier();
   k.push_barrier();
-  Instruction b(8);
+  Row b(8);
   b[4] = ThreadOp::load(0);
   k.push(std::move(b));
-  Instruction c(8);
+  Row c(8);
   c[4] = ThreadOp::store(1);
   k.push(std::move(c));
   machine.run(k);
@@ -150,11 +150,11 @@ TEST(Barrier, SingleWarpBarrierIsCheap) {
   const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 2}, map);
   Kernel k{4, {}, {}};
-  Instruction a(4);
+  Row a(4);
   for (std::uint32_t t = 0; t < 4; ++t) a[t] = ThreadOp::load(t);
   k.push(std::move(a));
   k.push_barrier();
-  Instruction b(4);
+  Row b(4);
   for (std::uint32_t t = 0; t < 4; ++t) b[t] = ThreadOp::store(4 + t);
   k.push(std::move(b));
   const RunStats stats = machine.run(k);
@@ -170,13 +170,13 @@ TEST(Barrier, WorksOnTheUmmToo) {
   const core::AddressMap map(core::Scheme::kRaw, w, 8);
   Dmm machine(umm_config(w, l), map);
   Kernel k{2 * w, {}, {}};
-  Instruction produce(2 * w);
+  Row produce(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     produce[t] = ThreadOp::store_imm(t, 42);  // warp 0, one row
   }
   k.push(std::move(produce));
   k.push_barrier();
-  Instruction consume(2 * w), out(2 * w);
+  Row consume(2 * w), out(2 * w);
   for (std::uint32_t t = 0; t < w; ++t) {
     consume[w + t] = ThreadOp::load(t);
     out[w + t] = ThreadOp::store(w + t);
@@ -197,7 +197,7 @@ TEST(TraceInvariants, SlotsDoNotOverlapAndCompletionsAreConsistent) {
   Kernel k{w * 2, {}, {}};
   util::Pcg32 rng(5);
   for (int instr = 0; instr < 6; ++instr) {
-    Instruction in(w * 2);
+    Row in(w * 2);
     for (std::uint32_t t = 0; t < w * 2; ++t) {
       in[t] = instr % 2 == 0
                   ? ThreadOp::load(rng.bounded(w * w * 2))

@@ -246,7 +246,7 @@ TEST(BankTally, DmmLowestLaneWinsAndSanitizerNamesIt) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     instr[t] = dmm::ThreadOp::store_imm(t, 100 + t);
   }

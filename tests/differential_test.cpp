@@ -42,14 +42,16 @@ class ReferenceMachine {
     regs_.assign(
         static_cast<std::size_t>(kernel.num_threads) * kRegistersPerThread,
         0);
-    for (const auto& instr : kernel.instructions) {
+    for (const Instruction instr : kernel.instructions) {
+      const auto threads = instr.threads();
       // Reads first (all threads see pre-instruction memory), then CRCW
       // writes with lowest-thread-wins — matching one warp... but here
       // applied across the whole block, which is exactly the semantics
       // of per-instruction barriers. Reads and writes never mix in one
       // instruction (SIMD rule), so a two-phase sweep is enough.
-      for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
-        const ThreadOp& op = instr[t];
+      for (std::size_t k = 0; k < instr.size(); ++k) {
+        const std::uint32_t t = threads[k];
+        const ThreadOp& op = instr[k];
         auto& reg = regs_[static_cast<std::size_t>(t) * kRegistersPerThread +
                           op.reg];
         switch (op.kind) {
@@ -76,8 +78,9 @@ class ReferenceMachine {
         }
       }
       std::vector<bool> written(memory_.size(), false);
-      for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
-        const ThreadOp& op = instr[t];
+      for (std::size_t k = 0; k < instr.size(); ++k) {
+        const std::uint32_t t = threads[k];
+        const ThreadOp& op = instr[k];
         if (op.kind != OpKind::kStore && op.kind != OpKind::kStoreImm) {
           continue;
         }
@@ -120,7 +123,7 @@ Kernel random_synced_kernel(std::uint32_t w, std::uint32_t warps,
   Kernel k{w * warps, {}, {}};
   const std::uint64_t region = mem_size / warps;
   for (int i = 0; i < instructions; ++i) {
-    Instruction instr(k.num_threads);
+    Row instr(k.num_threads);
     const bool write_phase = i % 2 == 1;
     for (std::uint32_t t = 0; t < k.num_threads; ++t) {
       if (rng.bounded(8) == 0) continue;  // some threads idle
@@ -205,8 +208,13 @@ TEST(Differential, SingleWarpKernelsNeedNoBarriers) {
     auto kernel = random_synced_kernel(w, 1, map->size(), 10, rng);
     // Remove the barrier instructions.
     Kernel stripped{kernel.num_threads, {}, {}};
-    for (auto& instr : kernel.instructions) {
-      if (instr[0].kind != OpKind::kBarrier) stripped.push(std::move(instr));
+    for (const Instruction instr : kernel.instructions) {
+      if (instr[0].kind == OpKind::kBarrier) continue;
+      Row row(kernel.num_threads);
+      for (std::size_t k = 0; k < instr.size(); ++k) {
+        row[instr.threads()[k]] = instr[k];
+      }
+      stripped.push(std::move(row));
     }
     machine.run(stripped);
     ref.run(stripped);
@@ -230,7 +238,7 @@ TEST(Differential, RaceFreeMultiWarpKernelWithoutBarriers) {
     }
     Kernel k{w * warps, {}, {}};
     for (int i = 0; i < 6; ++i) {
-      Instruction instr(k.num_threads);
+      Row instr(k.num_threads);
       const bool write_phase = i % 2 == 1;
       for (std::uint32_t t = 0; t < k.num_threads; ++t) {
         const std::uint32_t g = t / w;
@@ -261,7 +269,7 @@ TEST(Differential, InterleavedIdleLanesAndPartialLastWarp) {
   idle.logical = map->size() * 16;
 
   const auto row = [&](auto active, auto make) {
-    Instruction instr(threads, idle);
+    Row instr(threads, idle);
     for (std::uint32_t t = 0; t < threads; ++t) {
       if (active(t)) instr[t] = make(t);
     }
@@ -273,19 +281,29 @@ TEST(Differential, InterleavedIdleLanesAndPartialLastWarp) {
   const auto store_own = [&](std::uint32_t t) {
     return ThreadOp::store((t / w) * region + (t * 3) % region, 0);
   };
+  // The rows as built, kept to count each warp's non-idle lanes below.
   Kernel k(threads);
-  k.push(row([](std::uint32_t t) { return t % 2 == 1; }, load_at));
-  k.push_barrier();
-  k.push(row([](std::uint32_t t) { return t % 3 != 0; },
-             [](std::uint32_t) { return ThreadOp::min_max(0, 1); }));
-  k.push_barrier();
-  k.push(row([&](std::uint32_t t) { return t / w == 1; }, store_own));
-  k.push_barrier();
-  k.push(row([](std::uint32_t t) { return t % 2 == 0; }, store_own));
-  k.push_barrier();
-  k.push(row([&](std::uint32_t t) { return t == threads - 1; }, load_at));
-  k.push_barrier();
-  k.push(row([&](std::uint32_t t) { return t >= 2 * w; }, store_own));
+  std::vector<Row> rows;
+  const auto push = [&](Row instr) {
+    rows.push_back(instr);
+    k.push(std::move(instr));
+  };
+  const auto barrier = [&] {
+    rows.emplace_back(threads, ThreadOp::barrier());
+    k.push_barrier();
+  };
+  push(row([](std::uint32_t t) { return t % 2 == 1; }, load_at));
+  barrier();
+  push(row([](std::uint32_t t) { return t % 3 != 0; },
+           [](std::uint32_t) { return ThreadOp::min_max(0, 1); }));
+  barrier();
+  push(row([&](std::uint32_t t) { return t / w == 1; }, store_own));
+  barrier();
+  push(row([](std::uint32_t t) { return t % 2 == 0; }, store_own));
+  barrier();
+  push(row([&](std::uint32_t t) { return t == threads - 1; }, load_at));
+  barrier();
+  push(row([&](std::uint32_t t) { return t >= 2 * w; }, store_own));
 
   Dmm machine(DmmConfig{w, 3}, *map);
   ReferenceMachine ref(*map);
@@ -301,7 +319,7 @@ TEST(Differential, InterleavedIdleLanesAndPartialLastWarp) {
   // Every dispatch counts exactly its warp's non-idle lanes.
   ASSERT_FALSE(trace.dispatches.empty());
   for (const DispatchRecord& d : trace.dispatches) {
-    const Instruction& instr = k.instructions[d.instruction];
+    const Row& instr = rows[d.instruction];
     std::uint32_t active = 0;
     for (std::uint32_t t = d.warp * w;
          t < std::min((d.warp + 1) * w, threads); ++t) {

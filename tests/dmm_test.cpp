@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/mapping.hpp"
 #include "core/permutation.hpp"
 #include "dmm/umm.hpp"
+#include "util/rng.hpp"
 
 namespace rapsim::dmm {
 namespace {
@@ -23,7 +26,7 @@ template <typename AddrFn>
 Kernel single_load_kernel(std::uint32_t threads, AddrFn addr_fn) {
   Kernel k;
   k.num_threads = threads;
-  Instruction instr(threads);
+  Row instr(threads);
   for (std::uint32_t t = 0; t < threads; ++t) {
     instr[t] = ThreadOp::load(addr_fn(t));
   }
@@ -66,7 +69,7 @@ TEST(Dmm, Figure3WorkedExample) {
   Dmm machine(DmmConfig{4, 5}, map);
   Kernel k;
   k.num_threads = 8;
-  Instruction instr(8);
+  Row instr(8);
   const std::uint64_t w0[4] = {7, 5, 15, 0};
   const std::uint64_t w1[4] = {10, 11, 12, 9};
   for (std::uint32_t t = 0; t < 4; ++t) {
@@ -162,7 +165,7 @@ TEST(Dmm, CrcwWriteLowestThreadWins) {
   Dmm machine(DmmConfig{4, 1}, map);
   Kernel k;
   k.num_threads = 4;
-  Instruction instr(4);
+  Row instr(4);
   for (std::uint32_t t = 0; t < 4; ++t) {
     instr[t] = ThreadOp::store_imm(3, 100 + t);
   }
@@ -176,7 +179,7 @@ TEST(Dmm, MixedReadWriteInOneWarpInstructionThrows) {
   Dmm machine(DmmConfig{4, 1}, map);
   Kernel k;
   k.num_threads = 4;
-  Instruction instr(4);
+  Row instr(4);
   instr[0] = ThreadOp::load(0);
   instr[1] = ThreadOp::store_imm(1, 9);
   k.push(std::move(instr));
@@ -189,7 +192,7 @@ TEST(Dmm, LoadThenStoreMovesData) {
   machine.store(2, 77);
   Kernel k;
   k.num_threads = 4;
-  Instruction load(4), store(4);
+  Row load(4), store(4);
   load[1] = ThreadOp::load(2);
   store[1] = ThreadOp::store(30);
   k.push(std::move(load));
@@ -207,7 +210,7 @@ TEST(Dmm, DependentInstructionsRespectLatency) {
   Dmm machine(DmmConfig{w, l}, map);
   Kernel k;
   k.num_threads = w;
-  Instruction first(w), second(w);
+  Row first(w), second(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     first[t] = ThreadOp::load(t);
     second[t] = ThreadOp::store(w + t);
@@ -235,9 +238,9 @@ TEST(Dmm, IdleInstructionsCostNothing) {
   Dmm machine(DmmConfig{4, 3}, map);
   Kernel k;
   k.num_threads = 4;
-  k.push(Instruction(4));  // all kNone
-  k.push(Instruction(4));
-  Instruction real(4);
+  k.push(Row(4));  // all kNone
+  k.push(Row(4));
+  Row real(4);
   real[0] = ThreadOp::load(0);
   k.push(std::move(real));
   const RunStats stats = machine.run(k);
@@ -279,93 +282,167 @@ TEST(Trace, CsvExportHasHeaderAndOneLinePerDispatch) {
 TEST(Kernel, PushRejectsWrongArity) {
   Kernel k;
   k.num_threads = 4;
-  EXPECT_THROW(k.push(Instruction(3)), std::invalid_argument);
+  EXPECT_THROW(k.push(Row(3)), std::invalid_argument);
 }
 
-/// Every instruction's index entry, as plain vectors (comparable).
-std::vector<std::vector<std::uint32_t>> index_of(const Kernel& k) {
+/// Every instruction's active thread ids, as plain vectors (comparable).
+std::vector<std::vector<std::uint32_t>> threads_of(const Kernel& k) {
   std::vector<std::vector<std::uint32_t>> out;
-  for (std::size_t i = 0; i < k.instructions.size(); ++i) {
-    const auto threads = k.active_threads(i);
-    out.emplace_back(threads.begin(), threads.end());
+  for (const Instruction instr : k.instructions) {
+    out.emplace_back(instr.threads().begin(), instr.threads().end());
   }
   return out;
+}
+
+bool same_op(const ThreadOp& a, const ThreadOp& b) {
+  return a.kind == b.kind && a.logical == b.logical &&
+         a.immediate == b.immediate && a.reg == b.reg && a.reg2 == b.reg2;
 }
 
 TEST(Kernel, PushAndBarrierMaintainTheActiveIndex) {
   Kernel k;
   k.num_threads = 6;
-  Instruction sparse(6);
+  Row sparse(6);
   sparse[1] = ThreadOp::load(3);
   sparse[4] = ThreadOp::min_max(0, 1);
   k.push(sparse);
-  k.push(Instruction(6));  // all idle
+  k.push(Row(6));  // all idle
   k.push_barrier();
-  ASSERT_TRUE(k.indexed());
   using Threads = std::vector<std::uint32_t>;
-  EXPECT_EQ(index_of(k), (std::vector<Threads>{
-                             {1, 4}, {}, {0, 1, 2, 3, 4, 5}}));
-  // One warp's slice of an instruction: ids in [first, last).
-  const auto slice = k.active_threads(0, 2, 6);
-  EXPECT_EQ(Threads(slice.begin(), slice.end()), Threads{4});
-  EXPECT_TRUE(k.active_threads(0, 5, 6).empty());
+  EXPECT_EQ(threads_of(k), (std::vector<Threads>{
+                               {1, 4}, {}, {0, 1, 2, 3, 4, 5}}));
+  EXPECT_TRUE(k.instructions[1].empty());
+  for (const ThreadOp& op : k.instructions[2]) {
+    EXPECT_EQ(op.kind, OpKind::kBarrier);
+  }
+  // One warp's slice of an instruction: ids in [first, last), with their
+  // ops side by side.
+  const Instruction slice = k.instructions[0].slice(2, 6);
+  EXPECT_EQ(Threads(slice.threads().begin(), slice.threads().end()),
+            Threads{4});
+  ASSERT_EQ(slice.size(), 1u);
+  EXPECT_TRUE(same_op(slice[0], ThreadOp::min_max(0, 1)));
+  EXPECT_TRUE(k.instructions[0].slice(5, 6).empty());
 
-  // The constructor indexes the rows it is given.
-  const Kernel built(6, {sparse, Instruction(6)});
-  EXPECT_EQ(index_of(built), (std::vector<Threads>{{1, 4}, {}}));
-  EXPECT_THROW(Kernel(6, {Instruction(5)}), std::invalid_argument);
+  // The constructor pushes the rows it is given.
+  const Kernel built(6, {sparse, Row(6)});
+  EXPECT_EQ(threads_of(built), (std::vector<Threads>{{1, 4}, {}}));
+  EXPECT_THROW(Kernel(6, {Row(5)}), std::invalid_argument);
 }
 
-TEST(Kernel, ReindexRebuildsAfterAnInPlaceEdit) {
-  Kernel k(4, {Instruction(4), Instruction(4)});
-  k.instructions[1][2] = ThreadOp::store(1);
-  k.instructions.push_back(Instruction(4, ThreadOp::load(0)));
-  EXPECT_FALSE(k.indexed());
-  k.reindex();
-  ASSERT_TRUE(k.indexed());
-  using Threads = std::vector<std::uint32_t>;
-  EXPECT_EQ(index_of(k),
-            (std::vector<Threads>{{}, {2}, {0, 1, 2, 3}}));
+TEST(Kernel, PushKeepsExactlyTheNonIdleSlotsInAscendingOrder) {
+  // Random rows of every op kind with random idle slots: the store holds
+  // each row's non-kNone slots, in ascending thread order, op for op.
+  util::Pcg32 rng(7);
+  const std::uint32_t threads = 37;
+  Kernel k(threads);
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    Row row(threads);
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      const auto addr = std::uint64_t{rng.bounded(1000)};
+      switch (rng.bounded(5)) {
+        case 0: break;  // idle
+        case 1: row[t] = ThreadOp::load(addr, 1); break;
+        case 2: row[t] = ThreadOp::store_imm(addr, rng()); break;
+        case 3: row[t] = ThreadOp::load_mul_add(addr, 2, 3); break;
+        default: row[t] = ThreadOp::min_max(1, 2); break;
+      }
+    }
+    rows.push_back(row);
+    k.push(std::move(row), "i" + std::to_string(i));
+  }
+  ASSERT_EQ(k.instructions.size(), rows.size());
+  ASSERT_EQ(k.labels.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Instruction instr = k.instructions[i];
+    std::size_t next = 0;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      if (rows[i][t].kind == OpKind::kNone) continue;
+      ASSERT_LT(next, instr.size()) << "instr " << i;
+      EXPECT_EQ(instr.threads()[next], t) << "instr " << i;
+      EXPECT_TRUE(same_op(instr[next], rows[i][t]))
+          << "instr " << i << " thread " << t;
+      ++next;
+    }
+    EXPECT_EQ(next, instr.size()) << "instr " << i;
+    EXPECT_EQ(k.labels[i], "i" + std::to_string(i));
+  }
 }
 
-TEST(Kernel, StaleIndexIsRejected) {
+TEST(Kernel, StoreIsReadOnlyAndBuildersAgree) {
+  // No in-place edit can make the store disagree with itself: a table
+  // element is a view by value over const ops.
+  Kernel k = single_load_kernel(4, [](std::uint32_t t) {
+    return static_cast<std::uint64_t>(t);
+  });
+  static_assert(std::is_same_v<decltype(k.instructions[0]), Instruction>);
+  static_assert(
+      !std::is_assignable_v<decltype((k.instructions[0][0])), ThreadOp>);
+
+  // A row with an idle slot runs only its active lanes...
   const core::AddressMap map(core::Scheme::kRaw, 4, 4);
   Dmm machine(DmmConfig{4, 2}, map);
+  Row row(4, ThreadOp::load(1));
+  row[2] = ThreadOp::none();
+  Kernel pushed(4);
+  pushed.push(row);
+  Trace pushed_trace;
+  EXPECT_EQ(machine.run(pushed, &pushed_trace).dispatches, 1u);
+  ASSERT_EQ(pushed_trace.dispatches.size(), 1u);
+  EXPECT_EQ(pushed_trace.dispatches[0].active_threads, 3u);
+  EXPECT_EQ(machine.warp_access(pushed, 0, 0).active_threads, 3u);
 
-  // An instruction appended behind the index's back: not covered.
-  Kernel uncovered = single_load_kernel(4, [](std::uint32_t t) {
-    return static_cast<std::uint64_t>(t);
-  });
-  uncovered.instructions.push_back(uncovered.instructions[0]);
-  machine.begin_run(uncovered);
-  EXPECT_THROW(KernelWarpSource(machine, uncovered), std::logic_error);
-  EXPECT_THROW(machine.run(uncovered), std::logic_error);
-  EXPECT_THROW((void)machine.warp_access(uncovered, 0, 0), std::logic_error);
+  // ...and the same instruction handed over sparse is the same kernel:
+  // same ops, same run, same dispatch trace.
+  const Kernel sparse = Kernel::from_sparse(
+      4, {3}, {0, 1, 3},
+      {ThreadOp::load(1), ThreadOp::load(1), ThreadOp::load(1)});
+  EXPECT_EQ(threads_of(sparse), threads_of(pushed));
+  Trace sparse_trace;
+  const RunStats a = machine.run(sparse, &sparse_trace);
+  const RunStats b = machine.run(pushed);
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.dispatches, b.dispatches);
+  EXPECT_EQ(sparse_trace.to_csv(), pushed_trace.to_csv());
 
-  // A row edited in place so an indexed thread went idle.
-  Kernel edited = single_load_kernel(4, [](std::uint32_t t) {
-    return static_cast<std::uint64_t>(t);
-  });
-  edited.instructions[0][2] = ThreadOp::none();
-  EXPECT_THROW(machine.run(edited), std::logic_error);
-  edited.reindex();
-  EXPECT_EQ(machine.run(edited).dispatches, 1u);
+  // A copy owns its store: pushing to it leaves the original unchanged.
+  Kernel copy = pushed;
+  copy.push_barrier();
+  EXPECT_EQ(copy.instructions.size(), 2u);
+  EXPECT_EQ(pushed.instructions.size(), 1u);
+  EXPECT_EQ(threads_of(pushed), threads_of(sparse));
 }
 
-TEST(Kernel, SetActiveIndexRejectsMalformedShapes) {
-  Kernel k(4, {Instruction(4), Instruction(4)});
-  // Wrong instruction count, end past the thread list, descending ends,
-  // unsorted ids and an id past num_threads.
-  EXPECT_THROW(k.set_active_index({0}, {}), std::invalid_argument);
-  EXPECT_THROW(k.set_active_index({0, 2}, {1}), std::invalid_argument);
-  EXPECT_THROW(k.set_active_index({2, 1}, {1, 2}), std::invalid_argument);
-  EXPECT_THROW(k.set_active_index({2, 2}, {2, 1}), std::invalid_argument);
-  EXPECT_THROW(k.set_active_index({1, 1}, {4}), std::invalid_argument);
-  k.instructions[0][1] = ThreadOp::load(0);
-  k.instructions[0][3] = ThreadOp::load(1);
-  k.set_active_index({2, 2}, {1, 3});
-  EXPECT_EQ(index_of(k),
-            (std::vector<std::vector<std::uint32_t>>{{1, 3}, {}}));
+TEST(Kernel, FromSparseRejectsMalformedShapes) {
+  const auto op = ThreadOp::load(0);
+  // Ends past the ops, threads and ops of different lengths, descending
+  // ends, unsorted ids, a duplicate id, an id past num_threads and an
+  // idle op.
+  EXPECT_THROW((void)Kernel::from_sparse(4, {0, 2}, {1}, {op}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Kernel::from_sparse(4, {1}, {1}, {op, op}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Kernel::from_sparse(4, {}, {1}, {op}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Kernel::from_sparse(4, {2, 1}, {1, 2}, {op, op}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Kernel::from_sparse(4, {2, 2}, {2, 1}, {op, op}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Kernel::from_sparse(4, {2, 2}, {1, 1}, {op, op}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Kernel::from_sparse(4, {1, 1}, {4}, {op}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)Kernel::from_sparse(4, {2, 2}, {1, 3}, {op, ThreadOp::none()}),
+      std::invalid_argument);
+  // Ids ascend within an instruction, not across: {3} then {0, 2}.
+  const Kernel k =
+      Kernel::from_sparse(4, {2, 2, 3}, {1, 3, 0}, {op, ThreadOp::load(1), op});
+  EXPECT_EQ(threads_of(k),
+            (std::vector<std::vector<std::uint32_t>>{{1, 3}, {}, {0}}));
+  EXPECT_EQ(k.instructions[0][1].logical, 1u);
+  EXPECT_TRUE(Kernel::from_sparse(4, {}, {}, {}).instructions.empty());
 }
 
 // ---- UMM contrast: stride access touches w distinct rows -> w slots on

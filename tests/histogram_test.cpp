@@ -21,11 +21,11 @@ TEST(AtomicAdd, SameAddressRequestsSerializeNotMerge) {
   dmm::Dmm machine(dmm::DmmConfig{4, 1}, *map);
   machine.store(15, 0);
   dmm::Kernel k{4, {}, {}};
-  dmm::Instruction ones(4), adds(4);
+  dmm::Row ones(4), adds(4);
   for (std::uint32_t t = 0; t < 4; ++t) {
     ones[t] = dmm::ThreadOp::store_imm(t, t + 1);
   }
-  dmm::Instruction loads(4);
+  dmm::Row loads(4);
   for (std::uint32_t t = 0; t < 4; ++t) loads[t] = dmm::ThreadOp::load(t, 0);
   for (std::uint32_t t = 0; t < 4; ++t) {
     adds[t] = dmm::ThreadOp::atomic_add(15, 0);
@@ -47,7 +47,7 @@ TEST(AtomicAdd, DistinctBanksStayParallel) {
   const auto map = core::make_matrix_map(Scheme::kRaw, 4, 4, 1);
   dmm::Dmm machine(dmm::DmmConfig{4, 1}, *map);
   dmm::Kernel k{4, {}, {}};
-  dmm::Instruction adds(4);
+  dmm::Row adds(4);
   for (std::uint32_t t = 0; t < 4; ++t) {
     adds[t] = dmm::ThreadOp::atomic_add(t, 0);  // distinct banks
   }
@@ -61,7 +61,7 @@ TEST(AtomicAdd, CannotMixWithOtherClasses) {
   const auto map = core::make_matrix_map(Scheme::kRaw, 4, 4, 1);
   dmm::Dmm machine(dmm::DmmConfig{4, 1}, *map);
   dmm::Kernel k{4, {}, {}};
-  dmm::Instruction mixed(4);
+  dmm::Row mixed(4);
   mixed[0] = dmm::ThreadOp::atomic_add(0);
   mixed[1] = dmm::ThreadOp::load(1);
   k.push(std::move(mixed));

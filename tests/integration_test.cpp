@@ -155,7 +155,7 @@ TEST(MachineGenericity, DmmRunsOver4dMaps) {
   // One warp sweeps the j (stride2) axis — conflict-free under 3P, so the
   // instruction costs exactly one pipeline slot.
   dmm::Kernel k{w, {}, {}};
-  dmm::Instruction loads(w);
+  dmm::Row loads(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     loads[t] = dmm::ThreadOp::load(core::index(w, {2, t, 3, 4}));
   }

@@ -107,7 +107,7 @@ TEST(DmmProperties, TimeBounds) {
     dmm::Dmm machine(dmm::DmmConfig{w, l}, *map);
     dmm::Kernel kernel;
     kernel.num_threads = w * w;
-    dmm::Instruction instr(kernel.num_threads);
+    dmm::Row instr(kernel.num_threads);
     for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
       instr[t] = dmm::ThreadOp::load(rng.bounded(w * w));
     }

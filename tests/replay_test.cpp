@@ -1,7 +1,8 @@
 // Codec tests for the portable access-trace format: property-based
 // text <-> binary round-trips across widths, parser rejection of
-// malformed input, hash identity, the active-thread index of lowered
-// kernels, and the dispatch-trace CSV round-trip.
+// malformed input, hash identity, the sparse store of lowered kernels
+// (op for op against the kernels they were captured from), and the
+// dispatch-trace CSV round-trip.
 
 #include <gtest/gtest.h>
 
@@ -388,53 +389,135 @@ TEST(ReplayTraceErrors, ValidatorMessagesArePinned) {
             "warp) record");
 }
 
-// ---- the lowered kernel's active-thread index ----
+// ---- the lowered kernels' sparse store ----
 
-/// The kernel's index equals a reindex() of a copy, and each list holds
-/// exactly the instruction's non-kNone threads, ascending.
-void expect_index_exact(const dmm::Kernel& kernel, const std::string& label) {
-  ASSERT_TRUE(kernel.indexed()) << label;
-  dmm::Kernel copy = kernel;
-  copy.reindex();
+/// Every instruction's thread ids ascend below num_threads and no stored
+/// op is kNone.
+void expect_well_formed(const dmm::Kernel& kernel, const std::string& label) {
   for (std::size_t i = 0; i < kernel.instructions.size(); ++i) {
-    const auto threads = kernel.active_threads(i);
-    const auto rebuilt = copy.active_threads(i);
-    ASSERT_TRUE(std::equal(threads.begin(), threads.end(), rebuilt.begin(),
-                           rebuilt.end()))
-        << label << " instr " << i;
-    std::vector<std::uint32_t> expected;
-    for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
-      if (kernel.instructions[i][t].kind != dmm::OpKind::kNone) {
-        expected.push_back(t);
-      }
+    const dmm::Instruction instr = kernel.instructions[i];
+    ASSERT_EQ(instr.threads().size(), instr.size()) << label << " instr " << i;
+    for (std::size_t k = 0; k < instr.size(); ++k) {
+      ASSERT_LT(instr.threads()[k], kernel.num_threads)
+          << label << " instr " << i;
+      ASSERT_TRUE(k == 0 || instr.threads()[k - 1] < instr.threads()[k])
+          << label << " instr " << i;
+      ASSERT_NE(instr[k].kind, dmm::OpKind::kNone) << label << " instr " << i;
     }
-    ASSERT_EQ(std::vector<std::uint32_t>(threads.begin(), threads.end()),
-              expected)
-        << label << " instr " << i;
   }
+}
+
+/// What replay lowering makes of `op`: a trace keeps only the op class
+/// and the address, so reads come back as kLoad, writes as kStoreImm 0,
+/// atomics as kAtomicAdd and register ops as min_max(0, 1).
+dmm::ThreadOp replayed(const dmm::ThreadOp& op) {
+  switch (op.kind) {
+    case dmm::OpKind::kLoad:
+    case dmm::OpKind::kLoadAdd:
+    case dmm::OpKind::kLoadMulAdd:
+      return dmm::ThreadOp::load(op.logical);
+    case dmm::OpKind::kStore:
+    case dmm::OpKind::kStoreImm:
+      return dmm::ThreadOp::store_imm(op.logical, 0);
+    case dmm::OpKind::kAtomicAdd:
+      return dmm::ThreadOp::atomic_add(op.logical);
+    case dmm::OpKind::kMinMax:
+      return dmm::ThreadOp::min_max(0, 1);
+    default:
+      return op;
+  }
+}
+
+/// The replay of `original` equals it op for op — same instructions,
+/// threads and addresses — apart from replayed()'s substitutions. A
+/// trace has no record of trailing idle instructions, so the replay may
+/// stop early only where the original has nothing left to run.
+void expect_replay_exact(const dmm::Kernel& original,
+                         const dmm::Kernel& lowered,
+                         const std::string& label) {
+  expect_well_formed(lowered, label);
+  ASSERT_EQ(lowered.num_threads, original.num_threads) << label;
+  ASSERT_LE(lowered.instructions.size(), original.instructions.size())
+      << label;
+  for (std::size_t i = 0; i < original.instructions.size(); ++i) {
+    const dmm::Instruction want = original.instructions[i];
+    if (i >= lowered.instructions.size()) {
+      ASSERT_TRUE(want.empty()) << label << " instr " << i;
+      continue;
+    }
+    const dmm::Instruction got = lowered.instructions[i];
+    ASSERT_TRUE(std::ranges::equal(got.threads(), want.threads()))
+        << label << " instr " << i;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const dmm::ThreadOp expected = replayed(want[k]);
+      EXPECT_EQ(got[k].kind, expected.kind) << label << " instr " << i;
+      EXPECT_EQ(got[k].logical, expected.logical) << label << " instr " << i;
+      EXPECT_EQ(got[k].immediate, expected.immediate)
+          << label << " instr " << i;
+      EXPECT_EQ(got[k].reg, expected.reg) << label << " instr " << i;
+      EXPECT_EQ(got[k].reg2, expected.reg2) << label << " instr " << i;
+    }
+  }
+}
+
+void expect_capture_replays_exactly(const dmm::Kernel& kernel,
+                                    std::uint32_t width, std::uint64_t rows,
+                                    const std::string& label) {
+  expect_well_formed(kernel, label);
+  const auto map = core::make_matrix_map(core::Scheme::kRaw, width, rows, 0);
+  dmm::Dmm recorder(dmm::DmmConfig{width, 2}, *map);
+  const AccessTrace trace = replay::capture_run(recorder, kernel);
+  expect_replay_exact(kernel, replay::lower_to_kernel(trace),
+                      label + " replayed");
 }
 
 TEST(KernelIndex, CatalogSuiteAndReplayLoweringsAreExact) {
   for (const std::uint32_t width : {16u, 32u, 64u}) {
     const std::string w = " w=" + std::to_string(width);
     for (const tools::WorkloadKernel& entry : tools::workload_kernels(width)) {
-      expect_index_exact(entry.kernel, entry.name + w);
-      const auto map =
-          core::make_matrix_map(core::Scheme::kRaw, width, entry.rows, 0);
-      dmm::Dmm recorder(dmm::DmmConfig{width, 2}, *map);
-      const AccessTrace trace = replay::capture_run(recorder, entry.kernel);
-      expect_index_exact(replay::lower_to_kernel(trace),
-                         entry.name + " replayed" + w);
+      expect_capture_replays_exactly(entry.kernel, width, entry.rows,
+                                     entry.name + w);
     }
     for (const vm::SuiteProgram& program : vm::suite_programs(width)) {
-      expect_index_exact(
-          vm::lower_program(vm::assemble(program.text, width)).kernel,
-          program.name + w);
+      const vm::LoweredProgram lowered =
+          vm::lower_program(vm::assemble(program.text, width));
+      expect_capture_replays_exactly(lowered.kernel, width, lowered.rows,
+                                     program.name + w);
     }
   }
+  // Random traces: every record's lanes and addresses, and nothing else.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    expect_index_exact(replay::lower_to_kernel(random_trace(16, seed)),
-                       "random seed " + std::to_string(seed));
+    const AccessTrace trace = random_trace(16, seed);
+    const std::string label = "random seed " + std::to_string(seed);
+    const dmm::Kernel kernel = replay::lower_to_kernel(trace);
+    expect_well_formed(kernel, label);
+    std::size_t records_ops = 0;
+    for (const TraceRecord& record : trace.records) {
+      const dmm::Instruction instr = kernel.instructions[record.instr];
+      if (record.kind == RecordKind::kBarrier) {
+        EXPECT_EQ(instr.size(), kernel.num_threads) << label;
+        records_ops += kernel.num_threads;
+        continue;
+      }
+      const std::uint32_t first = record.warp * trace.header.width;
+      const dmm::Instruction lanes =
+          instr.slice(first, first + trace.header.width);
+      ASSERT_EQ(lanes.size(),
+                static_cast<std::size_t>(std::popcount(record.lane_mask)))
+          << label;
+      records_ops += lanes.size();
+      std::size_t k = 0;
+      for (std::uint64_t mask = record.lane_mask; mask != 0;
+           mask &= mask - 1, ++k) {
+        EXPECT_EQ(lanes.threads()[k],
+                  first + static_cast<std::uint32_t>(std::countr_zero(mask)))
+            << label;
+        if (record.kind != RecordKind::kRegister) {
+          EXPECT_EQ(lanes[k].logical, record.addrs[k]) << label;
+        }
+      }
+    }
+    EXPECT_EQ(kernel.instructions.ops().size(), records_ops) << label;
   }
 }
 
@@ -443,6 +526,8 @@ TEST(KernelIndex, LoweringSortsRecordsThatArriveOutOfWarpOrder) {
   trace.header.width = 8;
   trace.header.num_threads = 20;  // warps 0, 1 and a 4-lane warp 2
   trace.header.memory_size = 64;
+  // Each lane reads the address equal to its thread id, so an op that
+  // did not move with its thread shows.
   const auto record = [](std::uint32_t instr, std::uint32_t warp,
                          std::uint64_t mask) {
     TraceRecord r;
@@ -450,16 +535,23 @@ TEST(KernelIndex, LoweringSortsRecordsThatArriveOutOfWarpOrder) {
     r.instr = instr;
     r.warp = warp;
     r.lane_mask = mask;
-    for (int n = std::popcount(mask); n > 0; --n) r.addrs.push_back(9);
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      r.addrs.push_back(warp * 8 + static_cast<std::uint64_t>(
+                                       std::countr_zero(m)));
+    }
     return r;
   };
   trace.records = {record(0, 2, 0x9), record(1, 0, 0x1), record(0, 0, 0x82),
                    record(0, 1, 0x10)};
   const dmm::Kernel kernel = replay::lower_to_kernel(trace);
-  expect_index_exact(kernel, "out of order");
-  const auto first = kernel.active_threads(0);
-  EXPECT_EQ(std::vector<std::uint32_t>(first.begin(), first.end()),
+  expect_well_formed(kernel, "out of order");
+  const dmm::Instruction first = kernel.instructions[0];
+  EXPECT_EQ(std::vector<std::uint32_t>(first.threads().begin(),
+                                       first.threads().end()),
             (std::vector<std::uint32_t>{1, 7, 12, 16, 19}));
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    EXPECT_EQ(first[k].logical, first.threads()[k]);
+  }
 }
 
 // ---- dispatch-trace CSV round-trip (dmm::Trace::from_csv) ----

@@ -36,7 +36,7 @@ TEST(Sanitizer, CatchesSeededOutOfBoundsAccess) {
   // this would throw. With it, the lane is recorded and skipped.
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     instr[t] = dmm::ThreadOp::store_imm(t, 7);
   }
@@ -63,7 +63,7 @@ TEST(Sanitizer, WithoutSanitizerOutOfBoundsStillThrows) {
   dmm::Dmm machine(small_config(w), map);
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w, dmm::ThreadOp::none());
+  dmm::Row instr(w, dmm::ThreadOp::none());
   instr[0] = dmm::ThreadOp::load(map.size() + 1);
   kernel.push(instr);
   EXPECT_THROW(static_cast<void>(machine.run(kernel)), std::out_of_range);
@@ -80,7 +80,7 @@ TEST(Sanitizer, CatchesSeededWriteWriteConflict) {
   // arbitrary rule resolves it (lane 1 wins) but the race is real.
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   instr[0] = dmm::ThreadOp::store_imm(0, 10);
   instr[1] = dmm::ThreadOp::store_imm(5, 11);
   instr[2] = dmm::ThreadOp::store_imm(2, 12);
@@ -106,7 +106,7 @@ TEST(Sanitizer, BroadcastStoreOfOneValueIsBenign) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     instr[t] = dmm::ThreadOp::store_imm(9, 42);  // same cell, same value
   }
@@ -127,7 +127,7 @@ TEST(Sanitizer, CatchesUninitializedReads) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     instr[t] = dmm::ThreadOp::load(t);  // row 0: initialized
   }
@@ -149,8 +149,8 @@ TEST(Sanitizer, KernelStoreInitializesForLaterReads) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction store(w);
-  dmm::Instruction load(w);
+  dmm::Row store(w);
+  dmm::Row load(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     store[t] = dmm::ThreadOp::store_imm(t, t);
     load[t] = dmm::ThreadOp::load(t);
@@ -171,7 +171,7 @@ TEST(Sanitizer, AtomicAddReadsTheCell) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w, dmm::ThreadOp::none());
+  dmm::Row instr(w, dmm::ThreadOp::none());
   instr[0] = dmm::ThreadOp::atomic_add(6);  // never initialized
   kernel.push(instr);
   static_cast<void>(machine.run(kernel));
@@ -188,7 +188,7 @@ TEST(Sanitizer, FillIdentityMarksEverythingWritten) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     instr[t] = dmm::ThreadOp::load(t * w);  // one full column
   }
@@ -206,7 +206,7 @@ TEST(Sanitizer, FlushesCountersIntoTelemetryRegistry) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w, dmm::ThreadOp::none());
+  dmm::Row instr(w, dmm::ThreadOp::none());
   instr[0] = dmm::ThreadOp::load(map.size() + 1);  // oob
   instr[1] = dmm::ThreadOp::load(3);               // uninitialized
   kernel.push(instr);
@@ -238,7 +238,7 @@ TEST(Sanitizer, ReportListsFindingsAndBoundsThem) {
 
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction instr(w);
+  dmm::Row instr(w);
   for (std::uint32_t t = 0; t < w; ++t) {
     instr[t] = dmm::ThreadOp::load(t);  // all four uninitialized
   }
@@ -265,11 +265,11 @@ dmm::Kernel two_warp_kernel(std::uint32_t w, dmm::ThreadOp first,
                             std::string second_label = {}) {
   dmm::Kernel kernel;
   kernel.num_threads = 2 * w;
-  dmm::Instruction a(kernel.num_threads, dmm::ThreadOp::none());
+  dmm::Row a(kernel.num_threads, dmm::ThreadOp::none());
   a[0] = first;
   kernel.push(std::move(a), std::move(first_label));
   if (barrier) kernel.push_barrier();
-  dmm::Instruction b(kernel.num_threads, dmm::ThreadOp::none());
+  dmm::Row b(kernel.num_threads, dmm::ThreadOp::none());
   b[w] = second;
   kernel.push(std::move(b), std::move(second_label));
   return kernel;
@@ -330,10 +330,10 @@ TEST(SanitizerRace, SameWarpAccessesNeverRace) {
   // Both accesses in warp 0: program order covers them.
   dmm::Kernel kernel;
   kernel.num_threads = w;
-  dmm::Instruction a(w, dmm::ThreadOp::none());
+  dmm::Row a(w, dmm::ThreadOp::none());
   a[0] = dmm::ThreadOp::store_imm(5, 1);
   kernel.push(std::move(a));
-  dmm::Instruction b(w, dmm::ThreadOp::none());
+  dmm::Row b(w, dmm::ThreadOp::none());
   b[1] = dmm::ThreadOp::load(5);
   kernel.push(std::move(b));
   static_cast<void>(machine.run(kernel));
@@ -372,14 +372,14 @@ TEST(SanitizerRace, RunBoundaryAdvancesTheEpoch) {
   // Write in one run, read in the next: kernel launches are ordered.
   dmm::Kernel writer;
   writer.num_threads = 2 * w;
-  dmm::Instruction a(writer.num_threads, dmm::ThreadOp::none());
+  dmm::Row a(writer.num_threads, dmm::ThreadOp::none());
   a[0] = dmm::ThreadOp::store_imm(5, 1);
   writer.push(std::move(a));
   static_cast<void>(machine.run(writer));
 
   dmm::Kernel reader;
   reader.num_threads = 2 * w;
-  dmm::Instruction b(reader.num_threads, dmm::ThreadOp::none());
+  dmm::Row b(reader.num_threads, dmm::ThreadOp::none());
   b[w] = dmm::ThreadOp::load(5);
   reader.push(std::move(b));
   static_cast<void>(machine.run(reader));
@@ -423,12 +423,12 @@ TEST(SanitizerRace, TwoReaderSlotsCatchEveryWarPair) {
   // WAR against warps 1 and 2 even though warp 0's own read is benign.
   dmm::Kernel kernel;
   kernel.num_threads = 3 * w;
-  dmm::Instruction reads(kernel.num_threads, dmm::ThreadOp::none());
+  dmm::Row reads(kernel.num_threads, dmm::ThreadOp::none());
   for (std::uint32_t t = 0; t < kernel.num_threads; ++t) {
     reads[t] = dmm::ThreadOp::load(1);
   }
   kernel.push(std::move(reads));
-  dmm::Instruction write(kernel.num_threads, dmm::ThreadOp::none());
+  dmm::Row write(kernel.num_threads, dmm::ThreadOp::none());
   write[0] = dmm::ThreadOp::store_imm(1, 3);
   kernel.push(std::move(write));
   static_cast<void>(machine.run(kernel));

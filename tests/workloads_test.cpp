@@ -63,7 +63,7 @@ TEST(AluOps, RegisterOnlyInstructionsAreFree) {
   const auto map = core::make_matrix_map(Scheme::kRaw, 4, 4, 1);
   dmm::Dmm machine(dmm::DmmConfig{4, 5}, *map);
   dmm::Kernel with_alu{4, {}, {}};
-  dmm::Instruction load(4), alu(4), store(4);
+  dmm::Row load(4), alu(4), store(4);
   for (std::uint32_t t = 0; t < 4; ++t) {
     load[t] = dmm::ThreadOp::load(t, 0);
     alu[t] = dmm::ThreadOp::min_max(0, 1);
@@ -81,7 +81,7 @@ TEST(AluOps, MixingRegisterAndMemoryOpsThrows) {
   const auto map = core::make_matrix_map(Scheme::kRaw, 4, 4, 1);
   dmm::Dmm machine(dmm::DmmConfig{4, 1}, *map);
   dmm::Kernel k{4, {}, {}};
-  dmm::Instruction mixed(4);
+  dmm::Row mixed(4);
   mixed[0] = dmm::ThreadOp::load(0);
   mixed[1] = dmm::ThreadOp::min_max(0, 1);
   k.push(std::move(mixed));
