@@ -1,59 +1,40 @@
-// Extension experiment: throughput of the layout synthesizer
-// (analyze/synth.hpp) over the built-in kernel catalog.
+// Extension experiment: the layout synthesizer (analyze/synth.hpp) over
+// the built-in kernel catalog.
 //
-// Two phases, both driven by the shared warmup/repeat protocol:
+// Each kernel gets a full family search (closure build, candidate
+// generation, evaluation, greedy repair, witness), and certify_mapping
+// then audits every winner. The per-kernel table reports the searched
+// bound, witness kind, class and candidate counts; it is deterministic
+// and pinned by results/ext_synthesis.txt. Search and audit speed are
+// rapbench's synth-catalog workload (analyze.synthesize_ms,
+// analyze.certify_ms).
 //
-//   synthesize  full family search per kernel (closure build, candidate
-//               generation, evaluation, greedy repair, witness) —
-//               ops_per_sec is KERNELS per second
-//   certify     the auditor's half alone: certify_mapping of each
-//               kernel's winning mapping — ops_per_sec is CERTIFICATES
-//               per second (the cost a CI gate or the serve cache-miss
-//               path pays to re-check a stored spec)
+//   $ ext_synthesis [--width=32] [--draws=48] [--format=ascii|markdown|csv]
 //
-// The per-kernel table reports the searched bound, witness kind, class
-// and candidate counts, so a throughput regression can be traced to the
-// kernel whose search grew.
-//
-//   $ ext_synthesis [--width=32] [--draws=48] [--quick]
-//                   [--bench-warmup=N] [--bench-repeats=N]
-//                   [--format=ascii|markdown|csv] [--bench-json=PATH]
-//
-// Part of tools/run_all.sh ("synthesis" section); the committed baseline
-// is BENCH_synth.json at the repo root. The bench doubles as a soundness
-// check: it exits 1 if any audit disagrees with its search bound, so the
-// ctest smoke entry (synthesis_bench_sound) also guards correctness.
+// The bench doubles as a soundness check: it exits 1 if any audit
+// disagrees with its search bound, so the ctest entry
+// (synthesis_bench_sound) guards correctness.
 
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "analyze/synth.hpp"
 #include "builtin_kernels.hpp"
-#include "perfbench/perfbench.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace rapsim;
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace rapsim;
   const util::CliArgs args(argc, argv);
   const auto width = static_cast<std::uint32_t>(args.get_uint("width", 32));
   analyze::SynthesisOptions options;
   options.random_draws = args.get_uint("draws", 48);
-  const perfbench::Protocol protocol = perfbench::protocol_from_args(args);
 
   const std::vector<analyze::KernelDesc> catalog =
       tools::builtin_kernels(width);
 
-  // Reference pass: one result per kernel, reused for the table, the
-  // certify phase, and the soundness check.
+  // One search per kernel, audited, then tabulated.
   std::vector<analyze::SynthesisResult> results;
   results.reserve(catalog.size());
   for (const analyze::KernelDesc& kernel : catalog) {
@@ -72,38 +53,6 @@ int main(int argc, char** argv) {
   }
   if (audit_failures > 0) return 1;
 
-  // Timed phases. The volatile sink keeps the searches observable.
-  volatile std::uint64_t sink = 0;
-  const perfbench::Aggregate synthesize = perfbench::run_timed(
-      protocol, catalog.size(), [&] {
-        std::uint64_t classes = 0;
-        for (const analyze::KernelDesc& kernel : catalog) {
-          classes += analyze::synthesize_mapping(kernel, options).classes;
-        }
-        sink = sink + classes;
-      });
-  const perfbench::Aggregate certify = perfbench::run_timed(
-      protocol, catalog.size(), [&] {
-        std::uint64_t exact = 0;
-        for (std::size_t i = 0; i < catalog.size(); ++i) {
-          exact += analyze::certify_mapping(catalog[i], results[i].mapping)
-                       .exact();
-        }
-        sink = sink + exact;
-      });
-
-  if (const auto bench_path = args.get("bench-json")) {
-    perfbench::BenchReport report("ext_synthesis");
-    report.set_config("width", width);
-    report.set_config("kernels", catalog.size());
-    report.set_config("draws", options.random_draws);
-    report.add("synthesize", synthesize);
-    report.add("certify", certify);
-    perfbench::write_bench_json(*bench_path, report);
-    std::printf("wrote %s\n", bench_path->c_str());
-    return 0;
-  }
-
   util::TextTable table;
   table.row()
       .add("kernel")
@@ -120,11 +69,5 @@ int main(int argc, char** argv) {
         .add(results[i].candidates);
   }
   table.print(std::cout, args.get_table_style());
-
-  std::cout << "\nsynthesize: " << synthesize.ops_per_sec
-            << " kernels/s (median of " << synthesize.samples
-            << " repeats over " << catalog.size() << " kernels)\n"
-            << "certify:    " << certify.ops_per_sec
-            << " certificates/s\n";
   return 0;
 }

@@ -18,10 +18,8 @@
 //   $ ext_trace_replay [--width=32] [--latency=1] [--trials=10]
 //                      [--seed=1] [--format=ascii|markdown|csv]
 //
-// With --bench-json=PATH: perf-trajectory mode — capture the catalog
-// once, then time replaying every workload under every scheme (one map
-// draw each) under the perfbench protocol (--quick / --bench-warmup /
-// --bench-repeats). ns_per_op is nanoseconds per replayed access record.
+// The report is deterministic and pinned by results/ext_trace_replay.txt;
+// replay speed is rapbench's catalog-replay workload.
 
 #include <cstdio>
 #include <iostream>
@@ -30,7 +28,6 @@
 
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
-#include "perfbench/perfbench.hpp"
 #include "replay/replay.hpp"
 #include "replay/trace.hpp"
 #include "util/cli.hpp"
@@ -46,59 +43,6 @@ bool randomized(core::Scheme scheme) {
   return scheme == core::Scheme::kRas || scheme == core::Scheme::kRap;
 }
 
-int emit_bench(const std::string& path, const util::CliArgs& args,
-               std::uint32_t width, std::uint32_t latency,
-               std::uint64_t seed) {
-  const perfbench::Protocol protocol = perfbench::protocol_from_args(args);
-  const std::vector<core::Scheme> schemes = {
-      core::Scheme::kRaw, core::Scheme::kRas, core::Scheme::kRap,
-      core::Scheme::kPad};
-
-  // Capture once (untimed); the timed body replays the whole catalog.
-  struct Captured {
-    replay::AccessTrace trace;
-    std::uint64_t rows = 0;
-  };
-  std::vector<Captured> captured;
-  std::uint64_t records = 0;
-  for (const tools::WorkloadKernel& entry : tools::workload_kernels(width)) {
-    const auto capture_map =
-        core::make_matrix_map(core::Scheme::kRaw, width, entry.rows, seed);
-    dmm::Dmm recorder(dmm::DmmConfig{width, latency}, *capture_map);
-    Captured c;
-    c.trace = replay::capture_run(recorder, entry.kernel);
-    c.rows = entry.rows;
-    records += c.trace.records.size();
-    captured.push_back(std::move(c));
-  }
-
-  std::uint64_t sink = 0;
-  const perfbench::Aggregate replayed = perfbench::run_timed(
-      protocol, records * schemes.size(), [&] {
-        for (const Captured& c : captured) {
-          for (const core::Scheme scheme : schemes) {
-            const auto map =
-                core::make_matrix_map(scheme, width, c.rows, seed);
-            replay::ReplayOptions options;
-            options.latency = latency;
-            sink += replay::replay_trace(c.trace, *map, options).stats.time;
-          }
-        }
-      });
-
-  perfbench::BenchReport report("ext_trace_replay");
-  report.set_config("width", width);
-  report.set_config("latency", latency);
-  report.set_config("seed", seed);
-  report.set_config("workloads", static_cast<std::uint64_t>(captured.size()));
-  report.set_config("records", records);
-  report.add("replay_all_workloads", replayed);
-  perfbench::write_bench_json(path, report);
-  std::printf("wrote %s (checksum %llu)\n", path.c_str(),
-              static_cast<unsigned long long>(sink));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,10 +52,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_uint("latency", 1));
   const std::uint64_t trials = args.get_uint("trials", 10);
   const std::uint64_t seed = args.get_uint("seed", 1);
-
-  if (const auto bench_path = args.get("bench-json")) {
-    return emit_bench(*bench_path, args, width, latency, seed);
-  }
 
   const std::vector<core::Scheme> schemes = {
       core::Scheme::kRaw, core::Scheme::kRas, core::Scheme::kRap,

@@ -5,16 +5,12 @@
 // (RAW < RAP < RAS): RAP's shift is a packed-register extract + add +
 // mask; RAS needs a table lookup per row (which on the GPU spills to
 // shared memory for large row counts). Absolute host numbers are not GPU
-// numbers — only the ordering and rough ratios carry over.
-//
-// With --bench-json=PATH the binary bypasses google-benchmark and runs
-// the same kernels under the perfbench warmup/repeat protocol (--quick /
-// --bench-warmup / --bench-repeats), writing a BENCH document whose
-// translate_* metrics carry the trajectory numbers (ns per translate).
+// numbers — only the ordering and rough ratios carry over. rapbench
+// measures the translate and map-build costs (core.translate_ns,
+// core.make_map_ns).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <memory>
 #include <span>
 #include <vector>
@@ -23,10 +19,8 @@
 #include "core/factory.hpp"
 #include "core/permutation.hpp"
 #include "gpu/register_pack.hpp"
-#include "perfbench/perfbench.hpp"
 #include "telemetry/run_telemetry.hpp"
 #include "transpose/runner.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -159,120 +153,6 @@ BENCHMARK(BM_DmmTransposeRunTelemetry)
     ->Args({32, 0})
     ->Args({32, 1});
 
-// -------------------------------------------------- perfbench trajectory
-
-/// ns per translate() for one scheme at width w, over `iters` calls per
-/// timed sample.
-perfbench::Aggregate time_translate(const perfbench::Protocol& protocol,
-                                    core::Scheme scheme, std::uint32_t w,
-                                    std::uint64_t iters) {
-  const auto map = core::make_matrix_map(scheme, w, w, 1);
-  std::uint64_t a = 0;
-  return perfbench::run_timed(protocol, iters, [&] {
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      benchmark::DoNotOptimize(map->translate(a));
-      a = next_address(a, map->size());
-    }
-  });
-}
-
-/// ns per address of a w-lane warp (one matrix row) translated lane by
-/// lane, over `iters` addresses per timed sample.
-perfbench::Aggregate time_translate_warp(const perfbench::Protocol& protocol,
-                                         core::Scheme scheme, std::uint32_t w,
-                                         std::uint64_t iters) {
-  const auto map = core::make_matrix_map(scheme, w, w, 1);
-  std::vector<std::uint64_t> logical(map->size());
-  for (std::uint64_t a = 0; a < logical.size(); ++a) logical[a] = a;
-  std::vector<std::uint64_t> physical(w);
-  const std::uint64_t warps = iters / w;
-  std::uint64_t row = 0;
-  return perfbench::run_timed(protocol, warps * w, [&] {
-    for (std::uint64_t k = 0; k < warps; ++k) {
-      translate_warp(*map, std::span(logical).subspan(row * w, w), physical);
-      benchmark::DoNotOptimize(physical.data());
-      benchmark::ClobberMemory();
-      row = next_address(row, w);
-    }
-  });
-}
-
-int emit_bench(const std::string& path, const util::CliArgs& args) {
-  const perfbench::Protocol protocol = perfbench::protocol_from_args(args);
-  const std::uint64_t iters = args.get_uint("iters", 1u << 20);
-
-  perfbench::BenchReport report("micro_mapping_overhead");
-  report.set_config("iters", iters);
-  for (const core::Scheme scheme :
-       {core::Scheme::kRaw, core::Scheme::kRas, core::Scheme::kRap}) {
-    for (const std::uint32_t w : {32u, 256u}) {
-      const std::string suffix =
-          std::string(core::scheme_name(scheme)) + "_w" + std::to_string(w);
-      report.add("translate_" + suffix,
-                 time_translate(protocol, scheme, w, iters));
-      report.add("translate_warp_" + suffix,
-                 time_translate_warp(protocol, scheme, w, iters));
-    }
-  }
-
-  {
-    util::Pcg32 rng(1);
-    const auto perm = core::Permutation::random(32, rng);
-    std::vector<std::uint32_t> shifts(perm.image().begin(),
-                                      perm.image().end());
-    const gpu::PackedShifts packed(shifts, 32);
-    std::uint32_t i = 0, j = 0;
-    report.add("packed_shift_extract",
-               perfbench::run_timed(protocol, iters, [&] {
-                 for (std::uint64_t k = 0; k < iters; ++k) {
-                   benchmark::DoNotOptimize((j + packed.get(i)) & 0x1f);
-                   i = (i + 1) & 31;
-                   j = (j + 7) & 31;
-                 }
-               }));
-  }
-
-  {
-    const std::uint64_t draws = iters >> 8;
-    util::Pcg32 rng(9);
-    report.add("permutation_draw_w32",
-               perfbench::run_timed(protocol, draws, [&] {
-                 for (std::uint64_t k = 0; k < draws; ++k) {
-                   benchmark::DoNotOptimize(core::Permutation::random(32, rng));
-                 }
-               }));
-  }
-
-  for (const std::uint32_t w : {32u, 256u}) {
-    // Same lane count per sample at both widths.
-    const std::uint64_t warps = (iters >> 1) / w;
-    const auto map = core::make_matrix_map(core::Scheme::kRap, w, w, 1);
-    util::Pcg32 rng(3);
-    std::vector<std::uint64_t> addrs(w);
-    for (auto& a : addrs) a = rng.bounded(w * w);
-    report.add("congestion_of_warp_w" + std::to_string(w),
-               perfbench::run_timed(protocol, warps, [&] {
-                 for (std::uint64_t k = 0; k < warps; ++k) {
-                   benchmark::DoNotOptimize(core::congestion_value(addrs, *map));
-                 }
-               }));
-  }
-
-  perfbench::write_bench_json(path, report);
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
-  if (const auto bench_path = args.get("bench-json")) {
-    return emit_bench(*bench_path, args);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -17,20 +17,13 @@
 // the mean/ci95, the exact congestion percentiles p50/p95/p99, and the
 // per-bank unique-request totals — the stable schema tools/run_all.sh
 // archives under results/metrics/ and tools/check_metrics_schema.sh
-// validates.
-//
-// With --bench-json=PATH the binary instead times the full sweep under
-// the perfbench warmup/repeat protocol (--quick / --bench-warmup /
-// --bench-repeats) and writes a BENCH document there — one metric,
-// "full_sweep", whose ns_per_op is nanoseconds per simulated warp
-// access. tools/bench_compare diffs these across commits.
+// validates. The sweep's speed is rapbench's table2-sweep workload.
 
 #include <cstdio>
 #include <iostream>
 
 #include "access/montecarlo.hpp"
 #include "core/factory.hpp"
-#include "perfbench/perfbench.hpp"
 #include "telemetry/json.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -90,47 +83,6 @@ int emit_json(const std::vector<std::uint64_t>& widths, std::uint64_t trials,
   return 0;
 }
 
-/// Perf-trajectory mode: time the whole (scheme x pattern x width)
-/// sweep; one item = one simulated warp access (a trial).
-int emit_bench(const std::string& path, const rapsim::util::CliArgs& args,
-               const std::vector<std::uint64_t>& widths, std::uint64_t trials,
-               std::uint64_t seed) {
-  using namespace rapsim;
-  const perfbench::Protocol protocol = perfbench::protocol_from_args(args);
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(core::table2_schemes().size()) *
-      static_cast<std::uint64_t>(access::table2_patterns().size()) *
-      static_cast<std::uint64_t>(widths.size());
-  double sink = 0.0;
-  const perfbench::Aggregate sweep =
-      perfbench::run_timed(protocol, cells * trials, [&] {
-        for (const core::Scheme scheme : core::table2_schemes()) {
-          for (const access::Pattern2d pattern : access::table2_patterns()) {
-            for (const auto w : widths) {
-              sink += access::estimate_congestion_2d(
-                          scheme, pattern, static_cast<std::uint32_t>(w),
-                          trials, seed)
-                          .mean;
-            }
-          }
-        }
-      });
-
-  perfbench::BenchReport report("table2_congestion_sim");
-  std::string widths_csv;
-  for (const auto w : widths) {
-    if (!widths_csv.empty()) widths_csv += ',';
-    widths_csv += std::to_string(w);
-  }
-  report.set_config("widths", widths_csv);
-  report.set_config("trials", trials);
-  report.set_config("seed", seed);
-  report.add("full_sweep", sweep);
-  perfbench::write_bench_json(path, report);
-  std::printf("wrote %s (checksum %.3f)\n", path.c_str(), sink);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -141,9 +93,6 @@ int main(int argc, char** argv) {
   const std::uint64_t trials = args.get_uint("trials", 20000);
   const std::uint64_t seed = args.get_uint("seed", 20140811);
 
-  if (const auto bench_path = args.get("bench-json")) {
-    return emit_bench(*bench_path, args, widths, trials, seed);
-  }
   if (args.wants_json()) return emit_json(widths, trials, seed);
 
   std::printf(

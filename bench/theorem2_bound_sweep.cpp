@@ -4,11 +4,6 @@
 // ln w / ln ln w itself.
 //
 //   $ theorem2_bound_sweep [--widths=8,16,32,64,128,256] [--trials=5000]
-//
-// With --bench-json=PATH: perf-trajectory mode — time the full
-// random+malicious estimation sweep under the perfbench protocol
-// (--quick / --bench-warmup / --bench-repeats) and write the BENCH
-// document there instead of printing the table.
 
 #include <cmath>
 #include <cstdio>
@@ -17,51 +12,8 @@
 #include "access/montecarlo.hpp"
 #include "core/factory.hpp"
 #include "core/theory.hpp"
-#include "perfbench/perfbench.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-/// One item = one simulated warp access: random + malicious estimates
-/// (trials each) per width.
-int emit_bench(const std::string& path, const rapsim::util::CliArgs& args,
-               const std::vector<std::uint64_t>& widths, std::uint64_t trials,
-               std::uint64_t seed) {
-  using namespace rapsim;
-  const perfbench::Protocol protocol = perfbench::protocol_from_args(args);
-  double sink = 0.0;
-  const perfbench::Aggregate sweep = perfbench::run_timed(
-      protocol, static_cast<std::uint64_t>(widths.size()) * 2 * trials, [&] {
-        for (const auto w32 : widths) {
-          const auto w = static_cast<std::uint32_t>(w32);
-          sink += access::estimate_congestion_2d(core::Scheme::kRap,
-                                                 access::Pattern2d::kRandom,
-                                                 w, trials, seed)
-                      .mean;
-          sink += access::estimate_congestion_2d(core::Scheme::kRap,
-                                                 access::Pattern2d::kMalicious,
-                                                 w, trials, seed)
-                      .mean;
-        }
-      });
-
-  perfbench::BenchReport report("theorem2_bound_sweep");
-  std::string widths_csv;
-  for (const auto w : widths) {
-    if (!widths_csv.empty()) widths_csv += ',';
-    widths_csv += std::to_string(w);
-  }
-  report.set_config("widths", widths_csv);
-  report.set_config("trials", trials);
-  report.set_config("seed", seed);
-  report.add("bound_sweep", sweep);
-  perfbench::write_bench_json(path, report);
-  std::printf("wrote %s (checksum %.3f)\n", path.c_str(), sink);
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -69,10 +21,6 @@ int main(int argc, char** argv) {
   const auto widths = args.get_uint_list("widths", {8, 16, 32, 64, 128, 256});
   const std::uint64_t trials = args.get_uint("trials", 5000);
   const std::uint64_t seed = args.get_uint("seed", 2);
-
-  if (const auto bench_path = args.get("bench-json")) {
-    return emit_bench(*bench_path, args, widths, trials, seed);
-  }
 
   std::printf(
       "== Theorem 2: measured RAP congestion vs the proof envelope "

@@ -53,8 +53,11 @@ namespace rapsim::core {
 
 /// Expected maximum bank load when `balls` unique requests land uniformly
 /// and independently in `bins` banks (Monte Carlo over `trials` draws).
-/// This governs: random access (all three schemes), RAS stride access and
-/// RAS/RAP diagonal access in Table II.
+/// This is the exact law of RAS stride and RAS diagonal access in Table
+/// II, where every row draws its own offset. It overstates random access:
+/// CRCW merging of duplicate addresses lowers the load. It understates
+/// RAP diagonal access: lanes land in banks (i + p(i)) mod w for one
+/// random permutation p, which is not balls-in-bins.
 [[nodiscard]] double expected_max_load_mc(std::uint32_t balls,
                                           std::uint32_t bins,
                                           std::uint32_t trials,

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "telemetry/run_telemetry.hpp"
-
 namespace rapsim::hier {
 
 namespace {
@@ -90,27 +88,17 @@ class PathWarpSource final : public WarpSource {
   std::uint64_t mem_wait_cycles_ = 0;
 };
 
-/// Per-SM hooks: SmStats accumulation, the machine's barrier side
-/// effects, and — when the SM's Dmm has a telemetry sink installed — the
-/// same per-dispatch feed Dmm::run performs.
+/// Per-SM hooks: SmStats accumulation and the machine's barrier side
+/// effects. The telemetry feed is Dmm::run's alone (DmmRunHooks).
 class SmHooks final : public CoreHooks {
  public:
   SmHooks(dmm::Dmm& machine, SmStats& stats) : machine_(machine), stats_(stats) {}
 
-  void on_idle(std::uint64_t slots) override {
-    stats_.idle_slots += slots;
-    if (auto* t = machine_.telemetry()) t->pipeline_idle_slots += slots;
-  }
+  void on_idle(std::uint64_t slots) override { stats_.idle_slots += slots; }
 
   void on_dispatch(const DispatchEvent& event) override {
     stats_.warp_stall_slots += event.stall_slots;
     ++stats_.warp_dispatches[event.warp];
-    if (auto* t = machine_.telemetry()) {
-      t->congestion.add(event.stages);
-      ++t->dispatches;
-      t->total_slots += event.stages;
-      t->warp_stall_slots += event.stall_slots;
-    }
   }
 
   void on_barrier_release(std::size_t pc) override {

@@ -97,11 +97,6 @@ class HierSim {
   [[nodiscard]] std::uint32_t num_sms() const noexcept {
     return static_cast<std::uint32_t>(machines_.size());
   }
-  /// The SM's machine — host loads/stores for inputs and outputs, or to
-  /// install telemetry/sanitizer/capture sinks on a particular SM.
-  [[nodiscard]] dmm::Dmm& sm_machine(std::uint32_t sm) {
-    return *machines_[sm];
-  }
 
   /// Execute `kernel` on every SM. `scheme` selects the address-overhead
   /// term of the ns estimate (the bank mapping itself is fixed by the

@@ -63,11 +63,6 @@ void GreedyThenOldestScheduler::on_dispatch(std::uint32_t warp) {
 
 // --- DynamicResizeScheduler ------------------------------------------------
 
-DynamicResizeScheduler::DynamicResizeScheduler(std::uint32_t grow_streak,
-                                               std::uint32_t shrink_misses)
-    : grow_streak_(grow_streak == 0 ? 1 : grow_streak),
-      shrink_misses_(shrink_misses == 0 ? 1 : shrink_misses) {}
-
 void DynamicResizeScheduler::reset(std::uint32_t num_warps) {
   num_warps_ = num_warps;
   max_group_ = 1;
@@ -91,7 +86,7 @@ std::uint32_t DynamicResizeScheduler::pick(const SchedulerView& view) {
       if (std::binary_search(view.candidates.begin(), view.candidates.end(),
                              warp)) {
         misses_ = 0;
-        if (++streak_ >= grow_streak_ && group_size_ < max_group_) {
+        if (++streak_ >= kGrowStreak && group_size_ < max_group_) {
           group_size_ *= 2;
           streak_ = 0;
         }
@@ -101,13 +96,13 @@ std::uint32_t DynamicResizeScheduler::pick(const SchedulerView& view) {
     // Divergence: the macro-warp has no ready member while other warps
     // do — the resized warp lost lockstep; vote to split it.
     streak_ = 0;
-    if (++misses_ >= shrink_misses_ && group_size_ > 1) {
+    if (++misses_ >= kShrinkMisses && group_size_ > 1) {
       group_size_ /= 2;
       misses_ = 0;
     }
   } else if (has_last_) {
     // Group size 1: a completed solo pick still counts toward regrowth.
-    if (++streak_ >= grow_streak_ && group_size_ < max_group_) {
+    if (++streak_ >= kGrowStreak && group_size_ < max_group_) {
       group_size_ *= 2;
       streak_ = 0;
     }

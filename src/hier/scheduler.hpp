@@ -64,11 +64,10 @@ class GreedyThenOldestScheduler final : public Scheduler {
 
 class DynamicResizeScheduler final : public Scheduler {
  public:
-  /// Grow after `grow_streak` consecutive same-group picks, shrink after
-  /// `shrink_misses` consecutive divergences. The defaults are the ones
-  /// every consumer (CLI, bench, tests) uses.
-  explicit DynamicResizeScheduler(std::uint32_t grow_streak = 4,
-                                  std::uint32_t shrink_misses = 2);
+  /// Grow after kGrowStreak consecutive same-group picks, shrink after
+  /// kShrinkMisses consecutive divergences.
+  static constexpr std::uint32_t kGrowStreak = 4;
+  static constexpr std::uint32_t kShrinkMisses = 2;
 
   [[nodiscard]] const char* name() const noexcept override { return "dwr"; }
   void reset(std::uint32_t num_warps) override;
@@ -81,8 +80,6 @@ class DynamicResizeScheduler final : public Scheduler {
   }
 
  private:
-  std::uint32_t grow_streak_;
-  std::uint32_t shrink_misses_;
   std::uint32_t num_warps_ = 0;
   std::uint32_t max_group_ = 1;  // largest power of two <= num_warps
   std::uint32_t group_size_ = 1;

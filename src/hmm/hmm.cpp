@@ -101,10 +101,6 @@ void Hmm::copy_global(const CopyPhase& phase, std::uint32_t num_threads) {
   charge_global(global_.run(kernel));
 }
 
-void Hmm::run_shared(const dmm::Kernel& kernel) {
-  charge_shared(shared_.run(kernel));
-}
-
 void HmmStats::flush_into(telemetry::MetricsRegistry& registry,
                           const telemetry::Labels& labels) const {
   registry.counter("hmm.global_time_units", labels).set(global_time);

@@ -88,9 +88,6 @@ class Hmm {
   /// (also a global address).
   void copy_global(const CopyPhase& phase, std::uint32_t num_threads);
 
-  /// Run a compute kernel entirely in shared memory (charged to the DMM).
-  void run_shared(const dmm::Kernel& kernel);
-
   [[nodiscard]] const HmmStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const HmmConfig& config() const noexcept { return config_; }
 

@@ -1,8 +1,7 @@
 // Regression comparison of two BENCH_<name>.json documents.
 //
-// The trajectory contract: a PR claiming a speedup commits a fresh
-// BENCH_*.json, and tools/bench_compare (which wraps this) diffs it
-// against the previous one. A metric regresses when its ns_per_op
+// tools/bench_compare (which wraps this) diffs a fresh document, such
+// as the serve engine's BENCH_serve.json, against the committed one. A metric regresses when its ns_per_op
 // degrades by at least `threshold` (a fraction: 0.30 = 30% slower).
 // Comparison is by metric name; metrics present on only one side are
 // reported but are NOT regressions (benches grow new metrics across

@@ -3,7 +3,6 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
@@ -15,60 +14,6 @@
 
 namespace rapsim::perfbench {
 
-namespace {
-
-Aggregate from_tally(const util::Tally& tally, const util::OnlineStats& stats,
-                     std::uint64_t items, std::uint64_t total_ns,
-                     double ops_per_sec, double ns_per_op) {
-  Aggregate agg;
-  agg.samples = tally.count();
-  agg.items = items;
-  agg.total_ns = total_ns;
-  agg.ops_per_sec = ops_per_sec;
-  agg.ns_per_op = ns_per_op;
-  agg.p50_ns = tally.percentile(50.0);
-  agg.p95_ns = tally.percentile(95.0);
-  agg.p99_ns = tally.percentile(99.0);
-  agg.min_ns = tally.min();
-  agg.max_ns = tally.max();
-  agg.mean_ns = stats.mean();
-  agg.stddev_ns = stats.stddev();
-  return agg;
-}
-
-}  // namespace
-
-Protocol protocol_from_args(const util::CliArgs& args) {
-  Protocol protocol;
-  if (args.get("quick")) protocol = Protocol::quick();
-  protocol.warmup = static_cast<std::size_t>(
-      args.get_uint("bench-warmup", protocol.warmup));
-  protocol.repeats = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             args.get_uint("bench-repeats", protocol.repeats)));
-  return protocol;
-}
-
-Aggregate aggregate_repeats(const std::vector<std::uint64_t>& sample_ns,
-                            std::uint64_t items_per_sample) {
-  if (sample_ns.empty() || items_per_sample == 0) return {};
-  util::Tally tally;
-  util::OnlineStats stats;
-  std::uint64_t total = 0;
-  for (const std::uint64_t ns : sample_ns) {
-    tally.add(ns);
-    stats.add(static_cast<double>(ns));
-    total += ns;
-  }
-  // Median sample, not mean: one preempted repeat must not move the
-  // trajectory number later PRs are compared against.
-  const auto median_ns = static_cast<double>(tally.percentile(50.0));
-  const auto items = static_cast<double>(items_per_sample);
-  const double ops = median_ns > 0 ? items / (median_ns / 1e9) : 0.0;
-  const double per_op = median_ns > 0 ? median_ns / items : 0.0;
-  return from_tally(tally, stats, items_per_sample, total, ops, per_op);
-}
-
 Aggregate aggregate_latencies(const util::Tally& latency_ns,
                               std::uint64_t wall_ns) {
   if (latency_ns.count() == 0) return {};
@@ -77,10 +22,21 @@ Aggregate aggregate_latencies(const util::Tally& latency_ns,
     stats.add_repeated(static_cast<double>(value), count);
   }
   const auto samples = static_cast<double>(latency_ns.count());
-  const double ops =
+  Aggregate agg;
+  agg.samples = latency_ns.count();
+  agg.items = 1;
+  agg.total_ns = wall_ns;
+  agg.ops_per_sec =
       wall_ns > 0 ? samples / (static_cast<double>(wall_ns) / 1e9) : 0.0;
-  const auto per_op = static_cast<double>(latency_ns.percentile(50.0));
-  return from_tally(latency_ns, stats, 1, wall_ns, ops, per_op);
+  agg.ns_per_op = static_cast<double>(latency_ns.percentile(50.0));
+  agg.p50_ns = latency_ns.percentile(50.0);
+  agg.p95_ns = latency_ns.percentile(95.0);
+  agg.p99_ns = latency_ns.percentile(99.0);
+  agg.min_ns = latency_ns.min();
+  agg.max_ns = latency_ns.max();
+  agg.mean_ns = stats.mean();
+  agg.stddev_ns = stats.stddev();
+  return agg;
 }
 
 MachineInfo capture_machine() {

@@ -17,50 +17,6 @@ namespace {
 
 }  // namespace
 
-JsonValue JsonValue::make_null() { return JsonValue(); }
-
-JsonValue JsonValue::make_bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::make_integer(std::int64_t i) {
-  JsonValue v;
-  v.kind_ = Kind::kInteger;
-  v.int_ = i;
-  return v;
-}
-
-JsonValue JsonValue::make_double(double d) {
-  JsonValue v;
-  v.kind_ = Kind::kDouble;
-  v.double_ = d;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::make_array(JsonArray items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.array_ = std::make_shared<JsonArray>(std::move(items));
-  return v;
-}
-
-JsonValue JsonValue::make_object(JsonMembers members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.object_ = std::make_shared<JsonMembers>(std::move(members));
-  return v;
-}
-
 bool JsonValue::as_bool() const {
   if (kind_ != Kind::kBool) fail_kind("a bool");
   return bool_;
@@ -143,11 +99,9 @@ std::string JsonValue::serialize() const {
   return out.str();
 }
 
-namespace {
-
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
     skip_ws();
@@ -199,15 +153,15 @@ class Parser {
       case '[':
         return parse_array(depth);
       case '"':
-        return JsonValue::make_string(parse_string());
+        return JsonValue(parse_string());
       case 't':
-        if (consume_literal("true")) return JsonValue::make_bool(true);
+        if (consume_literal("true")) return JsonValue(true);
         fail("bad literal");
       case 'f':
-        if (consume_literal("false")) return JsonValue::make_bool(false);
+        if (consume_literal("false")) return JsonValue(false);
         fail("bad literal");
       case 'n':
-        if (consume_literal("null")) return JsonValue::make_null();
+        if (consume_literal("null")) return JsonValue();
         fail("bad literal");
       default:
         return parse_number();
@@ -220,7 +174,7 @@ class Parser {
     skip_ws();
     if (!eof() && peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return JsonValue(std::move(members));
     }
     for (;;) {
       skip_ws();
@@ -241,7 +195,7 @@ class Parser {
       }
       if (peek() == '}') {
         ++pos_;
-        return JsonValue::make_object(std::move(members));
+        return JsonValue(std::move(members));
       }
       fail("expected ',' or '}' in object");
     }
@@ -253,7 +207,7 @@ class Parser {
     skip_ws();
     if (!eof() && peek() == ']') {
       ++pos_;
-      return JsonValue::make_array(std::move(items));
+      return JsonValue(std::move(items));
     }
     for (;;) {
       skip_ws();
@@ -266,7 +220,7 @@ class Parser {
       }
       if (peek() == ']') {
         ++pos_;
-        return JsonValue::make_array(std::move(items));
+        return JsonValue(std::move(items));
       }
       fail("expected ',' or ']' in array");
     }
@@ -380,7 +334,7 @@ class Parser {
       errno = 0;
       const long long n = std::strtoll(literal.c_str(), &end, 10);
       if (end == literal.c_str() + literal.size() && errno == 0) {
-        return JsonValue::make_integer(n);
+        return JsonValue(static_cast<std::int64_t>(n));
       }
       // Out-of-int64-range integer literal: keep it as a double.
     }
@@ -390,14 +344,12 @@ class Parser {
       pos_ = start;
       fail("bad number literal '" + literal + "'");
     }
-    return JsonValue::make_double(d);
+    return JsonValue(d);
   }
 };
 
-}  // namespace
-
 JsonValue parse_json(std::string_view text) {
-  return Parser(text).parse_document();
+  return JsonParser(text).parse_document();
 }
 
 }  // namespace rapsim::serve

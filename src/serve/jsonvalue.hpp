@@ -21,11 +21,13 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rapsim::serve {
 
 class JsonValue;
+class JsonParser;
 
 /// Object member list in insertion order. Lookup is linear — protocol
 /// objects have a handful of keys, and order preservation is what makes
@@ -37,14 +39,7 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kInteger, kDouble, kString, kArray, kObject };
 
-  JsonValue() = default;  // null
-  static JsonValue make_null();
-  static JsonValue make_bool(bool b);
-  static JsonValue make_integer(std::int64_t i);
-  static JsonValue make_double(double d);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(JsonArray items);
-  static JsonValue make_object(JsonMembers members);
+  JsonValue() = default;  // null; only parse_json builds other values
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
@@ -82,6 +77,19 @@ class JsonValue {
   [[nodiscard]] std::string serialize() const;
 
  private:
+  friend class JsonParser;
+  explicit JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}
+  explicit JsonValue(std::int64_t i) : kind_(Kind::kInteger), int_(i) {}
+  explicit JsonValue(double d) : kind_(Kind::kDouble), double_(d) {}
+  explicit JsonValue(std::string s)
+      : kind_(Kind::kString), string_(std::move(s)) {}
+  explicit JsonValue(JsonArray items)
+      : kind_(Kind::kArray),
+        array_(std::make_shared<JsonArray>(std::move(items))) {}
+  explicit JsonValue(JsonMembers members)
+      : kind_(Kind::kObject),
+        object_(std::make_shared<JsonMembers>(std::move(members))) {}
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   std::int64_t int_ = 0;

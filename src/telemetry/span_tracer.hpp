@@ -12,7 +12,7 @@
 //     end on another (a pool worker); a mutex guards the span tables,
 //     which is fine because an enabled tracer records a handful of
 //     spans per REQUEST, not per memory access;
-//   * timestamps come from perfbench::now() (the repository's single
+//   * timestamps come from util::now() (the repository's single
 //     steady clock, header-only so no link cycle), relative to the
 //     tracer's construction epoch.
 //

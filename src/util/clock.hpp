@@ -1,22 +1,21 @@
-// The one monotonic clock every benchmark times with.
+// The one monotonic clock every timing in the repository reads.
 //
-// Benches used to inline their own std::chrono calls; hoisting the
-// steady-clock read here (header-only, so even layers below the
-// perfbench library — telemetry's SpanTracer — can share it without a
-// link dependency) guarantees no experiment ever times with a
-// wall-clock that NTP or a suspend/resume can move backwards.
+// Header-only, so every layer (telemetry's SpanTracer, the serve
+// engine, the benches) shares it without a link dependency, and no
+// measurement ever uses a wall clock that NTP or a suspend/resume can
+// move backwards.
 
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 
-namespace rapsim::perfbench {
+namespace rapsim::util {
 
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
-/// Monotonic timestamp; the only clock benchmark code should read.
+/// Monotonic timestamp; the only clock timing code should read.
 [[nodiscard]] inline TimePoint now() noexcept { return Clock::now(); }
 
 /// Nanoseconds from `start` to `end` (0 when end precedes start, which
@@ -34,4 +33,4 @@ using TimePoint = Clock::time_point;
   return elapsed_ns(start, now());
 }
 
-}  // namespace rapsim::perfbench
+}  // namespace rapsim::util

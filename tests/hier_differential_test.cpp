@@ -110,34 +110,37 @@ TEST(HierDifferential, MultiSmZeroPathIsIndependentCopies) {
 }
 
 TEST(HierDifferential, HotPathMakesSchedulingMatter) {
-  // With a small L1 and few MSHRs the memory path stays hot, and the
-  // policies order warps differently enough to change end-to-end cycles
-  // — the configuration BENCH_hier.json is generated under.
+  // With a small L1 and few MSHRs the memory path stays hot, and once
+  // SMs contend for the shared ports the policies order warps
+  // differently enough to change end-to-end cycles — the configuration
+  // of results/ext_hier_scaling.txt and rapbench's hier-hotpath.
   const std::uint32_t width = 32;
   const tools::WorkloadKernel entry = tools::workload_kernel("bitonic", width);
   const auto map =
       core::make_matrix_map(core::Scheme::kRap, width, entry.rows, 1);
 
-  std::vector<std::uint64_t> cycles;
-  for (const std::string& scheduler : hier::scheduler_names()) {
-    hier::HierConfig config;
-    config.sms = 2;
-    config.width = width;
-    config.scheduler = scheduler;
-    config.path = hier::PathParams::defaults();
-    config.path.l1.lines = 4;
-    config.path.mshrs = 2;
-    hier::HierSim sim(config, *map);
-    cycles.push_back(sim.run(entry.kernel, core::Scheme::kRap).cycles);
-    EXPECT_GT(cycles.back(), 0u) << scheduler;
+  for (const std::uint32_t sms : {2u, 4u}) {
+    std::vector<std::uint64_t> cycles;
+    for (const std::string& scheduler : hier::scheduler_names()) {
+      hier::HierConfig config;
+      config.sms = sms;
+      config.width = width;
+      config.scheduler = scheduler;
+      config.path = hier::PathParams::defaults();
+      config.path.l1.lines = 4;
+      config.path.mshrs = 2;
+      hier::HierSim sim(config, *map);
+      cycles.push_back(sim.run(entry.kernel, core::Scheme::kRap).cycles);
+      EXPECT_GT(cycles.back(), 0u) << scheduler << " sms=" << sms;
+    }
+    bool any_different = false;
+    for (const std::uint64_t c : cycles) {
+      if (c != cycles.front()) any_different = true;
+    }
+    EXPECT_TRUE(any_different)
+        << "sms=" << sms << ": all schedulers produced " << cycles.front()
+        << " cycles - the policies are not actually plugged in";
   }
-  bool any_different = false;
-  for (const std::uint64_t c : cycles) {
-    if (c != cycles.front()) any_different = true;
-  }
-  EXPECT_TRUE(any_different)
-      << "all schedulers produced " << cycles.front()
-      << " cycles - the policies are not actually plugged in";
 }
 
 }  // namespace

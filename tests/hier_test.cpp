@@ -306,37 +306,44 @@ TEST(Scheduler, GreedySticksUntilWarpLeavesCandidates) {
 }
 
 TEST(Scheduler, DynamicResizeGrowsAndShrinksMacroWarps) {
-  hier::DynamicResizeScheduler sched(/*grow_streak=*/2, /*shrink_misses=*/1);
+  using Dwr = hier::DynamicResizeScheduler;
+  Dwr sched;
   sched.reset(8);
   EXPECT_EQ(sched.group_size(), 1u);
   const std::vector<std::uint32_t> all = {0, 1, 2, 3, 4, 5, 6, 7};
   const std::vector<std::uint64_t> ready(8, 0);
 
-  // The first pick has no history; the next two build a streak of 2,
-  // which doubles the group.
+  // The first pick has no history; the next kGrowStreak picks build a
+  // streak that doubles the group.
   sched.on_dispatch(sched.pick({all, ready, 0}));  // seeds history (warp 0)
-  sched.on_dispatch(sched.pick({all, ready, 0}));  // streak 1
+  for (std::uint32_t i = 1; i < Dwr::kGrowStreak; ++i) {
+    sched.on_dispatch(sched.pick({all, ready, 0}));
+  }
   EXPECT_EQ(sched.group_size(), 1u);
-  sched.on_dispatch(sched.pick({all, ready, 0}));  // streak 2 -> group 2
+  sched.on_dispatch(sched.pick({all, ready, 0}));  // streak full -> group 2
   EXPECT_EQ(sched.group_size(), 2u);
 
   // Members of the aligned group issue back to back; sustained streaks
   // keep doubling the group.
-  for (int i = 0; i < 8; ++i) {
+  for (std::uint32_t i = 0; i < 2 * Dwr::kGrowStreak; ++i) {
     sched.on_dispatch(sched.pick({all, ready, 0}));
   }
   EXPECT_GE(sched.group_size(), 4u);
 
   // Shrink: grow a fresh instance to group 2 = {0, 1}, then offer only a
-  // warp outside the group. The divergence (shrink_misses = 1) halves it
-  // and the pick falls back to the ready candidate.
-  hier::DynamicResizeScheduler s2(/*grow_streak=*/2, /*shrink_misses=*/1);
+  // warp outside the group. Each pick is a divergence that falls back to
+  // the ready candidate; the kShrinkMisses-th halves the group.
+  Dwr s2;
   s2.reset(8);
-  s2.on_dispatch(s2.pick({all, ready, 0}));
-  s2.on_dispatch(s2.pick({all, ready, 0}));
-  s2.on_dispatch(s2.pick({all, ready, 0}));
+  for (std::uint32_t i = 0; i <= Dwr::kGrowStreak; ++i) {
+    s2.on_dispatch(s2.pick({all, ready, 0}));
+  }
   ASSERT_EQ(s2.group_size(), 2u);
   const std::vector<std::uint32_t> outside = {7};
+  for (std::uint32_t miss = 1; miss < Dwr::kShrinkMisses; ++miss) {
+    EXPECT_EQ(s2.pick({outside, ready, 0}), 7u);
+    EXPECT_EQ(s2.group_size(), 2u);
+  }
   EXPECT_EQ(s2.pick({outside, ready, 0}), 7u);
   EXPECT_EQ(s2.group_size(), 1u);
 }

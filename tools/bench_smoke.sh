@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Smoke of the perf-trajectory loop with real binaries, no python needed:
 #
-#   tools/bench_smoke.sh [path/to/bench] [path/to/bench_compare]
+#   tools/bench_smoke.sh [path/to/ext_serve_throughput] [path/to/bench_compare]
 #
-#   1. the bench runs in --bench-json --quick mode and writes a document;
+#   1. a small serve throughput run (--bench-json) writes a document;
 #   2. bench_compare of the document against itself exits 0 (a trajectory
 #      point never regresses against itself);
 #   3. a hand-degraded copy (ns_per_op doubled via sed) makes
@@ -14,7 +14,7 @@
 
 set -euo pipefail
 
-BENCH="${1:-build/bench/theorem2_bound_sweep}"
+BENCH="${1:-build/bench/ext_serve_throughput}"
 COMPARE="${2:-build/tools/bench_compare}"
 for bin in "$BENCH" "$COMPARE"; do
   if [ ! -x "$bin" ]; then
@@ -28,7 +28,7 @@ trap 'rm -rf "$WORK"' EXIT
 fail() { echo "bench_smoke: $*" >&2; exit 1; }
 
 BASE="$WORK/base.json"
-"$BENCH" --bench-json="$BASE" --quick --widths=8,16 --trials=100 > /dev/null
+"$BENCH" --bench-json="$BASE" --requests=64 --unique=8 --clients=2 > /dev/null
 [ -s "$BASE" ] || fail "bench wrote no document"
 
 # --- self-compare passes ------------------------------------------------

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Validate the BENCH_<name>.json perf-trajectory schema.
 #
-#   tools/check_bench_schema.sh [path/to/a/bench/binary]
+#   tools/check_bench_schema.sh [path/to/ext_serve_throughput]
 #
-# Runs the given bench (default theorem2_bound_sweep) in --bench-json
-# --quick mode and checks the emitted document parses and carries every
-# field tools/bench_compare and the committed BENCH_*.json baselines
-# rely on: schema_version 1, bench name, machine identity, config, and
+# Runs a small serve throughput bench with --bench-json and checks the
+# emitted document parses and carries every field tools/bench_compare
+# and the committed BENCH_serve.json rely on: schema_version 1, bench name, machine identity, config, and
 # the full per-metric aggregate (samples/items/total_ns/ops_per_sec/
 # ns_per_op/p50/p95/p99/min/max/mean/stddev). Registered as the ctest
 # entry `bench_schema` with SKIP_RETURN_CODE 77: a host without python3
@@ -18,7 +17,7 @@ HERE="$(cd "$(dirname "$0")" && pwd)"
 # shellcheck source=tools/json_schema_lib.sh
 . "$HERE/json_schema_lib.sh"
 
-BIN="${1:-build/bench/theorem2_bound_sweep}"
+BIN="${1:-build/bench/ext_serve_throughput}"
 if [ ! -x "$BIN" ]; then
   echo "check_bench_schema: bench binary not found: $BIN" >&2
   exit 1
@@ -27,7 +26,7 @@ fi
 json_schema_require_python3 check_bench_schema 77
 
 DOC="$(json_schema_tmpfile)"
-"$BIN" --bench-json="$DOC" --quick --widths=8,16 --trials=100 > /dev/null
+"$BIN" --bench-json="$DOC" --requests=64 --unique=8 --clients=2 > /dev/null
 
 json_schema_validate "$DOC" <<'EOF'
 import json

@@ -1,18 +1,13 @@
 #!/usr/bin/env bash
-# Validate the machine-readable contracts of the hierarchy simulator:
+# Validate the machine-readable contract of the hierarchy simulator:
 #
-#   tools/check_hier_schema.sh [path/to/rapsim-hier] [path/to/ext_hier_scaling]
+#   tools/check_hier_schema.sh [path/to/rapsim-hier]
 #
-# 1. rapsim-hier --format=json: the run document must parse, carry
-#    schema_version 1, echo the configuration (including the full path
-#    geometry), report consistent totals (total.dispatches = sum over
-#    SMs, cycles = max over SMs), and embed a metrics registry dump with
-#    the hier.* counters.
-# 2. ext_hier_scaling --bench-json (the BENCH_hier.json producer): the
-#    generic BENCH_*.json aggregate schema plus the hier-specific
-#    contract — all nine cycles_sms<N>_<sched> config cells present, and
-#    at >= 2 SMs the cycle counts must NOT be identical across the three
-#    schedulers (the scheduler has to matter once SMs contend).
+# rapsim-hier --format=json: the run document must parse, carry
+# schema_version 1, echo the configuration (including the full path
+# geometry), report consistent totals (total.dispatches = sum over SMs,
+# cycles = max over SMs), and embed a metrics registry dump with the
+# hier.* counters.
 #
 # Registered as the ctest entry `hier_schema` with SKIP_RETURN_CODE 77:
 # a host without python3 skips rather than fails.
@@ -24,19 +19,15 @@ HERE="$(cd "$(dirname "$0")" && pwd)"
 . "$HERE/json_schema_lib.sh"
 
 HIER_BIN="${1:-build/tools/rapsim-hier}"
-BENCH_BIN="${2:-build/bench/ext_hier_scaling}"
-for bin in "$HIER_BIN" "$BENCH_BIN"; do
-  if [ ! -x "$bin" ]; then
-    echo "check_hier_schema: binary not found: $bin" >&2
-    exit 1
-  fi
-done
+if [ ! -x "$HIER_BIN" ]; then
+  echo "check_hier_schema: binary not found: $HIER_BIN" >&2
+  exit 1
+fi
 
 json_schema_require_python3 check_hier_schema 77
 
 DOC="$(json_schema_tmpfile)"
-BENCH_DOC="$DOC.bench"
-trap 'rm -f "$DOC" "$BENCH_DOC"' EXIT
+trap 'rm -f "$DOC"' EXIT
 
 "$HIER_BIN" --workload=bitonic --width=16 --sms=2 --scheduler=gto \
     --scheme=rap --format=json > "$DOC"
@@ -108,67 +99,4 @@ for name in ("hier.cycles", "hier.dispatches", "hier.l2_hits",
 
 print(f"check_hier_schema: run document OK "
       f"({total['cycles']} cycles over {len(sms)} SMs)")
-EOF
-
-"$BENCH_BIN" --bench-json="$BENCH_DOC" --quick > /dev/null
-
-json_schema_validate "$BENCH_DOC" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1], encoding="utf-8") as fh:
-    doc = json.load(fh)
-
-def require(cond, what):
-    if not cond:
-        sys.exit(f"hier bench schema violation: {what}")
-
-require(doc.get("schema_version") == 1, "schema_version must be 1")
-require(doc.get("bench") == "ext_hier_scaling",
-        "bench must be ext_hier_scaling")
-require(isinstance(doc.get("unix_time"), int), "unix_time must be an int")
-
-machine = doc.get("machine")
-require(isinstance(machine, dict), "machine must be an object")
-for key in ("hostname", "os", "compiler"):
-    require(isinstance(machine.get(key), str) and machine[key],
-            f"machine.{key} must be a non-empty string")
-
-config = doc.get("config")
-require(isinstance(config, dict), "config must be an object")
-SCHEDULERS = ("roundrobin", "gto", "dwr")
-for sms in (1, 2, 4):
-    for sched in SCHEDULERS:
-        key = f"cycles_sms{sms}_{sched}"
-        require(isinstance(config.get(key), int) and config[key] > 0,
-                f"config.{key} must be a positive int")
-
-# The scheduler must matter once SMs contend for the shared ports.
-for sms in (2, 4):
-    cycles = {config[f"cycles_sms{sms}_{s}"] for s in SCHEDULERS}
-    require(len(cycles) > 1,
-            f"cycle counts at {sms} SMs are scheduler-independent")
-
-metrics = doc.get("metrics")
-require(isinstance(metrics, list) and len(metrics) == 9,
-        "metrics must hold the nine sim_* series")
-INT_FIELDS = ("samples", "items", "total_ns", "p50_ns", "p95_ns",
-              "p99_ns", "min_ns", "max_ns")
-NUM_FIELDS = ("ops_per_sec", "ns_per_op", "mean_ns", "stddev_ns")
-for metric in metrics:
-    require(isinstance(metric, dict), "each metric must be an object")
-    name = metric.get("name")
-    require(isinstance(name, str) and name.startswith("sim_sms"),
-            "metric names must be sim_sms<N>_<sched>")
-    for key in INT_FIELDS:
-        require(isinstance(metric.get(key), int) and metric[key] >= 0,
-                f"{name}.{key} must be a non-negative int")
-    for key in NUM_FIELDS:
-        require(isinstance(metric.get(key), (int, float)),
-                f"{name}.{key} must be a number")
-    require(metric["samples"] > 0, f"{name} recorded no samples")
-    require(metric["ns_per_op"] > 0, f"{name}.ns_per_op must be positive")
-
-print("check_hier_schema: bench document OK (9 cells, "
-      "scheduler-dependent at >= 2 SMs)")
 EOF

@@ -34,7 +34,6 @@
 
 #include "hier/hier.hpp"
 #include "core/factory.hpp"
-#include "replay/campaign.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/cli.hpp"

@@ -11,9 +11,9 @@
 # Machine-readable telemetry lands under results/metrics/: the Table II
 # congestion JSON (stable schema, validated by check_metrics_schema.sh),
 # the Figure 3 chrome://tracing timeline (open in ui.perfetto.dev), and a
-# rapsim_profile document per transpose algorithm. These files are the
-# per-run metric drop that seeds the BENCH_*.json performance trajectory
-# across PRs — see "Observability" in README.md.
+# rapsim_profile document per transpose algorithm — see "Observability"
+# in README.md. Performance is measured by rapbench (BENCHMARK.json);
+# the perf section here covers only the serve engine's BENCH_serve.json.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,43 +88,18 @@ done
 "$BUILD_DIR"/tools/rapsim-client shutdown --socket="$SERVE_SOCK" > /dev/null
 wait "$SERVE_PID"
 
-echo "=== perf trajectory -> results/bench/ ==="
+echo "=== serve perf trajectory -> results/bench/ ==="
 mkdir -p results/bench
-# Fresh BENCH_*.json documents from every instrumented bench (the quick
-# protocol keeps this section to seconds; drop --quick for a real
-# measurement run). Compared against the committed baselines at the repo
-# root NON-fatally: a regression prints loudly but does not abort the
-# sweep — promote a fresh document to the root baseline when a slowdown
-# (or speedup) is intentional.
-"$BUILD_DIR"/bench/table2_congestion_sim \
-  --bench-json=results/bench/BENCH_table2.json --quick
-"$BUILD_DIR"/bench/theorem2_bound_sweep \
-  --bench-json=results/bench/BENCH_theorem2.json --quick
-"$BUILD_DIR"/bench/micro_mapping_overhead \
-  --bench-json=results/bench/BENCH_micro_mapping.json --quick
-"$BUILD_DIR"/bench/ext_trace_replay \
-  --bench-json=results/bench/BENCH_trace_replay.json --quick
+# A fresh BENCH_serve.json, compared against the committed baseline
+# NON-fatally: a regression prints loudly but does not abort the sweep.
+# Every other performance number is rapbench's (BENCHMARK.json).
 "$BUILD_DIR"/bench/ext_serve_throughput \
-  --bench-json=results/bench/BENCH_serve.json --quick
-"$BUILD_DIR"/bench/ext_synthesis \
-  --bench-json=results/bench/BENCH_synth.json --quick
-"$BUILD_DIR"/bench/ext_vm_workloads \
-  --bench-json=results/bench/BENCH_vm.json --quick
-"$BUILD_DIR"/bench/ext_hier_scaling \
-  --bench-json=results/bench/BENCH_hier.json --quick
-tools/check_bench_schema.sh "$BUILD_DIR"/bench/theorem2_bound_sweep \
+  --bench-json=results/bench/BENCH_serve.json
+tools/check_bench_schema.sh "$BUILD_DIR"/bench/ext_serve_throughput \
   || [ $? -eq 77 ]
-tools/check_vm_schema.sh "$BUILD_DIR"/bench/ext_vm_workloads \
-  || [ $? -eq 77 ]
-tools/check_hier_schema.sh "$BUILD_DIR"/tools/rapsim-hier \
-  "$BUILD_DIR"/bench/ext_hier_scaling || [ $? -eq 77 ]
-COMPARE="$BUILD_DIR/tools/bench_compare"
-for baseline in BENCH_table2.json BENCH_serve.json BENCH_synth.json \
-                BENCH_vm.json BENCH_hier.json; do
-  [ -f "$baseline" ] || continue
-  "$COMPARE" "$baseline" "results/bench/$baseline" \
-    || echo "bench_compare: $baseline moved past the threshold (see above)"
-done
+"$BUILD_DIR"/tools/bench_compare BENCH_serve.json \
+  results/bench/BENCH_serve.json \
+  || echo "bench_compare: BENCH_serve.json moved past the threshold (see above)"
 
 echo "=== workload VM suite -> results/vm/ ==="
 mkdir -p results/vm
@@ -162,6 +137,7 @@ done
 "$HIER" --program=examples/shearsort.rvm --width=16 --sms=2 \
   --scheduler=gto --scheme=rap --format=json \
   > results/hier/shearsort_example.json
+tools/check_hier_schema.sh "$BUILD_DIR"/tools/rapsim-hier || [ $? -eq 77 ]
 # HMM cost counters for the tiled-transpose cells (same registry schema).
 "$BUILD_DIR"/bench/ext_tiled_transpose --seeds=2 \
   --metrics-out=results/metrics/hmm_tiled_transpose.json > /dev/null

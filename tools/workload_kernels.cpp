@@ -71,6 +71,15 @@ WorkloadKernel workload_kernel(const std::string& name, std::uint32_t width) {
     if (!known.empty()) known += ", ";
     known += entry.name;
   }
+  // The catalog lists vm-bitonic as "bitonic"; every suite name resolves.
+  if (width >= 8) {
+    for (const vm::SuiteProgram& entry : vm::suite_programs(width)) {
+      if (entry.name != name) continue;
+      vm::LoweredProgram lowered =
+          vm::lower_program(vm::assemble(entry.text, width));
+      return {name, std::move(lowered.kernel), lowered.rows, "program"};
+    }
+  }
   throw std::invalid_argument("unknown workload '" + name + "' (known: " +
                               known + ")");
 }

@@ -42,8 +42,9 @@ struct WorkloadKernel {
 [[nodiscard]] std::vector<WorkloadKernel> workload_kernels(
     std::uint32_t width);
 
-/// The catalog entry named `name`, or throws std::invalid_argument
-/// listing the valid names.
+/// The catalog entry named `name`, or the `vm::suite_programs(width)`
+/// program of that name (vm-bitonic, which the catalog lists as
+/// bitonic). Throws std::invalid_argument listing the valid names.
 [[nodiscard]] WorkloadKernel workload_kernel(const std::string& name,
                                              std::uint32_t width);
 
