@@ -125,14 +125,6 @@ bool is_read(OpKind kind) {
 
 }  // namespace
 
-void Dmm::note_bank_peaks() {
-  if (!telemetry_) return;
-  for (std::uint32_t b = 0; b < config_.width; ++b) {
-    telemetry_->bank_peak[b] =
-        std::max<std::uint64_t>(telemetry_->bank_peak[b], tally_.bank_count(b));
-  }
-}
-
 Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
                                          std::span<const ThreadOp> ops,
                                          std::uint32_t instr_idx,
@@ -231,6 +223,13 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
       }
       if (config_.kind == MachineKind::kDmm) {
         tally_.add_unmerged(phys);
+        if (telemetry_) {
+          // The bank's count only grows during the access, so the peak
+          // it reaches here is its count for the whole access.
+          const auto bank = static_cast<std::uint32_t>(phys % config_.width);
+          std::uint64_t& peak = telemetry_->bank_peak[bank];
+          peak = std::max<std::uint64_t>(peak, tally_.bank_count(bank));
+        }
       } else {
         const std::uint64_t row = phys / config_.width;
         if (row != prev_row) {
@@ -246,7 +245,6 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
           std::max<std::uint64_t>(rows_touched, result.active_threads));
     } else {
       result.congestion = tally_.congestion();
-      note_bank_peaks();
     }
     return result;
   }
@@ -332,15 +330,21 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
 
   result.unique_requests = tally_.unique_requests();
   if (telemetry_) {
+    // Only the banks this access touched can raise a peak (DMM only: a
+    // UMM has no per-bank address lines).
+    const bool peaks = config_.kind == MachineKind::kDmm;
     for (const std::uint64_t addr : tally_.unique_addresses()) {
-      ++telemetry_->bank_requests[static_cast<std::size_t>(addr %
-                                                           config_.width)];
+      const auto bank = static_cast<std::uint32_t>(addr % config_.width);
+      ++telemetry_->bank_requests[bank];
+      if (peaks) {
+        std::uint64_t& peak = telemetry_->bank_peak[bank];
+        peak = std::max<std::uint64_t>(peak, tally_.bank_count(bank));
+      }
     }
   }
   if (config_.kind == MachineKind::kDmm) {
     // DMM: one pipeline slot carries at most one request per bank.
     result.congestion = tally_.congestion();
-    note_bank_peaks();
   } else {
     // UMM: one pipeline slot broadcasts one memory row to all banks.
     const auto unique = tally_.unique_addresses();

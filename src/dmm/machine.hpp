@@ -169,9 +169,6 @@ class Dmm {
   std::vector<std::uint64_t> umm_rows_;       // UMM: merged addresses, sorted
   std::vector<std::uint64_t> capture_addrs_;  // capture: logical addresses
 
-  /// Fold this access's per-bank counts into the telemetry peaks.
-  void note_bank_peaks();
-
   /// Execute the data movement of one warp-instruction and return its
   /// congestion (pipeline slots) and unique-request count. `lanes` are
   /// the warp's active threads in ascending order and `ops` their ops,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -77,11 +79,19 @@ AccessTrace capture_run(dmm::Dmm& machine, const dmm::Kernel& kernel,
 dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
   trace.validate();
 
-  // validate() bounds every instr below kMaxTraceInstructions, but keep
-  // the sizing arithmetic 64-bit so a future relaxation cannot wrap it.
+  // validate() bounds every instr below kMaxTraceInstructions and the op
+  // total below kMaxTraceOps; keep the sizing arithmetic 64-bit so a
+  // future relaxation cannot wrap it.
+  const std::vector<TraceRecord>& records = trace.records;
+  const std::uint32_t num_threads = trace.header.num_threads;
+  const std::uint32_t num_warps = trace.header.num_warps();
   std::uint64_t num_instr = 0;
-  for (const TraceRecord& record : trace.records) {
+  std::uint64_t total = 0;
+  for (const TraceRecord& record : records) {
     num_instr = std::max(num_instr, std::uint64_t{record.instr} + 1);
+    total += record.kind == RecordKind::kBarrier
+                 ? num_threads
+                 : static_cast<std::uint64_t>(std::popcount(record.lane_mask));
   }
   if (num_instr > kMaxTraceInstructions) {
     throw std::invalid_argument(
@@ -89,34 +99,46 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
         " instructions, above the cap of " +
         std::to_string(kMaxTraceInstructions));
   }
-
   const auto count = static_cast<std::size_t>(num_instr);
-  const std::uint32_t num_threads = trace.header.num_threads;
 
-  // The kernel's sparse store comes straight from the lane masks: count
-  // each instruction's ops (validate() rules out duplicate records, so
-  // the counts are exact), turn the counts into start offsets, then fill
-  // — each fill advances its instruction's offset, which leaves it at
-  // the instruction's end.
-  std::vector<std::size_t> ends(count, 0);
-  for (const TraceRecord& record : trace.records) {
-    ends[record.instr] += record.kind == RecordKind::kBarrier
-                              ? num_threads
-                              : static_cast<std::size_t>(
-                                    std::popcount(record.lane_mask));
-  }
-  std::size_t total = 0;
-  for (std::size_t& end : ends) {
-    const std::size_t ops_here = end;
-    end = total;
-    total += ops_here;
-  }
-  std::vector<std::uint32_t> threads(total);
-  std::vector<dmm::ThreadOp> ops(total);
+  std::vector<std::size_t> ends(count);
+  std::vector<std::uint32_t> threads(static_cast<std::size_t>(total));
+  std::vector<dmm::ThreadOp> ops(static_cast<std::size_t>(total));
 
+  // The record indices in (instr, warp) order: a stable counting sort by
+  // warp, then one by instruction. A trace keeps dispatch order, so the
+  // records of one instruction may arrive out of warp order; in this
+  // order their threads ascend, which is the order the store needs.
+  // validate() rules out duplicate (instr, warp) pairs and a barrier
+  // sharing its instruction, so the order is total.
+  std::vector<std::uint32_t> order(records.size());
+  {
+    std::vector<std::uint32_t> by_warp(records.size());
+    std::vector<std::uint32_t> starts(std::max<std::size_t>(num_warps, count) +
+                                      1);
+    const auto counting_sort = [&](std::span<const std::uint32_t> in,
+                                   std::span<std::uint32_t> out,
+                                   std::size_t buckets, auto key) {
+      std::fill_n(starts.begin(), buckets + 1, 0u);
+      for (const std::uint32_t r : in) ++starts[key(records[r]) + 1];
+      for (std::size_t b = 1; b <= buckets; ++b) starts[b] += starts[b - 1];
+      for (const std::uint32_t r : in) out[starts[key(records[r])]++] = r;
+    };
+    std::iota(order.begin(), order.end(), 0u);
+    counting_sort(order, by_warp, num_warps,
+                  [](const TraceRecord& record) { return record.warp; });
+    counting_sort(by_warp, order, count,
+                  [](const TraceRecord& record) { return record.instr; });
+  }
+
+  // One pass in that order fills the sparse store and closes each
+  // instruction's end offset as the pass moves past it.
   const std::uint32_t w = trace.header.width;
-  for (const TraceRecord& record : trace.records) {
-    std::size_t& fill = ends[record.instr];
+  std::size_t fill = 0;
+  std::size_t instr = 0;
+  for (const std::uint32_t r : order) {
+    const TraceRecord& record = records[r];
+    for (; instr < record.instr; ++instr) ends[instr] = fill;
     if (record.kind == RecordKind::kBarrier) {
       for (std::uint32_t t = 0; t < num_threads; ++t) {
         threads[fill] = t;
@@ -149,26 +171,7 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
       }
     }
   }
-  // Records of one instruction may arrive out of warp order (a trace
-  // keeps dispatch order); their threads must still ascend, and each op
-  // moves with its thread.
-  std::vector<std::pair<std::uint32_t, dmm::ThreadOp>> reorder;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t first = i == 0 ? 0 : ends[i - 1];
-    const auto begin = threads.begin() + static_cast<std::ptrdiff_t>(first);
-    const auto end = threads.begin() + static_cast<std::ptrdiff_t>(ends[i]);
-    if (std::is_sorted(begin, end)) continue;
-    reorder.clear();
-    for (std::size_t k = first; k < ends[i]; ++k) {
-      reorder.emplace_back(threads[k], ops[k]);
-    }
-    std::sort(reorder.begin(), reorder.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t k = first; k < ends[i]; ++k) {
-      threads[k] = reorder[k - first].first;
-      ops[k] = reorder[k - first].second;
-    }
-  }
+  for (; instr < count; ++instr) ends[instr] = fill;
   return dmm::Kernel::from_sparse(num_threads, std::move(ends),
                                   std::move(threads), std::move(ops));
 }

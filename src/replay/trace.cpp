@@ -2,12 +2,14 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/hash.hpp"
 
@@ -58,6 +60,124 @@ void put_u64(std::string& out, std::uint64_t v) {
   }
 }
 
+/// The little-endian word at `p`; the caller has checked the bytes exist.
+template <typename Word>
+Word load_le(const char* p) {
+  Word v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(Word));
+  } else {
+    for (std::size_t i = 0; i < sizeof(Word); ++i) {
+      v |= static_cast<Word>(static_cast<unsigned char>(p[i])) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// Decodes a binary trace held in memory. `offset` is the next byte to
+/// decode, and the position errors cite; every read checks the bytes
+/// that remain before it touches them.
+struct BinaryDecoder {
+  std::string_view bytes;
+  std::size_t& offset;
+
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes.size() - offset;
+  }
+
+  TraceHeader header() {
+    if (bytes.substr(0, 4) != std::string_view(kBinaryMagic, 4)) {
+      fail_offset(0, "bad magic (expected RAPT)");
+    }
+    offset = 4;
+    TraceHeader header;
+    header.version = header_field<std::uint32_t>("version");
+    if (header.version != kTraceVersion) {
+      fail_offset(4, "unsupported version " + std::to_string(header.version) +
+                         " (expected " + std::to_string(kTraceVersion) + ")");
+    }
+    header.width = header_field<std::uint32_t>("width");
+    header.num_threads = header_field<std::uint32_t>("threads");
+    header.memory_size = header_field<std::uint64_t>("size");
+    try {
+      header.validate();
+    } catch (const std::invalid_argument& e) {
+      fail_offset(offset, e.what());
+    }
+    return header;
+  }
+
+  /// Decode the next record into `record` (a fresh one); false at the
+  /// end sentinel, once no byte follows it.
+  bool next(TraceRecord& record) {
+    if (remaining() == 0) {
+      fail_offset(offset, "truncated stream (missing end sentinel)");
+    }
+    const auto tag = static_cast<std::uint8_t>(bytes[offset++]);
+    if (tag == kBinaryEnd) {
+      if (remaining() != 0) {
+        fail_offset(offset, "trailing bytes after end sentinel");
+      }
+      return false;
+    }
+    if (tag < static_cast<std::uint8_t>(RecordKind::kRead) ||
+        tag > static_cast<std::uint8_t>(RecordKind::kBarrier)) {
+      fail_offset(offset, "unknown record tag " + std::to_string(tag));
+    }
+    record.kind = static_cast<RecordKind>(tag);
+    record.instr = word<std::uint32_t>();
+    if (record.kind == RecordKind::kBarrier) return true;
+    record.warp = word<std::uint32_t>();
+    record.lane_mask = word<std::uint64_t>();
+    if (has_addrs(record.kind)) {
+      // The declared addresses must all be there before the vector is
+      // sized for them; a short stream fails at its first partial word.
+      const auto active =
+          static_cast<std::size_t>(std::popcount(record.lane_mask));
+      if (remaining() / 8 < active) {
+        fail_offset(offset + remaining() / 8 * 8, "truncated record");
+      }
+      record.addrs.resize(active);
+      for (std::uint64_t& addr : record.addrs) addr = take<std::uint64_t>();
+    }
+    return true;
+  }
+
+  /// A header field; a truncated one is reported 4 bytes past its start.
+  template <typename Word>
+  Word header_field(const char* what) {
+    if (remaining() < sizeof(Word)) {
+      fail_offset(offset + 4, std::string("truncated header (") + what + ")");
+    }
+    return take<Word>();
+  }
+
+  /// A record field.
+  template <typename Word>
+  Word word() {
+    if (remaining() < sizeof(Word)) fail_offset(offset, "truncated record");
+    return take<Word>();
+  }
+
+  /// The next word; the caller has checked that it is there.
+  template <typename Word>
+  Word take() {
+    const Word v = load_le<Word>(bytes.data() + offset);
+    offset += sizeof(Word);
+    return v;
+  }
+};
+
+/// validator.check(record), its error prefixed with the byte offset.
+void check_at_offset(TraceValidator& validator, const TraceRecord& record,
+                     std::size_t offset) {
+  try {
+    validator.check(record);
+  } catch (const std::invalid_argument& e) {
+    fail_offset(offset, e.what());
+  }
+}
+
 }  // namespace
 
 const char* record_kind_name(RecordKind kind) noexcept {
@@ -88,32 +208,43 @@ void TraceHeader::validate() const {
   if (memory_size == 0) fail("memory_size must be > 0");
 }
 
-std::pair<TraceValidator::Slot*, bool> TraceValidator::insert(
-    std::uint64_t key, bool barrier) {
-  if (2 * (used_ + 1) > slots_.size()) grow();
+TraceValidator::TraceValidator(const TraceHeader& header,
+                               std::size_t expected_records)
+    : header_(header) {
+  // Each record adds at most two keys (its own and its instruction's),
+  // and the table stays at most half full.
+  if (expected_records > 0) {
+    rehash(std::bit_ceil(std::max<std::size_t>(64, 4 * expected_records)));
+  }
+}
+
+std::pair<std::uint64_t, bool> TraceValidator::insert(std::uint64_t key,
+                                                      bool barrier) {
+  if (2 * (used_ + 1) > slots_.size()) {
+    rehash(slots_.empty() ? 64 : 2 * slots_.size());
+  }
   const std::size_t mask = slots_.size() - 1;
   // Fibonacci hashing, linear probing (as in core::BankTally).
   for (std::size_t s = static_cast<std::size_t>(
            (key * 0x9e3779b97f4a7c15ull) >> shift_);
        ; s = (s + 1) & mask) {
-    Slot& slot = slots_[s];
-    if (slot.key == key) return {&slot, false};
-    if (slot.key == kEmpty) {
-      slot = {key, barrier};
+    std::uint64_t& slot = slots_[s];
+    if (slot == kEmpty) {
+      slot = barrier ? key | kBarrierBit : key;
       ++used_;
-      return {&slot, true};
+      return {slot, true};
     }
+    if ((slot & ~kBarrierBit) == key) return {slot, false};
   }
 }
 
-void TraceValidator::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  const std::size_t size = old.empty() ? 64 : 2 * old.size();
-  slots_.assign(size, Slot{});
+void TraceValidator::rehash(std::size_t size) {
+  std::vector<std::uint64_t> old =
+      std::exchange(slots_, std::vector<std::uint64_t>(size, kEmpty));
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
   used_ = 0;
-  for (const Slot& slot : old) {
-    if (slot.key != kEmpty) insert(slot.key, slot.barrier);
+  for (const std::uint64_t slot : old) {
+    if (slot != kEmpty) insert(slot & ~kBarrierBit, (slot & kBarrierBit) != 0);
   }
 }
 
@@ -127,6 +258,15 @@ void TraceValidator::check(const TraceRecord& record) {
     reject("instruction index exceeds the cap of " +
            std::to_string(kMaxTraceInstructions));
   }
+  // Lowering makes one op per active lane of an access or register
+  // record and one per thread of a barrier.
+  const auto count_ops = [&](std::uint64_t ops) {
+    ops_ += ops;
+    if (ops_ > kMaxTraceOps) {
+      reject("lowered op count exceeds the cap of " +
+             std::to_string(kMaxTraceOps));
+    }
+  };
   const std::uint64_t instr_key =
       static_cast<std::uint64_t>(record.instr) << 32;
   if (record.kind == RecordKind::kBarrier) {
@@ -135,9 +275,11 @@ void TraceValidator::check(const TraceRecord& record) {
     }
     const auto [slot, inserted] = insert(instr_key | kInstrKey, true);
     if (!inserted) {
-      reject(slot->barrier ? "duplicate barrier marker"
-                           : "instruction already has access records");
+      reject((slot & kBarrierBit) != 0
+                 ? "duplicate barrier marker"
+                 : "instruction already has access records");
     }
+    count_ops(header_.num_threads);
     return;
   }
 
@@ -176,14 +318,15 @@ void TraceValidator::check(const TraceRecord& record) {
     reject("duplicate (instruction, warp) record");
   }
   const auto [slot, inserted] = insert(instr_key | kInstrKey, false);
-  if (!inserted && slot->barrier) {
+  if (!inserted && (slot & kBarrierBit) != 0) {
     reject("instruction already marked as a barrier");
   }
+  count_ops(active);
 }
 
 void AccessTrace::validate() const {
   header.validate();
-  TraceValidator validator(header);
+  TraceValidator validator(header, records.size());
   for (const TraceRecord& record : records) validator.check(record);
 }
 
@@ -260,7 +403,10 @@ TraceReader::TraceReader(std::istream& in)
   if (encoding_ == TraceEncoding::kText) {
     parse_text_header();
   } else {
-    parse_binary_header();
+    std::ostringstream whole;
+    whole << in_.rdbuf();
+    bytes_ = std::move(whole).str();
+    header_ = BinaryDecoder{bytes_, offset_}.header();
   }
   validator_ = TraceValidator(header_);
 }
@@ -339,60 +485,23 @@ void TraceReader::parse_text_header() {
   }
 }
 
-void TraceReader::parse_binary_header() {
-  char magic[4];
-  if (!in_.read(magic, 4) || std::string_view(magic, 4) !=
-                                 std::string_view(kBinaryMagic, 4)) {
-    fail_offset(0, "bad magic (expected RAPT)");
-  }
-  const auto read_u32 = [&](const char* what) {
-    unsigned char bytes[4];
-    if (!in_.read(reinterpret_cast<char*>(bytes), 4)) {
-      fail_offset(offset_ + 4, std::string("truncated header (") + what + ")");
-    }
-    offset_ += 4;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[i]} << (8 * i);
-    return v;
-  };
-  const auto read_u64 = [&](const char* what) {
-    unsigned char bytes[8];
-    if (!in_.read(reinterpret_cast<char*>(bytes), 8)) {
-      fail_offset(offset_ + 4, std::string("truncated header (") + what + ")");
-    }
-    offset_ += 8;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[i]} << (8 * i);
-    return v;
-  };
-  offset_ = 4;
-  header_.version = read_u32("version");
-  if (header_.version != kTraceVersion) {
-    fail_offset(4, "unsupported version " + std::to_string(header_.version) +
-                       " (expected " + std::to_string(kTraceVersion) + ")");
-  }
-  header_.width = read_u32("width");
-  header_.num_threads = read_u32("threads");
-  header_.memory_size = read_u64("size");
-  try {
-    header_.validate();
-  } catch (const std::invalid_argument& e) {
-    fail_offset(offset_, e.what());
-  }
-}
-
 std::optional<TraceRecord> TraceReader::next() {
   if (done_) return std::nullopt;
-  auto record = encoding_ == TraceEncoding::kText ? next_text() : next_binary();
+  if (encoding_ == TraceEncoding::kBinary) {
+    TraceRecord record;
+    if (!BinaryDecoder{bytes_, offset_}.next(record)) {
+      done_ = true;
+      return std::nullopt;
+    }
+    check_at_offset(validator_, record, offset_);
+    return record;
+  }
+  auto record = next_text();
   if (record) {
     try {
       validator_.check(*record);
     } catch (const std::invalid_argument& e) {
-      if (encoding_ == TraceEncoding::kText) {
-        fail_line(line_, e.what());
-      } else {
-        fail_offset(offset_, e.what());
-      }
+      fail_line(line_, e.what());
     }
   }
   return record;
@@ -461,60 +570,6 @@ std::optional<TraceRecord> TraceReader::next_text() {
   fail_line(line_ + 1, "unexpected end of input (missing 'end' line)");
 }
 
-std::optional<TraceRecord> TraceReader::next_binary() {
-  char tag_char = 0;
-  if (!in_.read(&tag_char, 1)) {
-    fail_offset(offset_, "truncated stream (missing end sentinel)");
-  }
-  ++offset_;
-  const auto tag = static_cast<std::uint8_t>(tag_char);
-  if (tag == kBinaryEnd) {
-    if (in_.peek() != std::char_traits<char>::eof()) {
-      fail_offset(offset_, "trailing bytes after end sentinel");
-    }
-    done_ = true;
-    return std::nullopt;
-  }
-  if (tag < static_cast<std::uint8_t>(RecordKind::kRead) ||
-      tag > static_cast<std::uint8_t>(RecordKind::kBarrier)) {
-    fail_offset(offset_, "unknown record tag " + std::to_string(tag));
-  }
-
-  const auto read_u32 = [&] {
-    unsigned char bytes[4];
-    if (!in_.read(reinterpret_cast<char*>(bytes), 4)) {
-      fail_offset(offset_, "truncated record");
-    }
-    offset_ += 4;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[i]} << (8 * i);
-    return v;
-  };
-  const auto read_u64 = [&] {
-    unsigned char bytes[8];
-    if (!in_.read(reinterpret_cast<char*>(bytes), 8)) {
-      fail_offset(offset_, "truncated record");
-    }
-    offset_ += 8;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[i]} << (8 * i);
-    return v;
-  };
-
-  TraceRecord record;
-  record.kind = static_cast<RecordKind>(tag);
-  record.instr = read_u32();
-  if (record.kind == RecordKind::kBarrier) return record;
-  record.warp = read_u32();
-  record.lane_mask = read_u64();
-  if (has_addrs(record.kind)) {
-    const int active = std::popcount(record.lane_mask);
-    record.addrs.reserve(static_cast<std::size_t>(active));
-    for (int i = 0; i < active; ++i) record.addrs.push_back(read_u64());
-  }
-  return record;
-}
-
 // --- whole-trace conveniences ------------------------------------------
 
 std::string to_text(const AccessTrace& trace) {
@@ -537,13 +592,27 @@ AccessTrace parse_trace(std::istream& in) {
   TraceReader reader(in);
   AccessTrace trace;
   trace.header = reader.header();
-  while (auto record = reader.next()) trace.records.push_back(*record);
+  while (auto record = reader.next()) {
+    trace.records.push_back(std::move(*record));
+  }
   return trace;
 }
 
 AccessTrace parse_trace(const std::string& bytes) {
-  std::istringstream in(bytes);
-  return parse_trace(in);
+  if (bytes.empty() || bytes[0] != kBinaryMagic[0]) {
+    std::istringstream in(bytes);
+    return parse_trace(in);
+  }
+  std::size_t offset = 0;
+  BinaryDecoder decoder{bytes, offset};
+  AccessTrace trace;
+  trace.header = decoder.header();
+  TraceValidator validator(trace.header);
+  for (TraceRecord record; decoder.next(record); record = TraceRecord{}) {
+    check_at_offset(validator, record, offset);
+    trace.records.push_back(std::move(record));
+  }
+  return trace;
 }
 
 AccessTrace load_trace(const std::string& path) {

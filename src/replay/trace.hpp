@@ -18,14 +18,17 @@
 //               header, tagged records, 0xFF end sentinel) for captured
 //               traces too large to ship as text.
 //
-// Both are streaming: TraceWriter emits records as they arrive (capture
-// never buffers the whole stream), TraceReader sniffs the encoding from
-// the first byte and validates every record on the fly — lane masks
-// inside the warp width, address counts matching the mask popcount,
-// addresses inside the declared memory, no duplicate (instruction, warp)
-// pairs, no instruction that is both a barrier and an access, and
-// instruction indices / thread counts inside the replay resource caps
-// (kMaxTraceInstructions, kMaxTraceThreads).
+// TraceWriter emits records as they arrive (capture never buffers the
+// whole stream). TraceReader sniffs the encoding from the first byte; a
+// text stream is parsed line by line, a binary stream is read into one
+// buffer and decoded from memory (parse_trace(bytes) decodes the
+// caller's bytes in place). Either way every record is validated on the
+// fly — lane masks inside the warp width, address counts matching the
+// mask popcount, addresses inside the declared memory, no duplicate
+// (instruction, warp) pairs, no instruction that is both a barrier and
+// an access, and instruction indices / thread counts / lowered ops
+// inside the replay resource caps (kMaxTraceInstructions,
+// kMaxTraceThreads, kMaxTraceOps).
 //
 // content_hash() hashes the canonical binary encoding (FNV-1a 64) and is
 // the identity the campaign engine (campaign.hpp) keys its result cache
@@ -70,13 +73,20 @@ struct TraceRecord {
 
 inline constexpr std::uint32_t kTraceVersion = 1;
 inline constexpr std::uint32_t kMaxTraceWidth = 64;  // lane mask is 64-bit
-// Resource bounds: replay materializes a dense num_instr × num_threads
-// dmm::Kernel, so both dimensions are capped. A tiny crafted file must
-// not be able to demand a multi-GB allocation (or overflow the
-// instruction-count arithmetic) before anything notices; the validator
-// rejects records past these limits with the usual line/offset errors.
+// Resource bounds. Replay lowers a trace into a sparse dmm::Kernel of
+// one op per active lane of each access/register record plus one op per
+// thread of each barrier, with an end offset per instruction and one
+// register per thread. The caps bound each of those: the instruction
+// count (and so the offset array, whose sizing arithmetic must not
+// wrap), the thread count, and the total lowered op count. A tiny
+// crafted file must not be able to demand a multi-GB allocation before
+// anything notices — 64 barrier lines over 2^20 threads would lower to
+// 2^26 ops — so the validator rejects records past these limits with
+// the usual line/offset errors. The op cap admits the largest kernel
+// the repo replays (tensor4d at w = 64: 2^24 ops) with room to spare.
 inline constexpr std::uint32_t kMaxTraceInstructions = 1u << 20;
 inline constexpr std::uint32_t kMaxTraceThreads = 1u << 20;
+inline constexpr std::uint64_t kMaxTraceOps = std::uint64_t{1} << 25;
 
 struct TraceHeader {
   std::uint32_t version = kTraceVersion;
@@ -101,30 +111,35 @@ struct TraceHeader {
 /// TraceHeader::validate().
 class TraceValidator {
  public:
-  explicit TraceValidator(const TraceHeader& header) : header_(header) {}
+  /// `expected_records` presizes the table for that many records, so a
+  /// caller that knows the count (AccessTrace::validate) allocates it
+  /// once; the table still grows past it when needed.
+  explicit TraceValidator(const TraceHeader& header,
+                          std::size_t expected_records = 0);
   void check(const TraceRecord& record);
 
  private:
   // One insert-only open-addressing table holds both kinds of key a
   // check consults: (instr << 32) | warp for each access record, and
-  // (instr << 32) | kInstrKey for each instruction, flagged when it is a
-  // barrier. Warp ids stay below kMaxTraceThreads, so the two never
-  // collide; no key is ever all ones (kEmpty).
+  // (instr << 32) | kInstrKey for each instruction, with kBarrierBit set
+  // in the stored slot when it is a barrier. Warp ids stay below
+  // kMaxTraceThreads and instruction indices below kMaxTraceInstructions,
+  // so the two kinds never collide, bit 63 of a key is always clear, and
+  // no stored slot is ever all ones (kEmpty).
   static constexpr std::uint64_t kInstrKey = 0xFFFFFFFFu;
+  static constexpr std::uint64_t kBarrierBit = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  struct Slot {
-    std::uint64_t key = kEmpty;
-    bool barrier = false;
-  };
-  /// Insert `key` with `barrier` unless present. Returns the key's slot
-  /// and whether it was inserted.
-  std::pair<Slot*, bool> insert(std::uint64_t key, bool barrier);
-  void grow();
+  /// Insert `key` (flagged when `barrier`) unless present. Returns the
+  /// key's stored slot and whether it was inserted.
+  std::pair<std::uint64_t, bool> insert(std::uint64_t key, bool barrier);
+  /// Resize the table to `size` slots (a power of two) and rehash.
+  void rehash(std::size_t size);
 
   TraceHeader header_;
-  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::vector<std::uint64_t> slots_;  // power-of-two size, at most half full
   std::size_t used_ = 0;
   unsigned shift_ = 64;      // 64 - log2(slots_.size())
+  std::uint64_t ops_ = 0;    // lowered ops of the records checked so far
 };
 
 struct AccessTrace {
@@ -161,7 +176,9 @@ class TraceWriter {
 /// Streaming reader: sniffs the encoding from the first byte ('R' of the
 /// binary magic vs. anything textual), parses and validates the header,
 /// then yields one validated record per next() until the terminator.
-/// Errors carry the 1-based line number (text) or byte offset (binary).
+/// A text stream is read line by line; a binary stream is read whole
+/// into one buffer on construction and decoded from it. Errors carry the
+/// 1-based line number (text) or byte offset (binary).
 class TraceReader {
  public:
   explicit TraceReader(std::istream& in);
@@ -177,19 +194,20 @@ class TraceReader {
   TraceEncoding encoding_ = TraceEncoding::kText;
   TraceValidator validator_;
   std::size_t line_ = 0;    // text: lines consumed so far
-  std::size_t offset_ = 0;  // binary: bytes consumed so far
+  std::string bytes_;       // binary: the whole stream
+  std::size_t offset_ = 0;  // binary: bytes decoded so far
   bool done_ = false;
 
   void parse_text_header();
-  void parse_binary_header();
   std::optional<TraceRecord> next_text();
-  std::optional<TraceRecord> next_binary();
 };
 
 // Whole-trace conveniences over the streaming classes.
 [[nodiscard]] std::string to_text(const AccessTrace& trace);
 [[nodiscard]] std::string to_binary(const AccessTrace& trace);
 [[nodiscard]] AccessTrace parse_trace(std::istream& in);
+/// Same trace, same errors as parse_trace(std::istream&) over these
+/// bytes; a binary trace is decoded in place, without a copy.
 [[nodiscard]] AccessTrace parse_trace(const std::string& bytes);
 
 /// Read a trace file (either encoding, sniffed). Throws

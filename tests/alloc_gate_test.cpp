@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -29,19 +30,22 @@
 
 namespace {
 
-// Monte-Carlo workers allocate too, so the counter is shared.
+// Monte-Carlo workers allocate too, so the counters are shared.
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   const auto alignment = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
@@ -73,6 +77,14 @@ std::uint64_t allocations_during(Fn&& fn) {
   const std::uint64_t before = g_allocations.load();
   fn();
   return g_allocations.load() - before;
+}
+
+/// Bytes requested from operator new while running `fn`.
+template <typename Fn>
+std::uint64_t bytes_allocated_during(Fn&& fn) {
+  const std::uint64_t before = g_allocated_bytes.load();
+  fn();
+  return g_allocated_bytes.load() - before;
 }
 
 TEST(AllocGate, CountingOperatorNewIsLinked) {
@@ -175,11 +187,47 @@ const BitonicCapture& bitonic_capture() {
 
 TEST(AllocGate, TraceValidationAllocatesPerTableGrowthNotPerRecord) {
   // The bitonic capture: thousands of records, valid throughout. The
-  // validator's one open-addressing table grows by doubling, so its
-  // allocations are logarithmic in the record count.
+  // validator's one open-addressing table is sized once from the record
+  // count; grown by doubling from 64 slots it took 10 allocations.
   const replay::AccessTrace& trace = bitonic_capture().trace;
   ASSERT_GT(trace.records.size(), 9000u);
-  EXPECT_LT(allocations_during([&] { trace.validate(); }), 100u);
+  EXPECT_LE(allocations_during([&] { trace.validate(); }), 2u);
+}
+
+TEST(AllocGate, BinaryTraceDecodeAllocatesOncePerAddressRecord) {
+  // Decoding allocates each address record's vector and moves it into
+  // the trace; the rest (the record array's growth, the validator's
+  // table) is logarithmic. Copying each record out of the reader made
+  // two allocations per address record: 14,426 for this capture.
+  const replay::AccessTrace& trace = bitonic_capture().trace;
+  const std::string bytes = replay::to_binary(trace);
+  const auto address_records = static_cast<std::uint64_t>(std::count_if(
+      trace.records.begin(), trace.records.end(),
+      [](const replay::TraceRecord& record) { return !record.addrs.empty(); }));
+  ASSERT_GT(address_records, 7000u);
+  replay::AccessTrace decoded;
+  const std::uint64_t allocs = allocations_during(
+      [&] { decoded = replay::parse_trace(bytes); });
+  EXPECT_EQ(decoded, trace);
+  EXPECT_LE(allocs, address_records + 32);
+}
+
+TEST(AllocGate, TraceAboveTheOpCapIsRejectedBeforeItAllocates) {
+  // 747 bytes of text whose 64 barriers over 2^20 threads would lower to
+  // 2^26 ops (about 1.9 GB). The parser stops at the 33rd barrier having
+  // allocated only per-line scratch and the validator's table.
+  std::string text =
+      "rapsim-trace v1\nwidth 64\nthreads 1048576\nsize 64\n";
+  for (int i = 0; i < 64; ++i) text += "barrier " + std::to_string(i) + "\n";
+  text += "end\n";
+  std::uint64_t allocs = 0;
+  const std::uint64_t bytes = bytes_allocated_during([&] {
+    allocs = allocations_during([&] {
+      EXPECT_THROW((void)replay::parse_trace(text), std::invalid_argument);
+    });
+  });
+  EXPECT_LT(allocs, 200u);
+  EXPECT_LT(bytes, std::uint64_t{64} << 10);
 }
 
 TEST(AllocGate, ReplayLoweringAllocationsDoNotGrowWithInstructions) {

@@ -3,14 +3,20 @@
 // run's RunStats exactly — time, slots, dispatches, max and average
 // congestion — for every workload x scheme x width in {16, 32, 64}.
 // The trace also has to survive both encodings unchanged on the way.
+// The replay's per-bank telemetry is checked against a tally recomputed
+// from the capture alone.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
 #include "replay/replay.hpp"
 #include "replay/trace.hpp"
 #include "workload_kernels.hpp"
+#include "workloads/histogram.hpp"
 
 namespace {
 
@@ -133,6 +139,118 @@ TEST(ReplayDifferential, CertifyTraceMatchesObservedWorstCongestion) {
     EXPECT_EQ(static_cast<double>(result.stats.max_congestion),
               certificate.bound)
         << core::scheme_name(scheme);
+  }
+}
+
+/// Per-bank telemetry recomputed from a trace without the machine:
+/// translate each memory record's addresses, merge duplicates unless the
+/// record is atomic (atomics serialize), count per bank, and keep each
+/// bank's total and its largest single-record count.
+struct BankRecount {
+  std::vector<std::uint64_t> requests;
+  std::vector<std::uint64_t> peak;
+};
+
+BankRecount recount_banks(const replay::AccessTrace& trace,
+                        const core::AddressMap& map) {
+  const std::uint32_t w = trace.header.width;
+  BankRecount tally{std::vector<std::uint64_t>(w),
+                  std::vector<std::uint64_t>(w)};
+  for (const replay::TraceRecord& record : trace.records) {
+    if (record.addrs.empty()) continue;  // barrier or register record
+    std::vector<std::uint64_t> phys;
+    for (const std::uint64_t addr : record.addrs) {
+      phys.push_back(map.translate(addr));
+    }
+    if (record.kind != replay::RecordKind::kAtomic) {
+      std::sort(phys.begin(), phys.end());
+      phys.erase(std::unique(phys.begin(), phys.end()), phys.end());
+    }
+    std::vector<std::uint64_t> per_bank(w);
+    for (const std::uint64_t p : phys) ++per_bank[p % w];
+    for (std::uint32_t b = 0; b < w; ++b) {
+      tally.requests[b] += per_bank[b];
+      tally.peak[b] = std::max(tally.peak[b], per_bank[b]);
+    }
+  }
+  return tally;
+}
+
+/// Replay `trace` under `map` on a DMM and on a UMM and compare the bank
+/// telemetry with recount_banks(): requests on both machines, peaks on
+/// the DMM, all-zero peaks on the UMM (it has no per-bank lines).
+void expect_bank_telemetry(const replay::AccessTrace& trace,
+                           const core::AddressMap& map,
+                           const std::string& label) {
+  const BankRecount expected = recount_banks(trace, map);
+  replay::ReplayOptions options;
+  options.latency = kLatency;
+  const replay::ReplayResult dmm_run =
+      replay::replay_trace(trace, map, options);
+  EXPECT_EQ(dmm_run.telemetry.bank_requests, expected.requests) << label;
+  EXPECT_EQ(dmm_run.telemetry.bank_peak, expected.peak) << label;
+  options.kind = dmm::MachineKind::kUmm;
+  const replay::ReplayResult umm_run =
+      replay::replay_trace(trace, map, options);
+  EXPECT_EQ(umm_run.telemetry.bank_requests, expected.requests)
+      << label << " (UMM)";
+  EXPECT_EQ(umm_run.telemetry.bank_peak,
+            std::vector<std::uint64_t>(trace.header.width, 0))
+      << label << " (UMM)";
+}
+
+constexpr core::Scheme kTelemetrySchemes[] = {
+    core::Scheme::kRaw, core::Scheme::kRas, core::Scheme::kRap,
+    core::Scheme::kPad};
+
+TEST(ReplayDifferential, BankTelemetryMatchesARecountFromTheCapture) {
+  for (const std::uint32_t width : {16u, 32u, 64u}) {
+    for (const tools::WorkloadKernel& entry : tools::workload_kernels(width)) {
+      const auto capture_map =
+          core::make_matrix_map(core::Scheme::kRaw, width, entry.rows, 0);
+      dmm::Dmm recorder(dmm::DmmConfig{width, kLatency}, *capture_map);
+      const replay::AccessTrace trace =
+          replay::capture_run(recorder, entry.kernel);
+      for (const core::Scheme scheme : kTelemetrySchemes) {
+        const auto map = core::make_matrix_map(scheme, width, entry.rows, kSeed);
+        expect_bank_telemetry(trace, *map,
+                              entry.name + " / " + core::scheme_name(scheme) +
+                                  " / w=" + std::to_string(width));
+      }
+    }
+  }
+}
+
+TEST(ReplayDifferential, AtomicBankTelemetryMatchesARecount) {
+  // The privatized histogram's increments are atomics: same-address
+  // requests serialize instead of merging, so every lane counts.
+  for (const std::uint32_t width : {16u, 32u, 64u}) {
+    workloads::HistogramConfig config;
+    config.width = width;
+    config.bins = 2 * width;
+    const analyze::KernelDesc kernel =
+        workloads::describe_histogram_kernel(config);
+    replay::AccessTrace trace = replay::trace_from_kernel(kernel);
+    ASSERT_TRUE(std::any_of(trace.records.begin(), trace.records.end(),
+                            [](const replay::TraceRecord& record) {
+                              return record.kind ==
+                                     replay::RecordKind::kAtomic;
+                            }));
+    // Plus one increment of a single counter by every lane.
+    replay::TraceRecord hot;
+    hot.kind = replay::RecordKind::kAtomic;
+    hot.instr = static_cast<std::uint32_t>(trace.records.size());
+    hot.lane_mask = width == 64 ? ~std::uint64_t{0}
+                                : (std::uint64_t{1} << width) - 1;
+    hot.addrs.assign(width, 3);
+    trace.records.push_back(std::move(hot));
+    for (const core::Scheme scheme : kTelemetrySchemes) {
+      const auto map = core::make_matrix_map(scheme, width, kernel.rows, kSeed);
+      expect_bank_telemetry(trace, *map,
+                            std::string("histogram / ") +
+                                core::scheme_name(scheme) +
+                                " / w=" + std::to_string(width));
+    }
   }
 }
 

@@ -1,13 +1,17 @@
 // Codec tests for the portable access-trace format: property-based
 // text <-> binary round-trips across widths, parser rejection of
-// malformed input, hash identity, the sparse store of lowered kernels
-// (op for op against the kernels they were captured from), and the
-// dispatch-trace CSV round-trip.
+// malformed input (including the resource caps), agreement of the two
+// decoder entry points on mutated bytes, hash identity, the sparse store
+// of lowered kernels (op for op against the kernels they were captured
+// from), and the dispatch-trace CSV round-trip.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -253,6 +257,87 @@ TEST(ReplayTraceErrors, RejectsInstructionIndexAboveCap) {
       "cap");
 }
 
+/// validate()'s message for `trace`, or "" when it is accepted.
+std::string validation_error(const AccessTrace& trace) {
+  try {
+    trace.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// 747 bytes of text: 64 barriers over 2^20 threads, which would lower
+/// to 2^26 ops (about 1.9 GB of kernel store).
+std::string op_cap_repro() {
+  std::string text =
+      "rapsim-trace v1\nwidth 64\nthreads 1048576\nsize 64\n";
+  for (int i = 0; i < 64; ++i) text += "barrier " + std::to_string(i) + "\n";
+  return text + "end\n";
+}
+
+/// The same shape in memory: `barriers` barrier records over 2^20 threads.
+AccessTrace barrier_trace(std::uint32_t barriers) {
+  AccessTrace trace;
+  trace.header.width = 64;
+  trace.header.num_threads = 1u << 20;
+  trace.header.memory_size = 64;
+  for (std::uint32_t i = 0; i < barriers; ++i) {
+    TraceRecord barrier;
+    barrier.kind = RecordKind::kBarrier;
+    barrier.instr = i;
+    trace.records.push_back(barrier);
+  }
+  return trace;
+}
+
+TEST(ReplayTraceErrors, RejectsTraceAboveTheOpCap) {
+  const std::string text = op_cap_repro();
+  ASSERT_EQ(text.size(), 747u);
+  // The 33rd barrier takes the op count past 2^25.
+  expect_rejected(text,
+                  "line 37: trace: record (instr 32, warp 0): lowered op "
+                  "count exceeds the cap of 33554432");
+  const AccessTrace trace = barrier_trace(64);
+  try {
+    (void)replay::lower_to_kernel(trace);
+    FAIL() << "expected lower_to_kernel to reject the trace";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cap of 33554432"),
+              std::string::npos)
+        << "actual message: " << e.what();
+  }
+  // The writer validates too, so neither encoding can carry the trace.
+  EXPECT_THROW((void)replay::to_text(trace), std::invalid_argument);
+  EXPECT_THROW((void)replay::to_binary(trace), std::invalid_argument);
+}
+
+TEST(ReplayTraceErrors, OpCapAdmitsExactlyItsLimit) {
+  // 32 barriers over 2^20 threads lower to exactly kMaxTraceOps ops.
+  static_assert(replay::kMaxTraceOps == 32ull << 20);
+  EXPECT_NO_THROW(barrier_trace(32).validate());
+  EXPECT_THROW(barrier_trace(33).validate(), std::invalid_argument);
+  // Access records count one op per active lane.
+  AccessTrace trace = barrier_trace(31);
+  for (std::uint32_t warp = 0; warp < trace.header.num_warps(); ++warp) {
+    TraceRecord reg;
+    reg.kind = RecordKind::kRegister;
+    reg.instr = 31;
+    reg.warp = warp;
+    reg.lane_mask = ~std::uint64_t{0};
+    trace.records.push_back(reg);
+  }
+  EXPECT_NO_THROW(trace.validate());
+  TraceRecord one_more;
+  one_more.kind = RecordKind::kRegister;
+  one_more.instr = 32;
+  one_more.lane_mask = 1;
+  trace.records.push_back(one_more);
+  EXPECT_EQ(validation_error(trace),
+            "trace: record (instr 32, warp 0): lowered op count exceeds the "
+            "cap of 33554432");
+}
+
 TEST(ReplayTraceErrors, RejectsUnknownRecordKind) {
   expect_rejected(
       "rapsim-trace v1\nwidth 16\nthreads 16\nsize 256\n"
@@ -325,16 +410,6 @@ TEST(ReplayTraceErrors, RejectsBinaryInstructionIndexAboveCap) {
   expect_rejected(bytes, "cap");
 }
 
-/// validate()'s message for `trace`, or "" when it is accepted.
-std::string validation_error(const AccessTrace& trace) {
-  try {
-    trace.validate();
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
-}
-
 TEST(ReplayTraceErrors, ValidatorMessagesArePinned) {
   AccessTrace trace;
   trace.header.width = 16;
@@ -387,6 +462,106 @@ TEST(ReplayTraceErrors, ValidatorMessagesArePinned) {
   EXPECT_EQ(validation_error(trace),
             "trace: record (instr 123, warp 0): duplicate (instruction, "
             "warp) record");
+}
+
+// ---- the two decoder entry points agree on mutated bytes ----
+
+/// One entry point's result on some bytes: the decoded trace, or the
+/// what() of the invalid_argument it threw. Any other exception fails
+/// the test.
+struct ParseOutcome {
+  std::optional<AccessTrace> trace;
+  std::string error;
+
+  friend bool operator==(const ParseOutcome&, const ParseOutcome&) = default;
+};
+
+template <typename Parse>
+ParseOutcome parse_outcome(Parse&& parse) {
+  ParseOutcome outcome;
+  try {
+    outcome.trace = parse();
+  } catch (const std::invalid_argument& e) {
+    outcome.error = e.what();
+  }
+  return outcome;
+}
+
+/// The seed documents the mutants start from: every examples/*.trace,
+/// and the text and binary encodings of four catalog captures at w = 8
+/// (vm-shearsort's records arrive out of warp order).
+std::vector<std::pair<std::string, std::string>> mutation_seeds() {
+  std::vector<std::pair<std::string, std::string>> seeds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RAPSIM_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".trace") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    seeds.emplace_back(entry.path().filename().string(), bytes.str());
+  }
+  std::sort(seeds.begin(), seeds.end());
+  for (const char* name : {"transpose-crsw", "reduction-interleaved",
+                           "vm-mergesort-round", "vm-shearsort"}) {
+    const tools::WorkloadKernel entry = tools::workload_kernel(name, 8);
+    const auto map = core::make_matrix_map(core::Scheme::kRaw, 8, entry.rows, 0);
+    dmm::Dmm recorder(dmm::DmmConfig{8, 2}, *map);
+    const AccessTrace trace = replay::capture_run(recorder, entry.kernel);
+    seeds.emplace_back(std::string(name) + " (text)", replay::to_text(trace));
+    seeds.emplace_back(std::string(name) + " (binary)",
+                       replay::to_binary(trace));
+  }
+  return seeds;
+}
+
+TEST(ReplayTraceMutation, EntryPointsAgreeOnMutatedBytes) {
+  // A fixed budget of byte flips, truncations and in-place splices under
+  // a fixed seed. The string entry point decodes binary bytes in place
+  // and the stream entry point reads them into a buffer first; both must
+  // accept the same mutants as the same trace and reject the rest with
+  // the same message, byte offset or line number included.
+  constexpr std::uint32_t kMutantsPerSeed = 240;
+  util::Pcg32 rng(2014);
+  const auto seeds = mutation_seeds();
+  ASSERT_GE(seeds.size(), 10u);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const auto& [name, original] : seeds) {
+    ASSERT_FALSE(original.empty()) << name;
+    const auto size = static_cast<std::uint32_t>(original.size());
+    for (std::uint32_t m = 0; m < kMutantsPerSeed; ++m) {
+      std::string bytes = original;
+      switch (m % 3) {
+        case 0:  // flip one byte (binary headers get their share)
+          bytes[rng.bounded(m % 2 ? std::min(size, 24u) : size)] ^=
+              static_cast<char>(1 + rng.bounded(255));
+          break;
+        case 1:  // truncate
+          bytes.resize(rng.bounded(size));
+          break;
+        case 2: {  // overwrite a run with a run copied from elsewhere
+          const std::uint32_t len = 1 + rng.bounded(std::min(size, 24u));
+          const std::uint32_t from = rng.bounded(size - len + 1);
+          const std::uint32_t to = rng.bounded(size - len + 1);
+          bytes.replace(to, len, original, from, len);
+          break;
+        }
+      }
+      const ParseOutcome from_string =
+          parse_outcome([&] { return replay::parse_trace(bytes); });
+      const ParseOutcome from_stream = parse_outcome([&] {
+        std::istringstream in(bytes);
+        return replay::parse_trace(in);
+      });
+      ASSERT_EQ(from_string.error, from_stream.error)
+          << name << " mutant " << m;
+      ASSERT_TRUE(from_string == from_stream) << name << " mutant " << m;
+      ++(from_string.trace ? accepted : rejected);
+    }
+  }
+  // The budget exercises both outcomes.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, accepted);
 }
 
 // ---- the lowered kernels' sparse store ----

@@ -245,6 +245,21 @@ TEST(Service, MalformedLineAndBadParams) {
             400);
 }
 
+TEST(Service, ReplayRejectsAnInlineTraceAboveTheOpCap) {
+  // 64 barriers over 2^20 threads would lower to 2^26 ops (about
+  // 1.9 GB); the parser turns the request away before replay sizes it.
+  std::string text =
+      R"(rapsim-trace v1\nwidth 64\nthreads 1048576\nsize 64\n)";
+  for (int i = 0; i < 64; ++i) text += "barrier " + std::to_string(i) + "\\n";
+  text += R"(end\n)";
+  Service service({.workers = 1});
+  const std::string reply = service.handle_line(
+      R"({"method":"replay","params":{"scheme":"raw","trace":")" + text +
+      R"("}})");
+  EXPECT_EQ(error_code_of(reply), 400);
+  EXPECT_NE(reply.find("cap of 33554432"), std::string::npos) << reply;
+}
+
 TEST(Service, AllFourPoolMethodsAnswer) {
   Service service({.workers = 1});
   const std::string certify = result_suffix(service.handle_line(
