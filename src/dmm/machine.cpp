@@ -378,15 +378,6 @@ void Dmm::begin_run(const Kernel& kernel) {
   }
 }
 
-Dmm::WarpAccess Dmm::warp_access(const Kernel& kernel,
-                                 std::uint32_t instr_idx,
-                                 std::uint32_t warp) {
-  const std::uint32_t begin = warp * config_.width;
-  const Instruction lanes =
-      kernel.instructions[instr_idx].slice(begin, begin + config_.width);
-  return perform_warp_access(lanes.threads(), lanes.ops(), instr_idx, warp);
-}
-
 void Dmm::finish_barrier(std::uint32_t instr_idx) {
   if (capture_) capture_->on_barrier(instr_idx);
   // The barrier orders all earlier accesses before all later ones:

@@ -84,15 +84,14 @@ class Dmm {
 
   /// Execute a kernel to completion. If `trace` is non-null it receives
   /// one DispatchRecord per dispatched warp-instruction. Implemented on
-  /// the shared event core (hier/event.hpp) with the round-robin policy;
-  /// the stepping API below lets external clocks (the hierarchy
-  /// simulator) drive the same machine one decision at a time.
+  /// the shared event core (hier/event.hpp) with the round-robin policy.
   RunStats run(const Kernel& kernel, Trace* trace = nullptr);
 
   // --- Stepping interface for external clocks (src/hier/) -------------
   // Dmm::run is itself begin_run + KernelWarpSource + EventCore; a
-  // wrapper that wants its own clock/scheduler/memory-path performs the
-  // same sequence with its own core.
+  // wrapper that wants its own clock/scheduler/memory-path (HierSim)
+  // performs the same sequence with its own core, issuing each warp's
+  // instructions through a KernelWarpSource.
 
   /// Result of one warp-instruction's data movement.
   struct WarpAccess {
@@ -102,17 +101,9 @@ class Dmm {
   };
 
   /// Reset per-run state (thread registers, telemetry sink, sanitizer
-  /// epoch, capture preamble) for `kernel`. Must be called before the
-  /// first warp_access of a run.
+  /// epoch, capture preamble) for `kernel`. Must be called before a
+  /// KernelWarpSource issues the run's first warp-instruction.
   void begin_run(const Kernel& kernel);
-
-  /// Execute the data movement of warp `warp`'s instruction `instr_idx`
-  /// and report its cost, walking only the warp's active ops. Untimed:
-  /// the caller's clock decides when the effects "happen" — within one
-  /// warp the semantics are fixed, across warps they follow the caller's
-  /// dispatch order (scheduler-defined, as on real hardware).
-  WarpAccess warp_access(const Kernel& kernel, std::uint32_t instr_idx,
-                         std::uint32_t warp);
 
   /// Report a released barrier at instruction `instr_idx` (capture
   /// record + sanitizer race-epoch advance). Call once per barrier.
@@ -174,7 +165,10 @@ class Dmm {
   /// the warp's active threads in ascending order and `ops` their ops,
   /// side by side (a contiguous run of the kernel's store); nothing else
   /// is read. `instr_idx` is the kernel instruction index (sanitizer
-  /// findings and the capture cite it).
+  /// findings and the capture cite it). Untimed: the caller's clock
+  /// decides when the effects "happen" — within one warp the semantics
+  /// are fixed, across warps they follow the caller's dispatch order
+  /// (scheduler-defined, as on real hardware).
   WarpAccess perform_warp_access(std::span<const std::uint32_t> lanes,
                                  std::span<const ThreadOp> ops,
                                  std::uint32_t instr_idx,

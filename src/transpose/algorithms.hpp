@@ -13,20 +13,21 @@
 // write. The RAP mapping makes the naive CRSW/SRCW conflict-free instead,
 // which is the paper's headline result (Table III).
 //
-// Each algorithm compiles to a two-instruction DMM kernel (SIMD load, then
-// SIMD store through the per-thread accumulator register).
+// Each algorithm is a VM program (vm/suite.hpp transpose_text) that
+// lowers to a two-instruction DMM kernel (SIMD load, then SIMD store
+// through the per-thread accumulator register); its loop-nest IR is the
+// program's extraction (the `transpose-*` entries of the lint catalog).
 
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "analyze/kernelir.hpp"
 #include "dmm/kernel.hpp"
+#include "vm/suite.hpp"
 
 namespace rapsim::transpose {
 
-enum class Algorithm { kCrsw, kSrcw, kDrdw };
+using Algorithm = vm::TransposeAlgorithm;
 
 [[nodiscard]] const char* algorithm_name(Algorithm algorithm) noexcept;
 
@@ -48,14 +49,9 @@ struct MatrixPair {
   [[nodiscard]] std::uint64_t rows() const noexcept { return 2ull * width; }
 };
 
-/// Build the two-instruction transpose kernel for `algorithm` on `layout`.
+/// The two-instruction transpose kernel for `algorithm` on `layout`,
+/// lowered from its program.
 [[nodiscard]] dmm::Kernel build_kernel(Algorithm algorithm,
                                        const MatrixPair& layout);
-
-/// Loop-nest IR description of the same kernel for the symbolic passes:
-/// warp u = thread row i, lane = thread column j. The differential test
-/// checks the IR's certified worst warp against the simulated kernel.
-[[nodiscard]] analyze::KernelDesc describe_kernel(Algorithm algorithm,
-                                                  const MatrixPair& layout);
 
 }  // namespace rapsim::transpose

@@ -1,5 +1,6 @@
 #include "vm/assembler.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <optional>
@@ -231,8 +232,9 @@ const std::map<std::string, Op>& mnemonics() {
       {"mod", Op::kMod},   {"and", Op::kAnd},   {"or", Op::kOr},
       {"xor", Op::kXor},   {"shl", Op::kShl},   {"shr", Op::kShr},
       {"min", Op::kMin},   {"max", Op::kMax},   {"slt", Op::kSlt},
-      {"seq", Op::kSeq},   {"ld", Op::kLd},     {"st", Op::kSt},
-      {"amo", Op::kAmo},   {"cmpx", Op::kCmpx}, {"loop", Op::kLoop},
+      {"seq", Op::kSeq},   {"ld", Op::kLd},     {"ldadd", Op::kLdAdd},
+      {"ldmac", Op::kLdMac}, {"st", Op::kSt},   {"amo", Op::kAmo},
+      {"cmpx", Op::kCmpx}, {"loop", Op::kLoop},
       {"endl", Op::kEndl}, {"mask", Op::kMask}, {"unmask", Op::kUnmask},
       {"bz", Op::kBz},     {"bnz", Op::kBnz},   {"bar", Op::kBar},
       {"halt", Op::kHalt},
@@ -287,10 +289,12 @@ Program assemble(const std::string& text, std::uint32_t width) {
     return Operand::imm(eval_expr(token, line, syms));
   };
 
-  std::istringstream input(text);
   std::string raw_line;
   std::size_t line = 0;
-  while (std::getline(input, raw_line)) {
+  for (std::size_t next = 0; next < text.size();) {
+    const std::size_t end = std::min(text.find('\n', next), text.size());
+    raw_line.assign(text, next, end - next);
+    next = end + 1;
     ++line;
     // Comments run from '#' to end of line.
     if (const std::size_t hash = raw_line.find('#');
@@ -384,11 +388,13 @@ Program assemble(const std::string& text, std::uint32_t width) {
       continue;
     }
 
-    // Instructions.
-    std::istringstream words(stripped);
-    std::string mnemonic, rest;
-    words >> mnemonic;
-    std::getline(words, rest);
+    // Instructions: the mnemonic, then its operands.
+    const auto space =
+        std::find_if(stripped.begin(), stripped.end(), [](char c) {
+          return std::isspace(static_cast<unsigned char>(c)) != 0;
+        });
+    const std::string mnemonic(stripped.begin(), space);
+    const std::string rest(space, stripped.end());
     const auto found = mnemonics().find(mnemonic);
     if (found == mnemonics().end()) {
       fail(line, "unknown instruction '" + mnemonic + "'");
@@ -421,8 +427,9 @@ Program assemble(const std::string& text, std::uint32_t width) {
     instr.op = op;
     instr.line = static_cast<std::uint32_t>(line);
     if (!site.empty()) {
-      if (op != Op::kLd && op != Op::kSt && op != Op::kAmo) {
-        fail(line, "@site labels only apply to ld/st/amo");
+      if (op != Op::kLd && op != Op::kLdAdd && op != Op::kLdMac &&
+          op != Op::kSt && op != Op::kAmo) {
+        fail(line, "@site labels only apply to ld/ldadd/ldmac/st/amo");
       }
       instr.site = site;
     }
@@ -448,9 +455,19 @@ Program assemble(const std::string& text, std::uint32_t width) {
         instr.b = reg_operand(operands[2], line, symbols);
         break;
       case Op::kLd:
+      case Op::kLdAdd:
         expect(2);
         instr.rd = dest_reg(operands[0]);
         instr.a = reg_operand(operands[1], line, symbols);
+        break;
+      case Op::kLdMac:
+        expect(3);
+        instr.rd = dest_reg(operands[0]);
+        instr.a = reg_operand(operands[1], line, symbols);
+        instr.b = reg_operand(operands[2], line, symbols);
+        if (instr.b.kind != Operand::Kind::kReg) {
+          fail(line, "ldmac multiplier must be a register");
+        }
         break;
       case Op::kSt:
       case Op::kAmo:
@@ -564,8 +581,10 @@ std::string disassemble(const Program& program) {
         break;
       case Op::kMov:
       case Op::kLd:
+      case Op::kLdAdd:
         out << " r" << static_cast<int>(instr.rd) << ", " << operand(instr.a);
         break;
+      case Op::kLdMac:
       case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv:
       case Op::kMod: case Op::kAnd: case Op::kOr: case Op::kXor:
       case Op::kShl: case Op::kShr: case Op::kMin: case Op::kMax:

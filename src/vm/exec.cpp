@@ -29,25 +29,38 @@ struct Interp {
   // Uniform across threads by SPMD construction.
   std::array<int, kNumRegs> dev;
   std::array<bool, dmm::kRegistersPerThread> slot_used{};
+  // A slot some emitted instruction wrote no longer holds the 0 that
+  // Dmm::begin_run put there, so no accumulator may start from it.
+  std::array<bool, dmm::kRegistersPerThread> slot_written{};
 
-  // Cumulative lane-activity masks (innermost on top).
-  std::vector<std::vector<char>> mask_stack;
+  // Cumulative lane-activity masks: level d (innermost = mask_depth - 1)
+  // is masks[d * threads, (d + 1) * threads).
+  std::vector<char> masks;
+  std::size_t mask_depth = 0;
+  std::vector<std::uint64_t> values;  // one ALU result per thread
 
   std::vector<std::pair<std::size_t, std::uint64_t>> loop_stack;  // (pc, i)
+
+  // The kernel's sparse store, one instruction's active ops at a time.
+  std::vector<std::size_t> ends;
+  std::vector<std::uint32_t> op_threads;
+  std::vector<dmm::ThreadOp> ops;
+  std::vector<std::string> labels;
 
   LoweredProgram out;
 
   explicit Interp(const Program& p)
       : program(p), threads(p.num_threads), width(p.width) {
     regs.assign(static_cast<std::size_t>(threads) * kNumRegs, 0);
+    values.resize(threads);
     dev.fill(kNoSlot);
     out.width = width;
     out.rows = p.rows();
-    out.kernel.num_threads = threads;
   }
 
   bool active(std::uint32_t t) const {
-    return mask_stack.empty() || mask_stack.back()[t] != 0;
+    return mask_depth == 0 ||
+           masks[(mask_depth - 1) * threads + t] != 0;
   }
 
   std::uint64_t eval(const Instr& instr, const Operand& operand,
@@ -58,7 +71,7 @@ struct Interp {
         if (dev[r] != kNoSlot) {
           fail(instr, "r" + std::to_string(r) +
                           " holds loaded data (device-valued); it may only "
-                          "be stored, cmpx'd or amo'd");
+                          "be stored, accumulated, cmpx'd or amo'd");
         }
         return regs[r * threads + t];
       }
@@ -75,12 +88,24 @@ struct Interp {
   /// partially overwritten under a mask.
   void release(const Instr& instr, std::uint8_t rd) {
     if (dev[rd] != kNoSlot) {
-      if (!mask_stack.empty()) {
+      if (mask_depth != 0) {
         fail(instr, "cannot overwrite device-valued r" + std::to_string(rd) +
                         " under a mask");
       }
       slot_used[static_cast<std::size_t>(dev[rd])] = false;
       dev[rd] = kNoSlot;
+    }
+  }
+
+  /// Write value(t) to rd in every active lane. Every lane is evaluated
+  /// before rd changes, so rd may also be a source.
+  template <class Value>
+  void write_active(const Instr& instr, Value&& value) {
+    for (std::uint32_t t = 0; t < threads; ++t) values[t] = value(t);
+    release(instr, instr.rd);
+    std::uint64_t* rd = regs.data() + std::size_t{instr.rd} * threads;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      if (active(t)) rd[t] = values[t];
     }
   }
 
@@ -101,6 +126,37 @@ struct Interp {
     return static_cast<std::uint8_t>(dev[rd]);
   }
 
+  /// The machine-register slot rd's loaded value lives in, binding the
+  /// first free one if rd holds none yet (a reload reuses its slot). An
+  /// accumulator that binds here starts from the slot's content, so that
+  /// slot must still hold the 0 of Dmm::begin_run.
+  std::uint8_t bind(const Instr& instr) {
+    if (dev[instr.rd] == kNoSlot) {
+      int slot = kNoSlot;
+      for (std::size_t s = 0; s < slot_used.size(); ++s) {
+        if (!slot_used[s]) { slot = static_cast<int>(s); break; }
+      }
+      if (slot == kNoSlot) {
+        fail(instr, "more than " +
+                        std::to_string(dmm::kRegistersPerThread) +
+                        " loaded values live at once (the DMM has " +
+                        std::to_string(dmm::kRegistersPerThread) +
+                        " machine registers)");
+      }
+      if (instr.op != Op::kLd &&
+          slot_written[static_cast<std::size_t>(slot)]) {
+        fail(instr, "accumulator r" + std::to_string(instr.rd) +
+                        " would start from machine register " +
+                        std::to_string(slot) +
+                        ", which an earlier instruction wrote (registers "
+                        "are zeroed only when a run begins)");
+      }
+      slot_used[static_cast<std::size_t>(slot)] = true;
+      dev[instr.rd] = slot;
+    }
+    return static_cast<std::uint8_t>(dev[instr.rd]);
+  }
+
   std::uint64_t address(const Instr& instr, std::uint32_t t) const {
     const std::uint64_t addr = eval(instr, instr.a, t);
     if (addr >= program.memory_words) {
@@ -111,19 +167,52 @@ struct Interp {
     return addr;
   }
 
-  void emit(const Instr& instr, const dmm::Row& row, bool memory_op) {
-    if (out.kernel.instructions.size() >= kMaxKernelInstructions) {
+  /// Emit one SIMD instruction holding make_op(t) for every active lane
+  /// t, or none when no lane is active; returns its first op's index.
+  template <class MakeOp>
+  std::size_t emit(const Instr& instr, bool memory_op, MakeOp&& make_op) {
+    const std::size_t first = ops.size();
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      if (!active(t)) continue;
+      op_threads.push_back(t);
+      ops.push_back(make_op(t));
+    }
+    if (ops.size() == first) return first;
+    if (ends.size() >= kMaxKernelInstructions) {
       fail(instr, "kernel exceeds " +
                       std::to_string(kMaxKernelInstructions) +
                       " SIMD instructions");
     }
-    std::string label = instr.site;
-    if (label.empty()) {
-      label = std::string(op_name(instr.op)) + "@" +
-              std::to_string(instr.line);
-    }
-    out.kernel.push(row, std::move(label));
+    ends.push_back(ops.size());
+    labels.push_back(instr.site.empty()
+                         ? std::string(op_name(instr.op)) + "@" +
+                               std::to_string(instr.line)
+                         : instr.site);
     if (memory_op) ++out.memory_instructions;
+    return first;
+  }
+
+  /// ld, ldadd and ldmac: one load-class op per active lane into rd's
+  /// machine register (ldmac also names its multiplier's).
+  void load(const Instr& instr) {
+    std::uint8_t factor = 1;
+    if (instr.op == Op::kLdMac) {
+      if (instr.b.kind != Operand::Kind::kReg) {
+        fail(instr, "ldmac multiplier must be a device-valued register");
+      }
+      factor = device_slot(instr, static_cast<std::uint8_t>(instr.b.value));
+    }
+    using dmm::OpKind;
+    const OpKind kind = instr.op == Op::kLd      ? OpKind::kLoad
+                        : instr.op == Op::kLdAdd ? OpKind::kLoadAdd
+                                                 : OpKind::kLoadMulAdd;
+    const std::size_t first = emit(instr, true, [&](std::uint32_t t) {
+      return dmm::ThreadOp{address(instr, t), 0, kind, 0, factor};
+    });
+    // Bound after the addresses, so an address error is reported first.
+    const std::uint8_t slot = bind(instr);
+    for (std::size_t k = first; k < ops.size(); ++k) ops[k].reg = slot;
+    slot_written[slot] = true;
   }
 
   void run() {
@@ -137,83 +226,28 @@ struct Interp {
       const Instr& instr = program.instrs[pc];
       switch (instr.op) {
         case Op::kLi:
-          release(instr, instr.rd);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (active(t)) {
-              regs[static_cast<std::size_t>(instr.rd) * threads + t] =
-                  instr.imm;
-            }
-          }
+          write_active(instr, [&](std::uint32_t) { return instr.imm; });
           break;
-        case Op::kMov: {
-          std::vector<std::uint64_t> values(threads);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            values[t] = eval(instr, instr.a, t);
-          }
-          release(instr, instr.rd);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (active(t)) {
-              regs[static_cast<std::size_t>(instr.rd) * threads + t] =
-                  values[t];
-            }
-          }
+        case Op::kMov:
+          write_active(instr, [&](std::uint32_t t) {
+            return eval(instr, instr.a, t);
+          });
           break;
-        }
         case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv:
         case Op::kMod: case Op::kAnd: case Op::kOr: case Op::kXor:
         case Op::kShl: case Op::kShr: case Op::kMin: case Op::kMax:
-        case Op::kSlt: case Op::kSeq: {
-          std::vector<std::uint64_t> values(threads);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            values[t] = alu(instr, eval(instr, instr.a, t),
-                            eval(instr, instr.b, t));
-          }
-          release(instr, instr.rd);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (active(t)) {
-              regs[static_cast<std::size_t>(instr.rd) * threads + t] =
-                  values[t];
-            }
-          }
+        case Op::kSlt: case Op::kSeq:
+          write_active(instr, [&](std::uint32_t t) {
+            return alu(instr, eval(instr, instr.a, t),
+                       eval(instr, instr.b, t));
+          });
           break;
-        }
-        case Op::kLd: {
-          dmm::Row row(threads, dmm::ThreadOp::none());
-          bool any = false;
-          std::vector<std::uint64_t> addrs(threads, 0);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (active(t)) addrs[t] = address(instr, t);
-          }
-          // Bind rd to a machine-register slot (reusing its current one
-          // on reload).
-          if (dev[instr.rd] == kNoSlot) {
-            int slot = kNoSlot;
-            for (std::size_t s = 0; s < slot_used.size(); ++s) {
-              if (!slot_used[s]) { slot = static_cast<int>(s); break; }
-            }
-            if (slot == kNoSlot) {
-              fail(instr, "more than " +
-                              std::to_string(dmm::kRegistersPerThread) +
-                              " loaded values live at once (the DMM has " +
-                              std::to_string(dmm::kRegistersPerThread) +
-                              " machine registers)");
-            }
-            slot_used[static_cast<std::size_t>(slot)] = true;
-            dev[instr.rd] = slot;
-          }
-          const auto slot = static_cast<std::uint8_t>(dev[instr.rd]);
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (active(t)) {
-              row[t] = dmm::ThreadOp::load(addrs[t], slot);
-              any = true;
-            }
-          }
-          if (any) emit(instr, row, true);
+        case Op::kLd:
+        case Op::kLdAdd:
+        case Op::kLdMac:
+          load(instr);
           break;
-        }
         case Op::kSt: {
-          dmm::Row row(threads, dmm::ThreadOp::none());
-          bool any = false;
           const bool device_value =
               instr.b.kind == Operand::Kind::kReg &&
               dev[static_cast<std::size_t>(instr.b.value)] != kNoSlot;
@@ -221,16 +255,12 @@ struct Interp {
               device_value ? static_cast<std::uint8_t>(
                                  dev[static_cast<std::size_t>(instr.b.value)])
                            : 0;
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (!active(t)) continue;
+          (void)emit(instr, true, [&](std::uint32_t t) {
             const std::uint64_t addr = address(instr, t);
-            row[t] = device_value
-                         ? dmm::ThreadOp::store(addr, slot)
-                         : dmm::ThreadOp::store_imm(addr,
-                                                    eval(instr, instr.b, t));
-            any = true;
-          }
-          if (any) emit(instr, row, true);
+            return device_value ? dmm::ThreadOp::store(addr, slot)
+                                : dmm::ThreadOp::store_imm(
+                                      addr, eval(instr, instr.b, t));
+          });
           break;
         }
         case Op::kAmo: {
@@ -239,14 +269,9 @@ struct Interp {
           }
           const std::uint8_t slot =
               device_slot(instr, static_cast<std::uint8_t>(instr.b.value));
-          dmm::Row row(threads, dmm::ThreadOp::none());
-          bool any = false;
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (!active(t)) continue;
-            row[t] = dmm::ThreadOp::atomic_add(address(instr, t), slot);
-            any = true;
-          }
-          if (any) emit(instr, row, true);
+          (void)emit(instr, true, [&](std::uint32_t t) {
+            return dmm::ThreadOp::atomic_add(address(instr, t), slot);
+          });
           break;
         }
         case Op::kCmpx: {
@@ -254,14 +279,9 @@ struct Interp {
           const std::uint8_t hi = device_slot(
               instr, static_cast<std::uint8_t>(instr.a.value));
           if (lo == hi) fail(instr, "cmpx needs two distinct registers");
-          dmm::Row row(threads, dmm::ThreadOp::none());
-          bool any = false;
-          for (std::uint32_t t = 0; t < threads; ++t) {
-            if (!active(t)) continue;
-            row[t] = dmm::ThreadOp::min_max(lo, hi);
-            any = true;
-          }
-          if (any) emit(instr, row, false);
+          (void)emit(instr, false, [&](std::uint32_t) {
+            return dmm::ThreadOp::min_max(lo, hi);
+          });
           break;
         }
         case Op::kLoop: {
@@ -292,20 +312,21 @@ struct Interp {
           break;
         }
         case Op::kMask: {
-          if (mask_stack.size() >= kMaxMaskDepth) {
+          if (mask_depth >= kMaxMaskDepth) {
             fail(instr, "mask nesting exceeds " +
                             std::to_string(kMaxMaskDepth));
           }
-          std::vector<char> next(threads, 0);
+          masks.resize((mask_depth + 1) * threads);
           for (std::uint32_t t = 0; t < threads; ++t) {
-            next[t] = active(t) && eval(instr, instr.a, t) != 0;
+            masks[mask_depth * threads + t] =
+                active(t) && eval(instr, instr.a, t) != 0;
           }
-          mask_stack.push_back(std::move(next));
+          ++mask_depth;
           break;
         }
         case Op::kUnmask:
-          if (mask_stack.empty()) fail(instr, "unmask without a mask");
-          mask_stack.pop_back();
+          if (mask_depth == 0) fail(instr, "unmask without a mask");
+          --mask_depth;
           break;
         case Op::kBz:
         case Op::kBnz: {
@@ -325,10 +346,15 @@ struct Interp {
           break;
         }
         case Op::kBar:
-          if (!mask_stack.empty()) {
+          if (mask_depth != 0) {
             fail(instr, "bar under a mask (barriers are block-wide)");
           }
-          out.kernel.push_barrier();
+          for (std::uint32_t t = 0; t < threads; ++t) {
+            op_threads.push_back(t);
+            ops.push_back(dmm::ThreadOp::barrier());
+          }
+          ends.push_back(ops.size());
+          labels.emplace_back();
           ++out.barriers;
           break;
         case Op::kHalt:
@@ -336,7 +362,7 @@ struct Interp {
       }
       ++pc;
     }
-    if (!mask_stack.empty()) {
+    if (mask_depth != 0) {
       throw std::invalid_argument(
           "program ended with an active mask (missing unmask)");
     }
@@ -384,7 +410,12 @@ LoweredProgram lower_program(const Program& program) {
   }
   Interp interp(program);
   interp.run();
-  return std::move(interp.out);
+  LoweredProgram out = std::move(interp.out);
+  out.kernel = dmm::Kernel::from_sparse(
+      program.num_threads, std::move(interp.ends),
+      std::move(interp.op_threads), std::move(interp.ops));
+  out.kernel.labels = std::move(interp.labels);
+  return out;
 }
 
 }  // namespace rapsim::vm

@@ -154,78 +154,162 @@ std::uint64_t eval_node(const Node& node, std::uint32_t lane,
 
 // ------------------------------------------------- affine normalization
 
-struct Affine {
+/// c0 + c_lane*lane + sum c_v*v, plus any `scale * (inner mod modulus)`
+/// terms: the modulus is a power of two, so the u64 residue the executor
+/// computes is the integer residue even where `inner` (itself mod-free)
+/// wraps below zero.
+struct Sum {
+  struct Mod;
   std::int64_t base = 0;
   std::int64_t lane = 0;
   std::map<std::size_t, std::int64_t> coeffs;
+  std::vector<Mod> mods;
 
   [[nodiscard]] bool is_const() const {
-    return lane == 0 && coeffs.empty();
+    return lane == 0 && coeffs.empty() && mods.empty();
   }
 };
 
-std::optional<Affine> to_affine(const NodeRef& node) {
+struct Sum::Mod {
+  std::int64_t scale = 0;
+  Sum inner;
+  std::uint64_t modulus = 0;
+};
+
+/// into += sign * term.
+void accumulate(Sum& into, const Sum& term, std::int64_t sign) {
+  into.base += sign * term.base;
+  into.lane += sign * term.lane;
+  for (const auto& [var, coeff] : term.coeffs) {
+    if ((into.coeffs[var] += sign * coeff) == 0) into.coeffs.erase(var);
+  }
+  for (Sum::Mod mod : term.mods) {
+    mod.scale *= sign;
+    if (mod.scale != 0) into.mods.push_back(std::move(mod));
+  }
+}
+
+Sum scaled(const Sum& expr, std::int64_t factor) {
+  Sum result;
+  accumulate(result, expr, factor);
+  return result;
+}
+
+std::optional<Sum> to_sum(const NodeRef& node) {
+  Sum result;
   switch (node->k) {
-    case Node::K::kConst: {
-      Affine result;
+    case Node::K::kConst:
       result.base = static_cast<std::int64_t>(node->cval);
       return result;
-    }
-    case Node::K::kLane: {
-      Affine result;
+    case Node::K::kLane:
       result.lane = 1;
       return result;
-    }
-    case Node::K::kVar: {
-      Affine result;
+    case Node::K::kVar:
       result.coeffs[node->var] = 1;
       return result;
-    }
     case Node::K::kWarp:
     case Node::K::kDevice:
       return std::nullopt;
     case Node::K::kOp: break;
   }
-  const auto lhs = to_affine(node->a);
-  if (!lhs) return std::nullopt;
-  if (node->op == Op::kAdd || node->op == Op::kSub) {
-    const auto rhs = to_affine(node->b);
-    if (!rhs) return std::nullopt;
-    Affine result = *lhs;
-    const std::int64_t sign = node->op == Op::kAdd ? 1 : -1;
-    result.base += sign * rhs->base;
-    result.lane += sign * rhs->lane;
-    for (const auto& [var, coeff] : rhs->coeffs) {
-      if ((result.coeffs[var] += sign * coeff) == 0) {
-        result.coeffs.erase(var);
-      }
-    }
-    return result;
-  }
-  if (node->op == Op::kMul || node->op == Op::kShl) {
-    const auto rhs = to_affine(node->b);
-    if (!rhs) return std::nullopt;
-    const auto scaled = [](const Affine& expr,
-                           std::int64_t factor) -> Affine {
-      Affine result;
-      result.base = expr.base * factor;
-      result.lane = expr.lane * factor;
-      for (const auto& [var, coeff] : expr.coeffs) {
-        if (coeff * factor != 0) result.coeffs[var] = coeff * factor;
-      }
+  const auto lhs = to_sum(node->a);
+  const auto rhs = lhs ? to_sum(node->b) : std::nullopt;
+  if (!rhs) return std::nullopt;
+  switch (node->op) {
+    case Op::kAdd:
+    case Op::kSub:
+      result = *lhs;
+      accumulate(result, *rhs, node->op == Op::kAdd ? 1 : -1);
       return result;
-    };
-    if (node->op == Op::kShl) {
-      if (!rhs->is_const() || rhs->base < 0 || rhs->base > 32) {
-        return std::nullopt;
-      }
+    case Op::kShl:
+      if (!rhs->is_const() || rhs->base < 0 || rhs->base > 32) break;
       return scaled(*lhs, std::int64_t{1} << rhs->base);
+    case Op::kMul:
+      if (rhs->is_const()) return scaled(*lhs, rhs->base);
+      if (lhs->is_const()) return scaled(*rhs, lhs->base);
+      break;
+    case Op::kMod: {
+      const auto modulus = static_cast<std::uint64_t>(rhs->base);
+      if (!rhs->is_const() || rhs->base <= 0 ||
+          (modulus & (modulus - 1)) != 0 || !lhs->mods.empty()) {
+        break;
+      }
+      result.mods.push_back({1, *lhs, modulus});
+      return result;
     }
-    if (rhs->is_const()) return scaled(*lhs, rhs->base);
-    if (lhs->is_const()) return scaled(*rhs, lhs->base);
-    return std::nullopt;
+    default: break;
   }
   return std::nullopt;
+}
+
+analyze::AffineExpr to_expr(const Sum& sum) {
+  analyze::AffineExpr expr;
+  expr.base = sum.base;
+  expr.lane_coeff = sum.lane;
+  if (!sum.coeffs.empty()) {
+    expr.coeffs.assign(sum.coeffs.rbegin()->first + 1, 0);
+    for (const auto& [var, coeff] : sum.coeffs) expr.coeffs[var] = coeff;
+  }
+  return expr;
+}
+
+/// Describe `sum` in the kRowCol form (row_base + (row mod row_mod)) * w
+/// + (col mod w) when its mod terms are a column `(c) mod w` and/or a row
+/// `w * ((r) mod m)`, as the diagonal transpose's (warp + lane) mod w
+/// indices are. The affine rest must add whole rows under a column term
+/// and a constant row under a row term; otherwise its part below w
+/// becomes the column, which must stay in [0, w) for every lane <
+/// `lanes` and binding. Returns false (the site stays opaque) for any
+/// other shape.
+bool to_rowcol(const Sum& sum, std::uint32_t width, std::uint32_t lanes,
+               const std::vector<analyze::LoopVar>& vars,
+               analyze::AccessSite& site) {
+  const auto w = static_cast<std::int64_t>(width);
+  const Sum::Mod* col = nullptr;
+  const Sum::Mod* row = nullptr;
+  for (const Sum::Mod& term : sum.mods) {
+    if (term.scale == 1 && term.modulus == width && col == nullptr) {
+      col = &term;
+    } else if (term.scale == w && row == nullptr) {
+      row = &term;
+    } else {
+      return false;
+    }
+  }
+  // The affine rest = w * rest_row + rest_col, every rest_col coefficient
+  // in [0, w); col_max is rest_col's largest value.
+  Sum rest_row;
+  Sum rest_col;
+  const auto floor_div = [w](std::int64_t value) {
+    return value / w - (value % w < 0 ? 1 : 0);
+  };
+  rest_row.base = floor_div(sum.base);
+  rest_col.base = sum.base - rest_row.base * w;
+  rest_row.lane = floor_div(sum.lane);
+  rest_col.lane = sum.lane - rest_row.lane * w;
+  std::int64_t col_max =
+      rest_col.base + rest_col.lane * (static_cast<std::int64_t>(lanes) - 1);
+  for (const auto& [var, coeff] : sum.coeffs) {
+    const std::int64_t high = floor_div(coeff);
+    const std::int64_t low = coeff - high * w;
+    if (high != 0) rest_row.coeffs[var] = high;
+    if (low != 0) rest_col.coeffs[var] = low;
+    col_max += low * (static_cast<std::int64_t>(vars[var].count) - 1);
+  }
+  if (col != nullptr ? col_max != 0 : col_max >= w) return false;
+  if (row != nullptr && (rest_row.lane != 0 || !rest_row.coeffs.empty())) {
+    return false;
+  }
+  site.form = analyze::IndexForm::kRowCol;
+  site.col = to_expr(col != nullptr ? col->inner : rest_col);
+  if (row != nullptr) {
+    site.row = to_expr(row->inner);
+    site.row_mod = row->modulus;
+    site.row_base = rest_row.base;
+  } else {
+    site.row = to_expr(rest_row);
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ extractor
@@ -334,7 +418,8 @@ struct Extractor {
           if (!allow_device) {
             fail(instr, "r" + std::to_string(r) +
                             " holds loaded data (device-valued); it may "
-                            "only be stored, cmpx'd or amo'd");
+                            "only be stored, accumulated, cmpx'd or "
+                            "amo'd");
           }
           return reg.node;
         }
@@ -523,17 +608,14 @@ struct Extractor {
                       : base + "#" + std::to_string(occurrence);
     }
 
-    if (const auto affine = to_affine(address)) {
+    const std::optional<Sum> sum = to_sum(address);
+    if (sum && sum->mods.empty()) {
       site.form = analyze::IndexForm::kFlat;
-      site.flat.base = affine->base;
-      site.flat.lane_coeff = affine->lane;
-      if (!affine->coeffs.empty()) {
-        site.flat.coeffs.assign(affine->coeffs.rbegin()->first + 1, 0);
-        for (const auto& [var, coeff] : affine->coeffs) {
-          site.flat.coeffs[var] = coeff;
-        }
-      }
-    } else {
+      site.flat = to_expr(*sum);
+    } else if (!sum ||
+               !to_rowcol(*sum, program.width,
+                          site.lanes == 0 ? program.width : site.lanes,
+                          kernel.vars, site)) {
       site.form = analyze::IndexForm::kOpaque;
       site.opaque = [address](std::uint32_t lane,
                               std::span<const std::uint64_t> binding) {
@@ -670,6 +752,15 @@ struct Extractor {
                             value(instr, instr.b)));
           break;
         case Op::kLd:
+        case Op::kLdAdd:
+        case Op::kLdMac:
+          // The accumulating loads read memory like ld; what they add
+          // into rd is loaded data, so rd is not a recurrence.
+          if (instr.op == Op::kLdMac &&
+              (instr.b.kind != Operand::Kind::kReg ||
+               !regs[static_cast<std::size_t>(instr.b.value)].device)) {
+            fail(instr, "ldmac multiplier must be a device-valued register");
+          }
           emit_site(instr, value(instr, instr.a), analyze::AccessDir::kLoad);
           write_reg(instr, instr.rd, make_leaf(Node::K::kDevice), true);
           break;

@@ -6,9 +6,11 @@
 // expression trees over {constants, lane, warp, loop counters}, counted
 // loops whose bodies contain no barrier become kernel loop variables
 // (bodies with barriers, or with register recurrences, are unrolled),
-// and each ld/st/amo becomes an AccessSite — affine (kFlat) when the
-// address tree normalizes to c0 + c_lane*lane + sum c_v*v, an opaque
-// tree-evaluator callback otherwise.
+// and each ld/ldadd/ldmac/st/amo becomes an AccessSite: affine (kFlat)
+// when the address tree normalizes to c0 + c_lane*lane + sum c_v*v;
+// row/column (kRowCol) when it is such a sum plus a `(affine) mod w`
+// column and/or a `w * ((affine) mod 2^k)` row, the diagonal indices of
+// the DRDW transpose; an opaque tree-evaluator callback otherwise.
 //
 // Executing-warp attribution (the race verifier's input) is recovered
 // from the mask discipline:

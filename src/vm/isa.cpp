@@ -21,6 +21,8 @@ const char* op_name(Op op) noexcept {
     case Op::kSlt: return "slt";
     case Op::kSeq: return "seq";
     case Op::kLd: return "ld";
+    case Op::kLdAdd: return "ldadd";
+    case Op::kLdMac: return "ldmac";
     case Op::kSt: return "st";
     case Op::kAmo: return "amo";
     case Op::kCmpx: return "cmpx";

@@ -18,8 +18,11 @@
 // program's address stream is therefore a pure function of (lane, warp,
 // loop counters) — deterministic, replayable, and analyzable. Loaded
 // values may only be stored back, compare-exchanged (cmpx -> the DMM's
-// kMinMax) or atomically added, which is exactly the move set of the
-// paper's workloads (transpose, sorting networks, permutation routing).
+// kMinMax), atomically added, or accumulated by the two accumulating
+// loads (ldadd -> kLoadAdd, ldmac -> kLoadMulAdd), which is exactly the
+// move set of the paper's workloads (transpose, reduction, matmul,
+// sorting networks, permutation routing). An accumulator that does not
+// hold loaded data yet starts from 0.
 
 #pragma once
 
@@ -50,6 +53,8 @@ enum class Op : std::uint8_t {
   kSlt,   // slt  rd, a, b         rd <- (a < b) ? 1 : 0
   kSeq,   // seq  rd, a, b         rd <- (a == b) ? 1 : 0
   kLd,    // ld   rd, a            rd <- mem[a]; rd becomes device-valued
+  kLdAdd,  // ldadd rd, a          rd <- rd + mem[a]        (accumulate)
+  kLdMac,  // ldmac rd, a, rb      rd <- rd + rb * mem[a]; rb device-valued
   kSt,    // st   a, b             mem[a] <- b (register or immediate)
   kAmo,   // amo  a, b             mem[a] += b; b must be device-valued
   kCmpx,  // cmpx ra, rb           (ra, rb) <- (min, max); both device
@@ -84,8 +89,9 @@ struct Operand {
 struct Instr {
   Op op = Op::kHalt;
   std::uint8_t rd = 0;  // destination / first register
-  Operand a;            // first source (address for ld/st/amo)
-  Operand b;            // second source (value for st/amo; loop end pc)
+  Operand a;            // first source (address for ld*/st/amo)
+  Operand b;            // second source (st/amo value, ldmac multiplier,
+                        // loop end pc)
   std::uint64_t imm = 0;  // kLi value, kLoop trip count, branch/endl pc
   std::uint32_t line = 0;  // 1-based source line (diagnostics)
   std::string site;        // optional @label naming the access site

@@ -12,6 +12,13 @@ bool is_pow2(std::uint64_t value) {
   return value != 0 && (value & (value - 1)) == 0;
 }
 
+/// The directives every program starts with.
+std::string header(const std::string& name, std::uint64_t threads,
+                   std::uint64_t memory) {
+  return ".vm 1\n.name " + name + "\n.threads " + u(threads) +
+         "\n.memory " + u(memory) + "\n";
+}
+
 std::uint64_t log2u(std::uint64_t value) {
   std::uint64_t result = 0;
   while ((std::uint64_t{1} << result) < value) ++result;
@@ -166,10 +173,7 @@ std::string bitonic_text(std::uint64_t n, std::uint32_t width) {
   out += "# Bitonic sorting network over n = " + u(n) + " elements,\n";
   out += "# one thread per pair. Conflict-free by construction: every\n";
   out += "# round touches contiguous 2j-aligned blocks (raw bound 1).\n";
-  out += ".vm 1\n";
-  out += ".name vm-bitonic\n";
-  out += ".threads " + u(n / 2) + "\n";
-  out += ".memory " + u(n) + "\n";
+  out += header("vm-bitonic", n / 2, n);
   bool first = true;
   for (std::uint64_t k = 2; k <= n; k <<= 1) {
     for (std::uint64_t j = k / 2; j >= 1; j >>= 1) {
@@ -194,10 +198,7 @@ std::string shearsort_text(std::uint32_t width) {
   out += "# row coordinates, so every row sort is ascending in storage\n";
   out += "# and the result is snake-ordered. Row phases are stride-w\n";
   out += "# (raw-hostile); the rotate mapping certifies congestion 1.\n";
-  out += ".vm 1\n";
-  out += ".name vm-shearsort\n";
-  out += ".threads " + u(8 * w) + "\n";
-  out += ".memory " + u(w * w) + "\n";
+  out += header("vm-shearsort", 8 * w, w * w);
   for (int phase = 0; phase < 3; ++phase) {
     emit_shear_row_phase(out, w);
     out += "bar\n";
@@ -220,10 +221,7 @@ std::string mergesort_round_text(std::uint32_t width) {
   out += "# w runs of w keys column-wise (read stride w: raw congestion\n";
   out += "# exactly w) and writes them row-contiguous into [n, 2n). The\n";
   out += "# rotate mapping makes both sides conflict-free.\n";
-  out += ".vm 1\n";
-  out += ".name vm-mergesort-round\n";
-  out += ".threads " + u(4 * w) + "\n";
-  out += ".memory " + u(2 * n) + "\n";
+  out += header("vm-mergesort-round", 4 * w, 2 * n);
   out += "mul r1, warp, " + u(w * w) + "\n";
   out += "add r2, r1, " + u(n) + "\n";
   out += "loop r3, " + u(w) + "\n";
@@ -252,10 +250,7 @@ std::string permute_text(PermuteKind kind, std::uint32_t width,
                                                         : "derange";
   std::string out;
   out += "# Permutation routing: thread i moves mem[i] to n + pi(i).\n";
-  out += ".vm 1\n";
-  out += ".name vm-permute-" + std::string(tag) + "\n";
-  out += ".threads " + u(n) + "\n";
-  out += ".memory " + u(2 * n) + "\n";
+  out += header("vm-permute-" + std::string(tag), n, 2 * n);
   out += "mul r1, warp, " + u(w) + "\n";
   out += "add r1, r1, lane\n";
   out += "ld r2, r1 @perm.read\n";
@@ -293,6 +288,136 @@ std::string permute_text(PermuteKind kind, std::uint32_t width,
     }
   }
   out += "st r3, r2 @perm.write\n";
+  out += "halt\n";
+  return out;
+}
+
+std::string transpose_text(TransposeAlgorithm algorithm,
+                           std::uint32_t width) {
+  if (width == 0 || !is_pow2(width)) {
+    throw std::invalid_argument("transpose: width must be a power of two");
+  }
+  const std::uint64_t w = width;
+  const char* tag = algorithm == TransposeAlgorithm::kCrsw   ? "crsw"
+                    : algorithm == TransposeAlgorithm::kSrcw ? "srcw"
+                                                             : "drdw";
+  // Element (row, col) of A is row*w + col, of B w^2 + row*w + col.
+  const auto index = [w](const char* reg, const char* row, const char* col,
+                         std::uint64_t base) {
+    std::string text = "mul " + std::string(reg) + ", " + row + ", " + u(w) +
+                       "\nadd " + reg + ", " + reg + ", " + col + "\n";
+    if (base != 0) text += "add " + std::string(reg) + ", " + reg + ", " +
+                           u(base) + "\n";
+    return text;
+  };
+  std::string out;
+  out += "# Matrix transpose (Fig. 5): thread (i, j) = (warp, lane) copies\n";
+  out += "# one element of A (rows [0, w)) to B (rows [w, 2w)).\n";
+  out += header("transpose-" + std::string(tag), w * w, 2 * w * w);
+  switch (algorithm) {
+    case TransposeAlgorithm::kCrsw:  // B[j][i] <- A[i][j]
+      out += index("r1", "warp", "lane", 0);
+      out += "ld r2, r1 @read.A\n";
+      out += index("r3", "lane", "warp", w * w);
+      break;
+    case TransposeAlgorithm::kSrcw:  // B[i][j] <- A[j][i]
+      out += index("r1", "lane", "warp", 0);
+      out += "ld r2, r1 @read.A\n";
+      out += index("r3", "warp", "lane", w * w);
+      break;
+    case TransposeAlgorithm::kDrdw:  // B[c][j] <- A[j][c], c = (i + j) % w
+      out += "add r4, warp, lane\n";
+      out += "mod r4, r4, " + u(w) + "\n";
+      out += index("r1", "lane", "r4", 0);
+      out += "ld r2, r1 @read.A\n";
+      out += index("r3", "r4", "lane", w * w);
+      break;
+  }
+  out += "st r3, r2 @write.B\n";
+  out += "halt\n";
+  return out;
+}
+
+std::string reduction_text(ReductionVariant variant, std::uint64_t n,
+                           std::uint32_t width) {
+  if (width == 0 || n < 2 || !is_pow2(n) || n % width != 0) {
+    throw std::invalid_argument(
+        "reduction: n must be a power of two multiple of w");
+  }
+  const std::uint64_t w = width;
+  const std::uint64_t threads = n / 2;
+  const bool interleaved = variant == ReductionVariant::kInterleaved;
+  std::string out;
+  out += "# Sum reduction of n = " + u(n) + " words into x[0]: step s\n";
+  out += interleaved
+             ? "# adds x[i + 2^s] into x[i] for i a multiple of 2^(s+1)\n"
+               "# (stride 2^(s+1): bank conflicts under raw).\n"
+             : "# adds x[t + n/2^(s+1)] into x[t] (contiguous).\n";
+  out += header(interleaved ? "reduction-interleaved" : "reduction-sequential",
+                threads, n);
+  std::uint64_t step = 0;
+  for (std::uint64_t active = threads; active >= 1; active /= 2, ++step) {
+    // Threads t < active work: a warp prefix, then a lane prefix of
+    // warp 0 once fewer than w remain.
+    std::uint64_t masks = 0;
+    if (active < threads) {
+      out += "slt r1, warp, " + u(active >= w ? active / w : 1) + "\n";
+      out += "mask r1\n";
+      ++masks;
+    }
+    if (active < w) {
+      out += "slt r2, lane, " + u(active) + "\n";
+      out += "mask r2\n";
+      ++masks;
+    }
+    out += "  mul r3, warp, " + u(w) + "\n";
+    out += "  add r3, r3, lane\n";
+    if (interleaved) {
+      const std::uint64_t stride = threads / active;  // 2^s
+      out += "  mul r3, r3, " + u(2 * stride) + "\n";
+      out += "  add r4, r3, " + u(stride) + "\n";
+    } else {
+      out += "  add r4, r3, " + u(active) + "\n";
+    }
+    const std::string site = "s" + u(step);
+    out += "  ld r10, r3 @" + site + ".left\n";
+    out += "  ldadd r10, r4 @" + site + ".right\n";
+    out += "  st r3, r10 @" + site + ".store\n";
+    for (; masks > 0; --masks) out += "unmask\n";
+    // The next step reads partial sums other warps wrote.
+    if (active > 1) out += "bar\n";
+  }
+  out += "halt\n";
+  return out;
+}
+
+std::string matmul_text(MatmulLayout layout, std::uint32_t width) {
+  if (width == 0 || !is_pow2(width)) {
+    throw std::invalid_argument("matmul: width must be a power of two");
+  }
+  const std::uint64_t w = width;
+  const bool row_major = layout == MatmulLayout::kRowMajorB;
+  std::string out;
+  out += "# C = A x B on w x w tiles: thread (i, j) = (warp, lane) sums\n";
+  out += "# A[i][k] * B[k][j] over k. A, B, C hold rows [0, w), [w, 2w),\n";
+  out += row_major ? "# [2w, 3w); B is row-major (row reads).\n"
+                   : "# [2w, 3w); B is stored transposed (column reads).\n";
+  out += header(row_major ? "matmul-rowmajorb" : "matmul-transposedb", w * w,
+                3 * w * w);
+  out += "loop r1, " + u(w) + "\n";
+  out += "  mul r2, warp, " + u(w) + "\n";
+  out += "  add r2, r2, r1\n";
+  out += "  ld r10, r2 @load.A\n";
+  out += "  mul r3, " + std::string(row_major ? "r1" : "lane") + ", " +
+         u(w) + "\n";
+  out += "  add r3, r3, " + std::string(row_major ? "lane" : "r1") + "\n";
+  out += "  add r3, r3, " + u(w * w) + "\n";
+  out += "  ldmac r11, r3, r10 @load.B\n";
+  out += "endl\n";
+  out += "mul r4, warp, " + u(w) + "\n";
+  out += "add r4, r4, lane\n";
+  out += "add r4, r4, " + u(2 * w * w) + "\n";
+  out += "st r4, r11 @store.C\n";
   out += "halt\n";
   return out;
 }

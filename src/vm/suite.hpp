@@ -28,6 +28,23 @@
 //                             identity (affine), bit-reversal (opaque),
 //                             seeded derangement (a*i + c) mod n with
 //                             a, c odd (opaque).
+//
+// The paper's own kernels and the two classic bank-conflict extensions
+// are programs too; they are catalog workloads, not suite members:
+//
+//   transpose_text(alg, w)    threads w^2, memory 2w^2. Fig. 5's CRSW,
+//                             SRCW and DRDW: thread (warp, lane) copies
+//                             one element of A (rows [0, w)) to B (rows
+//                             [w, 2w)). CRSW/SRCW affine; DRDW's
+//                             (warp + lane) mod w column is opaque.
+//   reduction_text(v, n, w)   threads n/2, memory n. log2(n) steps of
+//                             ld + ldadd + st, a barrier between steps;
+//                             interleaved (stride 2^(s+1), raw-hostile)
+//                             or sequential (contiguous). Affine.
+//   matmul_text(layout, w)    threads w^2, memory 3w^2. C = A x B with
+//                             ldmac accumulation over w steps; B stored
+//                             row-major (conflict-free) or transposed
+//                             (column reads, raw congestion w). Affine.
 
 #pragma once
 
@@ -43,11 +60,24 @@ enum class PermuteKind : std::uint8_t {
   kDerangement,
 };
 
+// int-sized, like the workload enums they replace: gtest prints
+// parameters by their bytes, so the underlying type is part of the
+// parameterized test names.
+enum class TransposeAlgorithm { kCrsw, kSrcw, kDrdw };
+enum class ReductionVariant { kInterleaved, kSequential };
+enum class MatmulLayout { kRowMajorB, kTransposedB };
+
 [[nodiscard]] std::string bitonic_text(std::uint64_t n, std::uint32_t width);
 [[nodiscard]] std::string shearsort_text(std::uint32_t width);
 [[nodiscard]] std::string mergesort_round_text(std::uint32_t width);
 [[nodiscard]] std::string permute_text(PermuteKind kind, std::uint32_t width,
                                        std::uint64_t seed = 0);
+[[nodiscard]] std::string transpose_text(TransposeAlgorithm algorithm,
+                                         std::uint32_t width);
+[[nodiscard]] std::string reduction_text(ReductionVariant variant,
+                                         std::uint64_t n, std::uint32_t width);
+[[nodiscard]] std::string matmul_text(MatmulLayout layout,
+                                      std::uint32_t width);
 
 /// One suite entry: a program name and its `.rvm` source.
 struct SuiteProgram {

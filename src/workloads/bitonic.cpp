@@ -1,39 +1,18 @@
 #include "workloads/bitonic.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/factory.hpp"
 #include "util/rng.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
-#include "vm/extract.hpp"
 #include "vm/suite.hpp"
 
 namespace rapsim::workloads {
 
 dmm::Kernel build_bitonic_kernel(std::uint64_t n, std::uint32_t width) {
-  if (n < 2 || (n & (n - 1)) != 0 || n % (2ull * width) != 0) {
-    throw std::invalid_argument(
-        "build_bitonic_kernel: n must be a power of two multiple of 2w");
-  }
-  const vm::Program program =
-      vm::assemble(vm::bitonic_text(n, width), width);
-  return vm::lower_program(program).kernel;
-}
-
-analyze::KernelDesc describe_bitonic_kernel(std::uint64_t n,
-                                            std::uint32_t width) {
-  if (n < 2 || (n & (n - 1)) != 0 || n % (2ull * width) != 0) {
-    throw std::invalid_argument(
-        "describe_bitonic_kernel: n must be a power of two multiple of 2w");
-  }
-  vm::ExtractResult result =
-      vm::extract_kernel(vm::assemble(vm::bitonic_text(n, width), width));
-  // The program refuses inexact modeling, so extraction is always
-  // complete here; keep the catalog name the executable builders use.
-  result.kernel.name = "bitonic";
-  return std::move(result.kernel);
+  return vm::lower_program(vm::assemble(vm::bitonic_text(n, width), width))
+      .kernel;
 }
 
 BitonicReport run_bitonic_sort(core::Scheme scheme, std::uint64_t n,

@@ -9,11 +9,12 @@
 //
 // The network is authored as a VM program (vm/suite.hpp bitonic_text)
 // and lowered here: build_bitonic_kernel assembles and executes the
-// `.rvm` text, describe_bitonic_kernel extracts its loop-nest IR. The
-// program's pair layout keeps every address AFFINE in (lane, warp, loop
-// counters): active lanes form contiguous 2j-aligned blocks, the merge
-// direction is an explicit 2-trip loop, and once the partner distance
-// crosses the warp width a warp-prefix mask picks the owning warps.
+// `.rvm` text; its loop-nest IR is the program's extraction (the
+// `bitonic` entry of the lint catalog). The program's pair layout keeps
+// every address AFFINE in (lane, warp, loop counters): active lanes form
+// contiguous 2j-aligned blocks, the merge direction is an explicit
+// 2-trip loop, and once the partner distance crosses the warp width a
+// warp-prefix mask picks the owning warps.
 //
 // Bank behaviour: contiguous 2j-aligned blocks never split across
 // matrix rows, so RAW congestion is exactly 1 — bitonic is a
@@ -34,25 +35,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "analyze/kernelir.hpp"
 #include "core/mapping.hpp"
 #include "dmm/kernel.hpp"
 #include "dmm/machine.hpp"
 
 namespace rapsim::workloads {
 
-/// Build the full bitonic sorting network kernel over x[0 .. n),
-/// n a power of two multiple of 2w, using n/2 threads.
+/// The full bitonic sorting network kernel over x[0 .. n), n a power of
+/// two multiple of 2w, using n/2 threads, lowered from its program.
 [[nodiscard]] dmm::Kernel build_bitonic_kernel(std::uint64_t n,
                                                std::uint32_t width);
-
-/// Loop-nest IR of the network for the symbolic passes, extracted from
-/// the same VM program build_bitonic_kernel lowers. Every site is
-/// affine (the old hand-written descriptor needed opaque callbacks), so
-/// the prover certifies the exact per-round bounds symbolically and the
-/// race verifier sees real warp attribution.
-[[nodiscard]] analyze::KernelDesc describe_bitonic_kernel(
-    std::uint64_t n, std::uint32_t width);
 
 struct BitonicReport {
   bool sorted = false;

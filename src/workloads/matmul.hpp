@@ -16,19 +16,23 @@
 //
 // So matmul doubles as both a "RAP does no harm" check and another
 // "RAP rescues a stride" demonstration.
+//
+// Both layouts are VM programs (vm/suite.hpp matmul_text) accumulating
+// with ldmac, so the kernel is lowered from the program and its loop-nest
+// IR is the program's extraction.
 
 #pragma once
 
 #include <cstdint>
 
-#include "analyze/kernelir.hpp"
 #include "core/mapping.hpp"
 #include "dmm/kernel.hpp"
 #include "dmm/machine.hpp"
+#include "vm/suite.hpp"
 
 namespace rapsim::workloads {
 
-enum class MatmulLayout { kRowMajorB, kTransposedB };
+using MatmulLayout = vm::MatmulLayout;
 
 [[nodiscard]] const char* matmul_layout_name(MatmulLayout layout) noexcept;
 
@@ -48,15 +52,9 @@ struct MatmulArrays {
   [[nodiscard]] std::uint64_t rows() const { return 3ull * width; }
 };
 
-/// Build the w^2-thread multiply kernel.
+/// The w^2-thread multiply kernel, lowered from its program.
 [[nodiscard]] dmm::Kernel build_matmul_kernel(MatmulLayout layout,
                                               const MatmulArrays& arrays);
-
-/// Loop-nest IR of the multiply for the symbolic passes: warp u = thread
-/// row i, lane = thread column j, loop variable k = the accumulation
-/// step. All four access sites are affine.
-[[nodiscard]] analyze::KernelDesc describe_matmul_kernel(
-    MatmulLayout layout, const MatmulArrays& arrays);
 
 struct MatmulReport {
   bool correct = false;

@@ -16,36 +16,34 @@
 // RAP turns the interleaved variant's conflicts into the ~3.5 noise floor
 // automatically — the "developer need not know the trick" story on a
 // second workload.
+//
+// Both variants are VM programs (vm/suite.hpp reduction_text): each step
+// is ld + ldadd + st, so the kernel is lowered from the program and its
+// loop-nest IR is the program's extraction.
 
 #pragma once
 
 #include <cstdint>
 
-#include "analyze/kernelir.hpp"
 #include "core/mapping.hpp"
 #include "dmm/kernel.hpp"
 #include "dmm/machine.hpp"
 #include "telemetry/run_telemetry.hpp"
+#include "vm/suite.hpp"
 
 namespace rapsim::workloads {
 
-enum class ReductionVariant { kInterleaved, kSequential };
+using ReductionVariant = vm::ReductionVariant;
 
 [[nodiscard]] const char* reduction_variant_name(
     ReductionVariant variant) noexcept;
 
-/// Build the reduction kernel over x[0 .. n), n = a power of two multiple
-/// of w, using n/2 threads. After execution the sum is in x[0].
+/// The reduction kernel over x[0 .. n), n = a power of two multiple of w,
+/// using n/2 threads, lowered from its program. After execution the sum
+/// is in x[0].
 [[nodiscard]] dmm::Kernel build_reduction_kernel(ReductionVariant variant,
                                                  std::uint64_t n,
                                                  std::uint32_t width);
-
-/// Loop-nest IR of the reduction for the symbolic passes. Each step s
-/// contributes two sites — the left stream (read AND written back) and
-/// the right stream — with the step's stride baked in as constants and
-/// its own warp variable (the active thread count halves every step).
-[[nodiscard]] analyze::KernelDesc describe_reduction_kernel(
-    ReductionVariant variant, std::uint64_t n, std::uint32_t width);
 
 struct ReductionReport {
   bool correct = false;       // x[0] == sum of inputs

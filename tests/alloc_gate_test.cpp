@@ -147,12 +147,17 @@ TEST(AllocGate, DmmWarpAccessAllocatesOnlyOnItsFirstCall) {
         machine.set_capture(capture);
         const dmm::Kernel kernel = mixed_kernel(w);
         machine.begin_run(kernel);
-        (void)machine.warp_access(kernel, 0, 0);
+        // One source per pass, built before counting: a source allocates
+        // its step lists once, at construction.
+        std::vector<dmm::KernelWarpSource> passes(
+            4, dmm::KernelWarpSource(machine, kernel));
+        (void)passes[0].issue(0);
         const std::uint64_t allocs = allocations_during([&] {
-          for (int run = 0; run < 3; ++run) {
-            for (std::uint32_t i = 0; i < kernel.instructions.size(); ++i) {
-              for (std::uint32_t warp = 0; warp < 2; ++warp) {
-                (void)machine.warp_access(kernel, i, warp);
+          for (int run = 1; run < 4; ++run) {
+            for (std::uint32_t warp = 0; warp < 2; ++warp) {
+              for (dmm::KernelWarpSource& source = passes[run];
+                   !source.done(warp); source.advance(warp)) {
+                (void)source.issue(warp);
               }
             }
           }
@@ -241,6 +246,21 @@ TEST(AllocGate, ReplayLoweringAllocationsDoNotGrowWithInstructions) {
       allocations_during([&] { kernel = replay::lower_to_kernel(trace); });
   ASSERT_GT(kernel.instructions.size(), 4000u);
   EXPECT_LT(allocs, 32u);
+}
+
+TEST(AllocGate, VmLoweringAllocationsDoNotGrowWithInstructions) {
+  // Lowering appends each instruction's active ops to the sparse store
+  // and builds the kernel once: the arrays grow by doubling, and the
+  // interpreter's scratch is reused across instructions (67 allocations
+  // here). Filling a dense row plus scratch vectors per instruction made
+  // 16,028.
+  const vm::Program program =
+      vm::assemble(vm::suite_program("vm-bitonic", 32).text, 32);
+  vm::LoweredProgram lowered;
+  const std::uint64_t allocs =
+      allocations_during([&] { lowered = vm::lower_program(program); });
+  ASSERT_GT(lowered.kernel.instructions.size(), 4000u);
+  EXPECT_LE(allocs, 100u);
 }
 
 TEST(AllocGate, HierSimRunAllocationsStayAtTheDenseRowCount) {

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
 #include "transpose/runner.hpp"
+#include "workload_kernels.hpp"
 #include "workloads/bitonic.hpp"
 #include "workloads/histogram.hpp"
 #include "workloads/matmul.hpp"
@@ -112,6 +114,32 @@ TEST(DifferentialKernel, SiteCertificatesMatchMappingDraws) {
   }
 }
 
+TEST(DifferentialKernel, BothCatalogViewsResolveEverySharedName) {
+  // The lint catalog and the executable catalog read one program list, so
+  // a workload both list has one name, and each view resolves it.
+  for (const std::uint32_t w : kWidths) {
+    std::vector<std::string> shared;
+    const std::vector<KernelDesc> lint = tools::builtin_kernels(w);
+    for (const tools::WorkloadKernel& entry : tools::workload_kernels(w)) {
+      if (std::any_of(lint.begin(), lint.end(), [&](const KernelDesc& k) {
+            return k.name == entry.name;
+          })) {
+        shared.push_back(entry.name);
+      }
+    }
+    // Transposes, reductions, matmuls, bitonic, vm-shearsort and
+    // vm-mergesort-round.
+    EXPECT_EQ(shared.size(), 10u) << "w=" << w;
+    for (const std::string& name : shared) {
+      const tools::WorkloadKernel executable = tools::workload_kernel(name, w);
+      const KernelDesc ir = tools::builtin_kernel(name, w);
+      EXPECT_EQ(executable.name, name);
+      EXPECT_EQ(ir.name, name);
+      EXPECT_EQ(executable.rows, ir.rows) << name << " w=" << w;
+    }
+  }
+}
+
 /// DMM-level check shared by all concrete workloads: compare the
 /// simulated worst warp-instruction congestion against the symbolic
 /// kernel certificate.
@@ -152,13 +180,16 @@ class DmmCheck {
 };
 
 TEST(DifferentialKernel, TransposeKernelsMatchDmm) {
+  const std::map<transpose::Algorithm, std::string> names = {
+      {transpose::Algorithm::kCrsw, "transpose-crsw"},
+      {transpose::Algorithm::kSrcw, "transpose-srcw"},
+      {transpose::Algorithm::kDrdw, "transpose-drdw"}};
   for (const std::uint32_t w : kWidths) {
-    const transpose::MatrixPair layout{w};
     for (const auto algorithm :
          {transpose::Algorithm::kCrsw, transpose::Algorithm::kSrcw,
           transpose::Algorithm::kDrdw}) {
       for (const Scheme scheme : kSchemes) {
-        DmmCheck check(transpose::describe_kernel(algorithm, layout), scheme);
+        DmmCheck check(tools::builtin_kernel(names.at(algorithm), w), scheme);
         for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
           const auto report =
               transpose::run_transpose(algorithm, scheme, w, 1, seed);
@@ -173,12 +204,15 @@ TEST(DifferentialKernel, TransposeKernelsMatchDmm) {
 
 TEST(DifferentialKernel, MatmulKernelsMatchDmm) {
   for (const std::uint32_t w : kWidths) {
-    const workloads::MatmulArrays arrays{w};
     for (const auto layout : {workloads::MatmulLayout::kRowMajorB,
                               workloads::MatmulLayout::kTransposedB}) {
       for (const Scheme scheme : kSchemes) {
-        DmmCheck check(workloads::describe_matmul_kernel(layout, arrays),
-                       scheme);
+        DmmCheck check(
+            tools::builtin_kernel(layout == workloads::MatmulLayout::kRowMajorB
+                                      ? "matmul-rowmajorb"
+                                      : "matmul-transposedb",
+                                  w),
+            scheme);
         for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
           const auto report = workloads::run_matmul(layout, scheme, w, 1,
                                                     seed);
@@ -197,8 +231,13 @@ TEST(DifferentialKernel, ReductionKernelsMatchDmm) {
     for (const auto variant : {workloads::ReductionVariant::kInterleaved,
                                workloads::ReductionVariant::kSequential}) {
       for (const Scheme scheme : kSchemes) {
-        DmmCheck check(workloads::describe_reduction_kernel(variant, n, w),
-                       scheme);
+        DmmCheck check(
+            tools::builtin_kernel(
+                variant == workloads::ReductionVariant::kInterleaved
+                    ? "reduction-interleaved"
+                    : "reduction-sequential",
+                w),
+            scheme);
         for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
           const auto report =
               workloads::run_reduction(variant, scheme, n, w, 1, seed);
@@ -215,7 +254,7 @@ TEST(DifferentialKernel, BitonicKernelMatchesDmm) {
   for (const std::uint32_t w : kWidths) {
     const std::uint64_t n = 8ull * w;
     for (const Scheme scheme : kSchemes) {
-      DmmCheck check(workloads::describe_bitonic_kernel(n, w), scheme);
+      DmmCheck check(tools::builtin_kernel("bitonic", w), scheme);
       for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
         const auto report = workloads::run_bitonic_sort(scheme, n, w, 1, seed);
         ASSERT_TRUE(report.sorted);

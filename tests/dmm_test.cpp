@@ -391,7 +391,9 @@ TEST(Kernel, StoreIsReadOnlyAndBuildersAgree) {
   EXPECT_EQ(machine.run(pushed, &pushed_trace).dispatches, 1u);
   ASSERT_EQ(pushed_trace.dispatches.size(), 1u);
   EXPECT_EQ(pushed_trace.dispatches[0].active_threads, 3u);
-  EXPECT_EQ(machine.warp_access(pushed, 0, 0).active_threads, 3u);
+  machine.begin_run(pushed);
+  KernelWarpSource source(machine, pushed);
+  EXPECT_EQ(source.issue(0).active_threads, 3u);
 
   // ...and the same instruction handed over sparse is the same kernel:
   // same ops, same run, same dispatch trace.

@@ -90,13 +90,18 @@ struct WidthPins {
   std::uint64_t runs;       // Dmm::run stats + dispatch CSV x scheme
 };
 
-// Recorded from the dense-row kernels.
+// Recorded from the dense-row kernels, except `catalog`: it was
+// re-recorded when transpose, reduction and matmul became programs. Their
+// lowered kernels carry site labels where the C++ builders left labels
+// empty, and matmul binds A to machine register 0 and the accumulator to
+// register 1 (the builder used 1 and 0); every op, thread and address is
+// the builder's, which the unchanged captures/runs digests confirm.
 constexpr WidthPins kWidthPins[] = {
-    {16, 0xf0efc8f93e30fe4a, 0xd9527c6e36026c6a, 0xe04c0d112c7685d8,
+    {16, 0xafcef2f5bc7fbed5, 0xd9527c6e36026c6a, 0xe04c0d112c7685d8,
      0x7a54be45cb4d60f9, 0x6accb32ecc830c03},
-    {32, 0x6ecd764bb93aa10a, 0x103ab38a786effd5, 0x6b4bdaad3ed5dfb3,
+    {32, 0x4caa8c2d99c663e7, 0x103ab38a786effd5, 0x6b4bdaad3ed5dfb3,
      0x972b36d7d43d984d, 0xcd2d20fb31bdcb3d},
-    {64, 0x19662bd63d10712d, 0xf0e87261b30697ea, 0xb905e9b1c10b8005,
+    {64, 0x35dbd6b059339480, 0xf0e87261b30697ea, 0xb905e9b1c10b8005,
      0xd390f1015976bb5d, 0x094bde252fc53d46},
 };
 

@@ -12,12 +12,20 @@
 #include <cstdint>
 #include <string>
 
-#include "transpose/algorithms.hpp"
+#include "vm/assembler.hpp"
+#include "vm/extract.hpp"
+#include "vm/suite.hpp"
 
 namespace rapsim::analyze {
 namespace {
 
 using core::Scheme;
+
+/// The transpose's loop-nest IR, extracted from its program.
+KernelDesc transpose_ir(vm::TransposeAlgorithm algorithm, std::uint32_t w) {
+  return vm::extract_kernel(vm::assemble(vm::transpose_text(algorithm, w), w))
+      .kernel;
+}
 
 bool has_fixit(const Diagnostic& diag, const std::string& action) {
   return std::any_of(diag.fixits.begin(), diag.fixits.end(),
@@ -25,9 +33,7 @@ bool has_fixit(const Diagnostic& diag, const std::string& action) {
 }
 
 TEST(Lint, NaiveStrideTransposeIsFlaggedWithWitnessAndFixits) {
-  const transpose::MatrixPair layout{32};
-  const auto kernel =
-      transpose::describe_kernel(transpose::Algorithm::kCrsw, layout);
+  const auto kernel = transpose_ir(vm::TransposeAlgorithm::kCrsw, 32);
   const LintReport report = lint_kernel(kernel, Scheme::kRaw);
 
   EXPECT_FALSE(report.clean());
@@ -44,7 +50,7 @@ TEST(Lint, NaiveStrideTransposeIsFlaggedWithWitnessAndFixits) {
   EXPECT_TRUE(write.analysis.cert.exact());
   EXPECT_EQ(write.analysis.cert.bound, 32.0);
   ASSERT_EQ(write.analysis.witness.size(), 1u);
-  EXPECT_EQ(write.analysis.witness[0].first, "u");
+  EXPECT_EQ(write.analysis.witness[0].first, "warp");
   EXPECT_EQ(write.analysis.witness_trace.size(), 32u);
   EXPECT_EQ(report.worst_site, 1u);
   EXPECT_EQ(report.worst.bound, 32.0);
@@ -56,9 +62,7 @@ TEST(Lint, NaiveStrideTransposeIsFlaggedWithWitnessAndFixits) {
 }
 
 TEST(Lint, SameKernelLintsCleanUnderRap) {
-  const transpose::MatrixPair layout{32};
-  const auto kernel =
-      transpose::describe_kernel(transpose::Algorithm::kCrsw, layout);
+  const auto kernel = transpose_ir(vm::TransposeAlgorithm::kCrsw, 32);
   const LintReport report = lint_kernel(kernel, Scheme::kRap);
 
   EXPECT_TRUE(report.clean());
@@ -93,9 +97,7 @@ TEST(Lint, OutOfBoundsIsAnError) {
 }
 
 TEST(Lint, JsonCarriesTheContractKeys) {
-  const transpose::MatrixPair layout{16};
-  const auto kernel =
-      transpose::describe_kernel(transpose::Algorithm::kCrsw, layout);
+  const auto kernel = transpose_ir(vm::TransposeAlgorithm::kCrsw, 16);
   const std::string json = lint_report_json(lint_kernel(kernel, Scheme::kRaw));
   for (const char* key :
        {"\"kernel\"", "\"width\"", "\"rows\"", "\"scheme\"", "\"severity\"",
@@ -108,12 +110,10 @@ TEST(Lint, JsonCarriesTheContractKeys) {
 }
 
 TEST(Lint, TextRenderingNamesEverySite) {
-  const transpose::MatrixPair layout{16};
-  const auto kernel =
-      transpose::describe_kernel(transpose::Algorithm::kSrcw, layout);
+  const auto kernel = transpose_ir(vm::TransposeAlgorithm::kSrcw, 16);
   const std::string text = lint_report_text(lint_kernel(kernel, Scheme::kRaw));
-  EXPECT_NE(text.find("read A"), std::string::npos);
-  EXPECT_NE(text.find("write B"), std::string::npos);
+  EXPECT_NE(text.find("read.A"), std::string::npos);
+  EXPECT_NE(text.find("write.B"), std::string::npos);
   EXPECT_NE(text.find("fix-it"), std::string::npos);
   EXPECT_NE(text.find("[warning]"), std::string::npos);
 }

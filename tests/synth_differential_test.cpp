@@ -103,21 +103,24 @@ TEST(SynthDifferential, FullCatalogTimesWidths) {
 
 TEST(SynthDifferential, CatalogIsTheDocumentedSeventeen) {
   // The differential matrix in EXPERIMENTS.md is 17 kernels x 3 widths
-  // (15 hand-described + the two affine VM suite extractions); keep this
-  // test honest if the catalog grows.
+  // (10 extracted from workload programs + 7 IR-only); keep this test
+  // honest if the catalog grows.
   EXPECT_EQ(tools::builtin_kernels(32).size(), 17u);
 }
 
 // ---- Digest pins: FNV-1a over the search result, the audit and every
-// ---- analyze_kernel site field, per width, recorded before the class
-// ---- closure was made allocation-free. A faster closure must compute
-// ---- the same classes, witnesses and certificates byte for byte.
+// ---- analyze_kernel site field, per width. A faster closure must compute
+// ---- the same classes, witnesses and certificates byte for byte. The
+// ---- pins were re-recorded when the transpose, matmul and reduction IR
+// ---- became extractions of their programs (new names, site names and
+// ---- loop variables; a third site per reduction step): bounds,
+// ---- witnesses and candidate counts stayed, per ext_synthesis.
 
 TEST(SynthPins, SearchAndAuditJsonDigestsAreUnchanged) {
   const std::pair<std::uint32_t, std::uint64_t> pins[] = {
-      {16, 0x3fdfd0d1de546444ull},
-      {32, 0x2e3630182dd22593ull},
-      {64, 0xbfa3fcef9f453f11ull},
+      {16, 0xab87a0e8e85c0475ull},
+      {32, 0xc995cbd5cdc8f3eeull},
+      {64, 0x98a232e79747c6b4ull},
   };
   for (const auto& [width, digest] : pins) {
     std::uint64_t hash = util::kFnvOffsetBasis;
@@ -133,9 +136,9 @@ TEST(SynthPins, SearchAndAuditJsonDigestsAreUnchanged) {
 
 TEST(SynthPins, AnalyzeKernelSiteDigestsAreUnchanged) {
   const std::pair<std::uint32_t, std::uint64_t> pins[] = {
-      {16, 0x3b466a6036e68121ull},
-      {32, 0x55d6913bd1f4edfeull},
-      {64, 0xcb0b64dde9116c10ull},
+      {16, 0xeea1f08ea9a17eeaull},
+      {32, 0xd7f7aba1cc0e54b3ull},
+      {64, 0x9a53af09216a6223ull},
   };
   for (const auto& [width, digest] : pins) {
     std::uint64_t hash = util::kFnvOffsetBasis;

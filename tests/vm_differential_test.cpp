@@ -9,7 +9,11 @@
 //      the old opaque-callback descriptor) never loosened a bound: for
 //      every scheme x width the new affine IR's certified worst-warp
 //      bound is <= the old hand-written descriptor's;
-//   3. RAP keeps its Theorem-2-style promise on the suite: observed
+//   3. the same holds for the transpose, reduction and matmul programs
+//      that replaced their hand-written descriptors: extraction is
+//      complete and every certified bound is <= the retired
+//      descriptor's, recorded below;
+//   4. RAP keeps its Theorem-2-style promise on the suite: observed
 //      max congestion under a random permute-shift draw stays within
 //      the analyzer's certified bound for every suite program.
 
@@ -17,6 +21,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/passes.hpp"
@@ -27,6 +32,7 @@
 #include "vm/exec.hpp"
 #include "vm/extract.hpp"
 #include "vm/suite.hpp"
+#include "workload_kernels.hpp"
 
 namespace rapsim::analyze {
 namespace {
@@ -139,6 +145,64 @@ TEST(VmDifferential, VmBitonicBoundsNoWorseThanTheOldOpaqueDescriptor) {
     const KernelAnalysis raw = analyze_kernel(ext.kernel, core::Scheme::kRaw);
     EXPECT_TRUE(raw.worst.exact()) << "w=" << width;
     EXPECT_EQ(raw.worst.bound, 1.0) << "w=" << width;
+  }
+}
+
+// Certified worst-warp bounds of the hand-written descriptors the
+// transpose, reduction and matmul programs replaced, recorded from those
+// descriptors before they were deleted.
+struct DescriptorBounds {
+  const char* name;
+  std::uint32_t width;
+  double raw, ras, rap, pad;
+};
+constexpr DescriptorBounds kRetiredDescriptorBounds[] = {
+    {"transpose-crsw", 16, 16, 9.1564204211535216, 1, 1},
+    {"transpose-crsw", 32, 32, 9.3651127594621322, 1, 1},
+    {"transpose-crsw", 64, 64, 9.7540287411525739, 1, 1},
+    {"transpose-srcw", 16, 16, 9.1564204211535216, 1, 1},
+    {"transpose-srcw", 32, 32, 9.3651127594621322, 1, 1},
+    {"transpose-srcw", 64, 64, 9.7540287411525739, 1, 1},
+    {"transpose-drdw", 16, 1, 16, 16, 2},
+    {"transpose-drdw", 32, 1, 17.730225518924264, 17.730225518924264, 2},
+    {"transpose-drdw", 64, 1, 18.508057482305148, 18.508057482305148, 2},
+    {"reduction-interleaved", 16, 8, 16, 16, 1},
+    {"reduction-interleaved", 32, 8, 17.730225518924264, 17.730225518924264,
+     1},
+    {"reduction-interleaved", 64, 8, 18.508057482305148, 18.508057482305148,
+     1},
+    {"reduction-sequential", 16, 1, 1, 1, 1},
+    {"reduction-sequential", 32, 1, 1, 1, 1},
+    {"reduction-sequential", 64, 1, 1, 1, 1},
+    {"matmul-rowmajorb", 16, 1, 1, 1, 1},
+    {"matmul-rowmajorb", 32, 1, 1, 1, 1},
+    {"matmul-rowmajorb", 64, 1, 1, 1, 1},
+    {"matmul-transposedb", 16, 16, 9.1564204211535216, 1, 1},
+    {"matmul-transposedb", 32, 32, 9.3651127594621322, 1, 1},
+    {"matmul-transposedb", 64, 64, 9.7540287411525739, 1, 1},
+};
+
+TEST(VmDifferential, CatalogProgramsBoundsNoWorseThanTheRetiredDescriptors) {
+  for (const DescriptorBounds& old : kRetiredDescriptorBounds) {
+    const std::string label =
+        std::string(old.name) + " w=" + std::to_string(old.width);
+    std::string text;
+    for (const vm::SuiteProgram& entry : tools::workload_programs(old.width)) {
+      if (entry.name == old.name) text = entry.text;
+    }
+    ASSERT_FALSE(text.empty()) << label;
+    const vm::ExtractResult ext =
+        vm::extract_kernel(vm::assemble(text, old.width));
+    ASSERT_TRUE(ext.complete) << label;
+    const std::pair<core::Scheme, double> schemes[] = {
+        {core::Scheme::kRaw, old.raw},
+        {core::Scheme::kRas, old.ras},
+        {core::Scheme::kRap, old.rap},
+        {core::Scheme::kPad, old.pad}};
+    for (const auto& [scheme, bound] : schemes) {
+      EXPECT_LE(analyze_kernel(ext.kernel, scheme).worst.bound, bound)
+          << label << " " << core::scheme_name(scheme);
+    }
   }
 }
 

@@ -35,11 +35,28 @@ Program assemble8(const std::string& body) {
   return assemble(tiny_program(body), 8);
 }
 
+/// The suite plus the catalog workloads written next to it: the three
+/// transposes, the two reductions (n = 8w) and the two matmuls.
+std::vector<SuiteProgram> all_programs(std::uint32_t w) {
+  std::vector<SuiteProgram> programs = suite_programs(w);
+  for (std::string& text : std::vector<std::string>{
+           transpose_text(TransposeAlgorithm::kCrsw, w),
+           transpose_text(TransposeAlgorithm::kSrcw, w),
+           transpose_text(TransposeAlgorithm::kDrdw, w),
+           reduction_text(ReductionVariant::kInterleaved, 8ull * w, w),
+           reduction_text(ReductionVariant::kSequential, 8ull * w, w),
+           matmul_text(MatmulLayout::kRowMajorB, w),
+           matmul_text(MatmulLayout::kTransposedB, w)}) {
+    programs.push_back({assemble(text, w).name, std::move(text)});
+  }
+  return programs;
+}
+
 // ---- Assembler.
 
 TEST(VmAssembler, SuiteRoundTripsThroughDisassemble) {
   for (const std::uint32_t w : {8u, 16u, 32u}) {
-    for (const SuiteProgram& entry : suite_programs(w)) {
+    for (const SuiteProgram& entry : all_programs(w)) {
       Program program = assemble(entry.text, w);
       Program again = assemble(disassemble(program), w);
       // Disassembly normalizes source positions; everything else —
@@ -261,6 +278,97 @@ TEST(VmExec, AmoAccumulatesAtomically) {
   EXPECT_EQ(out[8], 8u);
 }
 
+TEST(VmAssembler, AccumulatingLoadsRoundTripAndExtractAsLoadSites) {
+  Program p = assemble8(
+      "ld r1, lane @a\n"
+      "add r2, lane, w\n"
+      "ldadd r1, r2 @b\n"
+      "ldmac r3, lane, r1 @c\n"
+      "st r2, r3 @d\n");
+  ASSERT_EQ(p.instrs.size(), 6u);
+  EXPECT_EQ(p.instrs[2].op, Op::kLdAdd);
+  EXPECT_EQ(p.instrs[3].op, Op::kLdMac);
+  EXPECT_EQ(p.instrs[3].b, Operand::reg(1));
+  Program again = assemble(disassemble(p), 8);
+  for (Program* q : {&p, &again}) {
+    for (Instr& instr : q->instrs) instr.line = 0;
+  }
+  EXPECT_EQ(p.instrs, again.instrs);
+
+  const ExtractResult ext = extract_kernel(p);
+  ASSERT_EQ(ext.kernel.sites.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(ext.kernel.sites[i].dir, analyze::AccessDir::kLoad) << i;
+  }
+  EXPECT_EQ(ext.kernel.sites[1].name, "b");
+  EXPECT_EQ(ext.kernel.sites[2].name, "c");
+  EXPECT_EQ(ext.kernel.sites[3].dir, analyze::AccessDir::kStore);
+
+  // The multiplier must be a register; an immediate does not assemble.
+  EXPECT_THROW((void)assemble8("ldmac r3, lane, 2\n"), std::invalid_argument);
+}
+
+TEST(VmExec, AccumulatingLoadsLowerToLoadAddAndLoadMulAdd) {
+  // x[w + l] <- (x[l] + x[w + l]) * x[l]: r1 binds machine register 0,
+  // the accumulator r3 the untouched register 1.
+  const Program p = assemble8(
+      "ld r1, lane\n"
+      "add r2, lane, w\n"
+      "ldadd r1, r2\n"
+      "ldmac r3, lane, r1\n"
+      "st r2, r3\n");
+  const LoweredProgram low = lower_program(p);
+  ASSERT_EQ(low.kernel.instructions.size(), 4u);
+  const dmm::ThreadOp& add = low.kernel.instructions[1][0];
+  EXPECT_EQ(add.kind, dmm::OpKind::kLoadAdd);
+  EXPECT_EQ(add.reg, 0u);
+  const dmm::ThreadOp& mac = low.kernel.instructions[2][0];
+  EXPECT_EQ(mac.kind, dmm::OpKind::kLoadMulAdd);
+  EXPECT_EQ(mac.reg, 1u);
+  EXPECT_EQ(mac.reg2, 0u);
+  std::vector<std::uint64_t> init(16, 10);
+  for (std::uint64_t l = 0; l < 8; ++l) init[l] = l + 1;
+  const auto out = run_lowered(low, init);
+  for (std::uint64_t l = 0; l < 8; ++l) {
+    EXPECT_EQ(out[8 + l], (l + 1 + 10) * (l + 1)) << l;
+  }
+}
+
+TEST(VmExec, RejectsLdmacWithoutALoadedMultiplier) {
+  // Interpreter-valued, or never loaded: the DMM multiplies by a machine
+  // register, so the multiplier must hold loaded data.
+  for (const char* body : {"li r1, 3\nldmac r2, lane, r1\n",
+                           "ldmac r2, lane, r5\n"}) {
+    const Program p = assemble8(body);
+    EXPECT_THROW((void)lower_program(p), std::invalid_argument) << body;
+    EXPECT_THROW((void)extract_kernel(p), std::invalid_argument) << body;
+  }
+}
+
+TEST(VmExec, RejectsAnAccumulatorStartingFromAWrittenRegister) {
+  // r1's ld wrote machine register 0; once li releases it, an ldadd into
+  // the fresh r2 would bind register 0 again and add to the stale value,
+  // because the DMM zeroes registers only when a run begins.
+  for (const char* body : {"ld r1, lane\nli r1, 0\nldadd r2, lane\n",
+                           "ld r1, lane\nld r4, lane\nli r1, 0\n"
+                           "ldmac r2, lane, r4\n"}) {
+    try {
+      (void)lower_program(assemble8(body));
+      ADD_FAILURE() << "expected invalid_argument: " << body;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("accumulator r2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // An accumulator may bind a register no instruction wrote, and a plain
+  // ld may reuse a written one (it overwrites it).
+  EXPECT_NO_THROW(
+      (void)lower_program(assemble8("ld r1, lane\nldadd r2, lane\n")));
+  EXPECT_NO_THROW((void)lower_program(
+      assemble8("ld r1, lane\nli r1, 0\nld r2, lane\n")));
+}
+
 TEST(VmExec, RejectsNonUniformBranch) {
   const Program p = assemble(
       ".vm 1\n.name bad\n.threads w\n.memory w\n"
@@ -315,11 +423,12 @@ TEST(VmExec, UniformBranchLoopsExecute) {
   EXPECT_EQ(out[5], 77u);
 }
 
-// ---- Extraction differential: for every suite program the extracted
-// loop-nest IR, materialized back to concrete accesses, must cover the
-// SAME per-barrier-phase address sets as the executor's lowering (set,
-// not multiset: loop variables whose coefficient is zero collapse
-// repeats, which congestion and race verdicts are insensitive to).
+// ---- Extraction differential: for every suite and catalog program the
+// extracted loop-nest IR, materialized back to concrete accesses, must
+// cover the SAME per-barrier-phase address sets as the executor's
+// lowering (set, not multiset: loop variables whose coefficient is zero
+// collapse repeats, which congestion and race verdicts are insensitive
+// to). Accumulating loads are loads.
 
 using PhaseSet = std::set<std::pair<int, std::uint64_t>>;
 
@@ -333,6 +442,8 @@ std::vector<PhaseSet> phase_sets(const dmm::Kernel& kernel) {
           barrier = true;
           break;
         case dmm::OpKind::kLoad:
+        case dmm::OpKind::kLoadAdd:
+        case dmm::OpKind::kLoadMulAdd:
           phases.back().insert({0, op.logical});
           break;
         case dmm::OpKind::kStore:
@@ -355,7 +466,7 @@ std::vector<PhaseSet> phase_sets(const dmm::Kernel& kernel) {
 
 TEST(VmExtract, SuiteIrMatchesExecutorLoweringPhaseByPhase) {
   for (const std::uint32_t w : {8u, 16u, 32u}) {
-    for (const SuiteProgram& entry : suite_programs(w)) {
+    for (const SuiteProgram& entry : all_programs(w)) {
       const Program program = assemble(entry.text, w);
       const LoweredProgram low = lower_program(program);
       const ExtractResult ext = extract_kernel(program);
@@ -375,6 +486,41 @@ TEST(VmExtract, SuiteIrMatchesExecutorLoweringPhaseByPhase) {
             << entry.name << " w=" << w << ": phase " << i;
       }
     }
+  }
+}
+
+TEST(VmExtract, DiagonalModIndicesExtractAsRowColumnSites) {
+  // DRDW reads A[lane][(warp + lane) mod w] and writes B[(warp + lane)
+  // mod w][lane]: a column term over whole rows, and a wrapped row in the
+  // B half over an in-row column.
+  const ExtractResult drdw = extract_kernel(
+      assemble(transpose_text(TransposeAlgorithm::kDrdw, 16), 16));
+  ASSERT_EQ(drdw.kernel.sites.size(), 2u);
+  const analyze::AccessSite& read = drdw.kernel.sites[0];
+  EXPECT_EQ(read.form, analyze::IndexForm::kRowCol);
+  EXPECT_EQ(read.row_mod, 0u);
+  EXPECT_EQ(read.row.lane_coeff, 1);
+  EXPECT_EQ(read.col.lane_coeff, 1);
+  const analyze::AccessSite& write = drdw.kernel.sites[1];
+  EXPECT_EQ(write.form, analyze::IndexForm::kRowCol);
+  EXPECT_EQ(write.row_mod, 16u);
+  EXPECT_EQ(write.row_base, 16);
+  EXPECT_EQ(write.col.lane_coeff, 1);
+
+  // Sums the form cannot hold exactly stay opaque: a modulus that is not
+  // a power of two, a column term plus a part below w (it may carry),
+  // and a column that reaches w.
+  for (const char* body : {"mod r1, lane, 6\nld r2, r1\n",
+                           "mod r1, lane, w\nadd r1, r1, 1\nld r2, r1\n",
+                           "mod r1, lane, 2\nmul r1, r1, w\n"
+                           "add r1, r1, lane\nadd r1, r1, lane\n"
+                           "ld r2, r1\n"}) {
+    const ExtractResult ext = extract_kernel(
+        assemble(".vm 1\n.name t\n.threads w\n.memory 4*w\n" +
+                     std::string(body) + "halt\n",
+                 8));
+    ASSERT_EQ(ext.kernel.sites.size(), 1u) << body;
+    EXPECT_EQ(ext.kernel.sites[0].form, analyze::IndexForm::kOpaque) << body;
   }
 }
 

@@ -4,14 +4,10 @@
 #include <stdexcept>
 
 #include "hmm/tiled_transpose.hpp"
-#include "transpose/algorithms.hpp"
 #include "vm/assembler.hpp"
 #include "vm/extract.hpp"
-#include "vm/suite.hpp"
-#include "workloads/bitonic.hpp"
+#include "workload_kernels.hpp"
 #include "workloads/histogram.hpp"
-#include "workloads/matmul.hpp"
-#include "workloads/reduction.hpp"
 
 namespace rapsim::tools {
 
@@ -46,45 +42,40 @@ analyze::KernelDesc tensor4d_kernel(std::uint32_t width, int axis) {
 }  // namespace
 
 std::vector<analyze::KernelDesc> builtin_kernels(std::uint32_t width) {
-  const transpose::MatrixPair pair{width};
-  const workloads::MatmulArrays arrays{width};
-  const std::uint64_t n = 8ull * width;
-
+  const std::vector<vm::SuiteProgram> programs = workload_programs(width);
   std::vector<analyze::KernelDesc> kernels;
-  kernels.push_back(transpose::describe_kernel(transpose::Algorithm::kCrsw,
-                                               pair));
-  kernels.push_back(transpose::describe_kernel(transpose::Algorithm::kSrcw,
-                                               pair));
-  kernels.push_back(transpose::describe_kernel(transpose::Algorithm::kDrdw,
-                                               pair));
+  const auto extract = [&](const std::string& name) {
+    for (const vm::SuiteProgram& entry : programs) {
+      if (entry.name != name) continue;
+      kernels.push_back(
+          vm::extract_kernel(vm::assemble(entry.text, width)).kernel);
+      kernels.back().name = name;
+      return;
+    }
+    throw std::logic_error("builtin_kernels: no workload program " + name);
+  };
+  extract("transpose-crsw");
+  extract("transpose-srcw");
+  extract("transpose-drdw");
   kernels.push_back(hmm::describe_tiled_transpose_shared(
       hmm::TransposeStrategy::kTiled, width));
   kernels.push_back(hmm::describe_tiled_transpose_shared(
       hmm::TransposeStrategy::kTiledDiagonal, width));
-  kernels.push_back(workloads::describe_matmul_kernel(
-      workloads::MatmulLayout::kRowMajorB, arrays));
-  kernels.push_back(workloads::describe_matmul_kernel(
-      workloads::MatmulLayout::kTransposedB, arrays));
-  kernels.push_back(workloads::describe_reduction_kernel(
-      workloads::ReductionVariant::kInterleaved, n, width));
-  kernels.push_back(workloads::describe_reduction_kernel(
-      workloads::ReductionVariant::kSequential, n, width));
-  kernels.push_back(workloads::describe_bitonic_kernel(n, width));
+  extract("matmul-rowmajorb");
+  extract("matmul-transposedb");
+  extract("reduction-interleaved");
+  extract("reduction-sequential");
+  extract("bitonic");
   kernels.push_back(workloads::describe_histogram_kernel(
       workloads::HistogramConfig{width, 2 * width, 32}));
   for (int axis = 0; axis < 4; ++axis) {
     kernels.push_back(tensor4d_kernel(width, axis));
   }
-  // VM-program suite members with affine extractions (vm/suite.hpp):
-  // the raw-hostile sorting workloads the synthesizer certifies. The
+  // The raw-hostile sorting workloads the synthesizer certifies; the
   // suite needs width >= 8 (shearsort's 8-row grid).
   if (width >= 8) {
-    for (const char* name : {"vm-mergesort-round", "vm-shearsort"}) {
-      kernels.push_back(
-          vm::extract_kernel(
-              vm::assemble(vm::suite_program(name, width).text, width))
-              .kernel);
-    }
+    extract("vm-mergesort-round");
+    extract("vm-shearsort");
   }
   return kernels;
 }

@@ -1,14 +1,15 @@
 // Built-in kernel catalog for rapsim-lint.
 //
-// Collects the loop-nest IR descriptions the libraries export — the
-// Fig. 5 transpose variants, the tiled transpose, matmul, reduction,
-// bitonic, histogram — plus the Table IV 4-D tensor access layouts
-// (expressed directly here: they are access patterns, not kernels, so no
-// library owns a describe_ function for them) and the affine VM-program
-// suite members (vm-mergesort-round, vm-shearsort), whose IR is
-// extracted from their `.rvm` source rather than hand-written. The
-// catalog is the lint driver's default target set and the population of
-// the differential test (tests/differential_kernel_test.cpp).
+// The loop-nest IR of every built-in workload. The program-backed ones
+// (the Fig. 5 transposes, matmul, reduction, bitonic, vm-mergesort-round
+// and vm-shearsort) are extracted from the workload catalog's `.rvm`
+// programs (workload_kernels.hpp), under the same names. The rest stay
+// IR-only: the tiled transposes (their shared-memory half runs on the
+// HMM), the histogram (its bins depend on the data, which a VM address
+// may not) and the Table IV 4-D tensor access layouts (access patterns,
+// not kernels, written directly here). The catalog is the lint driver's
+// default target set and the population of the differential test
+// (tests/differential_kernel_test.cpp).
 //
 // This lives in tools/ (not src/analyze/) so the analyze library never
 // links the workload libraries — the dependency points the other way.

@@ -110,7 +110,7 @@ for report in reports:
                 f"known proof rule (got {proof['rule']})")
 
 kernels = {r["kernel"] for r in reports}
-require("transpose-CRSW" in kernels, "built-in catalog includes the CRSW "
+require("transpose-crsw" in kernels, "built-in catalog includes the CRSW "
         "transpose")
 print(f"lint schema OK: {len(reports)} kernel reports, "
       f"{warnings_with_fixits} warnings with fix-its, all race-certified")
@@ -120,7 +120,7 @@ EOF
 # bound w, and the family search must certify bound 1, so the report
 # gains both the "synthesis" object and a SYNTHESIZE fix-it.
 SYNTH_DOC="$(json_schema_tmpfile)"
-"$BIN" --kernel=transpose-CRSW --width=16 --scheme=raw --synthesize \
+"$BIN" --kernel=transpose-crsw --width=16 --scheme=raw --synthesize \
   --format=json --fail-on=never > "$SYNTH_DOC"
 
 json_schema_validate "$SYNTH_DOC" <<'EOF'

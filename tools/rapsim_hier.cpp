@@ -197,9 +197,9 @@ int run(int argc, char** argv) {
   }
   if (args.get_bool("list-workloads", false)) {
     for (const auto& entry : tools::workload_kernels(width)) {
-      std::printf("%-24s %8u threads  %4zu instructions  (%s)\n",
+      std::printf("%-24s %8u threads  %4zu instructions\n",
                   entry.name.c_str(), entry.kernel.num_threads,
-                  entry.kernel.instructions.size(), entry.origin.c_str());
+                  entry.kernel.instructions.size());
     }
     return 0;
   }
@@ -212,8 +212,7 @@ int run(int argc, char** argv) {
     const vm::Program program =
         vm::assemble(read_text_file(*program_path), width);
     vm::LoweredProgram lowered = vm::lower_program(program);
-    entry = {program.name, std::move(lowered.kernel), lowered.rows,
-             "program"};
+    entry = {program.name, std::move(lowered.kernel), lowered.rows};
   } else {
     entry = tools::workload_kernel(args.get_string("workload", "bitonic"),
                                    width);

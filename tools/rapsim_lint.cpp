@@ -8,12 +8,12 @@
 //
 //   rapsim-lint                          # lint every built-in at w=32, RAW
 //   rapsim-lint --list-kernels           # catalog names (alias: --list)
-//   rapsim-lint --list-workloads         # catalog grouped by origin
-//   rapsim-lint --kernel=transpose-CRSW --scheme=rap
+//   rapsim-lint --list-workloads         # programs, then IR-only kernels
+//   rapsim-lint --kernel=transpose-crsw --scheme=rap
 //   rapsim-lint --file=examples/naive_transpose.kernel --format=json
 //   rapsim-lint --program=examples/shearsort.rvm   # lint a VM program
 //   rapsim-lint --width=64 --fail-on=warning
-//   rapsim-lint --kernel=transpose-CRSW --synthesize
+//   rapsim-lint --kernel=transpose-crsw --synthesize
 //
 // --synthesize runs the layout synthesizer (analyze/synth.hpp) on every
 // linted kernel: warnings gain a SYNTHESIZE fix-it when the synthesized
@@ -25,6 +25,7 @@
 // Exit status: 0 when no diagnostic reaches --fail-on (error|warning|
 // never; default error), 1 otherwise, 2 on usage errors.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,6 +40,7 @@
 #include "util/cli.hpp"
 #include "vm/assembler.hpp"
 #include "vm/extract.hpp"
+#include "workload_kernels.hpp"
 
 namespace {
 
@@ -81,14 +83,17 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (args.get_bool("list-workloads", false)) {
-      // Catalog grouped by origin: "bitonic" and the vm-* entries are
-      // extracted from `.rvm` programs, everything else is hand-described.
-      const auto is_program = [](const std::string& name) {
-        return name == "bitonic" || name.rfind("vm-", 0) == 0;
+      // The catalog split by form: kernels extracted from the workload
+      // programs (workload_kernels.hpp), then the IR-only ones.
+      const auto programs = tools::workload_programs(width);
+      const auto is_program = [&](const std::string& name) {
+        return std::any_of(
+            programs.begin(), programs.end(),
+            [&](const vm::SuiteProgram& entry) { return entry.name == name; });
       };
       const auto catalog = tools::builtin_kernels(width);
-      for (const bool program : {false, true}) {
-        std::cout << (program ? "program:\n" : "builtin:\n");
+      for (const bool program : {true, false}) {
+        std::cout << (program ? "program:\n" : "ir-only:\n");
         for (const auto& kernel : catalog) {
           if (is_program(kernel.name) == program) {
             std::cout << "  " << kernel.name << "\n";

@@ -30,9 +30,8 @@
 //                     [--trials=4] [--seed=1] [--latency=1]
 //                     [--widths=16,32] [--results=results/replay]
 //
-// Workloads: `rapsim-replay --list-workloads` prints the catalog grouped
-// by origin — the C++ builtin builders and the `.rvm` VM-program suite
-// (bitonic, vm-shearsort, vm-mergesort-round, vm-permute-*).
+// Workloads: `rapsim-replay --list-workloads` prints the workload
+// catalog (tools/workload_kernels.hpp), every entry a `.rvm` program.
 //
 // Quickstart (uses the example traces shipped in examples/):
 //   $ rapsim-replay replay examples/contiguous_stride.trace --scheme=raw
@@ -142,8 +141,7 @@ int cmd_capture(const util::CliArgs& args) {
     const vm::Program program =
         vm::assemble(read_text_file(*program_path), width);
     vm::LoweredProgram lowered = vm::lower_program(program);
-    entry = {program.name, std::move(lowered.kernel), lowered.rows,
-             "program"};
+    entry = {program.name, std::move(lowered.kernel), lowered.rows};
   } else {
     entry = tools::workload_kernel(workload, width);
   }
@@ -284,17 +282,10 @@ int cmd_replay(const util::CliArgs& args, const std::string& path) {
 
 int cmd_list_workloads(const util::CliArgs& args) {
   const auto width = static_cast<std::uint32_t>(args.get_uint("width", 32));
-  std::vector<tools::WorkloadKernel> catalog = tools::workload_kernels(width);
-  // Group by origin: the C++ builders first, then the VM programs.
-  for (const char* origin : {"builtin", "program"}) {
-    std::printf("%s:\n", origin);
-    for (const tools::WorkloadKernel& entry : catalog) {
-      if (entry.origin != origin) continue;
-      std::printf("  %-22s %llu threads, %llu x %u words\n",
-                  entry.name.c_str(),
-                  static_cast<unsigned long long>(entry.kernel.num_threads),
-                  static_cast<unsigned long long>(entry.rows), width);
-    }
+  for (const tools::WorkloadKernel& entry : tools::workload_kernels(width)) {
+    std::printf("%-22s %llu threads, %llu x %u words\n", entry.name.c_str(),
+                static_cast<unsigned long long>(entry.kernel.num_threads),
+                static_cast<unsigned long long>(entry.rows), width);
   }
   return 0;
 }

@@ -2,82 +2,68 @@
 
 #include <stdexcept>
 
-#include "transpose/algorithms.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
-#include "vm/suite.hpp"
-#include "workloads/bitonic.hpp"
-#include "workloads/matmul.hpp"
-#include "workloads/reduction.hpp"
 
 namespace rapsim::tools {
 
-std::vector<WorkloadKernel> workload_kernels(std::uint32_t width) {
-  const transpose::MatrixPair pair{width};
-  const workloads::MatmulArrays arrays{width};
-  const std::uint64_t n = 8ull * width;  // reduction / bitonic problem size
+namespace {
 
-  std::vector<WorkloadKernel> catalog;
-  catalog.push_back({"transpose-crsw",
-                     transpose::build_kernel(transpose::Algorithm::kCrsw, pair),
-                     pair.rows()});
-  catalog.push_back({"transpose-srcw",
-                     transpose::build_kernel(transpose::Algorithm::kSrcw, pair),
-                     pair.rows()});
-  catalog.push_back({"transpose-drdw",
-                     transpose::build_kernel(transpose::Algorithm::kDrdw, pair),
-                     pair.rows()});
-  catalog.push_back(
+WorkloadKernel lowered(std::string name, const std::string& text,
+                       std::uint32_t width) {
+  vm::LoweredProgram program = vm::lower_program(vm::assemble(text, width));
+  return {std::move(name), std::move(program.kernel), program.rows};
+}
+
+}  // namespace
+
+std::vector<vm::SuiteProgram> workload_programs(std::uint32_t width) {
+  using vm::MatmulLayout;
+  using vm::ReductionVariant;
+  using vm::TransposeAlgorithm;
+  const std::uint64_t n = 8ull * width;  // reduction / bitonic problem size
+  std::vector<vm::SuiteProgram> programs = {
+      {"transpose-crsw", vm::transpose_text(TransposeAlgorithm::kCrsw, width)},
+      {"transpose-srcw", vm::transpose_text(TransposeAlgorithm::kSrcw, width)},
+      {"transpose-drdw", vm::transpose_text(TransposeAlgorithm::kDrdw, width)},
       {"reduction-interleaved",
-       workloads::build_reduction_kernel(
-           workloads::ReductionVariant::kInterleaved, n, width),
-       n / width});
-  catalog.push_back(
+       vm::reduction_text(ReductionVariant::kInterleaved, n, width)},
       {"reduction-sequential",
-       workloads::build_reduction_kernel(
-           workloads::ReductionVariant::kSequential, n, width),
-       n / width});
-  catalog.push_back(
-      {"matmul-rowmajorb",
-       workloads::build_matmul_kernel(workloads::MatmulLayout::kRowMajorB,
-                                      arrays),
-       arrays.rows()});
-  catalog.push_back(
+       vm::reduction_text(ReductionVariant::kSequential, n, width)},
+      {"matmul-rowmajorb", vm::matmul_text(MatmulLayout::kRowMajorB, width)},
       {"matmul-transposedb",
-       workloads::build_matmul_kernel(workloads::MatmulLayout::kTransposedB,
-                                      arrays),
-       arrays.rows()});
-  // bitonic is lowered from its VM program (workloads/bitonic.cpp);
-  // every vm-* entry below assembles and lowers its `.rvm` source here.
-  catalog.push_back({"bitonic", workloads::build_bitonic_kernel(n, width),
-                     n / width, "program"});
-  if (width >= 8) {  // the suite needs shearsort's 8-row grid
-    for (vm::SuiteProgram& entry : vm::suite_programs(width)) {
-      if (entry.name == "vm-bitonic") continue;  // aliased by "bitonic"
-      const vm::LoweredProgram lowered =
-          vm::lower_program(vm::assemble(entry.text, width));
-      catalog.push_back(
-          {std::move(entry.name), lowered.kernel, lowered.rows, "program"});
-    }
+       vm::matmul_text(MatmulLayout::kTransposedB, width)},
+  };
+  if (width < 8) {  // the suite needs shearsort's 8-row grid
+    programs.push_back({"bitonic", vm::bitonic_text(n, width)});
+    return programs;
+  }
+  for (vm::SuiteProgram& entry : vm::suite_programs(width)) {
+    if (entry.name == "vm-bitonic") entry.name = "bitonic";
+    programs.push_back(std::move(entry));
+  }
+  return programs;
+}
+
+std::vector<WorkloadKernel> workload_kernels(std::uint32_t width) {
+  std::vector<WorkloadKernel> catalog;
+  for (vm::SuiteProgram& entry : workload_programs(width)) {
+    catalog.push_back(lowered(std::move(entry.name), entry.text, width));
   }
   return catalog;
 }
 
 WorkloadKernel workload_kernel(const std::string& name, std::uint32_t width) {
-  std::vector<WorkloadKernel> catalog = workload_kernels(width);
   std::string known;
-  for (WorkloadKernel& entry : catalog) {
-    if (entry.name == name) return std::move(entry);
+  for (vm::SuiteProgram& entry : workload_programs(width)) {
+    if (entry.name == name) return lowered(name, entry.text, width);
     if (!known.empty()) known += ", ";
     known += entry.name;
   }
   // The catalog lists vm-bitonic as "bitonic"; every suite name resolves.
   if (width >= 8) {
     for (const vm::SuiteProgram& entry : vm::suite_programs(width)) {
-      if (entry.name != name) continue;
-      vm::LoweredProgram lowered =
-          vm::lower_program(vm::assemble(entry.text, width));
-      return {name, std::move(lowered.kernel), lowered.rows, "program"};
+      if (entry.name == name) return lowered(name, entry.text, width);
     }
   }
   throw std::invalid_argument("unknown workload '" + name + "' (known: " +
