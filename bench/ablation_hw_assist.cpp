@@ -11,12 +11,15 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/factory.hpp"
 #include "gpu/sm_model.hpp"
-#include "transpose/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -42,27 +45,38 @@ int main(int argc, char** argv) {
       .add("RAW ns")
       .add("RAS ns");
 
-  for (const auto alg : {transpose::Algorithm::kCrsw,
-                         transpose::Algorithm::kSrcw,
-                         transpose::Algorithm::kDrdw}) {
+  // A catalog transpose, lowered once: its run stats under any scheme
+  // and seed.
+  const auto transpose = [&](const char* name) {
+    const workloads::Workload entry = workloads::workload_program(name, width);
+    return [reference = entry.reference,
+            program = vm::lower_program(vm::assemble(entry.text, width))](
+               core::Scheme scheme, std::uint64_t seed) {
+      return workloads::run_program(program, reference, scheme, 1, seed).stats;
+    };
+  };
+
+  const std::pair<const char*, const char*> algorithms[] = {
+      {"CRSW", "transpose-crsw"},
+      {"SRCW", "transpose-srcw"},
+      {"DRDW", "transpose-drdw"}};
+  for (const auto& [algorithm, name] : algorithms) {
+    const auto run = transpose(name);
     double stages_rap = 0, dispatches_rap = 0;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const auto r = transpose::run_transpose(alg, core::Scheme::kRap, width,
-                                              1, seed);
-      stages_rap += static_cast<double>(r.stats.total_stages);
-      dispatches_rap += static_cast<double>(r.stats.dispatches);
+      const auto r = run(core::Scheme::kRap, seed);
+      stages_rap += static_cast<double>(r.total_stages);
+      dispatches_rap += static_cast<double>(r.dispatches);
     }
     stages_rap /= static_cast<double>(seeds);
     dispatches_rap /= static_cast<double>(seeds);
 
-    const auto raw = transpose::run_transpose(alg, core::Scheme::kRaw, width,
-                                              1, 1);
+    const auto raw = run(core::Scheme::kRaw, 1);
     double stages_ras = 0, dispatches_ras = 0;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const auto r = transpose::run_transpose(alg, core::Scheme::kRas, width,
-                                              1, seed);
-      stages_ras += static_cast<double>(r.stats.total_stages);
-      dispatches_ras += static_cast<double>(r.stats.dispatches);
+      const auto r = run(core::Scheme::kRas, seed);
+      stages_ras += static_cast<double>(r.total_stages);
+      dispatches_ras += static_cast<double>(r.dispatches);
     }
     stages_ras /= static_cast<double>(seeds);
     dispatches_ras /= static_cast<double>(seeds);
@@ -71,12 +85,11 @@ int main(int argc, char** argv) {
                       dispatches_rap * software.addr_rap_ns;
     const double hw = hardware.launch_ns + stages_rap * hardware.stage_ns;
     const double raw_ns = gpu::estimate_time_ns(
-        raw.stats.total_stages, raw.stats.dispatches, core::Scheme::kRaw,
-        software);
+        raw.total_stages, raw.dispatches, core::Scheme::kRaw, software);
     const double ras_ns = software.launch_ns + stages_ras * software.stage_ns +
                           dispatches_ras * software.addr_ras_ns;
     table.row()
-        .add(transpose::algorithm_name(alg))
+        .add(algorithm)
         .add(sw, 1)
         .add(hw, 1)
         .add(sw - hw, 1)
@@ -87,13 +100,12 @@ int main(int argc, char** argv) {
 
   // Break-even: on CRSW, RAP beats RAW while
   // t_addr < (stages_raw - stages_rap) * t_stage / dispatches.
-  const auto raw = transpose::run_transpose(transpose::Algorithm::kCrsw,
-                                            core::Scheme::kRaw, width, 1, 1);
-  const auto rap = transpose::run_transpose(transpose::Algorithm::kCrsw,
-                                            core::Scheme::kRap, width, 1, 1);
+  const auto crsw = transpose("transpose-crsw");
+  const auto raw = crsw(core::Scheme::kRaw, 1);
+  const auto rap = crsw(core::Scheme::kRap, 1);
   const double headroom =
-      static_cast<double>(raw.stats.total_stages - rap.stats.total_stages) *
-      software.stage_ns / static_cast<double>(rap.stats.dispatches);
+      static_cast<double>(raw.total_stages - rap.total_stages) *
+      software.stage_ns / static_cast<double>(rap.dispatches);
   std::printf(
       "\nRAP's software overhead (%.2f ns/warp-instruction) is tiny against\n"
       "its CRSW headroom (%.1f ns/warp-instruction before RAW wins back):\n"

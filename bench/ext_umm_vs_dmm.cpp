@@ -18,12 +18,15 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/factory.hpp"
 #include "dmm/umm.hpp"
-#include "transpose/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace {
 
@@ -75,18 +78,20 @@ int main(int argc, char** argv) {
         .add(static_cast<double>(t_umm) / static_cast<double>(t_dmm), 2);
   }
 
-  for (const auto alg : {transpose::Algorithm::kCrsw,
-                         transpose::Algorithm::kDrdw}) {
-    const transpose::MatrixPair layout{w};
+  for (const auto& [label, name] :
+       {std::pair{"CRSW transpose", "transpose-crsw"},
+        std::pair{"DRDW transpose", "transpose-drdw"}}) {
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(
+            workloads::workload_program(name, w).text, w));
     const auto pair_map =
-        core::make_matrix_map(core::Scheme::kRaw, w, layout.rows(), 1);
+        core::make_matrix_map(core::Scheme::kRaw, w, program.rows, 1);
     dmm::Dmm on_dmm(dmm::dmm_config(w, l), *pair_map);
     dmm::Dmm on_umm(dmm::umm_config(w, l), *pair_map);
-    const auto kernel = transpose::build_kernel(alg, layout);
-    const auto t_dmm = on_dmm.run(kernel).time;
-    const auto t_umm = on_umm.run(kernel).time;
+    const auto t_dmm = on_dmm.run(program.kernel).time;
+    const auto t_umm = on_umm.run(program.kernel).time;
     table.row()
-        .add(std::string(transpose::algorithm_name(alg)) + " transpose")
+        .add(label)
         .add(t_dmm)
         .add(t_umm)
         .add(static_cast<double>(t_umm) / static_cast<double>(t_dmm), 2);

@@ -15,15 +15,17 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <string>
 #include <utility>
 
 #include "core/factory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "workloads/bitonic.hpp"
+#include "vm/assembler.hpp"
+#include "vm/suite.hpp"
+#include "workloads/catalog.hpp"
 #include "workloads/histogram.hpp"
-#include "workloads/matmul.hpp"
-#include "workloads/reduction.hpp"
+#include "workloads/run.hpp"
 
 namespace {
 
@@ -68,40 +70,42 @@ int main(int argc, char** argv) {
   const core::Scheme schemes[] = {core::Scheme::kRaw, core::Scheme::kPad,
                                   core::Scheme::kRas, core::Scheme::kRap};
 
+  using RunFn = std::function<std::pair<dmm::RunStats, bool>(
+      core::Scheme, std::uint64_t)>;
+  // A program row is lowered once (reduction and bitonic at --n) and
+  // checked against its catalog entry's reference.
+  const auto program_row = [&](const char* catalog_name,
+                               const std::string& text) -> RunFn {
+    return [program = vm::lower_program(vm::assemble(text, width)),
+            reference =
+                workloads::workload_program(catalog_name, width).reference](
+               core::Scheme s, std::uint64_t seed) {
+      const auto r = workloads::run_program(program, reference, s, 1, seed);
+      return std::make_pair(r.stats, r.correct);
+    };
+  };
+  using vm::MatmulLayout;
+  using vm::ReductionVariant;
+
   const struct {
     const char* label;
-    std::function<std::pair<dmm::RunStats, bool>(core::Scheme, std::uint64_t)>
-        run;
+    RunFn run;
   } rows[] = {
       {"reduce interleaved",
-       [&](core::Scheme s, std::uint64_t seed) {
-         const auto r = workloads::run_reduction(
-             workloads::ReductionVariant::kInterleaved, s, n, width, 1, seed);
-         return std::make_pair(r.stats, r.correct);
-       }},
+       program_row("reduction-interleaved",
+                   vm::reduction_text(ReductionVariant::kInterleaved, n,
+                                      width))},
       {"reduce sequential",
-       [&](core::Scheme s, std::uint64_t seed) {
-         const auto r = workloads::run_reduction(
-             workloads::ReductionVariant::kSequential, s, n, width, 1, seed);
-         return std::make_pair(r.stats, r.correct);
-       }},
-      {"bitonic sort",
-       [&](core::Scheme s, std::uint64_t seed) {
-         const auto r = workloads::run_bitonic_sort(s, n, width, 1, seed);
-         return std::make_pair(r.stats, r.sorted && r.is_permutation);
-       }},
+       program_row("reduction-sequential",
+                   vm::reduction_text(ReductionVariant::kSequential, n,
+                                      width))},
+      {"bitonic sort", program_row("bitonic", vm::bitonic_text(n, width))},
       {"matmul row-major B",
-       [&](core::Scheme s, std::uint64_t seed) {
-         const auto r = workloads::run_matmul(
-             workloads::MatmulLayout::kRowMajorB, s, width, 1, seed);
-         return std::make_pair(r.stats, r.correct);
-       }},
+       program_row("matmul-rowmajorb",
+                   vm::matmul_text(MatmulLayout::kRowMajorB, width))},
       {"matmul transposed B",
-       [&](core::Scheme s, std::uint64_t seed) {
-         const auto r = workloads::run_matmul(
-             workloads::MatmulLayout::kTransposedB, s, width, 1, seed);
-         return std::make_pair(r.stats, r.correct);
-       }},
+       program_row("matmul-transposedb",
+                   vm::matmul_text(MatmulLayout::kTransposedB, width))},
       {"histogram uniform",
        [&](core::Scheme s, std::uint64_t seed) {
          const workloads::HistogramConfig config{width, 2 * width, 32};

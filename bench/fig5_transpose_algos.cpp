@@ -2,24 +2,28 @@
 // transpose algorithms for w = 4, printed as before/after matrices plus
 // the per-phase congestion under RAW.
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
-#include "transpose/runner.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace {
 
 using namespace rapsim;
 
-void print_matrix(const char* label, dmm::Dmm& machine,
-                  const transpose::MatrixPair& layout, bool source) {
+/// Prints the w x w matrix stored at rows [first_row, first_row + w).
+void print_matrix(const char* label, const dmm::Dmm& machine,
+                  std::uint32_t width, std::uint64_t first_row) {
   std::printf("%s:\n", label);
-  for (std::uint32_t i = 0; i < layout.width; ++i) {
+  for (std::uint32_t i = 0; i < width; ++i) {
     std::printf("  ");
-    for (std::uint32_t j = 0; j < layout.width; ++j) {
-      const auto addr =
-          source ? layout.a_index(i, j) : layout.b_index(i, j);
+    for (std::uint32_t j = 0; j < width; ++j) {
+      const std::uint64_t addr = (first_row + i) * width + j;
       std::printf("%3llu", static_cast<unsigned long long>(machine.load(addr)));
     }
     std::printf("\n");
@@ -33,25 +37,24 @@ int main() {
   std::printf("== Figure 5: the three transpose algorithms (w = 4, RAW) ==\n");
 
   bool all_correct = true;
-  for (const auto alg : {transpose::Algorithm::kCrsw,
-                         transpose::Algorithm::kSrcw,
-                         transpose::Algorithm::kDrdw}) {
-    const transpose::MatrixPair layout{kWidth};
+  for (const auto& [label, name] : {std::pair{"CRSW", "transpose-crsw"},
+                                    std::pair{"SRCW", "transpose-srcw"},
+                                    std::pair{"DRDW", "transpose-drdw"}}) {
+    const workloads::Workload entry = workloads::workload_program(name, kWidth);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, kWidth));
     const auto map = core::make_matrix_map(core::Scheme::kRaw, kWidth,
-                                           layout.rows(), 1);
+                                           program.rows, 1);
     dmm::Dmm machine(dmm::DmmConfig{kWidth, 1}, *map);
-    // Seed A with 0..15, Figure 5's labeling.
-    for (std::uint32_t i = 0; i < kWidth; ++i) {
-      for (std::uint32_t j = 0; j < kWidth; ++j) {
-        machine.store(layout.a_index(i, j), i * kWidth + j);
-      }
-    }
+    // The reference fills A with 0..15, Figure 5's labeling.
     dmm::Trace trace;
-    machine.run(transpose::build_kernel(alg, layout), &trace);
+    const bool correct =
+        workloads::run_program(program, entry.reference, machine, 1, &trace)
+            .correct;
 
-    std::printf("\n-- %s --\n", transpose::algorithm_name(alg));
-    print_matrix("A (source)", machine, layout, true);
-    print_matrix("B (destination)", machine, layout, false);
+    std::printf("\n-- %s --\n", label);
+    print_matrix("A (source)", machine, kWidth, 0);
+    print_matrix("B (destination)", machine, kWidth, kWidth);
 
     std::uint32_t read_max = 0, write_max = 0;
     for (const auto& d : trace.dispatches) {
@@ -60,13 +63,6 @@ int main() {
     }
     std::printf("read congestion %u, write congestion %u\n", read_max,
                 write_max);
-
-    bool correct = true;
-    for (std::uint32_t i = 0; i < kWidth; ++i) {
-      for (std::uint32_t j = 0; j < kWidth; ++j) {
-        correct &= machine.load(layout.b_index(i, j)) == j * kWidth + i;
-      }
-    }
     std::printf("transpose %s\n", correct ? "correct" : "WRONG");
     all_correct &= correct;
   }

@@ -8,11 +8,14 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
+#include <vector>
 
-#include "core/factory.hpp"
-#include "transpose/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -34,22 +37,29 @@ int main(int argc, char** argv) {
       .add("2w+l");
 
   for (const auto w : widths) {
+    const auto width = static_cast<std::uint32_t>(w);
+    // One program per algorithm at this width, run at every latency.
+    std::vector<std::pair<vm::LoweredProgram, workloads::Reference>> programs;
+    for (const char* name :
+         {"transpose-crsw", "transpose-srcw", "transpose-drdw"}) {
+      const workloads::Workload entry =
+          workloads::workload_program(name, width);
+      programs.emplace_back(vm::lower_program(vm::assemble(entry.text, width)),
+                            entry.reference);
+    }
     for (const auto l : latencies) {
-      const auto crsw = transpose::run_transpose(
-          transpose::Algorithm::kCrsw, core::Scheme::kRaw,
-          static_cast<std::uint32_t>(w), static_cast<std::uint32_t>(l), 1);
-      const auto srcw = transpose::run_transpose(
-          transpose::Algorithm::kSrcw, core::Scheme::kRaw,
-          static_cast<std::uint32_t>(w), static_cast<std::uint32_t>(l), 1);
-      const auto drdw = transpose::run_transpose(
-          transpose::Algorithm::kDrdw, core::Scheme::kRaw,
-          static_cast<std::uint32_t>(w), static_cast<std::uint32_t>(l), 1);
+      const auto time = [&](std::size_t algorithm) {
+        const auto& [program, reference] = programs[algorithm];
+        return workloads::run_program(program, reference, core::Scheme::kRaw,
+                                      static_cast<std::uint32_t>(l), 1)
+            .stats.time;
+      };
       table.row()
           .add(w)
           .add(l)
-          .add(crsw.stats.time)
-          .add(srcw.stats.time)
-          .add(drdw.stats.time)
+          .add(time(0))
+          .add(time(1))
+          .add(time(2))
           .add(w * w + l - 1)
           .add(2 * w + l);
     }

@@ -20,8 +20,10 @@
 #include "core/permutation.hpp"
 #include "gpu/register_pack.hpp"
 #include "telemetry/run_telemetry.hpp"
-#include "transpose/runner.hpp"
 #include "util/rng.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace {
 
@@ -117,9 +119,13 @@ BENCHMARK(BM_CongestionOfWarp)->Arg(32)->Arg(256);
 
 void BM_DmmTransposeRun(benchmark::State& state) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
+  const workloads::Workload crsw =
+      workloads::workload_program("transpose-crsw", w);
+  const vm::LoweredProgram program =
+      vm::lower_program(vm::assemble(crsw.text, w));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(transpose::run_transpose(
-        transpose::Algorithm::kCrsw, core::Scheme::kRap, w, 1, 1));
+    benchmark::DoNotOptimize(workloads::run_program(
+        program, crsw.reference, core::Scheme::kRap, 1, 1));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * w *
                           w);
@@ -134,15 +140,18 @@ BENCHMARK(BM_DmmTransposeRun)->Arg(8)->Arg(32);
 void BM_DmmTransposeRunTelemetry(benchmark::State& state) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
   const bool instrumented = state.range(1) != 0;
-  const transpose::MatrixPair layout{w};
+  const workloads::Workload crsw =
+      workloads::workload_program("transpose-crsw", w);
+  const vm::LoweredProgram program =
+      vm::lower_program(vm::assemble(crsw.text, w));
   const auto map =
-      core::make_matrix_map(core::Scheme::kRap, w, layout.rows(), 1);
+      core::make_matrix_map(core::Scheme::kRap, w, program.rows, 1);
   dmm::Dmm machine(dmm::DmmConfig{w, 1}, *map);
   telemetry::RunTelemetry sink;
   machine.set_telemetry(instrumented ? &sink : nullptr);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(transpose::run_transpose_on(
-        transpose::Algorithm::kCrsw, machine, layout));
+    benchmark::DoNotOptimize(
+        workloads::run_program(program, crsw.reference, machine, 1));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * w *
                           w);

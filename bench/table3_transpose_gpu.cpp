@@ -18,12 +18,16 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/factory.hpp"
 #include "gpu/sm_model.hpp"
-#include "transpose/runner.hpp"
+#include "telemetry/bank_profile.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -55,27 +59,36 @@ int main(int argc, char** argv) {
       .add("paper ns")
       .add("model/paper");
 
-  const transpose::Algorithm algs[] = {transpose::Algorithm::kCrsw,
-                                       transpose::Algorithm::kSrcw,
-                                       transpose::Algorithm::kDrdw};
+  const std::pair<const char*, const char*> algs[] = {
+      {"CRSW", "transpose-crsw"},
+      {"SRCW", "transpose-srcw"},
+      {"DRDW", "transpose-drdw"}};
   for (std::size_t a = 0; a < 3; ++a) {
+    const workloads::Workload entry =
+        workloads::workload_program(algs[a].second, width);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, width));
     const auto& schemes = core::table2_schemes();
     for (std::size_t s = 0; s < schemes.size(); ++s) {
       double read = 0, write = 0, ns = 0;
       bool correct = true;
       for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-        const auto r =
-            transpose::run_transpose(algs[a], schemes[s], width, latency, seed);
+        const auto map =
+            core::make_matrix_map(schemes[s], width, program.rows, seed);
+        dmm::Dmm machine(dmm::DmmConfig{width, latency}, *map);
+        dmm::Trace trace;
+        const auto r = workloads::run_program(program, entry.reference,
+                                              machine, seed, &trace);
         correct &= r.correct;
-        read += r.read.avg;
-        write += r.write.avg;
+        read += telemetry::phase_stats(trace, 0).avg_congestion;
+        write += telemetry::phase_stats(trace, 1).avg_congestion;
         ns += gpu::estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                                     schemes[s], params);
       }
       const auto n = static_cast<double>(seeds);
       if (!correct) std::printf("!! INCORRECT TRANSPOSE DETECTED !!\n");
       table.row()
-          .add(transpose::algorithm_name(algs[a]))
+          .add(algs[a].first)
           .add(core::scheme_name(schemes[s]))
           .add(read / n, 2)
           .add(write / n, 2)

@@ -13,8 +13,11 @@
 #include "access/pattern2d.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
-#include "transpose/runner.hpp"
+#include "telemetry/bank_profile.hpp"
 #include "util/cli.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -41,15 +44,24 @@ int main(int argc, char** argv) {
   // 2. The naive CRSW transpose, as a developer would write it.
   std::printf("\nnaive CRSW transpose of a %ux%u matrix on the DMM:\n", width,
               width);
+  const workloads::Workload crsw =
+      workloads::workload_program("transpose-crsw", width);
+  const vm::LoweredProgram program =
+      vm::lower_program(vm::assemble(crsw.text, width));
   for (const core::Scheme scheme : core::table2_schemes()) {
-    const auto report = transpose::run_transpose(
-        transpose::Algorithm::kCrsw, scheme, width, latency, seed);
+    const auto map = core::make_matrix_map(scheme, width, program.rows, seed);
+    dmm::Dmm machine(dmm::DmmConfig{width, latency}, *map);
+    dmm::Trace trace;
+    const auto report =
+        workloads::run_program(program, crsw.reference, machine, seed, &trace);
     std::printf(
         "  %-3s: time %5llu units  read congestion %5.2f  write congestion "
         "%5.2f  %s\n",
         core::scheme_name(scheme),
-        static_cast<unsigned long long>(report.stats.time), report.read.avg,
-        report.write.avg, report.correct ? "correct" : "WRONG RESULT");
+        static_cast<unsigned long long>(report.stats.time),
+        telemetry::phase_stats(trace, 0).avg_congestion,
+        telemetry::phase_stats(trace, 1).avg_congestion,
+        report.correct ? "correct" : "WRONG RESULT");
   }
 
   std::printf(

@@ -1,7 +1,8 @@
 // rapsim_profile — run any workload x scheme and print its telemetry.
 //
 // The one-stop observability tool: stands up a DMM with a telemetry sink,
-// executes the requested workload under each requested scheme, and prints
+// executes the requested catalog workload under each requested scheme,
+// checks its output against the workload's reference, and prints
 //
 //   * a per-bank request heatmap (one row per scheme) — shows *which*
 //     banks serialize under RAW vs RAS vs RAP;
@@ -12,11 +13,13 @@
 //     idle slots.
 //
 //   $ rapsim_profile [--workload=transpose-crsw] [--schemes=raw,ras,rap]
-//                    [--width=32] [--latency=5] [--seed=1] [--n=1024]
+//                    [--width=32] [--latency=5] [--seed=1]
 //                    [--format=ascii|json] [--chrome-trace=PATH]
 //
-// Workloads: transpose-crsw, transpose-srcw, transpose-drdw,
-//            reduction-interleaved, reduction-sequential.
+// Workloads: every name of the workload catalog (workloads/catalog.hpp;
+// `rapsim-replay --list-workloads` prints them), at its catalog size:
+// reduction and bitonic over n = 8w elements. The program is lowered
+// once and run under every scheme.
 // --chrome-trace writes the LAST scheme's dispatch timeline in Trace
 // Event Format for ui.perfetto.dev. --format=json emits a single
 // document with the summary, the bank profile, and the full
@@ -25,7 +28,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,10 +38,11 @@
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/run_telemetry.hpp"
-#include "transpose/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "workloads/reduction.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace {
 
@@ -77,57 +80,21 @@ struct SchemeResult {
   dmm::Trace trace;
 };
 
-SchemeResult run_workload(const std::string& workload, core::Scheme scheme,
-                          std::uint32_t width, std::uint32_t latency,
-                          std::uint64_t seed, std::uint64_t n) {
+SchemeResult run_workload(const vm::LoweredProgram& program,
+                          const workloads::Reference& reference,
+                          core::Scheme scheme, std::uint32_t latency,
+                          std::uint64_t seed) {
   SchemeResult result;
   result.scheme = scheme;
-
-  const auto transpose_algorithm =
-      [&]() -> std::optional<transpose::Algorithm> {
-    if (workload == "transpose-crsw") return transpose::Algorithm::kCrsw;
-    if (workload == "transpose-srcw") return transpose::Algorithm::kSrcw;
-    if (workload == "transpose-drdw") return transpose::Algorithm::kDrdw;
-    return std::nullopt;
-  }();
-
-  if (transpose_algorithm) {
-    const transpose::MatrixPair layout{width};
-    const auto map = core::make_matrix_map(scheme, width, layout.rows(), seed);
-    dmm::Dmm machine(dmm::DmmConfig{width, latency}, *map);
-    machine.set_telemetry(&result.telemetry);
-    const auto report = transpose::run_transpose_on(*transpose_algorithm,
-                                                    machine, layout,
-                                                    &result.trace);
-    result.correct = report.correct;
-    result.stats = report.stats;
-    return result;
-  }
-
-  const auto reduction_variant =
-      [&]() -> std::optional<workloads::ReductionVariant> {
-    if (workload == "reduction-interleaved") {
-      return workloads::ReductionVariant::kInterleaved;
-    }
-    if (workload == "reduction-sequential") {
-      return workloads::ReductionVariant::kSequential;
-    }
-    return std::nullopt;
-  }();
-
-  if (reduction_variant) {
-    const auto report =
-        workloads::run_reduction(*reduction_variant, scheme, n, width, latency,
-                                 seed, &result.trace, &result.telemetry);
-    result.correct = report.correct;
-    result.stats = report.stats;
-    return result;
-  }
-
-  throw std::invalid_argument(
-      "unknown workload: " + workload +
-      " (use transpose-{crsw,srcw,drdw} or reduction-{interleaved,"
-      "sequential})");
+  const auto map =
+      core::make_matrix_map(scheme, program.width, program.rows, seed);
+  dmm::Dmm machine(dmm::DmmConfig{program.width, latency}, *map);
+  machine.set_telemetry(&result.telemetry);
+  const auto report =
+      workloads::run_program(program, reference, machine, seed, &result.trace);
+  result.correct = report.correct;
+  result.stats = report.stats;
+  return result;
 }
 
 void emit_json(const std::string& workload, std::uint32_t width,
@@ -193,15 +160,18 @@ int main(int argc, char** argv) {
   const auto latency =
       static_cast<std::uint32_t>(args.get_uint("latency", 5));
   const std::uint64_t seed = args.get_uint("seed", 1);
-  const std::uint64_t n = args.get_uint("n", 1024);
 
-  std::vector<core::Scheme> schemes;
   std::vector<SchemeResult> results;
   try {
-    schemes = parse_schemes(args.get_string("schemes", "raw,ras,rap"));
+    const auto schemes =
+        parse_schemes(args.get_string("schemes", "raw,ras,rap"));
+    const workloads::Workload entry =
+        workloads::workload_program(workload, width);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, width));
     for (const core::Scheme scheme : schemes) {
       results.push_back(
-          run_workload(workload, scheme, width, latency, seed, n));
+          run_workload(program, entry.reference, scheme, latency, seed));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rapsim_profile: %s\n", e.what());

@@ -14,21 +14,25 @@
 #include "dmm/machine.hpp"
 #include "dmm/trace.hpp"
 #include "util/cli.hpp"
-#include "workloads/reduction.hpp"
+#include "vm/assembler.hpp"
+#include "vm/suite.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace {
 
 using namespace rapsim;
 
-void show_step_congestion(const char* label, workloads::ReductionVariant v,
-                          core::Scheme scheme, std::uint64_t n,
-                          std::uint32_t width, std::uint64_t seed) {
-  const auto map = core::make_matrix_map(scheme, width, n / width, seed);
+void show_step_congestion(const char* label,
+                          const vm::LoweredProgram& program,
+                          const workloads::Reference& reference,
+                          core::Scheme scheme, std::uint64_t seed) {
+  const std::uint32_t width = program.width;
+  const auto map = core::make_matrix_map(scheme, width, program.rows, seed);
   dmm::Dmm machine(dmm::DmmConfig{width, 1}, *map);
-  for (std::uint64_t i = 0; i < n; ++i) machine.store(i, i + 1);
   dmm::Trace trace;
   const auto stats =
-      machine.run(workloads::build_reduction_kernel(v, n, width), &trace);
+      workloads::run_program(program, reference, machine, seed, &trace).stats;
 
   std::printf("%s: total time %llu, per-step worst congestion:", label,
               static_cast<unsigned long long>(stats.time));
@@ -61,21 +65,29 @@ int main(int argc, char** argv) {
               "(w = %u) ==\n\n",
               static_cast<unsigned long long>(n), width);
 
+  // Both variants lowered once at n; one reference checks either.
+  const auto lowered = [&](vm::ReductionVariant variant) {
+    return vm::lower_program(
+        vm::assemble(vm::reduction_text(variant, n, width), width));
+  };
+  const vm::LoweredProgram interleaved =
+      lowered(vm::ReductionVariant::kInterleaved);
+  const vm::LoweredProgram sequential =
+      lowered(vm::ReductionVariant::kSequential);
+  const workloads::Reference reference =
+      workloads::workload_program("reduction-interleaved", width).reference;
+
   std::printf("the symptom —\n");
-  show_step_congestion("  interleaved + RAW",
-                       workloads::ReductionVariant::kInterleaved,
-                       core::Scheme::kRaw, n, width, seed);
+  show_step_congestion("  interleaved + RAW", interleaved, reference,
+                       core::Scheme::kRaw, seed);
 
   std::printf("\nthe three fixes —\n");
-  show_step_congestion("  1. rewrite: sequential + RAW",
-                       workloads::ReductionVariant::kSequential,
-                       core::Scheme::kRaw, n, width, seed);
-  show_step_congestion("  2. pad the array: interleaved + PAD",
-                       workloads::ReductionVariant::kInterleaved,
-                       core::Scheme::kPad, n, width, seed);
+  show_step_congestion("  1. rewrite: sequential + RAW", sequential,
+                       reference, core::Scheme::kRaw, seed);
+  show_step_congestion("  2. pad the array: interleaved + PAD", interleaved,
+                       reference, core::Scheme::kPad, seed);
   show_step_congestion("  3. randomize the layout: interleaved + RAP",
-                       workloads::ReductionVariant::kInterleaved,
-                       core::Scheme::kRap, n, width, seed);
+                       interleaved, reference, core::Scheme::kRap, seed);
 
   std::printf(
       "\ncosts: (1) needs the algorithmic insight; (2) is free here but\n"
@@ -86,18 +98,13 @@ int main(int argc, char** argv) {
       width);
 
   // Sanity: all four produce the right sum.
-  for (const auto& [variant, scheme] :
-       {std::pair{workloads::ReductionVariant::kInterleaved,
-                  core::Scheme::kRaw},
-        std::pair{workloads::ReductionVariant::kSequential,
-                  core::Scheme::kRaw},
-        std::pair{workloads::ReductionVariant::kInterleaved,
-                  core::Scheme::kPad},
-        std::pair{workloads::ReductionVariant::kInterleaved,
-                  core::Scheme::kRap}}) {
-    const auto report =
-        workloads::run_reduction(variant, scheme, n, width, 1, seed);
-    if (!report.correct) {
+  for (const auto& [program, scheme] :
+       {std::pair{&interleaved, core::Scheme::kRaw},
+        std::pair{&sequential, core::Scheme::kRaw},
+        std::pair{&interleaved, core::Scheme::kPad},
+        std::pair{&interleaved, core::Scheme::kRap}}) {
+    if (!workloads::run_program(*program, reference, scheme, 1, seed)
+             .correct) {
       std::printf("!! WRONG SUM under %s\n", core::scheme_name(scheme));
       return 1;
     }

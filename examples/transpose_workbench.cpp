@@ -9,12 +9,16 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/factory.hpp"
 #include "gpu/sm_model.hpp"
-#include "transpose/runner.hpp"
+#include "telemetry/bank_profile.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -38,25 +42,32 @@ int main(int argc, char** argv) {
       .add("model ns")
       .add("correct");
 
-  for (const auto alg : {transpose::Algorithm::kCrsw,
-                         transpose::Algorithm::kSrcw,
-                         transpose::Algorithm::kDrdw}) {
+  for (const auto& [label, name] : {std::pair{"CRSW", "transpose-crsw"},
+                                    std::pair{"SRCW", "transpose-srcw"},
+                                    std::pair{"DRDW", "transpose-drdw"}}) {
+    const workloads::Workload entry = workloads::workload_program(name, width);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, width));
     for (const core::Scheme scheme : core::table2_schemes()) {
       double read = 0, write = 0, time = 0, ns = 0;
       bool all_correct = true;
       for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-        const auto r =
-            transpose::run_transpose(alg, scheme, width, latency, seed);
+        const auto map = core::make_matrix_map(scheme, width, program.rows,
+                                               seed);
+        dmm::Dmm machine(dmm::DmmConfig{width, latency}, *map);
+        dmm::Trace trace;
+        const auto r = workloads::run_program(program, entry.reference,
+                                              machine, seed, &trace);
         all_correct &= r.correct;
-        read += r.read.avg;
-        write += r.write.avg;
+        read += telemetry::phase_stats(trace, 0).avg_congestion;
+        write += telemetry::phase_stats(trace, 1).avg_congestion;
         time += static_cast<double>(r.stats.time);
         ns += gpu::estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                                     scheme, params);
       }
       const auto n = static_cast<double>(seeds);
       table.row()
-          .add(transpose::algorithm_name(alg))
+          .add(label)
           .add(core::scheme_name(scheme))
           .add(read / n, 2)
           .add(write / n, 2)

@@ -9,9 +9,8 @@
 //
 // The phase helpers slice a dmm::Trace by instruction index: every
 // dispatch of instruction k belongs to phase k, so a two-instruction
-// transpose kernel yields a read phase (k = 0) and a write phase (k = 1).
-// This replaces the ad-hoc read/write split that previously lived in
-// transpose/runner.cpp and generalizes it to any straight-line kernel.
+// transpose kernel yields a read phase (k = 0) and a write phase (k = 1),
+// and any straight-line kernel splits the same way.
 
 #pragma once
 

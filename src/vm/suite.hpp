@@ -60,9 +60,9 @@ enum class PermuteKind : std::uint8_t {
   kDerangement,
 };
 
-// int-sized, like the workload enums they replace: gtest prints
-// parameters by their bytes, so the underlying type is part of the
-// parameterized test names.
+// int-sized: gtest prints parameters by their bytes, so the underlying
+// type is part of the parameterized test names (tests/workloads_test.cpp
+// sweeps these enums).
 enum class TransposeAlgorithm { kCrsw, kSrcw, kDrdw };
 enum class ReductionVariant { kInterleaved, kSequential };
 enum class MatmulLayout { kRowMajorB, kTransposedB };

@@ -8,8 +8,8 @@
 //      exact certificates must be attained by EVERY draw, expected-upper
 //      certificates must dominate the observed mean; and no enumerated
 //      class may exceed the site's bound (exact rules).
-//   2. DMM level — for the kernels that also have concrete dmm::Kernel
-//      builders (transpose, matmul, reduction, bitonic, histogram), the
+//   2. DMM level — for the kernels that also run on the DMM (the catalog
+//      programs through workloads::run_program, and the histogram), the
 //      simulated run's worst warp-instruction congestion must MATCH the
 //      symbolic kernel-level certificate (exact) or be dominated by it in
 //      the mean (expected-upper).
@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,12 +25,11 @@
 #include "builtin_kernels.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
-#include "transpose/runner.hpp"
+#include "vm/assembler.hpp"
 #include "workload_kernels.hpp"
-#include "workloads/bitonic.hpp"
+#include "workloads/catalog.hpp"
 #include "workloads/histogram.hpp"
-#include "workloads/matmul.hpp"
-#include "workloads/reduction.hpp"
+#include "workloads/run.hpp"
 
 namespace rapsim::analyze {
 namespace {
@@ -179,90 +177,49 @@ class DmmCheck {
   std::uint64_t count_ = 0;
 };
 
-TEST(DifferentialKernel, TransposeKernelsMatchDmm) {
-  const std::map<transpose::Algorithm, std::string> names = {
-      {transpose::Algorithm::kCrsw, "transpose-crsw"},
-      {transpose::Algorithm::kSrcw, "transpose-srcw"},
-      {transpose::Algorithm::kDrdw, "transpose-drdw"}};
+/// Runs the catalog program `name` at every width and scheme: each run
+/// must pass its reference, and its congestion must agree with the
+/// certificate of the lint catalog's IR of the same name.
+void expect_program_matches_dmm(const std::string& name) {
   for (const std::uint32_t w : kWidths) {
-    for (const auto algorithm :
-         {transpose::Algorithm::kCrsw, transpose::Algorithm::kSrcw,
-          transpose::Algorithm::kDrdw}) {
-      for (const Scheme scheme : kSchemes) {
-        DmmCheck check(tools::builtin_kernel(names.at(algorithm), w), scheme);
-        for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
-          const auto report =
-              transpose::run_transpose(algorithm, scheme, w, 1, seed);
-          ASSERT_TRUE(report.correct);
-          check.observe(report.stats.max_congestion);
-        }
-        check.finish();
-      }
-    }
-  }
-}
-
-TEST(DifferentialKernel, MatmulKernelsMatchDmm) {
-  for (const std::uint32_t w : kWidths) {
-    for (const auto layout : {workloads::MatmulLayout::kRowMajorB,
-                              workloads::MatmulLayout::kTransposedB}) {
-      for (const Scheme scheme : kSchemes) {
-        DmmCheck check(
-            tools::builtin_kernel(layout == workloads::MatmulLayout::kRowMajorB
-                                      ? "matmul-rowmajorb"
-                                      : "matmul-transposedb",
-                                  w),
-            scheme);
-        for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
-          const auto report = workloads::run_matmul(layout, scheme, w, 1,
-                                                    seed);
-          ASSERT_TRUE(report.correct);
-          check.observe(report.stats.max_congestion);
-        }
-        check.finish();
-      }
-    }
-  }
-}
-
-TEST(DifferentialKernel, ReductionKernelsMatchDmm) {
-  for (const std::uint32_t w : kWidths) {
-    const std::uint64_t n = 8ull * w;
-    for (const auto variant : {workloads::ReductionVariant::kInterleaved,
-                               workloads::ReductionVariant::kSequential}) {
-      for (const Scheme scheme : kSchemes) {
-        DmmCheck check(
-            tools::builtin_kernel(
-                variant == workloads::ReductionVariant::kInterleaved
-                    ? "reduction-interleaved"
-                    : "reduction-sequential",
-                w),
-            scheme);
-        for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
-          const auto report =
-              workloads::run_reduction(variant, scheme, n, w, 1, seed);
-          ASSERT_TRUE(report.correct);
-          check.observe(report.stats.max_congestion);
-        }
-        check.finish();
-      }
-    }
-  }
-}
-
-TEST(DifferentialKernel, BitonicKernelMatchesDmm) {
-  for (const std::uint32_t w : kWidths) {
-    const std::uint64_t n = 8ull * w;
+    const workloads::Workload entry = workloads::workload_program(name, w);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, w));
     for (const Scheme scheme : kSchemes) {
-      DmmCheck check(tools::builtin_kernel("bitonic", w), scheme);
+      DmmCheck check(tools::builtin_kernel(name, w), scheme);
       for (std::uint64_t seed = 1; seed <= check.seeds(); ++seed) {
-        const auto report = workloads::run_bitonic_sort(scheme, n, w, 1, seed);
-        ASSERT_TRUE(report.sorted);
+        const auto report =
+            workloads::run_program(program, entry.reference, scheme, 1, seed);
+        ASSERT_TRUE(report.correct)
+            << name << " w=" << w << " " << core::scheme_name(scheme);
         check.observe(report.stats.max_congestion);
       }
       check.finish();
     }
   }
+}
+
+TEST(DifferentialKernel, TransposeKernelsMatchDmm) {
+  for (const char* name :
+       {"transpose-crsw", "transpose-srcw", "transpose-drdw"}) {
+    expect_program_matches_dmm(name);
+  }
+}
+
+TEST(DifferentialKernel, MatmulKernelsMatchDmm) {
+  for (const char* name : {"matmul-rowmajorb", "matmul-transposedb"}) {
+    expect_program_matches_dmm(name);
+  }
+}
+
+TEST(DifferentialKernel, ReductionKernelsMatchDmm) {
+  for (const char* name : {"reduction-interleaved", "reduction-sequential"}) {
+    expect_program_matches_dmm(name);
+  }
+}
+
+TEST(DifferentialKernel, BitonicKernelMatchesDmm) {
+  expect_program_matches_dmm("bitonic");
 }
 
 TEST(DifferentialKernel, HistogramHotBinMatchesDmm) {

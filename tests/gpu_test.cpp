@@ -6,7 +6,9 @@
 
 #include "core/factory.hpp"
 #include "gpu/register_pack.hpp"
-#include "transpose/runner.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace rapsim::gpu {
 namespace {
@@ -154,26 +156,28 @@ TEST(SmModel, LinearInStagesAndDispatches) {
 // the RAW column (its calibration anchors) and preserve the headline
 // ratios for RAP.
 TEST(SmModel, ReproducesTable3Shape) {
-  using transpose::Algorithm;
   const auto params = SmTimingParams::titan_calibrated();
 
-  const auto time_for = [&](Algorithm alg, core::Scheme scheme) {
+  const auto time_for = [&](const char* name, core::Scheme scheme) {
+    const workloads::Workload entry = workloads::workload_program(name, 32);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, 32));
     double sum = 0;
     constexpr int kSeeds = 200;
     for (int seed = 0; seed < kSeeds; ++seed) {
-      const auto r = transpose::run_transpose(alg, scheme, 32, 1,
-                                              static_cast<std::uint64_t>(seed));
+      const auto r = workloads::run_program(program, entry.reference, scheme,
+                                            1, static_cast<std::uint64_t>(seed));
       sum += estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                               scheme, params);
     }
     return sum / kSeeds;
   };
 
-  const double raw_crsw = time_for(Algorithm::kCrsw, core::Scheme::kRaw);
-  const double raw_drdw = time_for(Algorithm::kDrdw, core::Scheme::kRaw);
-  const double rap_crsw = time_for(Algorithm::kCrsw, core::Scheme::kRap);
-  const double ras_crsw = time_for(Algorithm::kCrsw, core::Scheme::kRas);
-  const double rap_drdw = time_for(Algorithm::kDrdw, core::Scheme::kRap);
+  const double raw_crsw = time_for("transpose-crsw", core::Scheme::kRaw);
+  const double raw_drdw = time_for("transpose-drdw", core::Scheme::kRaw);
+  const double rap_crsw = time_for("transpose-crsw", core::Scheme::kRap);
+  const double ras_crsw = time_for("transpose-crsw", core::Scheme::kRas);
+  const double rap_drdw = time_for("transpose-drdw", core::Scheme::kRap);
 
   EXPECT_NEAR(raw_crsw, 1595.0, 0.15 * 1595.0);  // calibration anchor
   EXPECT_NEAR(raw_drdw, 158.4, 0.15 * 158.4);    // calibration anchor

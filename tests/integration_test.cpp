@@ -9,7 +9,10 @@
 #include "core/theory.hpp"
 #include "dmm/umm.hpp"
 #include "gpu/sm_model.hpp"
-#include "transpose/runner.hpp"
+#include "telemetry/bank_profile.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace rapsim {
 namespace {
@@ -79,30 +82,39 @@ TEST(Theorem2Integration, MaliciousCongestionUnderEnvelope) {
 TEST(Table3Integration, CongestionAndTimeColumns) {
   const auto params = gpu::SmTimingParams::titan_calibrated();
   struct Row {
-    transpose::Algorithm alg;
+    const char* workload;
     Scheme scheme;
     double paper_read, paper_write, paper_ns;
   };
   const Row rows[] = {
-      {transpose::Algorithm::kCrsw, Scheme::kRaw, 1, 32, 1595.0},
-      {transpose::Algorithm::kSrcw, Scheme::kRaw, 32, 1, 1596.0},
-      {transpose::Algorithm::kDrdw, Scheme::kRaw, 1, 1, 158.4},
-      {transpose::Algorithm::kCrsw, Scheme::kRas, 1, 3.53, 303.6},
-      {transpose::Algorithm::kSrcw, Scheme::kRas, 3.53, 1, 297.1},
-      {transpose::Algorithm::kDrdw, Scheme::kRas, 3.53, 3.53, 427.4},
-      {transpose::Algorithm::kCrsw, Scheme::kRap, 1, 1, 154.5},
-      {transpose::Algorithm::kSrcw, Scheme::kRap, 1, 1, 159.1},
-      {transpose::Algorithm::kDrdw, Scheme::kRap, 3.61, 3.61, 433.3},
+      {"transpose-crsw", Scheme::kRaw, 1, 32, 1595.0},
+      {"transpose-srcw", Scheme::kRaw, 32, 1, 1596.0},
+      {"transpose-drdw", Scheme::kRaw, 1, 1, 158.4},
+      {"transpose-crsw", Scheme::kRas, 1, 3.53, 303.6},
+      {"transpose-srcw", Scheme::kRas, 3.53, 1, 297.1},
+      {"transpose-drdw", Scheme::kRas, 3.53, 3.53, 427.4},
+      {"transpose-crsw", Scheme::kRap, 1, 1, 154.5},
+      {"transpose-srcw", Scheme::kRap, 1, 1, 159.1},
+      {"transpose-drdw", Scheme::kRap, 3.61, 3.61, 433.3},
   };
   constexpr int kSeeds = 150;
   for (const Row& row : rows) {
+    const workloads::Workload entry =
+        workloads::workload_program(row.workload, 32);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(entry.text, 32));
     double read = 0, write = 0, ns = 0;
-    for (int seed = 0; seed < kSeeds; ++seed) {
-      const auto r = transpose::run_transpose(
-          row.alg, row.scheme, 32, 1, static_cast<std::uint64_t>(seed) + 1);
+    for (int i = 0; i < kSeeds; ++i) {
+      const auto seed = static_cast<std::uint64_t>(i) + 1;
+      const auto map = core::make_matrix_map(row.scheme, 32, program.rows,
+                                             seed);
+      dmm::Dmm machine(dmm::DmmConfig{32, 1}, *map);
+      dmm::Trace trace;
+      const auto r = workloads::run_program(program, entry.reference, machine,
+                                            seed, &trace);
       ASSERT_TRUE(r.correct);
-      read += r.read.avg;
-      write += r.write.avg;
+      read += telemetry::phase_stats(trace, 0).avg_congestion;
+      write += telemetry::phase_stats(trace, 1).avg_congestion;
       ns += gpu::estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                                   row.scheme, params);
     }
@@ -110,16 +122,13 @@ TEST(Table3Integration, CongestionAndTimeColumns) {
     write /= kSeeds;
     ns /= kSeeds;
     EXPECT_NEAR(read, row.paper_read, 0.2 + 0.05 * row.paper_read)
-        << transpose::algorithm_name(row.alg) << " "
-        << core::scheme_name(row.scheme);
+        << row.workload << " " << core::scheme_name(row.scheme);
     EXPECT_NEAR(write, row.paper_write, 0.2 + 0.05 * row.paper_write)
-        << transpose::algorithm_name(row.alg) << " "
-        << core::scheme_name(row.scheme);
+        << row.workload << " " << core::scheme_name(row.scheme);
     // Times: model vs testbed, require agreement within 35% (the claim is
     // the shape, not the nanosecond).
     EXPECT_NEAR(ns, row.paper_ns, 0.35 * row.paper_ns)
-        << transpose::algorithm_name(row.alg) << " "
-        << core::scheme_name(row.scheme);
+        << row.workload << " " << core::scheme_name(row.scheme);
   }
 }
 
@@ -174,15 +183,15 @@ TEST(MachineGenericity, DmmRunsOver4dMaps) {
 TEST(MachineContrast, DmmNeverSlowerThanUmm) {
   const std::uint32_t w = 8, l = 4;
   const auto map = core::make_matrix_map(Scheme::kRaw, w, 2 * w, 3);
-  const transpose::MatrixPair layout{w};
-  for (const auto alg :
-       {transpose::Algorithm::kCrsw, transpose::Algorithm::kDrdw}) {
+  for (const char* name : {"transpose-crsw", "transpose-drdw"}) {
     dmm::Dmm on_dmm(dmm::dmm_config(w, l), *map);
     dmm::Dmm on_umm(dmm::umm_config(w, l), *map);
-    const auto kernel = transpose::build_kernel(alg, layout);
-    const auto t_dmm = on_dmm.run(kernel).time;
-    const auto t_umm = on_umm.run(kernel).time;
-    EXPECT_LE(t_dmm, t_umm) << transpose::algorithm_name(alg);
+    const vm::LoweredProgram program =
+        vm::lower_program(vm::assemble(
+            workloads::workload_program(name, w).text, w));
+    const auto t_dmm = on_dmm.run(program.kernel).time;
+    const auto t_umm = on_umm.run(program.kernel).time;
+    EXPECT_LE(t_dmm, t_umm) << name;
   }
 }
 

@@ -141,7 +141,7 @@ class Mapping2dProperty
 
 TEST_P(Mapping2dProperty, TranslateIsARowPreservingBijection) {
   const auto [scheme, width] = GetParam();
-  const std::uint64_t rows = 2 * width;  // taller than wide, like MatrixPair
+  const std::uint64_t rows = 2 * width;  // taller than wide, like A/B pairs
   for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
     const auto map = make_matrix_map(scheme, width, rows, seed);
     std::set<std::uint64_t> images;

@@ -12,7 +12,9 @@
 #include "core/factory.hpp"
 #include "core/theory.hpp"
 #include "dmm/machine.hpp"
-#include "transpose/runner.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace rapsim {
 namespace {
@@ -120,6 +122,12 @@ TEST(DmmProperties, TimeBounds) {
   }
 }
 
+/// The catalog transpose `name` at width `w`, lowered.
+vm::LoweredProgram transpose_program(const char* name, std::uint32_t w) {
+  return vm::lower_program(
+      vm::assemble(workloads::workload_program(name, w).text, w));
+}
+
 // A transpose through ANY row-rotation mapping is an involution: running
 // CRSW from A to B, then CRSW from B back into a third region, recovers A.
 // (We emulate by running twice with roles swapped via fresh machines.)
@@ -130,32 +138,25 @@ TEST(TransposeProperties, DoubleTransposeIsIdentity) {
     const auto scheme =
         std::vector<Scheme>{Scheme::kRaw, Scheme::kRas,
                             Scheme::kRap}[rng.bounded(3)];
-    const transpose::MatrixPair layout{w};
-    const auto map =
-        core::make_matrix_map(scheme, w, layout.rows(), trial + 1);
+    const vm::LoweredProgram crsw = transpose_program("transpose-crsw", w);
+    const vm::LoweredProgram srcw = transpose_program("transpose-srcw", w);
+    const auto map = core::make_matrix_map(scheme, w, crsw.rows, trial + 1);
     dmm::Dmm machine(dmm::DmmConfig{w, 1}, *map);
+    // A at rows [0, w), B at rows [w, 2w).
+    const std::uint64_t b = std::uint64_t{w} * w;
 
     // Fill A with arbitrary values.
     std::vector<std::uint64_t> original(w * w);
-    for (std::uint32_t i = 0; i < w; ++i) {
-      for (std::uint32_t j = 0; j < w; ++j) {
-        original[i * w + j] = rng();
-        machine.store(layout.a_index(i, j), original[i * w + j]);
-      }
+    for (std::uint64_t k = 0; k < b; ++k) {
+      original[k] = rng();
+      machine.store(k, original[k]);
     }
     // Transpose A -> B, copy B -> A, transpose A -> B again.
-    machine.run(transpose::build_kernel(transpose::Algorithm::kCrsw, layout));
-    for (std::uint32_t i = 0; i < w; ++i) {
-      for (std::uint32_t j = 0; j < w; ++j) {
-        machine.store(layout.a_index(i, j),
-                      machine.load(layout.b_index(i, j)));
-      }
-    }
-    machine.run(transpose::build_kernel(transpose::Algorithm::kSrcw, layout));
-    for (std::uint32_t i = 0; i < w; ++i) {
-      for (std::uint32_t j = 0; j < w; ++j) {
-        EXPECT_EQ(machine.load(layout.b_index(i, j)), original[i * w + j]);
-      }
+    machine.run(crsw.kernel);
+    for (std::uint64_t k = 0; k < b; ++k) machine.store(k, machine.load(b + k));
+    machine.run(srcw.kernel);
+    for (std::uint64_t k = 0; k < b; ++k) {
+      EXPECT_EQ(machine.load(b + k), original[k]);
     }
   }
 }
@@ -165,25 +166,20 @@ TEST(TransposeProperties, AlgorithmsAgree) {
   const std::uint32_t w = 16;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     std::vector<std::vector<std::uint64_t>> results;
-    for (const auto alg : {transpose::Algorithm::kCrsw,
-                           transpose::Algorithm::kSrcw,
-                           transpose::Algorithm::kDrdw}) {
-      const transpose::MatrixPair layout{w};
-      const auto map =
-          core::make_matrix_map(Scheme::kRap, w, layout.rows(), seed);
+    for (const char* name :
+         {"transpose-crsw", "transpose-srcw", "transpose-drdw"}) {
+      const workloads::Workload entry = workloads::workload_program(name, w);
+      const vm::LoweredProgram program =
+          vm::lower_program(vm::assemble(entry.text, w));
+      const auto map = core::make_matrix_map(Scheme::kRap, w, program.rows,
+                                             seed);
       dmm::Dmm machine(dmm::DmmConfig{w, 1}, *map);
-      util::Pcg32 rng(seed);
-      for (std::uint32_t i = 0; i < w; ++i) {
-        for (std::uint32_t j = 0; j < w; ++j) {
-          machine.store(layout.a_index(i, j), i * 1000 + j);
-        }
-      }
-      machine.run(transpose::build_kernel(alg, layout));
+      EXPECT_TRUE(
+          workloads::run_program(program, entry.reference, machine, seed)
+              .correct);
       std::vector<std::uint64_t> b;
-      for (std::uint32_t i = 0; i < w; ++i) {
-        for (std::uint32_t j = 0; j < w; ++j) {
-          b.push_back(machine.load(layout.b_index(i, j)));
-        }
+      for (std::uint64_t k = 0; k < std::uint64_t{w} * w; ++k) {
+        b.push_back(machine.load(std::uint64_t{w} * w + k));
       }
       results.push_back(std::move(b));
     }

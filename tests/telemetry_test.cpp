@@ -28,7 +28,9 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/run_telemetry.hpp"
 #include "telemetry/span_tracer.hpp"
-#include "transpose/runner.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
 namespace rapsim {
 namespace {
@@ -241,23 +243,25 @@ TEST(TraceText, ToStringDescribesDispatches) {
 // --- Phase helpers + bank profile ------------------------------------------
 
 TEST(PhaseStats, SplitsTransposeIntoReadAndWrite) {
-  const transpose::MatrixPair layout{8};
-  const core::AddressMap map(core::Scheme::kRaw, 8, layout.rows());
+  const workloads::Workload crsw =
+      workloads::workload_program("transpose-crsw", 8);
+  const vm::LoweredProgram program =
+      vm::lower_program(vm::assemble(crsw.text, 8));
+  const core::AddressMap map(core::Scheme::kRaw, 8, program.rows);
   dmm::Dmm machine(dmm::DmmConfig{8, 1}, map);
   dmm::Trace trace;
-  const auto report = transpose::run_transpose_on(
-      transpose::Algorithm::kCrsw, machine, layout, &trace);
+  const auto report =
+      workloads::run_program(program, crsw.reference, machine, 1, &trace);
   ASSERT_TRUE(report.correct);
 
   const auto read = telemetry::phase_stats(trace, 0);
   const auto write = telemetry::phase_stats(trace, 1);
   // CRSW under RAW: contiguous read (congestion 1), stride write (w).
   EXPECT_EQ(read.dispatches, 8u);
-  EXPECT_DOUBLE_EQ(read.avg_congestion, report.read.avg);
-  EXPECT_EQ(read.max_congestion, report.read.max);
+  EXPECT_DOUBLE_EQ(read.avg_congestion, 1.0);
   EXPECT_EQ(read.max_congestion, 1u);
   EXPECT_EQ(write.max_congestion, 8u);
-  EXPECT_DOUBLE_EQ(write.avg_congestion, report.write.avg);
+  EXPECT_DOUBLE_EQ(write.avg_congestion, 8.0);
 
   const auto phases = telemetry::per_instruction_stats(trace);
   ASSERT_EQ(phases.size(), 2u);

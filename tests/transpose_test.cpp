@@ -1,77 +1,85 @@
-// Tests for the three transpose algorithms under all mapping schemes —
-// correctness, per-phase congestion, and the Lemma 1 DMM times.
-
-#include "transpose/runner.hpp"
+// Tests for the three transpose programs under all mapping schemes —
+// per-phase congestion (Table III) and the Lemma 1 DMM times. Their
+// output correctness is pinned with the rest of the catalog in
+// workloads_test.cpp.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/factory.hpp"
+#include "telemetry/bank_profile.hpp"
+#include "vm/assembler.hpp"
+#include "workloads/catalog.hpp"
+#include "workloads/run.hpp"
 
-namespace rapsim::transpose {
+namespace rapsim::workloads {
 namespace {
 
 using core::Scheme;
 
-// ---- Correctness: every algorithm x scheme x width x seed produces the
-// ---- mathematically correct transpose.
+/// A catalog transpose lowered once; run() adds the read (instruction 0)
+/// and write (instruction 1) phase statistics to the harness report.
+class Transpose {
+ public:
+  struct Run {
+    RunReport report;
+    telemetry::PhaseStats read;
+    telemetry::PhaseStats write;
+  };
 
-class TransposeCorrectness
-    : public ::testing::TestWithParam<
-          std::tuple<Algorithm, Scheme, std::uint32_t>> {};
+  Transpose(const std::string& name, std::uint32_t width)
+      : entry_(workload_program(name, width)),
+        program_(vm::lower_program(vm::assemble(entry_.text, width))) {}
 
-TEST_P(TransposeCorrectness, ProducesExactTranspose) {
-  const auto [algorithm, scheme, width] = GetParam();
-  for (std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
-    const auto report = run_transpose(algorithm, scheme, width, 2, seed);
-    EXPECT_TRUE(report.correct)
-        << algorithm_name(algorithm) << " " << core::scheme_name(scheme)
-        << " w=" << width << " seed=" << seed;
+  [[nodiscard]] Run run(Scheme scheme, std::uint32_t latency,
+                        std::uint64_t seed) const {
+    const auto map =
+        core::make_matrix_map(scheme, program_.width, program_.rows, seed);
+    dmm::Dmm machine(dmm::DmmConfig{program_.width, latency}, *map);
+    dmm::Trace trace;
+    Run run;
+    run.report = run_program(program_, entry_.reference, machine, seed, &trace);
+    run.read = telemetry::phase_stats(trace, 0);
+    run.write = telemetry::phase_stats(trace, 1);
+    return run;
   }
-}
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCombos, TransposeCorrectness,
-    ::testing::Combine(::testing::Values(Algorithm::kCrsw, Algorithm::kSrcw,
-                                         Algorithm::kDrdw),
-                       ::testing::Values(Scheme::kRaw, Scheme::kRas,
-                                         Scheme::kRap),
-                       ::testing::Values(2u, 4u, 8u, 16u, 32u)),
-    [](const auto& param_info) {
-      return std::string(algorithm_name(std::get<0>(param_info.param))) + "_" +
-             core::scheme_name(std::get<1>(param_info.param)) + "_w" +
-             std::to_string(std::get<2>(param_info.param));
-    });
+ private:
+  Workload entry_;
+  vm::LoweredProgram program_;
+};
 
 // ---- Table III congestion columns (deterministic ones).
 
 TEST(TransposeCongestion, RawCrswIsRead1WriteW) {
-  const auto r = run_transpose(Algorithm::kCrsw, Scheme::kRaw, 32, 1, 1);
-  EXPECT_EQ(r.read.avg, 1.0);
-  EXPECT_EQ(r.write.avg, 32.0);
+  const auto r = Transpose("transpose-crsw", 32).run(Scheme::kRaw, 1, 1);
+  EXPECT_EQ(r.read.avg_congestion, 1.0);
+  EXPECT_EQ(r.write.avg_congestion, 32.0);
 }
 
 TEST(TransposeCongestion, RawSrcwIsReadWWrite1) {
-  const auto r = run_transpose(Algorithm::kSrcw, Scheme::kRaw, 32, 1, 1);
-  EXPECT_EQ(r.read.avg, 32.0);
-  EXPECT_EQ(r.write.avg, 1.0);
+  const auto r = Transpose("transpose-srcw", 32).run(Scheme::kRaw, 1, 1);
+  EXPECT_EQ(r.read.avg_congestion, 32.0);
+  EXPECT_EQ(r.write.avg_congestion, 1.0);
 }
 
 TEST(TransposeCongestion, RawDrdwIsConflictFree) {
-  const auto r = run_transpose(Algorithm::kDrdw, Scheme::kRaw, 32, 1, 1);
-  EXPECT_EQ(r.read.avg, 1.0);
-  EXPECT_EQ(r.write.avg, 1.0);
-  EXPECT_EQ(r.read.max, 1u);
-  EXPECT_EQ(r.write.max, 1u);
+  const auto r = Transpose("transpose-drdw", 32).run(Scheme::kRaw, 1, 1);
+  EXPECT_EQ(r.read.avg_congestion, 1.0);
+  EXPECT_EQ(r.write.avg_congestion, 1.0);
+  EXPECT_EQ(r.read.max_congestion, 1u);
+  EXPECT_EQ(r.write.max_congestion, 1u);
 }
 
 TEST(TransposeCongestion, RapCrswAndSrcwAreConflictFree) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    for (const Algorithm alg : {Algorithm::kCrsw, Algorithm::kSrcw}) {
-      const auto r = run_transpose(alg, Scheme::kRap, 32, 1, seed);
-      EXPECT_EQ(r.read.max, 1u) << algorithm_name(alg) << " seed " << seed;
-      EXPECT_EQ(r.write.max, 1u) << algorithm_name(alg) << " seed " << seed;
+  for (const char* name : {"transpose-crsw", "transpose-srcw"}) {
+    const Transpose transpose(name, 32);
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      const auto r = transpose.run(Scheme::kRap, 1, seed);
+      EXPECT_EQ(r.read.max_congestion, 1u) << name << " seed " << seed;
+      EXPECT_EQ(r.write.max_congestion, 1u) << name << " seed " << seed;
     }
   }
 }
@@ -79,26 +87,26 @@ TEST(TransposeCongestion, RapCrswAndSrcwAreConflictFree) {
 TEST(TransposeCongestion, RasCrswWriteIsBallsInBins) {
   // Averaged over seeds, RAS CRSW write congestion approaches ~3.5 at
   // w = 32 (Table III reports 3.53).
+  const Transpose crsw("transpose-crsw", 32);
   double sum = 0;
   constexpr int kSeeds = 400;
   for (int seed = 0; seed < kSeeds; ++seed) {
-    const auto r = run_transpose(Algorithm::kCrsw, Scheme::kRas, 32, 1,
-                                 static_cast<std::uint64_t>(seed));
-    EXPECT_EQ(r.read.max, 1u);
-    sum += r.write.avg;
+    const auto r = crsw.run(Scheme::kRas, 1, static_cast<std::uint64_t>(seed));
+    EXPECT_EQ(r.read.max_congestion, 1u);
+    sum += r.write.avg_congestion;
   }
   EXPECT_NEAR(sum / kSeeds, 3.53, 0.15);
 }
 
 TEST(TransposeCongestion, RapDrdwDiagonalPenalty) {
   // DRDW is the worst case for RAP; Table III reports 3.61 at w = 32.
+  const Transpose drdw("transpose-drdw", 32);
   double read_sum = 0, write_sum = 0;
   constexpr int kSeeds = 400;
   for (int seed = 0; seed < kSeeds; ++seed) {
-    const auto r = run_transpose(Algorithm::kDrdw, Scheme::kRap, 32, 1,
-                                 static_cast<std::uint64_t>(seed));
-    read_sum += r.read.avg;
-    write_sum += r.write.avg;
+    const auto r = drdw.run(Scheme::kRap, 1, static_cast<std::uint64_t>(seed));
+    read_sum += r.read.avg_congestion;
+    write_sum += r.write.avg_congestion;
   }
   EXPECT_NEAR(read_sum / kSeeds, 3.61, 0.15);
   EXPECT_NEAR(write_sum / kSeeds, 3.61, 0.15);
@@ -118,18 +126,21 @@ TEST_P(Lemma1Times, RawTimesMatchClosedForms) {
   // read pipeline is already full, so total time is the read phase (w +
   // l - 1) ... write phase start depends on overlap; we assert the exact
   // simulator semantics via bounds: stride slots dominate.
-  const auto crsw = run_transpose(Algorithm::kCrsw, Scheme::kRaw, w, l, 1);
-  EXPECT_EQ(crsw.stats.total_stages, static_cast<std::uint64_t>(w) + w * w);
-  EXPECT_GE(crsw.stats.time, static_cast<std::uint64_t>(w) * w + l - 1);
-  EXPECT_LE(crsw.stats.time, static_cast<std::uint64_t>(w) * w + w + 2 * l);
+  const auto crsw =
+      Transpose("transpose-crsw", w).run(Scheme::kRaw, l, 1).report.stats;
+  EXPECT_EQ(crsw.total_stages, static_cast<std::uint64_t>(w) + w * w);
+  EXPECT_GE(crsw.time, static_cast<std::uint64_t>(w) * w + l - 1);
+  EXPECT_LE(crsw.time, static_cast<std::uint64_t>(w) * w + w + 2 * l);
 
-  const auto srcw = run_transpose(Algorithm::kSrcw, Scheme::kRaw, w, l, 1);
-  EXPECT_EQ(srcw.stats.total_stages, static_cast<std::uint64_t>(w) + w * w);
+  const auto srcw =
+      Transpose("transpose-srcw", w).run(Scheme::kRaw, l, 1).report.stats;
+  EXPECT_EQ(srcw.total_stages, static_cast<std::uint64_t>(w) + w * w);
 
   // DRDW (RAW): both phases conflict-free -> 2w slots; time is O(w + l).
-  const auto drdw = run_transpose(Algorithm::kDrdw, Scheme::kRaw, w, l, 1);
-  EXPECT_EQ(drdw.stats.total_stages, 2ull * w);
-  EXPECT_LE(drdw.stats.time, 2ull * w + 2 * l + 2);
+  const auto drdw =
+      Transpose("transpose-drdw", w).run(Scheme::kRaw, l, 1).report.stats;
+  EXPECT_EQ(drdw.total_stages, 2ull * w);
+  EXPECT_LE(drdw.time, 2ull * w + 2 * l + 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -145,13 +156,16 @@ TEST(TransposeSpeedup, RapBeatsRawOnCrswByAboutTenX) {
   // The headline claim: naive CRSW under RAP is ~an order of magnitude
   // faster than under RAW (Table III: 1595 ns vs 154.5 ns on hardware;
   // on the DMM the ratio is stage-bound, ~(w^2 + w)/(2w)).
-  const auto raw = run_transpose(Algorithm::kCrsw, Scheme::kRaw, 32, 1, 1);
+  const Workload crsw = workload_program("transpose-crsw", 32);
+  const vm::LoweredProgram program =
+      vm::lower_program(vm::assemble(crsw.text, 32));
+  const auto raw = run_program(program, crsw.reference, Scheme::kRaw, 1, 1);
   double rap_time = 0;
   constexpr int kSeeds = 50;
   for (int seed = 0; seed < kSeeds; ++seed) {
     rap_time += static_cast<double>(
-        run_transpose(Algorithm::kCrsw, Scheme::kRap, 32, 1,
-                      static_cast<std::uint64_t>(seed))
+        run_program(program, crsw.reference, Scheme::kRap, 1,
+                    static_cast<std::uint64_t>(seed))
             .stats.time);
   }
   rap_time /= kSeeds;
@@ -159,17 +173,20 @@ TEST(TransposeSpeedup, RapBeatsRawOnCrswByAboutTenX) {
 }
 
 TEST(Runner, TraceSplitsPhases) {
-  const MatrixPair layout{8};
-  const auto map = core::make_matrix_map(Scheme::kRaw, 8, layout.rows(), 1);
+  const Workload crsw = workload_program("transpose-crsw", 8);
+  const vm::LoweredProgram program =
+      vm::lower_program(vm::assemble(crsw.text, 8));
+  const auto map = core::make_matrix_map(Scheme::kRaw, 8, program.rows, 1);
   dmm::Dmm machine(dmm::DmmConfig{8, 1}, *map);
   dmm::Trace trace;
-  const auto report =
-      run_transpose_on(Algorithm::kCrsw, machine, layout, &trace);
+  const auto report = run_program(program, crsw.reference, machine, 1, &trace);
   EXPECT_TRUE(report.correct);
   // 8 warps x 2 instructions.
   EXPECT_EQ(trace.dispatches.size(), 16u);
   EXPECT_FALSE(trace.to_string().empty());
+  // The machine keeps the final memory: B[0][1] = A[1][0] = 8.
+  EXPECT_EQ(machine.load(64 + 1), 8u);
 }
 
 }  // namespace
-}  // namespace rapsim::transpose
+}  // namespace rapsim::workloads

@@ -32,7 +32,7 @@
 #include "vm/exec.hpp"
 #include "vm/extract.hpp"
 #include "vm/suite.hpp"
-#include "workload_kernels.hpp"
+#include "workloads/catalog.hpp"
 
 namespace rapsim::analyze {
 namespace {
@@ -186,11 +186,8 @@ TEST(VmDifferential, CatalogProgramsBoundsNoWorseThanTheRetiredDescriptors) {
   for (const DescriptorBounds& old : kRetiredDescriptorBounds) {
     const std::string label =
         std::string(old.name) + " w=" + std::to_string(old.width);
-    std::string text;
-    for (const vm::SuiteProgram& entry : tools::workload_programs(old.width)) {
-      if (entry.name == old.name) text = entry.text;
-    }
-    ASSERT_FALSE(text.empty()) << label;
+    const std::string text =
+        workloads::workload_program(old.name, old.width).text;
     const vm::ExtractResult ext =
         vm::extract_kernel(vm::assemble(text, old.width));
     ASSERT_TRUE(ext.complete) << label;

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,7 +16,6 @@
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
 #include "replay/racecheck.hpp"
-#include "util/rng.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
 #include "vm/extract.hpp"
@@ -538,83 +536,9 @@ TEST(VmExtract, SuiteIsRaceFreeStaticallyAndDynamically) {
   }
 }
 
-// ---- Suite semantics (bitonic's sortedness is pinned by
-// workloads_test; the remaining programs are pinned here).
-
-std::vector<std::uint64_t> simulate(const LoweredProgram& low,
-                                    std::uint64_t memory_words,
-                                    std::uint64_t seed,
-                                    std::vector<std::uint64_t>* input) {
-  const auto map =
-      core::make_matrix_map(core::Scheme::kRaw, low.width, low.rows, 1);
-  dmm::Dmm machine(dmm::DmmConfig{low.width, 2}, *map);
-  util::Pcg32 rng(seed, 7);
-  input->resize(memory_words);
-  for (std::uint64_t i = 0; i < memory_words; ++i) {
-    (*input)[i] = rng() % 1000000;
-    machine.store(i, (*input)[i]);
-  }
-  (void)machine.run(low.kernel);
-  std::vector<std::uint64_t> out(memory_words);
-  for (std::uint64_t i = 0; i < memory_words; ++i) out[i] = machine.load(i);
-  return out;
-}
-
-TEST(VmSuite, ShearsortConvergesToSnakeOrder) {
-  for (const std::uint32_t w : {8u, 16u, 32u}) {
-    const LoweredProgram low =
-        lower_program(assemble(shearsort_text(w), w));
-    std::vector<std::uint64_t> in;
-    const auto mem = simulate(low, 1ull * w * w, 43, &in);
-    // Element x of grid row i lives at x*w + i; reading i-outer /
-    // x-inner walks the snake in sorted order.
-    std::vector<std::uint64_t> seq;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      for (std::uint64_t x = 0; x < w; ++x) seq.push_back(mem[x * w + i]);
-    }
-    EXPECT_TRUE(std::is_sorted(seq.begin(), seq.end())) << "w=" << w;
-  }
-}
-
-TEST(VmSuite, MergesortRoundTransposesEachWarpTile) {
-  for (const std::uint32_t w : {8u, 16u}) {
-    const LoweredProgram low =
-        lower_program(assemble(mergesort_round_text(w), w));
-    const std::uint64_t n = 4ull * w * w;
-    std::vector<std::uint64_t> in;
-    const auto mem = simulate(low, 2 * n, 44, &in);
-    for (std::uint64_t u = 0; u < 4; ++u) {
-      for (std::uint64_t d = 0; d < w; ++d) {
-        for (std::uint64_t l = 0; l < w; ++l) {
-          ASSERT_EQ(mem[n + u * w * w + d * w + l],
-                    in[u * w * w + l * w + d])
-              << "w=" << w << " u=" << u << " d=" << d << " l=" << l;
-        }
-      }
-    }
-  }
-}
-
-TEST(VmSuite, PermutationsAreBijectionsOntoTheOutputHalf) {
-  for (const std::uint32_t w : {8u, 16u, 32u}) {
-    for (const PermuteKind kind :
-         {PermuteKind::kIdentity, PermuteKind::kBitReversal,
-          PermuteKind::kDerangement}) {
-      const LoweredProgram low =
-          lower_program(assemble(permute_text(kind, w), w));
-      const std::uint64_t n = 8ull * w;
-      std::vector<std::uint64_t> in;
-      const auto mem = simulate(low, 2 * n, 45, &in);
-      std::multiset<std::uint64_t> src(in.begin(), in.begin() + n);
-      std::multiset<std::uint64_t> dst(mem.begin() + n, mem.end());
-      EXPECT_EQ(src, dst) << "kind=" << static_cast<int>(kind) << " w=" << w;
-      if (kind == PermuteKind::kIdentity) {
-        EXPECT_TRUE(std::equal(in.begin(), in.begin() + n, mem.begin() + n))
-            << "w=" << w;
-      }
-    }
-  }
-}
+// ---- Suite semantics: every suite program's output is checked against
+// its catalog reference (workloads/catalog.hpp) by CatalogCorrectness in
+// workloads_test.cpp.
 
 TEST(VmSuite, RejectsUnsupportedGeometry) {
   EXPECT_THROW((void)suite_programs(4), std::invalid_argument);   // w < 8

@@ -6,7 +6,7 @@
 #include "hmm/tiled_transpose.hpp"
 #include "vm/assembler.hpp"
 #include "vm/extract.hpp"
-#include "workload_kernels.hpp"
+#include "workloads/catalog.hpp"
 #include "workloads/histogram.hpp"
 
 namespace rapsim::tools {
@@ -42,10 +42,11 @@ analyze::KernelDesc tensor4d_kernel(std::uint32_t width, int axis) {
 }  // namespace
 
 std::vector<analyze::KernelDesc> builtin_kernels(std::uint32_t width) {
-  const std::vector<vm::SuiteProgram> programs = workload_programs(width);
+  const std::vector<workloads::Workload> programs =
+      workloads::workload_programs(width);
   std::vector<analyze::KernelDesc> kernels;
   const auto extract = [&](const std::string& name) {
-    for (const vm::SuiteProgram& entry : programs) {
+    for (const workloads::Workload& entry : programs) {
       if (entry.name != name) continue;
       kernels.push_back(
           vm::extract_kernel(vm::assemble(entry.text, width)).kernel);

@@ -3,7 +3,7 @@
 // The loop-nest IR of every built-in workload. The program-backed ones
 // (the Fig. 5 transposes, matmul, reduction, bitonic, vm-mergesort-round
 // and vm-shearsort) are extracted from the workload catalog's `.rvm`
-// programs (workload_kernels.hpp), under the same names. The rest stay
+// programs (workloads/catalog.hpp), under the same names. The rest stay
 // IR-only: the tiled transposes (their shared-memory half runs on the
 // HMM), the histogram (its bins depend on the data, which a VM address
 // may not) and the Table IV 4-D tensor access layouts (access patterns,
@@ -12,7 +12,8 @@
 // (tests/differential_kernel_test.cpp).
 //
 // This lives in tools/ (not src/analyze/) so the analyze library never
-// links the workload libraries — the dependency points the other way.
+// links rapsim_workloads: the workloads sit above analyze (the histogram
+// describes its own IR), not below it.
 
 #pragma once
 

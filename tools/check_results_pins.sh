@@ -5,10 +5,8 @@
 #
 # Runs every bench that has a results/<name>.txt with its committed
 # defaults (as tools/run_all.sh does: stdout and stderr together) and
-# compares the output with that file. Two reports are skipped:
-# micro_mapping_overhead prints host timings, and ext_workloads runs for
-# ~20 s, so CI compares it in a step of its own. Registered as the ctest
-# entry `results_pins`.
+# compares the output with that file. micro_mapping_overhead is skipped:
+# it prints host timings. Registered as the ctest entry `results_pins`.
 
 set -uo pipefail
 
@@ -20,7 +18,7 @@ checked=0
 for expected in "$RESULTS_DIR"/*.txt; do
   name="$(basename "$expected" .txt)"
   case "$name" in
-    micro_mapping_overhead | ext_workloads) continue ;;
+    micro_mapping_overhead) continue ;;
   esac
   bench="$BENCH_DIR/$name"
   if [ ! -x "$bench" ]; then

@@ -40,7 +40,7 @@
 #include "util/cli.hpp"
 #include "vm/assembler.hpp"
 #include "vm/extract.hpp"
-#include "workload_kernels.hpp"
+#include "workloads/catalog.hpp"
 
 namespace {
 
@@ -84,12 +84,13 @@ int main(int argc, char** argv) {
     }
     if (args.get_bool("list-workloads", false)) {
       // The catalog split by form: kernels extracted from the workload
-      // programs (workload_kernels.hpp), then the IR-only ones.
-      const auto programs = tools::workload_programs(width);
+      // programs (workloads/catalog.hpp), then the IR-only ones.
+      const auto programs = workloads::workload_programs(width);
       const auto is_program = [&](const std::string& name) {
-        return std::any_of(
-            programs.begin(), programs.end(),
-            [&](const vm::SuiteProgram& entry) { return entry.name == name; });
+        return std::any_of(programs.begin(), programs.end(),
+                           [&](const workloads::Workload& entry) {
+                             return entry.name == name;
+                           });
       };
       const auto catalog = tools::builtin_kernels(width);
       for (const bool program : {true, false}) {
