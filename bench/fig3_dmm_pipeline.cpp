@@ -16,7 +16,7 @@
 
 #include "core/mapping.hpp"
 #include "dmm/machine.hpp"
-#include "telemetry/chrome_trace.hpp"
+#include "dmm/trace.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", path->c_str());
       return 1;
     }
-    out << telemetry::to_chrome_trace(trace) << '\n';
+    out << dmm::to_chrome_trace(trace) << '\n';
     std::printf("chrome trace written to %s (open in ui.perfetto.dev)\n",
                 path->c_str());
   }

@@ -21,8 +21,8 @@
 #include <utility>
 
 #include "core/factory.hpp"
+#include "dmm/trace.hpp"
 #include "gpu/sm_model.hpp"
-#include "telemetry/bank_profile.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "vm/assembler.hpp"
@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
         const auto r = workloads::run_program(program, entry.reference,
                                               machine, seed, &trace);
         correct &= r.correct;
-        read += telemetry::phase_stats(trace, 0).avg_congestion;
-        write += telemetry::phase_stats(trace, 1).avg_congestion;
+        read += dmm::phase_stats(trace, 0).avg_congestion;
+        write += dmm::phase_stats(trace, 1).avg_congestion;
         ns += gpu::estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                                     schemes[s], params);
       }

@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "access/advisor.hpp"
 #include "access/montecarlo.hpp"
 #include "access/pattern2d.hpp"
+#include "analyze/advisor.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
 #include "util/cli.hpp"
@@ -87,12 +87,12 @@ int main(int argc, char** argv) {
     }
 
     // Layout advisor: treat the cells as one warp trace.
-    access::WarpTrace trace;
+    analyze::WarpTrace trace;
     const auto raw_map =
         core::make_matrix_map(core::Scheme::kRaw, width, max_row + 1, seed);
     for (const auto& [i, j] : cells) trace.push_back(raw_map->index(i, j % width));
     const auto advice =
-        access::evaluate_schemes({trace}, width, max_row + 1);
+        analyze::evaluate_schemes({trace}, width, max_row + 1);
     std::printf("\nadvisor: %s\n", advice.rationale.c_str());
     return 0;
   }

@@ -13,7 +13,7 @@
 #include "access/pattern2d.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
-#include "telemetry/bank_profile.hpp"
+#include "dmm/trace.hpp"
 #include "util/cli.hpp"
 #include "vm/assembler.hpp"
 #include "workloads/catalog.hpp"
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
         "%5.2f  %s\n",
         core::scheme_name(scheme),
         static_cast<unsigned long long>(report.stats.time),
-        telemetry::phase_stats(trace, 0).avg_congestion,
-        telemetry::phase_stats(trace, 1).avg_congestion,
+        dmm::phase_stats(trace, 0).avg_congestion,
+        dmm::phase_stats(trace, 1).avg_congestion,
         report.correct ? "correct" : "WRONG RESULT");
   }
 

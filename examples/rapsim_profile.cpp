@@ -33,8 +33,8 @@
 
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
+#include "dmm/trace.hpp"
 #include "telemetry/bank_profile.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/run_telemetry.hpp"
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rapsim_profile: cannot write %s\n", path->c_str());
       return 1;
     }
-    out << telemetry::to_chrome_trace(results.back().trace) << '\n';
+    out << dmm::to_chrome_trace(results.back().trace) << '\n';
   }
 
   if (args.wants_json()) {
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- phase timeline (%s) --\n%s",
               core::scheme_name(results.back().scheme),
-              telemetry::render_phase_timeline(results.back().trace).c_str());
+              dmm::render_phase_timeline(results.back().trace).c_str());
 
   bool all_correct = true;
   for (const auto& r : results) all_correct = all_correct && r.correct;

@@ -12,8 +12,8 @@
 #include <utility>
 
 #include "core/factory.hpp"
+#include "dmm/trace.hpp"
 #include "gpu/sm_model.hpp"
-#include "telemetry/bank_profile.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "vm/assembler.hpp"
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
         const auto r = workloads::run_program(program, entry.reference,
                                               machine, seed, &trace);
         all_correct &= r.correct;
-        read += telemetry::phase_stats(trace, 0).avg_congestion;
-        write += telemetry::phase_stats(trace, 1).avg_congestion;
+        read += dmm::phase_stats(trace, 0).avg_congestion;
+        write += dmm::phase_stats(trace, 1).avg_congestion;
         time += static_cast<double>(r.stats.time);
         ns += gpu::estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                                     scheme, params);

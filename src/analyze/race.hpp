@@ -44,7 +44,7 @@
 // witnessed) but no certificate is claimed — the soundness caveat
 // documented in DESIGN.md §14.
 //
-// The dynamic twin lives in analyze/sanitizer.hpp (cross-warp epoch
+// The dynamic twin lives in dmm/sanitizer.hpp (cross-warp epoch
 // detection on the DMM) and replay/racecheck.hpp lowers a KernelDesc to
 // an executable kernel so tests/race_differential_test.cpp can pin every
 // static verdict to a full-DMM run.

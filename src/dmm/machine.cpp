@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "analyze/sanitizer.hpp"
+#include "dmm/sanitizer.hpp"
 #include "hier/scheduler.hpp"
 #include "telemetry/run_telemetry.hpp"
 
@@ -107,7 +107,7 @@ void Dmm::fill_identity() {
   }
 }
 
-void Dmm::set_sanitizer(analyze::ShmemSanitizer* sanitizer) {
+void Dmm::set_sanitizer(ShmemSanitizer* sanitizer) {
   sanitizer_ = sanitizer;
   if (sanitizer_) sanitizer_->attach(config_.width, memory_.size());
 }

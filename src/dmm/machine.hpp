@@ -46,15 +46,13 @@
 #include "dmm/trace.hpp"
 #include "hier/event.hpp"
 
-namespace rapsim::analyze {
-class ShmemSanitizer;
-}
-
 namespace rapsim::telemetry {
 struct RunTelemetry;
 }
 
 namespace rapsim::dmm {
+
+class ShmemSanitizer;
 
 /// Aggregate results of one kernel execution.
 struct RunStats {
@@ -136,8 +134,8 @@ class Dmm {
   /// While installed, out-of-bounds accesses are recorded and the faulting
   /// lane skipped (instead of the machine throwing on the first one), and
   /// uninitialized reads / divergent CRCW write-write races are recorded.
-  void set_sanitizer(analyze::ShmemSanitizer* sanitizer);
-  [[nodiscard]] analyze::ShmemSanitizer* sanitizer() const noexcept {
+  void set_sanitizer(ShmemSanitizer* sanitizer);
+  [[nodiscard]] ShmemSanitizer* sanitizer() const noexcept {
     return sanitizer_;
   }
 
@@ -153,7 +151,7 @@ class Dmm {
   std::vector<std::uint64_t> memory_;     // physical layout
   std::vector<std::uint64_t> registers_;  // one accumulator per thread
   telemetry::RunTelemetry* telemetry_ = nullptr;  // optional, not owned
-  analyze::ShmemSanitizer* sanitizer_ = nullptr;  // optional, not owned
+  ShmemSanitizer* sanitizer_ = nullptr;  // optional, not owned
   AccessCapture* capture_ = nullptr;              // optional, not owned
   // Per-access scratch, reused so a warp access does not allocate.
   core::BankTally tally_;

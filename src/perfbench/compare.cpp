@@ -3,7 +3,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "serve/jsonvalue.hpp"
+#include "telemetry/json.hpp"
 
 namespace rapsim::perfbench {
 
@@ -20,9 +20,9 @@ struct ParsedDoc {
   std::map<std::string, ParsedMetric> metrics;  // ordered for stable output
 };
 
-double number_field(const serve::JsonValue& object, const char* key,
+double number_field(const telemetry::JsonValue& object, const char* key,
                     const std::string& where) {
-  const serve::JsonValue* value = object.find(key);
+  const telemetry::JsonValue* value = object.find(key);
   if (!value || !value->is_number()) {
     throw std::invalid_argument("bench document " + where +
                                 ": missing numeric '" + key + "'");
@@ -31,9 +31,9 @@ double number_field(const serve::JsonValue& object, const char* key,
 }
 
 ParsedDoc parse_doc(const std::string& text, const std::string& where) {
-  serve::JsonValue doc;
+  telemetry::JsonValue doc;
   try {
-    doc = serve::parse_json(text);
+    doc = telemetry::parse_json(text);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("bench document " + where +
                                 ": " + e.what());
@@ -42,31 +42,31 @@ ParsedDoc parse_doc(const std::string& text, const std::string& where) {
     throw std::invalid_argument("bench document " + where +
                                 ": not a JSON object");
   }
-  const serve::JsonValue* version = doc.find("schema_version");
+  const telemetry::JsonValue* version = doc.find("schema_version");
   if (!version || !version->is_integer() || version->as_integer() != 1) {
     throw std::invalid_argument("bench document " + where +
                                 ": schema_version must be 1");
   }
   ParsedDoc parsed;
-  const serve::JsonValue* bench = doc.find("bench");
+  const telemetry::JsonValue* bench = doc.find("bench");
   if (!bench || !bench->is_string()) {
     throw std::invalid_argument("bench document " + where +
                                 ": missing 'bench' name");
   }
   parsed.bench = bench->as_string();
-  if (const serve::JsonValue* machine = doc.find("machine")) {
-    if (const serve::JsonValue* host = machine->find("hostname");
+  if (const telemetry::JsonValue* machine = doc.find("machine")) {
+    if (const telemetry::JsonValue* host = machine->find("hostname");
         host && host->is_string()) {
       parsed.hostname = host->as_string();
     }
   }
-  const serve::JsonValue* metrics = doc.find("metrics");
+  const telemetry::JsonValue* metrics = doc.find("metrics");
   if (!metrics || !metrics->is_array()) {
     throw std::invalid_argument("bench document " + where +
                                 ": missing 'metrics' array");
   }
-  for (const serve::JsonValue& entry : metrics->as_array()) {
-    const serve::JsonValue* name = entry.find("name");
+  for (const telemetry::JsonValue& entry : metrics->as_array()) {
+    const telemetry::JsonValue* name = entry.find("name");
     if (!name || !name->is_string()) {
       throw std::invalid_argument("bench document " + where +
                                   ": metric without a name");

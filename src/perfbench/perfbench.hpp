@@ -12,8 +12,8 @@
 //   * machine metadata (hostname, OS, compiler, hardware threads) so a
 //     cross-machine diff is recognizable as one;
 //   * a schema-stable emitter (BenchReport::to_json / write_bench_json)
-//     producing the documents tools/bench_compare diffs and
-//     tools/check_bench_schema.sh validates.
+//     producing the documents tools/bench_compare diffs; the schema is
+//     checked on the parsed document in tests/perfbench_test.cpp.
 
 #pragma once
 
@@ -61,7 +61,7 @@ struct MachineInfo {
 
 /// One BENCH_<name>.json document under construction. Config entries
 /// and metrics serialize in insertion order; the field set per metric is
-/// the stable schema tools/check_bench_schema.sh pins.
+/// the stable schema tests/perfbench_test.cpp pins.
 class BenchReport {
  public:
   explicit BenchReport(std::string bench_name)

@@ -136,7 +136,7 @@ RaceCheckReport run_race_check(const analyze::KernelDesc& kernel,
   const auto map = core::make_matrix_map(options.scheme, kernel.width,
                                          kernel.rows, options.seed);
   dmm::Dmm machine(dmm::DmmConfig{kernel.width, /*latency=*/1}, *map);
-  analyze::ShmemSanitizer sanitizer;
+  dmm::ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
   // Pre-initialize every word so uninitialized-read findings cannot
   // crowd race findings out of the bounded record buffer.
@@ -145,11 +145,11 @@ RaceCheckReport run_race_check(const analyze::KernelDesc& kernel,
 
   RaceCheckReport report;
   report.truncated = lowered.truncated;
-  report.raw_races = sanitizer.count(analyze::FindingKind::kRawRace);
-  report.waw_races = sanitizer.count(analyze::FindingKind::kWawRace);
-  report.war_races = sanitizer.count(analyze::FindingKind::kWarRace);
-  for (const analyze::Finding& finding : sanitizer.findings()) {
-    if (analyze::is_race_kind(finding.kind)) report.findings.push_back(finding);
+  report.raw_races = sanitizer.count(dmm::FindingKind::kRawRace);
+  report.waw_races = sanitizer.count(dmm::FindingKind::kWawRace);
+  report.war_races = sanitizer.count(dmm::FindingKind::kWarRace);
+  for (const dmm::Finding& finding : sanitizer.findings()) {
+    if (dmm::is_race_kind(finding.kind)) report.findings.push_back(finding);
   }
   return report;
 }
@@ -181,28 +181,28 @@ WitnessReplay replay_race_witness(const analyze::KernelDesc& kernel,
 
   const auto map = core::make_matrix_map(scheme, w, kernel.rows, seed);
   dmm::Dmm machine(dmm::DmmConfig{w, /*latency=*/1}, *map);
-  analyze::ShmemSanitizer sanitizer;
+  dmm::ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
   machine.fill_identity();
   (void)machine.run(micro);
 
-  analyze::FindingKind expected = analyze::FindingKind::kRawRace;
+  dmm::FindingKind expected = dmm::FindingKind::kRawRace;
   switch (finding.kind) {
     case analyze::RaceKind::kRaw:
-      expected = analyze::FindingKind::kRawRace;
+      expected = dmm::FindingKind::kRawRace;
       break;
     case analyze::RaceKind::kWaw:
-      expected = analyze::FindingKind::kWawRace;
+      expected = dmm::FindingKind::kWawRace;
       break;
     case analyze::RaceKind::kWar:
-      expected = analyze::FindingKind::kWarRace;
+      expected = dmm::FindingKind::kWarRace;
       break;
   }
 
   WitnessReplay replay;
   replay.findings.assign(sanitizer.findings().begin(),
                          sanitizer.findings().end());
-  for (const analyze::Finding& f : replay.findings) {
+  for (const dmm::Finding& f : replay.findings) {
     if (f.kind == expected && f.logical == addr) {
       replay.triggered = true;
       break;

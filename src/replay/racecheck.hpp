@@ -37,9 +37,9 @@
 
 #include "analyze/kernelir.hpp"
 #include "analyze/race.hpp"
-#include "analyze/sanitizer.hpp"
 #include "core/mapping.hpp"
 #include "dmm/kernel.hpp"
+#include "dmm/sanitizer.hpp"
 
 namespace rapsim::replay {
 
@@ -73,7 +73,7 @@ struct RaceCheckReport {
   std::uint64_t war_races = 0;
   /// Recorded race findings (bounded by the sanitizer's max_findings;
   /// the counters above stay exact).
-  std::vector<analyze::Finding> findings;
+  std::vector<dmm::Finding> findings;
 
   [[nodiscard]] std::uint64_t races() const noexcept {
     return raw_races + waw_races + war_races;
@@ -92,7 +92,7 @@ struct WitnessReplay {
   /// the finding's witness address.
   bool triggered = false;
   /// All sanitizer findings of the micro-run (diagnostic).
-  std::vector<analyze::Finding> findings;
+  std::vector<dmm::Finding> findings;
 };
 
 /// Execute `finding`'s two-binding witness as a two-warp micro-kernel

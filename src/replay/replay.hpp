@@ -28,10 +28,10 @@
 
 #include "analyze/certificate.hpp"
 #include "analyze/kernelir.hpp"
-#include "analyze/sanitizer.hpp"
 #include "core/mapping.hpp"
 #include "dmm/capture.hpp"
 #include "dmm/machine.hpp"
+#include "dmm/sanitizer.hpp"
 #include "replay/trace.hpp"
 #include "telemetry/run_telemetry.hpp"
 #include "telemetry/span_tracer.hpp"
@@ -82,7 +82,7 @@ struct ReplayOptions {
   /// screened for cross-warp races without uninitialized-read noise —
   /// the trace-replay leg of the race differential
   /// (tests/race_differential_test.cpp).
-  analyze::ShmemSanitizer* sanitizer = nullptr;
+  dmm::ShmemSanitizer* sanitizer = nullptr;
 };
 
 struct ReplayResult {

@@ -43,24 +43,24 @@ ClientResponse Client::call(const std::string& method,
 }
 
 ClientResponse parse_response(const std::string& line) {
-  const JsonValue doc = parse_json(line);
+  const telemetry::JsonValue doc = telemetry::parse_json(line);
   if (!doc.is_object()) {
     throw std::invalid_argument("serve response is not a JSON object");
   }
   ClientResponse response;
   response.raw = line;
-  const JsonValue* ok = doc.find("ok");
+  const telemetry::JsonValue* ok = doc.find("ok");
   if (!ok || !ok->is_bool()) {
     throw std::invalid_argument("serve response lacks the ok member");
   }
   response.ok = ok->as_bool();
-  if (const JsonValue* cached = doc.find("cached")) {
+  if (const telemetry::JsonValue* cached = doc.find("cached")) {
     response.cached = cached->is_bool() && cached->as_bool();
   }
-  if (const JsonValue* coalesced = doc.find("coalesced")) {
+  if (const telemetry::JsonValue* coalesced = doc.find("coalesced")) {
     response.coalesced = coalesced->is_bool() && coalesced->as_bool();
   }
-  if (const JsonValue* elapsed = doc.find("elapsed_us")) {
+  if (const telemetry::JsonValue* elapsed = doc.find("elapsed_us")) {
     if (elapsed->is_integer() && elapsed->as_integer() >= 0) {
       response.elapsed_us = static_cast<std::uint64_t>(elapsed->as_integer());
     }
@@ -79,19 +79,19 @@ ClientResponse parse_response(const std::string& line) {
     response.result_json =
         line.substr(marker + 9, line.size() - marker - 10);
   } else {
-    const JsonValue* error = doc.find("error");
+    const telemetry::JsonValue* error = doc.find("error");
     if (!error || !error->is_object()) {
       throw std::invalid_argument("error serve response lacks error object");
     }
-    if (const JsonValue* code = error->find("code"); code &&
+    if (const telemetry::JsonValue* code = error->find("code"); code &&
         code->is_integer()) {
       response.error_code = static_cast<int>(code->as_integer());
     }
-    if (const JsonValue* name = error->find("name"); name &&
+    if (const telemetry::JsonValue* name = error->find("name"); name &&
         name->is_string()) {
       response.error_name = name->as_string();
     }
-    if (const JsonValue* message = error->find("message");
+    if (const telemetry::JsonValue* message = error->find("message");
         message && message->is_string()) {
       response.error_message = message->as_string();
     }

@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <string>
 
-#include "serve/jsonvalue.hpp"
 #include "serve/socket.hpp"
+#include "telemetry/json.hpp"
 
 namespace rapsim::serve {
 

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "access/advisor.hpp"
+#include "analyze/advisor.hpp"
 #include "analyze/certificate.hpp"
 #include "analyze/kernelir.hpp"
 #include "analyze/lint.hpp"
@@ -22,6 +22,9 @@
 namespace rapsim::serve {
 
 namespace {
+
+using telemetry::JsonArray;
+using telemetry::JsonValue;
 
 // Input caps: one request must not be able to demand an absurd
 // allocation before the handler notices.
@@ -329,10 +332,10 @@ MethodCall prepare_replay(const JsonValue& params) {
 
 // ----------------------------------------------------------------- advise
 
-void render_advice(telemetry::JsonWriter& json, const access::Advice& advice) {
+void render_advice(telemetry::JsonWriter& json, const analyze::Advice& advice) {
   json.key("scores").begin_array();
   for (std::size_t i = 0; i < advice.scores.size(); ++i) {
-    const access::SchemeScore& score = advice.scores[i];
+    const analyze::SchemeScore& score = advice.scores[i];
     json.begin_object();
     json.kv("scheme", core::scheme_name(score.scheme));
     json.kv("mean_congestion", score.mean_congestion);
@@ -374,7 +377,7 @@ MethodCall prepare_advise(const JsonValue& params) {
                     '\n' + std::to_string(draws) + '\n' +
                     std::to_string(seed) + '\n' + text;
     call.run = [draws, seed, kernel = std::move(kernel)](const ExecContext&) {
-      const access::Advice advice = access::evaluate_kernel(
+      const analyze::Advice advice = analyze::evaluate_kernel(
           kernel, static_cast<std::uint32_t>(draws), seed);
       telemetry::JsonWriter json;
       json.begin_object();
@@ -400,7 +403,7 @@ MethodCall prepare_advise(const JsonValue& params) {
                   warps_canonical(warps);
   call.run = [width, rows, draws, seed,
               warps = std::move(warps)](const ExecContext&) {
-    const access::Advice advice = access::evaluate_schemes(
+    const analyze::Advice advice = analyze::evaluate_schemes(
         warps, width, rows, static_cast<std::uint32_t>(draws), seed);
     telemetry::JsonWriter json;
     json.begin_object();

@@ -7,7 +7,7 @@
 //   replay    replay::replay_trace of an inline trace (or a server-side
 //             trace file) under one scheme draw — or, with params.map, a
 //             synthesized permute-shift spec (analyze/synth.hpp)
-//   advise    access::evaluate_kernel / evaluate_schemes scheme scoring
+//   advise    analyze::evaluate_kernel / evaluate_schemes scheme scoring
 //   advise.synthesize
 //             analyze::synthesize_mapping over kernel IR text: the full
 //             layout-compiler search, returning the winning mapping spec,
@@ -36,8 +36,8 @@
 #include <functional>
 #include <string>
 
-#include "serve/jsonvalue.hpp"
 #include "serve/protocol.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/span_tracer.hpp"
 
 namespace rapsim::serve {
@@ -69,6 +69,6 @@ struct MethodCall {
 /// ServeError(kUnknownMethod) for a method not in the table and
 /// ServeError(kBadRequest) for malformed params.
 [[nodiscard]] MethodCall prepare_method(const std::string& method,
-                                        const JsonValue& params);
+                                        const telemetry::JsonValue& params);
 
 }  // namespace rapsim::serve

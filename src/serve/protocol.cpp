@@ -25,9 +25,9 @@ Request parse_request(std::string_view line) {
                      "request line exceeds " +
                          std::to_string(kMaxRequestBytes) + " bytes");
   }
-  JsonValue doc;
+  telemetry::JsonValue doc;
   try {
-    doc = parse_json(line);
+    doc = telemetry::parse_json(line);
   } catch (const std::invalid_argument& e) {
     throw ServeError(ErrorCode::kBadRequest, e.what());
   }
@@ -36,7 +36,7 @@ Request parse_request(std::string_view line) {
   }
 
   Request request;
-  if (const JsonValue* id = doc.find("id")) {
+  if (const telemetry::JsonValue* id = doc.find("id")) {
     if (!id->is_string() && !id->is_integer() && !id->is_null()) {
       throw ServeError(ErrorCode::kBadRequest,
                        "id must be a string, integer or null");
@@ -44,14 +44,14 @@ Request parse_request(std::string_view line) {
     request.id_json = id->serialize();
   }
 
-  const JsonValue* method = doc.find("method");
+  const telemetry::JsonValue* method = doc.find("method");
   if (!method || !method->is_string() || method->as_string().empty()) {
     throw ServeError(ErrorCode::kBadRequest,
                      "method must be a non-empty string");
   }
   request.method = method->as_string();
 
-  if (const JsonValue* params = doc.find("params")) {
+  if (const telemetry::JsonValue* params = doc.find("params")) {
     if (!params->is_object() && !params->is_null()) {
       throw ServeError(ErrorCode::kBadRequest,
                        "params must be an object when present");
@@ -60,7 +60,7 @@ Request parse_request(std::string_view line) {
   }
 
   const auto read_u64 = [&](const char* key, std::uint64_t cap) {
-    const JsonValue* v = doc.find(key);
+    const telemetry::JsonValue* v = doc.find(key);
     if (!v) return std::uint64_t{0};
     if (!v->is_integer() || v->as_integer() < 0) {
       throw ServeError(ErrorCode::kBadRequest,

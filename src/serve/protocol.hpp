@@ -41,7 +41,7 @@
 #include <optional>
 #include <string>
 
-#include "serve/jsonvalue.hpp"
+#include "telemetry/json.hpp"
 
 namespace rapsim::serve {
 
@@ -77,7 +77,7 @@ class ServeError : public std::runtime_error {
 struct Request {
   std::string id_json = "null";  // the id member re-serialized verbatim
   std::string method;
-  JsonValue params;                   // object or null
+  telemetry::JsonValue params;        // object or null
   std::uint64_t deadline_ms = 0;      // 0 = none
   std::uint64_t debug_hold_ms = 0;    // test hook, see header comment
   /// NOT a wire field: the root span id the transport opened for this

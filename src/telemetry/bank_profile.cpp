@@ -1,77 +1,12 @@
 #include "telemetry/bank_profile.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "telemetry/json.hpp"
-#include "util/stats.hpp"
 
 namespace rapsim::telemetry {
-
-PhaseStats phase_stats(const dmm::Trace& trace, std::uint32_t instruction) {
-  PhaseStats phase;
-  phase.instruction = instruction;
-  double sum = 0.0;
-  for (const auto& d : trace.dispatches) {
-    if (d.instruction != instruction) continue;
-    if (phase.dispatches == 0) {
-      phase.first_start = d.start;
-      phase.last_completion = d.completion;
-    } else {
-      phase.first_start = std::min(phase.first_start, d.start);
-      phase.last_completion = std::max(phase.last_completion, d.completion);
-    }
-    ++phase.dispatches;
-    phase.slots += d.stages;
-    sum += d.stages;
-    phase.max_congestion = std::max(phase.max_congestion, d.stages);
-  }
-  if (phase.dispatches) {
-    phase.avg_congestion = sum / static_cast<double>(phase.dispatches);
-  }
-  return phase;
-}
-
-std::vector<PhaseStats> per_instruction_stats(const dmm::Trace& trace) {
-  std::map<std::uint32_t, PhaseStats> by_instruction;
-  for (const auto& d : trace.dispatches) {
-    auto [it, inserted] = by_instruction.try_emplace(d.instruction);
-    PhaseStats& phase = it->second;
-    if (inserted) {
-      phase.instruction = d.instruction;
-      phase.first_start = d.start;
-      phase.last_completion = d.completion;
-    } else {
-      phase.first_start = std::min(phase.first_start, d.start);
-      phase.last_completion = std::max(phase.last_completion, d.completion);
-    }
-    ++phase.dispatches;
-    phase.slots += d.stages;
-    phase.max_congestion = std::max(phase.max_congestion, d.stages);
-  }
-  std::vector<PhaseStats> phases;
-  phases.reserve(by_instruction.size());
-  for (auto& [instr, phase] : by_instruction) {
-    phase.avg_congestion = static_cast<double>(phase.slots) /
-                           static_cast<double>(phase.dispatches);
-    phases.push_back(phase);
-  }
-  return phases;
-}
-
-std::string render_phase_timeline(const dmm::Trace& trace) {
-  std::ostringstream out;
-  for (const auto& phase : per_instruction_stats(trace)) {
-    out << "instr " << phase.instruction << ": [" << phase.first_start << ", "
-        << phase.last_completion << "]  dispatches " << phase.dispatches
-        << "  slots " << phase.slots << "  congestion avg "
-        << util::format_fixed(phase.avg_congestion, 2) << " max "
-        << phase.max_congestion << '\n';
-  }
-  return out.str();
-}
 
 BankProfile::BankProfile(std::uint32_t width) : width_(width) {
   if (width == 0) throw std::invalid_argument("BankProfile: width must be > 0");

@@ -7,77 +7,6 @@
 
 namespace rapsim::telemetry {
 
-std::string to_chrome_trace(const dmm::Trace& trace,
-                            const ChromeTraceOptions& options) {
-  JsonWriter json;
-  json.begin_object();
-  json.key("traceEvents").begin_array();
-
-  // Metadata: name the process and one thread per warp so Perfetto shows
-  // "warp N" track titles instead of bare tids.
-  json.begin_object();
-  json.kv("name", "process_name").kv("ph", "M").kv("pid", 0).kv("tid", 0);
-  json.key("args").begin_object();
-  json.kv("name", std::string_view(options.process_name));
-  json.end_object();
-  json.end_object();
-
-  std::set<std::uint32_t> warps;
-  for (const auto& d : trace.dispatches) warps.insert(d.warp);
-  for (const std::uint32_t warp : warps) {
-    json.begin_object();
-    json.kv("name", "thread_name").kv("ph", "M").kv("pid", 0).kv("tid", warp);
-    json.key("args").begin_object();
-    json.kv("name", std::string_view("warp " + std::to_string(warp)));
-    json.end_object();
-    json.end_object();
-  }
-
-  for (const auto& d : trace.dispatches) {
-    // Pipeline occupancy: slots [start, start + stages).
-    json.begin_object();
-    json.kv("name", std::string_view("i" + std::to_string(d.instruction) +
-                                     " c" + std::to_string(d.stages)));
-    json.kv("cat", "dispatch").kv("ph", "X").kv("pid", 0).kv("tid", d.warp);
-    json.kv("ts", d.start).kv("dur", static_cast<std::uint64_t>(d.stages));
-    json.key("args").begin_object();
-    json.kv("instruction", d.instruction);
-    json.kv("congestion", d.stages);
-    json.kv("unique_requests", d.unique_requests);
-    json.kv("active_threads", d.active_threads);
-    json.kv("completion", d.completion);
-    json.end_object();
-    json.end_object();
-
-    // Memory latency tail: the last request enters the pipeline at slot
-    // start + stages - 1 and completes at `completion`, so the in-flight
-    // window after the pipeline slots is [start + stages, completion].
-    const std::uint64_t tail_start = d.start + d.stages;
-    if (options.latency_spans && d.completion > tail_start) {
-      json.begin_object();
-      json.kv("name", "latency");
-      json.kv("cat", "latency").kv("ph", "X").kv("pid", 0).kv("tid", d.warp);
-      json.kv("ts", tail_start).kv("dur", d.completion - tail_start);
-      json.end_object();
-    }
-
-    if (options.congestion_counter) {
-      json.begin_object();
-      json.kv("name", "congestion").kv("ph", "C").kv("pid", 0);
-      json.kv("ts", d.start);
-      json.key("args").begin_object();
-      json.kv("slots", d.stages);
-      json.end_object();
-      json.end_object();
-    }
-  }
-
-  json.end_array();
-  json.kv("displayTimeUnit", "ms");
-  json.end_object();
-  return json.str();
-}
-
 std::string spans_to_chrome_trace(const std::vector<SpanRecord>& spans,
                                   const std::string& process_name) {
   // Resolve each span to its root's thread so one request is one track.

@@ -1,40 +1,18 @@
-// chrome://tracing export of a DMM execution trace.
+// chrome://tracing export of SpanTracer spans.
 //
-// Converts a dmm::Trace into the Trace Event Format JSON that Perfetto
-// (https://ui.perfetto.dev) and chrome://tracing load directly. One
-// timeline track per warp; per dispatch:
-//
-//   * a complete ("X") event over the warp's pipeline slots
-//     [start, start + stages) named "i<instr> c<congestion>", carrying
-//     the full DispatchRecord in args;
-//   * optionally a "latency" event over (start + stages, completion],
-//     so the memory-latency tail is visible and the track visually ends
-//     at the paper's completion time (Figure 3: t = 7);
-//   * optionally a "congestion" counter ("C") event at the dispatch slot.
-//
-// Time units are pipeline slots rendered as microseconds (the format has
-// no dimensionless unit); only relative positions are meaningful.
+// Renders telemetry::SpanTracer snapshots as the Trace Event Format JSON
+// that Perfetto (https://ui.perfetto.dev) and chrome://tracing load
+// directly. The DMM execution-trace export (dmm::to_chrome_trace) writes
+// the same format from a dmm::Trace.
 
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "dmm/trace.hpp"
 #include "telemetry/span_tracer.hpp"
 
 namespace rapsim::telemetry {
-
-struct ChromeTraceOptions {
-  std::string process_name = "rapsim dmm";
-  bool latency_spans = true;        // show the l-slot memory latency tail
-  bool congestion_counter = true;   // emit a congestion counter track
-};
-
-/// Render `trace` as a Trace Event Format document:
-/// {"traceEvents":[...], "displayTimeUnit":"ms"}.
-[[nodiscard]] std::string to_chrome_trace(const dmm::Trace& trace,
-                                          const ChromeTraceOptions& options = {});
 
 /// Render SpanTracer spans as a Trace Event Format document. Each span
 /// becomes a complete ("X") event with its id/parent in args; ts/dur are

@@ -1,8 +1,11 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--flag` forms.
-// Unknown flags are collected so binaries can reject typos, and every bench
-// binary shares the same conventions (--seed, --trials, --width, ...).
+// Every bench binary shares the same conventions (--seed, --trials,
+// --width, ...). Flags are stored by name and never validated: a binary
+// reads the flags it knows and silently ignores the rest, so a misspelt
+// flag falls back to its default without a warning. Shared scripts rely on
+// this when they pass one flag set (say --trials/--seeds) to every bench.
 
 #pragma once
 

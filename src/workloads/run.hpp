@@ -6,7 +6,7 @@
 // takes an already-lowered program, so a caller that sweeps schemes,
 // seeds or latencies lowers once. Callers that attach telemetry, want
 // the dispatch trace (per-phase congestion comes from
-// telemetry::phase_stats) or inspect memory afterwards build the Dmm
+// dmm::phase_stats) or inspect memory afterwards build the Dmm
 // themselves and use the second overload.
 
 #pragma once

@@ -1,10 +1,10 @@
 // Tests for the layout advisor.
 
-#include "access/advisor.hpp"
+#include "analyze/advisor.hpp"
 
 #include <gtest/gtest.h>
 
-namespace rapsim::access {
+namespace rapsim::analyze {
 namespace {
 
 using core::Scheme;
@@ -142,4 +142,4 @@ TEST(Advisor, EvaluateKernelCertifiesEveryBindingNotJustTheSample) {
 }
 
 }  // namespace
-}  // namespace rapsim::access
+}  // namespace rapsim::analyze

@@ -10,11 +10,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analyze/sanitizer.hpp"
 #include "core/factory.hpp"
 #include "core/mapping.hpp"
 #include "core/permutation.hpp"
 #include "dmm/machine.hpp"
+#include "dmm/sanitizer.hpp"
 #include "util/rng.hpp"
 
 namespace rapsim::core {
@@ -241,7 +241,7 @@ TEST(BankTally, DmmLowestLaneWinsAndSanitizerNamesIt) {
   const std::uint32_t w = 8;
   const AddressMap map(Scheme::kRaw, w, w);
   dmm::Dmm machine(dmm::DmmConfig{w, 1}, map);
-  analyze::ShmemSanitizer sanitizer;
+  dmm::ShmemSanitizer sanitizer;
   machine.set_sanitizer(&sanitizer);
 
   dmm::Kernel kernel;
@@ -257,8 +257,8 @@ TEST(BankTally, DmmLowestLaneWinsAndSanitizerNamesIt) {
   const dmm::RunStats stats = machine.run(kernel);
   EXPECT_EQ(machine.load(20), 33u);  // lane 3 stored first
   EXPECT_EQ(stats.max_congestion, 2u);  // 20 and lane 4's 4 share bank 4
-  ASSERT_EQ(sanitizer.count(analyze::FindingKind::kWriteConflict), 1u);
-  const analyze::Finding& f = sanitizer.findings().back();
+  ASSERT_EQ(sanitizer.count(dmm::FindingKind::kWriteConflict), 1u);
+  const dmm::Finding& f = sanitizer.findings().back();
   EXPECT_EQ(f.thread, 7u);
   EXPECT_EQ(f.other_thread, 3u);  // the winning lane
   EXPECT_EQ(f.logical, 20u);

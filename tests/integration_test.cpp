@@ -7,9 +7,9 @@
 #include "access/montecarlo.hpp"
 #include "core/factory.hpp"
 #include "core/theory.hpp"
+#include "dmm/trace.hpp"
 #include "dmm/umm.hpp"
 #include "gpu/sm_model.hpp"
-#include "telemetry/bank_profile.hpp"
 #include "vm/assembler.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/run.hpp"
@@ -113,8 +113,8 @@ TEST(Table3Integration, CongestionAndTimeColumns) {
       const auto r = workloads::run_program(program, entry.reference, machine,
                                             seed, &trace);
       ASSERT_TRUE(r.correct);
-      read += telemetry::phase_stats(trace, 0).avg_congestion;
-      write += telemetry::phase_stats(trace, 1).avg_congestion;
+      read += dmm::phase_stats(trace, 0).avg_congestion;
+      write += dmm::phase_stats(trace, 1).avg_congestion;
       ns += gpu::estimate_time_ns(r.stats.total_stages, r.stats.dispatches,
                                   row.scheme, params);
     }

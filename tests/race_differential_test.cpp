@@ -20,9 +20,9 @@
 
 #include "analyze/lint.hpp"
 #include "analyze/race.hpp"
-#include "analyze/sanitizer.hpp"
 #include "builtin_kernels.hpp"
 #include "core/factory.hpp"
+#include "dmm/sanitizer.hpp"
 #include "replay/racecheck.hpp"
 #include "replay/replay.hpp"
 
@@ -76,7 +76,7 @@ TEST(RaceDifferential, CertifiedKernelsReplayRaceCleanFromTraces) {
       const replay::AccessTrace trace =
           replay::capture_run(machine, lowered.kernel);
 
-      analyze::ShmemSanitizer sanitizer;
+      dmm::ShmemSanitizer sanitizer;
       replay::ReplayOptions options;
       options.sanitizer = &sanitizer;
       (void)replay::replay_trace(trace, *map, options);

@@ -3,7 +3,7 @@
 // caught, attributed to the right warp/lane/instruction, and reported
 // through the telemetry registry.
 
-#include "analyze/sanitizer.hpp"
+#include "dmm/sanitizer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "dmm/machine.hpp"
 #include "telemetry/metrics.hpp"
 
-namespace rapsim::analyze {
+namespace rapsim::dmm {
 namespace {
 
 dmm::DmmConfig small_config(std::uint32_t width) {
@@ -470,4 +470,4 @@ TEST(SanitizerRace, FlushEmitsRaceCountersAndSiteLabels) {
 }
 
 }  // namespace
-}  // namespace rapsim::analyze
+}  // namespace rapsim::dmm

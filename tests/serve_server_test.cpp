@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "serve/client.hpp"
-#include "serve/jsonvalue.hpp"
 #include "serve/server.hpp"
+#include "telemetry/json.hpp"
 
 namespace rapsim::serve {
 namespace {
@@ -173,7 +173,7 @@ TEST(Server, ClientShutdownRequestDrainsTheDaemon) {
   ASSERT_TRUE(in.good()) << "drain must flush " << metrics_path;
   std::ostringstream text;
   text << in.rdbuf();
-  const JsonValue doc = parse_json(text.str());
+  const telemetry::JsonValue doc = telemetry::parse_json(text.str());
   EXPECT_EQ(doc.find("experiment")->as_string(), "rapsim_served");
   ASSERT_NE(doc.find("metrics"), nullptr);
 }

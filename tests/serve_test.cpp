@@ -20,61 +20,17 @@
 
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
-#include "serve/jsonvalue.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/span_tracer.hpp"
 #include "util/hash.hpp"
 
 namespace rapsim::serve {
 namespace {
 
-// ------------------------------------------------------------- JSON parser
-
-TEST(JsonParse, ScalarsRoundTrip) {
-  EXPECT_TRUE(parse_json("null").is_null());
-  EXPECT_EQ(parse_json("true").as_bool(), true);
-  EXPECT_EQ(parse_json("-42").as_integer(), -42);
-  EXPECT_TRUE(parse_json("1.5").is_number());
-  EXPECT_FALSE(parse_json("1.5").is_integer());
-  EXPECT_EQ(parse_json("\"hi\"").as_string(), "hi");
-  EXPECT_EQ(parse_json("  7 ").as_integer(), 7);
-}
-
-TEST(JsonParse, ObjectKeepsInsertionOrder) {
-  const JsonValue doc = parse_json(R"({"z":1,"a":2,"m":3})");
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.serialize(), R"({"z":1,"a":2,"m":3})");
-  ASSERT_NE(doc.find("a"), nullptr);
-  EXPECT_EQ(doc.find("a")->as_integer(), 2);
-  EXPECT_EQ(doc.find("missing"), nullptr);
-}
-
-TEST(JsonParse, RejectsDuplicateKeys) {
-  EXPECT_THROW(parse_json(R"({"a":1,"a":2})"), std::invalid_argument);
-}
-
-TEST(JsonParse, RejectsTrailingGarbageAndCommas) {
-  EXPECT_THROW(parse_json("1 2"), std::invalid_argument);
-  EXPECT_THROW(parse_json("[1,2,]"), std::invalid_argument);
-  EXPECT_THROW(parse_json(R"({"a":1,})"), std::invalid_argument);
-  EXPECT_THROW(parse_json(""), std::invalid_argument);
-  EXPECT_THROW(parse_json("NaN"), std::invalid_argument);
-}
-
-TEST(JsonParse, DepthCapStopsCraftedNesting) {
-  std::string deep;
-  for (std::size_t i = 0; i < kMaxJsonDepth + 8; ++i) deep += '[';
-  for (std::size_t i = 0; i < kMaxJsonDepth + 8; ++i) deep += ']';
-  EXPECT_THROW(parse_json(deep), std::invalid_argument);
-}
-
-TEST(JsonParse, UnicodeEscapes) {
-  EXPECT_EQ(parse_json(R"("A\n")").as_string(), "A\n");
-  // Surrogate pair: U+1F600 -> 4-byte UTF-8.
-  EXPECT_EQ(parse_json(R"("😀")").as_string(), "\xF0\x9F\x98\x80");
-  EXPECT_THROW(parse_json(R"("\uD83D")"), std::invalid_argument);
-}
+using telemetry::JsonValue;
+using telemetry::parse_json;
 
 // ---------------------------------------------------------------- protocol
 

@@ -1,6 +1,7 @@
-// Tests for the telemetry subsystem: the JSON writer, the metrics
-// registry, the Dmm RunTelemetry sink, the bank profile / phase helpers,
-// the chrome://tracing exporter, and the Trace text renderings.
+// Tests for the telemetry subsystem: the JSON writer and parser (and the
+// round trip between them), the metrics registry, the Dmm RunTelemetry
+// sink, the bank profile, the chrome://tracing exporters, and the
+// dmm::Trace renderings (text, phases, chrome trace).
 //
 // The chrome-trace and registry tests are golden-schema round-trips: they
 // pin the keys and the structural invariants (balanced containers, one
@@ -14,14 +15,17 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "analyze/certificate.hpp"
 #include "core/mapping.hpp"
 #include "dmm/machine.hpp"
+#include "dmm/trace.hpp"
 #include "telemetry/bank_profile.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/json.hpp"
@@ -76,6 +80,53 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   telemetry::JsonWriter json;
   json.begin_array().value(std::nan("")).end_array();
   EXPECT_EQ(json.str(), "[null]");
+}
+
+// --- JSON parser -----------------------------------------------------------
+
+TEST(JsonParse, ScalarsRoundTrip) {
+  EXPECT_TRUE(telemetry::parse_json("null").is_null());
+  EXPECT_EQ(telemetry::parse_json("true").as_bool(), true);
+  EXPECT_EQ(telemetry::parse_json("-42").as_integer(), -42);
+  EXPECT_TRUE(telemetry::parse_json("1.5").is_number());
+  EXPECT_FALSE(telemetry::parse_json("1.5").is_integer());
+  EXPECT_EQ(telemetry::parse_json("\"hi\"").as_string(), "hi");
+  EXPECT_EQ(telemetry::parse_json("  7 ").as_integer(), 7);
+}
+
+TEST(JsonParse, ObjectKeepsInsertionOrder) {
+  const telemetry::JsonValue doc = telemetry::parse_json(R"({"z":1,"a":2,"m":3})");
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.serialize(), R"({"z":1,"a":2,"m":3})");
+  ASSERT_NE(doc.find("a"), nullptr);
+  EXPECT_EQ(doc.find("a")->as_integer(), 2);
+  EXPECT_EQ(doc.find("missing"), nullptr);
+}
+
+TEST(JsonParse, RejectsDuplicateKeys) {
+  EXPECT_THROW(telemetry::parse_json(R"({"a":1,"a":2})"), std::invalid_argument);
+}
+
+TEST(JsonParse, RejectsTrailingGarbageAndCommas) {
+  EXPECT_THROW(telemetry::parse_json("1 2"), std::invalid_argument);
+  EXPECT_THROW(telemetry::parse_json("[1,2,]"), std::invalid_argument);
+  EXPECT_THROW(telemetry::parse_json(R"({"a":1,})"), std::invalid_argument);
+  EXPECT_THROW(telemetry::parse_json(""), std::invalid_argument);
+  EXPECT_THROW(telemetry::parse_json("NaN"), std::invalid_argument);
+}
+
+TEST(JsonParse, DepthCapStopsCraftedNesting) {
+  std::string deep;
+  for (std::size_t i = 0; i < telemetry::kMaxJsonDepth + 8; ++i) deep += '[';
+  for (std::size_t i = 0; i < telemetry::kMaxJsonDepth + 8; ++i) deep += ']';
+  EXPECT_THROW(telemetry::parse_json(deep), std::invalid_argument);
+}
+
+TEST(JsonParse, UnicodeEscapes) {
+  EXPECT_EQ(telemetry::parse_json(R"("A\n")").as_string(), "A\n");
+  // Surrogate pair: U+1F600 -> 4-byte UTF-8.
+  EXPECT_EQ(telemetry::parse_json(R"("😀")").as_string(), "\xF0\x9F\x98\x80");
+  EXPECT_THROW(telemetry::parse_json(R"("\uD83D")"), std::invalid_argument);
 }
 
 // --- Metrics registry ------------------------------------------------------
@@ -254,8 +305,8 @@ TEST(PhaseStats, SplitsTransposeIntoReadAndWrite) {
       workloads::run_program(program, crsw.reference, machine, 1, &trace);
   ASSERT_TRUE(report.correct);
 
-  const auto read = telemetry::phase_stats(trace, 0);
-  const auto write = telemetry::phase_stats(trace, 1);
+  const auto read = dmm::phase_stats(trace, 0);
+  const auto write = dmm::phase_stats(trace, 1);
   // CRSW under RAW: contiguous read (congestion 1), stride write (w).
   EXPECT_EQ(read.dispatches, 8u);
   EXPECT_DOUBLE_EQ(read.avg_congestion, 1.0);
@@ -263,7 +314,7 @@ TEST(PhaseStats, SplitsTransposeIntoReadAndWrite) {
   EXPECT_EQ(write.max_congestion, 8u);
   EXPECT_DOUBLE_EQ(write.avg_congestion, 8.0);
 
-  const auto phases = telemetry::per_instruction_stats(trace);
+  const auto phases = dmm::per_instruction_stats(trace);
   ASSERT_EQ(phases.size(), 2u);
   EXPECT_EQ(phases[0].instruction, 0u);
   EXPECT_EQ(phases[1].instruction, 1u);
@@ -271,13 +322,13 @@ TEST(PhaseStats, SplitsTransposeIntoReadAndWrite) {
             trace.dispatches.size());
   EXPECT_DOUBLE_EQ(phases[1].avg_congestion, write.avg_congestion);
 
-  const std::string timeline = telemetry::render_phase_timeline(trace);
+  const std::string timeline = dmm::render_phase_timeline(trace);
   EXPECT_NE(timeline.find("instr 0:"), std::string::npos);
   EXPECT_NE(timeline.find("instr 1:"), std::string::npos);
 }
 
 TEST(PhaseStats, MissingInstructionIsEmpty) {
-  const auto phase = telemetry::phase_stats(fig3_trace(), 42);
+  const auto phase = dmm::phase_stats(fig3_trace(), 42);
   EXPECT_EQ(phase.dispatches, 0u);
   EXPECT_EQ(phase.avg_congestion, 0.0);
 }
@@ -325,7 +376,7 @@ TEST(BankProfile, JsonRoundTrip) {
 // --- chrome://tracing exporter ---------------------------------------------
 
 TEST(ChromeTrace, Fig3GoldenSchema) {
-  const std::string json = telemetry::to_chrome_trace(fig3_trace());
+  const std::string json = dmm::to_chrome_trace(fig3_trace());
 
   // Structural sanity: balanced braces/brackets (the exporter writes
   // through JsonWriter, which throws on imbalance, but pin it anyway).
@@ -354,17 +405,17 @@ TEST(ChromeTrace, Fig3GoldenSchema) {
 }
 
 TEST(ChromeTrace, OptionsDisableOptionalTracks) {
-  telemetry::ChromeTraceOptions options;
+  dmm::ChromeTraceOptions options;
   options.latency_spans = false;
   options.congestion_counter = false;
-  const std::string json = telemetry::to_chrome_trace(fig3_trace(), options);
+  const std::string json = dmm::to_chrome_trace(fig3_trace(), options);
   EXPECT_EQ(json.find("\"cat\":\"latency\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"dispatch\""), std::string::npos);
 }
 
 TEST(ChromeTrace, EmptyTraceIsStillValid) {
-  const std::string json = telemetry::to_chrome_trace(dmm::Trace{});
+  const std::string json = dmm::to_chrome_trace(dmm::Trace{});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(json.find("\"cat\":\"dispatch\""), std::string::npos);
 }
@@ -482,5 +533,87 @@ TEST(SpanTracer, ChromeExportRehomesChildrenOntoTheRootTrack) {
   EXPECT_EQ(json.find("\"tid\":1,\"ts\""), std::string::npos);
 }
 
+
+// --- JSON writer -> parser round trip --------------------------------------
+
+/// Writes `value` as the one element of an array and parses it back.
+template <typename T>
+telemetry::JsonValue round_trip(T value) {
+  telemetry::JsonWriter json;
+  json.begin_array().value(value).end_array();
+  return telemetry::parse_json(json.str()).as_array().at(0);
+}
+
+TEST(JsonRoundTrip, EveryEscapedByteSurvives) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string byte(1, static_cast<char>(c));
+    EXPECT_EQ(round_trip(std::string_view(byte)).as_string(), byte)
+        << "control byte " << c;
+    all += byte;
+  }
+  all += "\"\\/ plain ";
+  all += "\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80";  // raw UTF-8
+  EXPECT_EQ(round_trip(std::string_view(all)).as_string(), all);
+
+  // Keys go through the same escaping.
+  telemetry::JsonWriter json;
+  json.begin_object().kv(all, 1).end_object();
+  const telemetry::JsonValue doc = telemetry::parse_json(json.str());
+  ASSERT_EQ(doc.as_object().size(), 1u);
+  EXPECT_EQ(doc.as_object()[0].first, all);
+}
+
+TEST(JsonRoundTrip, IntegerExtremesAndNonFiniteDoubles) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(round_trip(kMin).as_integer(), kMin);
+  EXPECT_EQ(round_trip(kMax).as_integer(), kMax);
+
+  // Beyond int64 the parser keeps the literal as a double.
+  const telemetry::JsonValue big =
+      round_trip(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(big.is_integer());
+  EXPECT_DOUBLE_EQ(big.as_number(), 18446744073709551615.0);
+
+  EXPECT_TRUE(round_trip(std::nan("")).is_null());
+  EXPECT_TRUE(round_trip(std::numeric_limits<double>::infinity()).is_null());
+  EXPECT_TRUE(round_trip(-std::numeric_limits<double>::infinity()).is_null());
+
+  // Doubles are written as "%.12g": 12 significant digits, not the
+  // shortest form that round-trips.
+  EXPECT_EQ(round_trip(0.5).as_number(), 0.5);
+  EXPECT_EQ(round_trip(1.0 / 3.0).as_number(), 0.333333333333);
+}
+
+TEST(JsonRoundTrip, EveryInTreeWriterParsesAndReserializesVerbatim) {
+  telemetry::MetricsRegistry registry;
+  registry.counter("dispatches", {{"scheme", "RAW"}}).inc(4);
+  registry.gauge("occupancy").set(0.75);
+  registry.distribution("congestion").observe_repeated(3, 10);
+
+  telemetry::BankProfile profile(4);
+  profile.add_row("RAW \"stride\"", {9, 0, 0, 1});
+
+  telemetry::SpanTracer tracer;
+  tracer.enable();
+  const std::uint64_t root = tracer.begin("request");
+  tracer.end(tracer.begin("execute", root));
+  tracer.end(root);
+
+  std::vector<std::vector<std::uint64_t>> column(1);
+  for (std::uint64_t lane = 0; lane < 16; ++lane) column[0].push_back(lane * 16);
+
+  for (const std::string& doc :
+       {registry.to_json(), profile.to_json(),
+        telemetry::spans_to_chrome_trace(tracer.snapshot(), "unit"),
+        dmm::to_chrome_trace(fig3_trace()),
+        analyze::prove_worst_warp(column, 16, 256, core::Scheme::kRap)
+            .to_json()}) {
+    const telemetry::JsonValue parsed = telemetry::parse_json(doc);
+    EXPECT_TRUE(parsed.is_object()) << doc;
+    EXPECT_EQ(parsed.serialize(), doc);
+  }
+}
 }  // namespace
 }  // namespace rapsim

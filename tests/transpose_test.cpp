@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "core/factory.hpp"
-#include "telemetry/bank_profile.hpp"
+#include "dmm/trace.hpp"
 #include "vm/assembler.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/run.hpp"
@@ -25,8 +25,8 @@ class Transpose {
  public:
   struct Run {
     RunReport report;
-    telemetry::PhaseStats read;
-    telemetry::PhaseStats write;
+    dmm::PhaseStats read;
+    dmm::PhaseStats write;
   };
 
   Transpose(const std::string& name, std::uint32_t width)
@@ -41,8 +41,8 @@ class Transpose {
     dmm::Trace trace;
     Run run;
     run.report = run_program(program_, entry_.reference, machine, seed, &trace);
-    run.read = telemetry::phase_stats(trace, 0);
-    run.write = telemetry::phase_stats(trace, 1);
+    run.read = dmm::phase_stats(trace, 0);
+    run.write = dmm::phase_stats(trace, 1);
     return run;
   }
 

@@ -1,5 +1,6 @@
 # Shared helpers for the python3-backed JSON schema checks
-# (check_metrics_schema.sh, check_certificates.sh, check_lint_schema.sh).
+# (check_certificates.sh, check_hier_schema.sh, check_lint_schema.sh,
+# check_metrics_schema.sh, check_replay_schema.sh, check_serve_schema.sh).
 # Source this file; do not execute it.
 #
 # The common shape of every check: require python3 (a real JSON parse is

@@ -9,7 +9,8 @@
 # build-asan/ and runs the full tier-1 suite. --tsan builds with
 # RAPSIM_SANITIZE=thread in build-tsan/ and runs the concurrency-bearing
 # suites (serve transport, worker-pool campaign, parallel helpers) —
-# the host-side counterpart of the guest-side race verifier. Exits 77
+# the host-side counterpart of the guest-side race verifier — plus the
+# `layering` check, so every configuration runs it. Exits 77
 # (the autotools SKIP convention) when the toolchain cannot link TSan
 # binaries, so CI treats an absent runtime as skipped, not failed.
 # Keeps the regular build/ untouched; re-runs are incremental.
@@ -47,9 +48,9 @@ if [[ "$MODE" == "thread" ]]; then
 
   cd "$BUILD"
   # The threaded subset: socket serve transport, campaign worker pool,
-  # and the parallel utility layer.
+  # and the parallel utility layer; plus the library-order check.
   ctest --output-on-failure -j "$(nproc)" \
-    -R "Serve|Campaign|Parallel" "$@"
+    -R "Serve|Campaign|Parallel|^layering$" "$@"
   exit 0
 fi
 
