@@ -4,17 +4,6 @@
 
 namespace rapsim::analyze {
 
-const char* affine_kind_name(AffineKind kind) noexcept {
-  switch (kind) {
-    case AffineKind::kEmpty: return "empty";
-    case AffineKind::kConstant: return "constant";
-    case AffineKind::kAffine2d: return "affine-2d";
-    case AffineKind::kAffine1d: return "affine-1d";
-    case AffineKind::kNotAffine: return "not-affine";
-  }
-  return "?";
-}
-
 std::string AffineClass::describe() const {
   std::ostringstream out;
   switch (kind) {

@@ -34,8 +34,6 @@ enum class AffineKind {
   kNotAffine,  // rejected; see `reason`
 };
 
-[[nodiscard]] const char* affine_kind_name(AffineKind kind) noexcept;
-
 /// Result of classifying one warp trace. Only the fields of the matched
 /// kind are meaningful; `describe()` renders the matched form.
 struct AffineClass {

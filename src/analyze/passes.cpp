@@ -325,14 +325,14 @@ std::vector<std::uint64_t> sample_values(std::uint64_t count,
   return values;
 }
 
-SiteAnalysis analyze_site_enumerated(const KernelDesc& kernel,
-                                     const AccessSite& site,
-                                     core::Scheme scheme) {
-  SiteAnalysis analysis;
-  analysis.site = site.name;
-  analysis.dir = site.dir;
-  analysis.binding_count = kernel.binding_count();
+/// The bindings the enumerated pass materializes: every value of each
+/// variable, or past kEnumerationCap bindings a stratified sample.
+struct BindingGrid {
+  std::vector<std::vector<std::uint64_t>> values;  // per variable
+  bool sampled = false;
+};
 
+BindingGrid enumeration_grid(const KernelDesc& kernel) {
   // Per-variable value lists; halve the largest until the product fits.
   std::vector<std::uint64_t> counts;
   counts.reserve(kernel.vars.size());
@@ -345,51 +345,70 @@ SiteAnalysis analyze_site_enumerated(const KernelDesc& kernel,
     }
     return p;
   };
-  bool sampled = false;
+  BindingGrid grid;
   while (product() > kEnumerationCap) {
     auto widest = std::max_element(counts.begin(), counts.end());
     if (*widest <= 2) break;
     *widest = (*widest + 1) / 2;
-    sampled = true;
+    grid.sampled = true;
   }
-  analysis.coverage = sampled ? Coverage::kSampled : Coverage::kEnumerated;
-
-  std::vector<std::vector<std::uint64_t>> values;
-  values.reserve(kernel.vars.size());
+  grid.values.reserve(kernel.vars.size());
   for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-    values.push_back(sample_values(kernel.vars[v].count, counts[v]));
+    grid.values.push_back(sample_values(kernel.vars[v].count, counts[v]));
   }
+  return grid;
+}
+
+/// Calls visit(binding) for every binding of the grid, the first variable
+/// fastest, until visit returns false.
+template <typename Visit>
+void for_each_binding(const BindingGrid& grid, Visit&& visit) {
+  const std::size_t vars = grid.values.size();
+  Binding odometer(vars, 0);
+  Binding binding(vars, 0);
+  for (;;) {
+    for (std::size_t v = 0; v < vars; ++v) {
+      binding[v] = grid.values[v][odometer[v]];
+    }
+    if (!visit(binding)) return;
+    std::size_t v = 0;
+    for (; v < vars; ++v) {
+      if (++odometer[v] < grid.values[v].size()) break;
+      odometer[v] = 0;
+    }
+    if (v == vars) return;
+  }
+}
+
+bool leaves_memory(std::span<const std::int64_t> trace, std::uint64_t size) {
+  return std::any_of(trace.begin(), trace.end(), [&](std::int64_t a) {
+    return a < 0 || static_cast<std::uint64_t>(a) >= size;
+  });
+}
+
+SiteAnalysis analyze_site_enumerated(const KernelDesc& kernel,
+                                     const AccessSite& site,
+                                     core::Scheme scheme) {
+  SiteAnalysis analysis;
+  analysis.site = site.name;
+  analysis.dir = site.dir;
+  analysis.binding_count = kernel.binding_count();
+
+  const BindingGrid grid = enumeration_grid(kernel);
+  analysis.coverage =
+      grid.sampled ? Coverage::kSampled : Coverage::kEnumerated;
 
   const std::uint64_t size = kernel.size();
   std::map<std::vector<std::int64_t>, Binding> classes;
-  Binding odometer(kernel.vars.size(), 0);
-  bool done = false;
-  while (!done) {
-    Binding binding;
-    binding.reserve(kernel.vars.size());
-    for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-      binding.push_back(values[v][odometer[v]]);
-    }
+  for_each_binding(grid, [&](const Binding& binding) {
     classes.emplace(materialize_site(kernel, site, binding), binding);
-
-    done = true;
-    for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
-      if (++odometer[v] < values[v].size()) {
-        done = false;
-        break;
-      }
-      odometer[v] = 0;
-    }
-    if (kernel.vars.empty()) break;
-  }
+    return true;
+  });
 
   WorstTracker worst;
   const std::uint32_t lanes = site.lanes == 0 ? kernel.width : site.lanes;
   for (const auto& [trace, binding] : classes) {
-    const auto bad = std::find_if(trace.begin(), trace.end(), [&](auto a) {
-      return a < 0 || static_cast<std::uint64_t>(a) >= size;
-    });
-    if (bad != trace.end()) {
+    if (leaves_memory(trace, size)) {
       if (!analysis.out_of_bounds) {
         analysis.out_of_bounds = true;
         analysis.address_low = *std::min_element(trace.begin(), trace.end());
@@ -407,7 +426,7 @@ SiteAnalysis analyze_site_enumerated(const KernelDesc& kernel,
   }
   analysis.classes_analyzed = classes.size();
   worst.finish();
-  if (sampled && worst.cert.kind == BoundKind::kExact) {
+  if (grid.sampled && worst.cert.kind == BoundKind::kExact) {
     // An exact claim needs every binding; a sample only observed a max.
     worst.cert.kind = BoundKind::kExpectedUpper;
     worst.cert.claim += " (sampled bindings; coverage is not exhaustive)";
@@ -415,6 +434,36 @@ SiteAnalysis analyze_site_enumerated(const KernelDesc& kernel,
   analysis.cert = std::move(worst.cert);
   record_witness(kernel, analysis, worst.binding, worst.trace);
   return analysis;
+}
+
+/// A symbolic site's address interval over every binding and active
+/// lane.
+struct SiteInterval {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+
+  [[nodiscard]] bool leaves(std::uint64_t size) const {
+    return lo < 0 || hi >= static_cast<std::int64_t>(size);
+  }
+};
+
+SiteInterval site_interval(const KernelDesc& kernel, const AccessSite& site) {
+  const auto w = static_cast<std::int64_t>(kernel.width);
+  const std::uint32_t lanes = site.lanes == 0 ? kernel.width : site.lanes;
+  SiteInterval interval;
+  if (site.form == IndexForm::kFlat) {
+    std::tie(interval.lo, interval.hi) =
+        expr_interval(kernel, site.flat, lanes);
+  } else if (site.row_mod != 0) {
+    interval.lo = site.row_base * w;
+    interval.hi =
+        (site.row_base + static_cast<std::int64_t>(site.row_mod)) * w - 1;
+  } else {
+    const auto [row_lo, row_hi] = expr_interval(kernel, site.row, lanes);
+    interval.lo = (row_lo + site.row_base) * w;
+    interval.hi = (row_hi + site.row_base + 1) * w - 1;
+  }
+  return interval;
 }
 
 SiteAnalysis analyze_site_symbolic(const KernelDesc& kernel,
@@ -432,31 +481,19 @@ SiteAnalysis analyze_site_symbolic(const KernelDesc& kernel,
 
   // Interval pass: decide out-of-bounds before trusting residues (the
   // lattice collapses absolute addresses, so it cannot see bounds).
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  AffineExpr oob_probe;  // expression whose extreme binding witnesses OOB
-  if (site.form == IndexForm::kFlat) {
-    std::tie(lo, hi) = expr_interval(kernel, site.flat, lanes);
-    oob_probe = site.flat;
-  } else if (site.row_mod != 0) {
-    lo = site.row_base * static_cast<std::int64_t>(w);
-    hi = (site.row_base + static_cast<std::int64_t>(site.row_mod)) *
-             static_cast<std::int64_t>(w) -
-         1;
-    oob_probe = site.row;
-  } else {
-    const auto [row_lo, row_hi] = expr_interval(kernel, site.row, lanes);
-    lo = (row_lo + site.row_base) * static_cast<std::int64_t>(w);
-    hi = (row_hi + site.row_base + 1) * static_cast<std::int64_t>(w) - 1;
-    oob_probe = site.row;
-  }
+  const SiteInterval interval = site_interval(kernel, site);
+  const std::int64_t lo = interval.lo;
+  const std::int64_t hi = interval.hi;
   analysis.address_low = lo;
   analysis.address_high = hi;
-  if (lo < 0 || hi >= static_cast<std::int64_t>(size)) {
+  if (interval.leaves(size)) {
     analysis.out_of_bounds = true;
     analysis.cert = out_of_bounds_certificate(scheme, lanes, lo, hi, size);
+    // The expression whose extreme binding witnesses the violation.
+    const AffineExpr& probe =
+        site.form == IndexForm::kFlat ? site.flat : site.row;
     const Binding binding =
-        extreme_binding(kernel, oob_probe, /*maximize=*/hi >= 0);
+        extreme_binding(kernel, probe, /*maximize=*/hi >= 0);
     record_witness(kernel, analysis, binding,
                    materialize_site(kernel, site, binding));
     analysis.classes_analyzed = 0;
@@ -490,6 +527,24 @@ bool symbolic_applicable(const KernelDesc& kernel, const AccessSite& site) {
           ? w * w
           : (site.row_mod != 0 ? site.row_mod : w) * w;
   return states <= kStateCap;
+}
+
+/// The bounds decision analyze_kernel records per site, without proving
+/// congestion: the interval pass for symbolic sites, the same (possibly
+/// sampled) enumeration for the rest.
+bool site_out_of_bounds(const KernelDesc& kernel, const AccessSite& site) {
+  const std::uint64_t size = kernel.size();
+  if (symbolic_applicable(kernel, site)) {
+    return site_interval(kernel, site).leaves(size);
+  }
+  bool out = false;
+  std::vector<std::int64_t> trace;
+  for_each_binding(enumeration_grid(kernel), [&](const Binding& binding) {
+    materialize_site(kernel, site, binding, trace);
+    out = leaves_memory(trace, size);
+    return !out;
+  });
+  return out;
 }
 
 }  // namespace
@@ -543,6 +598,13 @@ KernelAnalysis analyze_kernel(const KernelDesc& kernel, core::Scheme scheme) {
   return analysis;
 }
 
+bool any_out_of_bounds(const KernelDesc& kernel) {
+  require_valid(kernel, core::Scheme::kRaw);
+  return std::any_of(
+      kernel.sites.begin(), kernel.sites.end(),
+      [&](const AccessSite& site) { return site_out_of_bounds(kernel, site); });
+}
+
 std::vector<std::vector<std::uint64_t>> enumerate_warp_traces(
     const KernelDesc& kernel, std::size_t max_traces) {
   const auto errors = validate_kernel(kernel);
@@ -572,11 +634,7 @@ std::vector<std::vector<std::uint64_t>> enumerate_warp_traces(
       for (std::size_t k = 0; k < reach.states.size(); ++k) {
         if (traces.size() >= max_traces) break;
         materialize_site(kernel, site, reach.binding(k), trace);
-        if (std::any_of(trace.begin(), trace.end(), [&](auto a) {
-              return a < 0 || static_cast<std::uint64_t>(a) >= size;
-            })) {
-          continue;
-        }
+        if (leaves_memory(trace, size)) continue;
         traces.emplace_back(trace.begin(), trace.end());
       }
     } else if (!sa.witness_trace.empty()) {

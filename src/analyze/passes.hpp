@@ -97,6 +97,13 @@ struct KernelAnalysis {
 [[nodiscard]] KernelAnalysis analyze_kernel(const KernelDesc& kernel,
                                             core::Scheme scheme);
 
+/// analyze_kernel(kernel, scheme).any_out_of_bounds for any scheme,
+/// decided as the analysis decides it per site (the interval pass for
+/// symbolic sites, the same sampled enumeration for the rest) but
+/// without proving congestion. Throws exactly as analyze_kernel does on
+/// an invalid kernel.
+[[nodiscard]] bool any_out_of_bounds(const KernelDesc& kernel);
+
 /// Materialize up to `max_traces` distinct in-bounds warp traces across
 /// the kernel's sites (one per residue class for affine sites, the worst
 /// witness for opaque ones). This is the bridge to trace-based consumers:

@@ -26,6 +26,11 @@ namespace {
 // over hundreds of candidate evaluations, so it can afford more).
 constexpr std::uint64_t kSynthEnumCap = 1u << 16;
 
+// Most column-uniform groups a site's bitmap tracks: a flat site's w^D at
+// w = 64, D = 3. Only a kRowCol site with a larger row_mod exceeds it,
+// and its states are then each reduced.
+constexpr std::uint64_t kMaxUniformGroups = std::uint64_t{1} << 18;
+
 std::uint64_t mod_pos(std::int64_t value, std::uint64_t modulus) {
   const auto m = static_cast<std::int64_t>(modulus);
   return static_cast<std::uint64_t>(((value % m) + m) % m);
@@ -108,6 +113,7 @@ struct Closure {
   double atomic_floor = 1.0;  // same-address atomic multiplicity
   Coverage coverage = Coverage::kSymbolic;
   std::uint64_t classes_seen = 0;  // before dedupe / trivial filtering
+  std::uint64_t traces_reduced = 0;  // traces ingested
 };
 
 /// Deterministic stratified sample of a loop variable: up to `quota`
@@ -268,7 +274,44 @@ class ClosureBuilder {
     }
     if (truncated) closure_.coverage = Coverage::kSampled;
 
+    // Every state is a class, but only the first state of each
+    // lane-uniform group (header: THE ORACLE) is reduced; the rest would
+    // store, fold and dedupe exactly as it did. With c the lane step
+    // reduced like the key and n the lane count:
+    //   carry-free (kFlat, key mod w + c(n-1) < w): every key digit is
+    //     equal, and the constant depends only on (c, n, dir) — group
+    //     key mod w;
+    //   column-uniform (c = 0 mod w; kRowCol: the column's step): the
+    //     digits depend only on key / w (kRowCol: the row part), so the
+    //     entries differ by one uniform column — group w + key / w.
+    closure_.classes_seen += states.size();
+    const std::uint64_t lanes = site.lanes == 0 ? w : site.lanes;
+    const std::uint64_t lane_step =
+        site.form == IndexForm::kFlat ? mod_pos(site.flat.lane_coeff, ma)
+                                      : mod_pos(site.col.lane_coeff, w);
+    const std::uint64_t carry_span = lane_step * (lanes - 1);
+    const std::uint64_t uniform_groups =
+        site.form == IndexForm::kFlat ? ma / w : ma;
+    const bool column_uniform =
+        lane_step % w == 0 && uniform_groups <= kMaxUniformGroups;
+    groups_.assign((w + (column_uniform ? uniform_groups : 0) + 63) / 64, 0);
+    const auto first_of_group = [&](std::uint64_t key) {
+      std::uint64_t group = 0;
+      if (site.form == IndexForm::kFlat && key % w + carry_span < w) {
+        group = key % w;
+      } else if (column_uniform) {
+        group = w + key / w;
+      } else {
+        return true;  // a group of its own
+      }
+      std::uint64_t& word = groups_[group / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (group % 64);
+      const bool first = (word & bit) == 0;
+      word |= bit;
+      return first;
+    };
     for (const auto& [key, row] : states) {
+      if (!first_of_group(key)) continue;
       const std::span<const std::uint64_t> binding(
           bindings.data() + row * vars, vars);
       materialize_site(kernel_, site, binding, trace_);
@@ -317,6 +360,7 @@ class ClosureBuilder {
         binding[v] = per_var[v][index[v]];
       }
       materialize_site(kernel_, site, binding, trace_);
+      ++closure_.classes_seen;
       ingest_trace(site_index, site, trace_, binding);
       std::size_t v = 0;
       for (; v < index.size(); ++v) {
@@ -334,7 +378,7 @@ class ClosureBuilder {
   void ingest_trace(std::size_t site_index, const AccessSite& site,
                     std::span<const std::int64_t> raw_trace,
                     std::span<const std::uint64_t> binding) {
-    ++closure_.classes_seen;
+    ++closure_.traces_reduced;
     // The kernel was proven in-bounds before synthesis started. Affine
     // traces usually arrive sorted already.
     addrs_.assign(raw_trace.begin(), raw_trace.end());
@@ -457,6 +501,7 @@ class ClosureBuilder {
   std::vector<std::uint64_t> addrs_;
   std::vector<PackedEntry> entries_;
   std::vector<PackedEntry> norm_;
+  std::vector<std::uint64_t> groups_;  // lane-uniform groups already seen
   // Normal-form dedupe: the stored classes' forms laid end to end in one
   // arena, class c's at [norm_bounds_[c], norm_bounds_[c + 1]), indexed
   // by hash.
@@ -836,8 +881,7 @@ Closure build_closure(const KernelDesc& kernel, std::uint32_t digits,
   return ClosureBuilder(kernel, digits, class_cap).build();
 }
 
-void check_synthesizable(const KernelDesc& kernel,
-                         const KernelAnalysis& baseline) {
+void check_synthesizable(const KernelDesc& kernel, bool out_of_bounds) {
   const std::vector<std::string> violations = validate_kernel(kernel);
   if (!violations.empty()) {
     throw std::invalid_argument("synthesize: invalid kernel: " +
@@ -849,7 +893,7 @@ void check_synthesizable(const KernelDesc& kernel,
   if (kernel.sites.empty()) {
     throw std::invalid_argument("synthesize: kernel has no access sites");
   }
-  if (baseline.any_out_of_bounds) {
+  if (out_of_bounds) {
     throw std::invalid_argument(
         "synthesize: kernel has out-of-bounds accesses; remapping cannot "
         "repair an OOB index — fix the kernel first");
@@ -860,8 +904,9 @@ void check_synthesizable(const KernelDesc& kernel,
 
 SynthesisResult synthesize_mapping(const KernelDesc& kernel,
                                    const SynthesisOptions& options) {
+  // The RAW analysis decides the bounds and quotes the baseline.
   const KernelAnalysis baseline = analyze_kernel(kernel, core::Scheme::kRaw);
-  check_synthesizable(kernel, baseline);
+  check_synthesizable(kernel, baseline.any_out_of_bounds);
 
   const std::uint32_t digits =
       digits_for_rows(kernel.rows, kernel.width, options.max_digits);
@@ -974,6 +1019,7 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
   result.mapping = best;
   result.coverage = closure.coverage;
   result.classes = closure.classes_seen;
+  result.traces_reduced = closure.traces_reduced;
   result.candidates = evaluated + pruned;
   result.baseline_bound = baseline.worst.bound;
   result.certificate =
@@ -1060,8 +1106,7 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
 
 CongestionCertificate certify_mapping(const KernelDesc& kernel,
                                       const SynthMapping& mapping) {
-  const KernelAnalysis baseline = analyze_kernel(kernel, core::Scheme::kRaw);
-  check_synthesizable(kernel, baseline);
+  check_synthesizable(kernel, any_out_of_bounds(kernel));
   if (mapping.width != kernel.width) {
     throw std::invalid_argument(
         "certify_mapping: mapping width != kernel width");

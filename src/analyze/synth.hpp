@@ -24,13 +24,26 @@
 // relabels banks and cannot change congestion, so the search space is
 // quotiented by it.
 //
-// THE ORACLE. The PR 3 residue closure generalizes: every member's bank
-// function is periodic in the flat address with period w^(D+1), so the
-// reachable base residues mod w^(D+1) (a sparse sumset DP over the loop
-// variables) partition ALL loop bindings into finitely many congestion
-// classes. Each class is reduced to a constraint — per unique address a
-// (col, key-tuple) entry — and a candidate is scored by direct evaluation
-// of every constraint. The winner's full evaluation IS its certificate.
+// THE ORACLE. The residue closure of analyze/passes.hpp generalizes:
+// every member's bank function is periodic in the flat address with
+// period w^(D+1), so the reachable base residues mod w^(D+1) (a sparse
+// sumset DP over the loop variables) partition ALL loop bindings into
+// finitely many congestion classes. Each class is reduced to a
+// constraint — per unique address a (col, key-tuple) entry — and a
+// candidate is scored by direct evaluation of every constraint. The
+// winner's full evaluation IS its certificate.
+//
+// Affine classes fall into lane-uniform groups whose members reduce to
+// the same constraint up to one uniform column shift, which both normal
+// forms remove: a flat site whose lanes never carry out of lane 0's
+// column (the key digits are all equal, the class a constant), or a site
+// whose lane step is 0 mod w (every lane in lane 0's column, the digits
+// a function of the row part of the key alone). Only the first class of
+// each group, in DP order, is materialized and reduced; it is also the
+// first to reach every stored class, floor and witness binding, so the
+// closure is byte for byte the one reducing every class would build.
+// `classes` still counts every class (it is the residue count the
+// certificate quotes); SynthesisResult::traces_reduced counts the work.
 //
 // THE WITNESS. Three lower bounds make optimality machine-checkable:
 //   * congestion >= 1 always ("bound-one");
@@ -170,6 +183,10 @@ struct SynthesisResult {
   Coverage coverage = Coverage::kSymbolic;
   std::uint64_t classes = 0;         // constraint classes certified against
   std::uint64_t candidates = 0;      // evaluated + pruned
+  /// Warp traces the search's closure materialized and reduced: one per
+  /// lane-uniform group, at most `classes`. A work counter, kept out of
+  /// to_json() (the JSON is the same whichever way the classes were found).
+  std::uint64_t traces_reduced = 0;
   /// Certified per-site bounds under the winner (aligned with sites).
   std::vector<double> site_bounds;
   /// A class attaining the whole-kernel bound: its site, the binding,

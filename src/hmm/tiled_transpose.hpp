@@ -56,10 +56,6 @@ struct TiledTransposeReport {
   HmmStats stats;
   std::uint32_t global_cost_weight = 8;
 
-  /// Unweighted sum of both clocks (time units).
-  [[nodiscard]] std::uint64_t total_time() const noexcept {
-    return stats.global_time + stats.shared_time;
-  }
   /// Weighted cost: global time units are global_cost_weight times more
   /// expensive than shared ones (see TiledTransposeConfig).
   [[nodiscard]] std::uint64_t total_cost() const noexcept {

@@ -473,11 +473,6 @@ MethodCall prepare_synthesize(const JsonValue& params) {
 
 }  // namespace
 
-bool is_pool_method(const std::string& method) noexcept {
-  return method == "certify" || method == "lint" || method == "replay" ||
-         method == "advise" || method == "advise.synthesize";
-}
-
 MethodCall prepare_method(const std::string& method, const JsonValue& params) {
   if (method == "certify") return prepare_certify(params);
   if (method == "lint") return prepare_lint(params);

@@ -62,9 +62,6 @@ struct MethodCall {
   std::function<std::string(const ExecContext& ctx)> run;
 };
 
-/// Is `method` one of the worker-pool families prepare_method accepts?
-[[nodiscard]] bool is_pool_method(const std::string& method) noexcept;
-
 /// Validate and stage one worker-pool request. Throws
 /// ServeError(kUnknownMethod) for a method not in the table and
 /// ServeError(kBadRequest) for malformed params.

@@ -60,12 +60,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name,
   return it == counters_.end() ? nullptr : &it->second.metric;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name,
-                                         const Labels& labels) const {
-  const auto it = gauges_.find(make_key(name, labels));
-  return it == gauges_.end() ? nullptr : &it->second.metric;
-}
-
 const Distribution* MetricsRegistry::find_distribution(
     const std::string& name, const Labels& labels) const {
   const auto it = distributions_.find(make_key(name, labels));

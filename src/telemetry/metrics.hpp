@@ -92,8 +92,6 @@ class MetricsRegistry {
   /// schema checks) probe for a metric's absence without materializing it.
   [[nodiscard]] const Counter* find_counter(const std::string& name,
                                             const Labels& labels = {}) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name,
-                                        const Labels& labels = {}) const;
   [[nodiscard]] const Distribution* find_distribution(
       const std::string& name, const Labels& labels = {}) const;
 

@@ -362,7 +362,8 @@ TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
   // the search and once, independently, by the audit. Before the
   // allocation-free ingest: 557,470 allocations for the 2 x 32,768
   // classes seen (8.5 per class). Now the ingest allocates only for the
-  // classes it stores (0.26 allocations per class seen in all).
+  // classes it stores, and only one trace per lane-uniform group is
+  // reduced: 14,642 allocations, 0.22 per class seen in all.
   const analyze::KernelDesc kernel =
       tools::builtin_kernel("tensor4d-stride3", 32);
   analyze::SynthesisResult result;
@@ -375,6 +376,30 @@ TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
       static_cast<double>(allocs) / static_cast<double>(2 * result.classes);
   EXPECT_LT(per_class, 1.0)
       << allocs << " allocations; before the allocation-free ingest: 557,470";
+}
+
+TEST(AllocGate, SynthesisClosureReducesOneTracePerLaneUniformGroup) {
+  // The closure still counts every class, but materializes and reduces
+  // one warp trace per lane-uniform group (analyze/synth.hpp, THE
+  // ORACLE): tensor4d-stride3's 32,768 classes at w = 32 fall into 1,024
+  // column-uniform groups. Reducing every class took 32,768 traces here
+  // and 141,753 for the whole catalog.
+  const analyze::SynthesisResult stride3 = analyze::synthesize_mapping(
+      tools::builtin_kernel("tensor4d-stride3", 32));
+  EXPECT_EQ(stride3.classes, 32768u);
+  EXPECT_LE(stride3.traces_reduced, 1024u);
+
+  std::uint64_t classes = 0;
+  std::uint64_t traces = 0;
+  for (const analyze::KernelDesc& kernel : tools::builtin_kernels(32)) {
+    const analyze::SynthesisResult result =
+        analyze::synthesize_mapping(kernel);
+    EXPECT_LE(result.traces_reduced, result.classes) << kernel.name;
+    classes += result.classes;
+    traces += result.traces_reduced;
+  }
+  EXPECT_EQ(classes, 141753u);
+  EXPECT_LE(traces, 4569u);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // certify_mapping audit, and the
 // property test required by ISSUE 7 — random affine kernels whose
 // synthesized certified bound must EQUAL the congestion measured on the
-// full DMM replay of the kernel's materialized trace. The whole-catalog
+// full DMM replay of the kernel's materialized trace — and the same
+// equality for certify_mapping's bound on random mappings over kernels at
+// the closure's lane-uniform grouping edges. The whole-catalog
 // differential sweep lives in synth_differential_test.cpp.
 
 #include "analyze/synth.hpp"
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -455,6 +458,178 @@ TEST(SynthesizeProperty, CertifiedBoundEqualsMeasuredDmmCongestion) {
     EXPECT_EQ(core::congestion_value(result.witness_trace, *map),
               result.certificate.bound)
         << "trial " << trial;
+  }
+}
+
+/// A coefficient drawn to reach the closure's lane-uniform groups at
+/// their edges: small and signed, or a signed multiple of w or w^2 (zero
+/// mod w, so a flat site's lanes share one column).
+std::int64_t edge_coeff(util::Pcg32& rng, std::uint32_t w) {
+  const auto wide = static_cast<std::int64_t>(w);
+  const std::int64_t sign = rng.bounded(2) ? 1 : -1;
+  switch (rng.bounded(3)) {
+    case 0: return static_cast<std::int64_t>(rng.bounded(9)) - 4;
+    case 1: return sign * wide * (1 + rng.bounded(2));
+    default: return sign * wide * wide;
+  }
+}
+
+/// Affine expression over `kernel.vars` whose values, over every binding
+/// and the first `lanes` lanes, fit [0, extent); coefficients that would
+/// overflow the extent are dropped.
+AffineExpr in_bounds_expr(util::Pcg32& rng, const KernelDesc& kernel,
+                          std::uint32_t lanes, std::int64_t lane_coeff,
+                          std::int64_t extent) {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  const auto admit = [&](std::int64_t coeff, std::uint64_t count) {
+    const std::int64_t span = coeff * static_cast<std::int64_t>(count - 1);
+    const std::int64_t new_lo = lo + std::min<std::int64_t>(span, 0);
+    const std::int64_t new_hi = hi + std::max<std::int64_t>(span, 0);
+    if (new_hi - new_lo >= extent) return std::int64_t{0};
+    lo = new_lo;
+    hi = new_hi;
+    return coeff;
+  };
+  AffineExpr expr;
+  expr.lane_coeff = admit(lane_coeff, lanes);
+  for (const LoopVar& var : kernel.vars) {
+    expr.coeffs.push_back(admit(edge_coeff(rng, kernel.width), var.count));
+  }
+  const std::int64_t slack = extent - 1 - (hi - lo);
+  std::int64_t offset = rng.bounded(static_cast<std::uint32_t>(slack) + 1);
+  const auto w = static_cast<std::int64_t>(kernel.width);
+  if (offset + w <= slack && rng.bounded(2)) {
+    // Lane 0's column such that the last lane lands one column before, on
+    // or just past the end of its row: the edge of a carry-free class.
+    const std::int64_t last_lane = expr.lane_coeff * (lanes - 1);
+    const std::int64_t column = w - 1 + rng.bounded(3) - last_lane;
+    offset += (((column + lo - offset) % w) + w) % w;
+  }
+  expr.base = -lo + offset;
+  return expr;
+}
+
+/// A random in-bounds kernel at the closure's edge cases: rows up to w^3,
+/// signed and zero-mod-w lane and variable coefficients, partial lane
+/// prefixes, same-address atomics and wrapped or unwrapped row/col sites.
+KernelDesc edge_case_kernel(util::Pcg32& rng, std::uint32_t w) {
+  const std::uint64_t w3 = std::uint64_t{w} * w * w;
+  KernelDesc kernel;
+  kernel.name = "edge-case";
+  kernel.width = w;
+  kernel.rows = rng.bounded(2) ? w3 : 1 + rng.bounded(
+                                              static_cast<std::uint32_t>(w3));
+  const std::uint32_t num_vars = 1 + rng.bounded(3);
+  for (std::uint32_t v = 0; v < num_vars; ++v) {
+    kernel.vars.push_back({std::string(1, static_cast<char>('u' + v)),
+                           std::uint64_t{1} + rng.bounded(6)});
+  }
+  const std::uint32_t num_sites = 1 + rng.bounded(3);
+  for (std::uint32_t s = 0; s < num_sites; ++s) {
+    AccessSite site;
+    site.name = "s" + std::to_string(s);
+    site.dir = static_cast<AccessDir>(rng.bounded(3));
+    site.lanes = rng.bounded(2) ? 0 : 1 + rng.bounded(w);
+    const std::uint32_t lanes = site.lanes == 0 ? w : site.lanes;
+    const auto rows = static_cast<std::int64_t>(kernel.rows);
+    if (rng.bounded(3) != 0) {
+      site.form = IndexForm::kFlat;
+      std::int64_t lane_coeff = edge_coeff(rng, w);
+      if (site.dir == AccessDir::kAtomic && rng.bounded(2)) {
+        lane_coeff = 0;
+      } else if (rng.bounded(2)) {
+        // A column walk whose lanes end near the row's end.
+        lane_coeff = 1 + rng.bounded(2);
+        site.lanes = std::min(lanes, w / 2 + 1);
+      }
+      site.flat = in_bounds_expr(rng, kernel,
+                                 site.lanes == 0 ? w : site.lanes, lane_coeff,
+                                 static_cast<std::int64_t>(kernel.size()));
+    } else {
+      site.form = IndexForm::kRowCol;
+      if (rng.bounded(2)) {
+        // Wrapped: every row of [row_base, row_base + row_mod) is legal,
+        // so the row expression is free.
+        site.row_mod = 1 + rng.bounded(static_cast<std::uint32_t>(rows));
+        site.row_base = rng.bounded(static_cast<std::uint32_t>(
+            rows - static_cast<std::int64_t>(site.row_mod) + 1));
+        site.row.base = static_cast<std::int64_t>(rng.bounded(64)) - 32;
+        site.row.lane_coeff = edge_coeff(rng, w);
+        for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
+          site.row.coeffs.push_back(edge_coeff(rng, w));
+        }
+      } else {
+        site.row = in_bounds_expr(rng, kernel, lanes, edge_coeff(rng, w),
+                                  rows);
+      }
+      site.col.base = static_cast<std::int64_t>(rng.bounded(64)) - 32;
+      site.col.lane_coeff = edge_coeff(rng, w);
+      for (std::size_t v = 0; v < kernel.vars.size(); ++v) {
+        site.col.coeffs.push_back(edge_coeff(rng, w));
+      }
+    }
+    kernel.sites.push_back(std::move(site));
+  }
+  return kernel;
+}
+
+/// certify_mapping on random family members over kernels that reach the
+/// closure's lane-uniform groups at their edges (1-3 digit tables,
+/// rotate and xor, a non-power-of-two width with rotate only): the
+/// certified bound must EQUAL the worst congestion of a full DMM replay
+/// of every binding. Sparse tables (most entries zero) make neighbouring
+/// rows' shifts differ only here and there, so a class wrongly folded
+/// into another's group shows as a bound below the replay's.
+TEST(CertifyProperty, RandomMappingBoundEqualsDmmReplayAtEdgeCases) {
+  util::Pcg32 rng(0xED6E);
+  constexpr std::uint32_t kWidths[] = {4, 8, 16, 6};
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint32_t w = kWidths[rng.bounded(4)];
+    // The kernel, and each of its sites alone so that no other site's
+    // worst class masks a site's own.
+    std::vector<KernelDesc> kernels = {edge_case_kernel(rng, w)};
+    if (kernels[0].sites.size() > 1) {
+      for (const AccessSite& site : kernels[0].sites) {
+        kernels.push_back(kernels[0]);
+        kernels.back().sites = {site};
+      }
+    }
+    std::vector<SynthMapping> mappings;
+    const std::uint32_t digits = 1 + rng.bounded(kMaxDigits);
+    for (const bool sparse : {false, true}) {
+      SynthMapping mapping = random_mapping(w, digits, rng());
+      if (sparse) {
+        for (std::vector<std::uint32_t>& table : mapping.tables) {
+          for (std::uint32_t& entry : table) {
+            if (rng.bounded(4) != 0) entry = 0;
+          }
+        }
+      }
+      mappings.push_back(mapping);
+      if (std::has_single_bit(w)) {
+        mapping.transform = RowTransform::kXor;
+        mappings.push_back(std::move(mapping));
+      }
+    }
+
+    for (const KernelDesc& kernel : kernels) {
+      const replay::AccessTrace trace = replay::trace_from_kernel(kernel);
+      ASSERT_EQ(trace.records.size(),
+                kernel.binding_count() * kernel.sites.size());
+      for (const SynthMapping& mapping : mappings) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " rows=" +
+                     std::to_string(kernel.rows) + " sites=" +
+                     std::to_string(kernel.sites.size()) + " " +
+                     mapping.spec());
+        const CongestionCertificate cert = certify_mapping(kernel, mapping);
+        ASSERT_TRUE(cert.exact()) << cert.claim;
+        const auto map = make_synth_map(mapping, kernel.size());
+        EXPECT_EQ(static_cast<double>(
+                      replay::replay_trace(trace, *map).stats.max_congestion),
+                  cert.bound);
+      }
+    }
   }
 }
 
