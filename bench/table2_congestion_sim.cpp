@@ -16,8 +16,7 @@
 // document (schema below) carrying, per (scheme, pattern, width) cell,
 // the mean/ci95, the exact congestion percentiles p50/p95/p99, and the
 // per-bank unique-request totals — the stable schema tools/run_all.sh
-// archives under results/metrics/ and tools/check_metrics_schema.sh
-// validates. The sweep's speed is rapbench's table2-sweep workload.
+// archives under results/metrics/ and the metrics_schema ctest checks. The sweep's speed is rapbench's table2-sweep workload.
 
 #include <cstdio>
 #include <iostream>

@@ -23,7 +23,7 @@
 // --chrome-trace writes the LAST scheme's dispatch timeline in Trace
 // Event Format for ui.perfetto.dev. --format=json emits a single
 // document with the summary, the bank profile, and the full
-// MetricsRegistry dump.
+// MetricsRegistry dump. Any other flag is a usage error.
 
 #include <cstdio>
 #include <fstream>
@@ -163,6 +163,8 @@ int main(int argc, char** argv) {
 
   std::vector<SchemeResult> results;
   try {
+    args.reject_unknown({"workload", "schemes", "width", "latency", "seed",
+                         "format", "chrome-trace"});
     const auto schemes =
         parse_schemes(args.get_string("schemes", "raw,ras,rap"));
     const workloads::Workload entry =

@@ -24,7 +24,7 @@
 //
 // A fix-it is only suggested when it provably lowers the site's bound;
 // its detail quotes both bounds and the proof rule of the repaired form.
-// The JSON rendering is validated by tools/check_lint_schema.sh; the
+// The JSON rendering is checked by tests/contract.hpp; the
 // rapsim-lint CLI (tools/rapsim_lint.cpp) drives this over the built-in
 // kernel catalog and user kernels in the text format.
 
@@ -129,7 +129,7 @@ struct LintOptions {
                                      core::Scheme scheme,
                                      const LintOptions& options);
 
-/// JSON document (schema: tools/check_lint_schema.sh / DESIGN.md).
+/// JSON document (schema: tests/contract.hpp / DESIGN.md).
 [[nodiscard]] std::string lint_report_json(const LintReport& report);
 
 /// Compiler-style human-readable rendering.

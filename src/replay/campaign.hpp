@@ -13,8 +13,8 @@
 // RunStats and the merged congestion Tally), never from accumulation
 // order.
 //
-// Artifacts, all machine-readable and schema-checked by
-// tools/check_replay_schema.sh:
+// Artifacts, all machine-readable and schema-checked by the replay_schema
+// ctest (tests/contract_test.cpp):
 //
 //   <results_dir>/manifest.json   the grid: config + every cell's key and
 //                                 cached/pending status at launch time

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -57,6 +58,15 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   return *v == "true" || *v == "1" || *v == "yes";
+}
+
+void CliArgs::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::invalid_argument("unknown flag --" + name);
+    }
+  }
 }
 
 bool CliArgs::wants_json() const {

@@ -2,17 +2,21 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--flag` forms.
 // Every bench binary shares the same conventions (--seed, --trials,
-// --width, ...). Flags are stored by name and never validated: a binary
-// reads the flags it knows and silently ignores the rest, so a misspelt
-// flag falls back to its default without a warning. Shared scripts rely on
-// this when they pass one flag set (say --trials/--seeds) to every bench.
+// --width, ...). Flags are stored by name. The rapsim-* tools and
+// rapsim_profile call reject_unknown() with the flags their usage text
+// documents, so a misspelt flag fails instead of falling back to its
+// default. The bench binaries do not: they read the flags they know and
+// ignore the rest, because CI's bench smoke loop passes one flag set
+// (--trials/--seeds) to every bench.
 
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/table.hpp"
@@ -35,6 +39,10 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// Throws std::invalid_argument("unknown flag --NAME") for the first
+  /// flag (in name order) that `known` does not list.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "contract.hpp"
 #include "core/congestion.hpp"
 #include "core/factory.hpp"
 #include "core/theory.hpp"
@@ -283,11 +284,12 @@ TEST(Certificate, JsonCarriesTheClaim) {
   const std::uint32_t w = 16;
   const auto cls = classify_warp(affine_2d(w, 0, 1, 0, 0), w, w * w);
   const auto cert = prove_congestion(cls, Scheme::kRap);
-  const std::string json = cert.to_json();
-  EXPECT_NE(json.find("\"scheme\":\"RAP\""), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"rap-distinct-shifts\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"exact\""), std::string::npos);
-  EXPECT_NE(json.find("\"bound\":1"), std::string::npos);
+  const contract::JsonValue json = contract::parse(cert.to_json());
+  contract::expect_certificate(json);
+  EXPECT_EQ(contract::at(json, "scheme").as_string(), "RAP");
+  EXPECT_EQ(contract::at(json, "rule").as_string(), "rap-distinct-shifts");
+  EXPECT_EQ(contract::at(json, "kind").as_string(), "exact");
+  EXPECT_EQ(contract::at(json, "bound").serialize(), "1");
 }
 
 }  // namespace

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "contract.hpp"
+
 namespace rapsim::util {
 namespace {
 
@@ -70,6 +76,35 @@ TEST(CliArgs, DoubleParsing) {
 TEST(CliArgs, NegativeInt) {
   const auto args = make({"--offset=-5"});
   EXPECT_EQ(args.get_int("offset", 0), -5);
+}
+
+TEST(CliArgs, RejectUnknownNamesTheFirstUndocumentedFlag) {
+  const auto args = make({"in.txt", "--width=8", "--n=128", "--bogus=1"});
+  try {
+    args.reject_unknown({"width"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --bogus");
+  }
+  EXPECT_NO_THROW(args.reject_unknown({"width", "n", "bogus"}));
+  EXPECT_NO_THROW(make({"positional"}).reject_unknown({}));
+}
+
+TEST(CliArgs, EveryToolFailsOnAnUnknownFlag) {
+  // The rapsim-* tools and rapsim_profile validate before they touch a
+  // socket, a file or a workload.
+  std::istringstream tools(RAPSIM_TOOL_BINS);
+  std::string tool;
+  std::size_t checked = 0;
+  while (tools >> tool) {
+    const contract::CommandResult run =
+        contract::run_command(tool + " ping --width=8 --bogus=1 2>&1");
+    EXPECT_NE(run.status, 0) << tool;
+    EXPECT_NE(run.output.find("unknown flag --bogus"), std::string::npos)
+        << tool << ": " << run.output;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 6u);
 }
 
 }  // namespace

@@ -7,21 +7,15 @@
 
 #include <unistd.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "contract.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
-
-struct Outcome {
-  int exit_code = -1;
-  std::string output;
-};
 
 /// A fresh `src/` tree of two libraries, fx_low (low/a.*) and fx_high
 /// (high/b.*). fx_high links fx_low and includes its header; the tests
@@ -53,19 +47,11 @@ class LayeringFixture : public ::testing::Test {
     std::ofstream(path) << text;
   }
 
-  [[nodiscard]] Outcome check() const {
-    const std::string command = std::string("\"") + RAPSIM_CMAKE_COMMAND +
-                                "\" -DSRC=\"" + (root_ / "src").string() +
-                                "\" -P \"" + RAPSIM_LAYERING_SCRIPT +
-                                "\" 2>&1";
-    Outcome outcome;
-    FILE* pipe = ::popen(command.c_str(), "r");
-    if (pipe == nullptr) return outcome;
-    char buffer[512];
-    while (std::fgets(buffer, sizeof buffer, pipe)) outcome.output += buffer;
-    const int status = ::pclose(pipe);
-    if (WIFEXITED(status)) outcome.exit_code = WEXITSTATUS(status);
-    return outcome;
+  [[nodiscard]] rapsim::contract::CommandResult check() const {
+    return rapsim::contract::run_command(
+        std::string("\"") + RAPSIM_CMAKE_COMMAND + "\" -DSRC=\"" +
+        (root_ / "src").string() + "\" -P \"" + RAPSIM_LAYERING_SCRIPT +
+        "\" 2>&1");
   }
 
  private:
@@ -73,8 +59,8 @@ class LayeringFixture : public ::testing::Test {
 };
 
 TEST_F(LayeringFixture, CleanTreePasses) {
-  const Outcome outcome = check();
-  EXPECT_EQ(outcome.exit_code, 0) << outcome.output;
+  const auto outcome = check();
+  EXPECT_EQ(outcome.status, 0) << outcome.output;
   EXPECT_NE(outcome.output.find("layering: 2 libraries, 3 includes"),
             std::string::npos)
       << outcome.output;
@@ -82,8 +68,8 @@ TEST_F(LayeringFixture, CleanTreePasses) {
 
 TEST_F(LayeringFixture, UpwardIncludeNamesTheFileAndTheMissingEdge) {
   write("low/a.hpp", "#pragma once\n#include \"high/b.hpp\"\n");
-  const Outcome outcome = check();
-  EXPECT_NE(outcome.exit_code, 0) << outcome.output;
+  const auto outcome = check();
+  EXPECT_NE(outcome.status, 0) << outcome.output;
   EXPECT_NE(outcome.output.find(
                 "src/low/a.hpp: includes \"high/b.hpp\", but fx_low -> "
                 "fx_high is not in the PUBLIC link closure of fx_low"),
@@ -97,8 +83,8 @@ TEST_F(LayeringFixture, LinkCycleNamesEveryEdgeOfTheLoop) {
   write("low/CMakeLists.txt",
         "add_library(fx_low STATIC a.cpp)\n"
         "target_link_libraries(fx_low PUBLIC fx_high)\n");
-  const Outcome outcome = check();
-  EXPECT_NE(outcome.exit_code, 0) << outcome.output;
+  const auto outcome = check();
+  EXPECT_NE(outcome.status, 0) << outcome.output;
   for (const char* edge : {"link cycle: fx_high -> fx_low, and fx_low "
                            "reaches fx_high",
                            "link cycle: fx_low -> fx_high, and fx_high "

@@ -12,9 +12,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "contract.hpp"
 #include "perfbench/compare.hpp"
 #include "perfbench/perfbench.hpp"
-#include "telemetry/json.hpp"
 #include "util/clock.hpp"
 #include "util/stats.hpp"
 
@@ -88,62 +88,6 @@ TEST(BenchReport, JsonCarriesTheStableFieldSet) {
   }
 }
 
-/// Every rule a BENCH document keeps for tools/bench_compare and the
-/// committed BENCH_serve.json: the envelope, the machine identity and, per
-/// metric, 8 non-negative integer fields, 4 numeric fields, at least one
-/// sample, a positive ns_per_op and min <= p50 <= max.
-void expect_bench_schema(const std::string& text) {
-  using telemetry::JsonValue;
-  const JsonValue doc = telemetry::parse_json(text);
-  ASSERT_TRUE(doc.is_object());
-  const JsonValue* version = doc.find("schema_version");
-  ASSERT_TRUE(version && version->is_integer());
-  EXPECT_EQ(version->as_integer(), 1);
-  const JsonValue* bench = doc.find("bench");
-  ASSERT_TRUE(bench && bench->is_string());
-  EXPECT_FALSE(bench->as_string().empty());
-  const JsonValue* unix_time = doc.find("unix_time");
-  EXPECT_TRUE(unix_time && unix_time->is_integer());
-
-  const JsonValue* machine = doc.find("machine");
-  ASSERT_TRUE(machine && machine->is_object());
-  for (const char* key : {"hostname", "os", "compiler"}) {
-    const JsonValue* field = machine->find(key);
-    ASSERT_TRUE(field && field->is_string()) << "machine." << key;
-    EXPECT_FALSE(field->as_string().empty()) << "machine." << key;
-  }
-  const JsonValue* threads = machine->find("hardware_threads");
-  EXPECT_TRUE(threads && threads->is_integer());
-
-  const JsonValue* config = doc.find("config");
-  EXPECT_TRUE(config && config->is_object());
-
-  const JsonValue* metrics = doc.find("metrics");
-  ASSERT_TRUE(metrics && metrics->is_array());
-  ASSERT_FALSE(metrics->as_array().empty());
-  for (const JsonValue& metric : metrics->as_array()) {
-    const JsonValue* name = metric.find("name");
-    ASSERT_TRUE(name && name->is_string() && !name->as_string().empty());
-    const std::string& label = name->as_string();
-    for (const char* key : {"samples", "items", "total_ns", "p50_ns",
-                            "p95_ns", "p99_ns", "min_ns", "max_ns"}) {
-      const JsonValue* field = metric.find(key);
-      ASSERT_TRUE(field && field->is_integer()) << label << "." << key;
-      EXPECT_GE(field->as_integer(), 0) << label << "." << key;
-    }
-    for (const char* key :
-         {"ops_per_sec", "ns_per_op", "mean_ns", "stddev_ns"}) {
-      const JsonValue* field = metric.find(key);
-      ASSERT_TRUE(field && field->is_number()) << label << "." << key;
-    }
-    EXPECT_GT(metric.find("samples")->as_integer(), 0) << label;
-    EXPECT_GT(metric.find("ns_per_op")->as_number(), 0.0) << label;
-    const std::int64_t p50 = metric.find("p50_ns")->as_integer();
-    EXPECT_LE(metric.find("min_ns")->as_integer(), p50) << label;
-    EXPECT_LE(p50, metric.find("max_ns")->as_integer()) << label;
-  }
-}
-
 TEST(BenchReport, JsonMeetsTheBenchSchema) {
   // Built the way bench/ext_serve_throughput builds its document.
   perfbench::BenchReport report("ext_serve_throughput");
@@ -155,7 +99,7 @@ TEST(BenchReport, JsonMeetsTheBenchSchema) {
   for (const std::uint64_t ns : {300, 250, 410}) warm.add(ns);
   report.add("cold", perfbench::aggregate_latencies(cold, 20000));
   report.add("warm", perfbench::aggregate_latencies(warm, 1000));
-  expect_bench_schema(report.to_json());
+  contract::expect_bench_report(contract::parse(report.to_json()));
 }
 
 TEST(BenchReport, CommittedServeBaselineMeetsTheBenchSchema) {
@@ -163,7 +107,7 @@ TEST(BenchReport, CommittedServeBaselineMeetsTheBenchSchema) {
   ASSERT_TRUE(in.good());
   std::ostringstream text;
   text << in.rdbuf();
-  expect_bench_schema(text.str());
+  contract::expect_bench_report(contract::parse(text.str()));
 }
 
 // ---------------------------------------------------------- compare

@@ -10,17 +10,22 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "contract.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "telemetry/json.hpp"
 
 namespace rapsim::serve {
 namespace {
+
+using contract::at;
+using contract::JsonValue;
 
 /// A Server on its own thread bound to a fresh UNIX socket path; joins
 /// and unlinks on destruction.
@@ -120,6 +125,43 @@ TEST(Server, ConcurrentClientsAllGetAnswers) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(ok_count.load(), kClients * 5);
+}
+
+TEST(Server, TraceOutNestsTheWritePhaseUnderItsRequest) {
+  // The transport owns the request root and the write phase: the write is
+  // timed in the registry before the next line is read, and the drained
+  // --trace-out document renders it under its request, on that track.
+  ServerConfig config;
+  config.trace_path = testing::TempDir() + "/rapsim_serve_spans.json";
+  const std::string trace_path = config.trace_path;
+  ServerFixture fixture(std::move(config));
+  {
+    Client client(fixture.endpoint());
+    ASSERT_TRUE(client.call("ping").ok);
+    EXPECT_NE(client.call("stats").result_json.find(R"("phase":"write")"),
+              std::string::npos);
+  }
+  fixture.stop();
+
+  std::map<std::string, const JsonValue*> by_span;
+  const JsonValue doc = contract::parse(contract::read_text(trace_path));
+  for (const JsonValue& event : at(doc, "traceEvents").as_array()) {
+    if (at(event, "ph").serialize() != R"("X")") continue;
+    contract::expect_keys(event, {"name", "pid", "tid", "ts", "dur", "args"});
+    by_span[at(at(event, "args"), "span").serialize()] = &event;
+  }
+  std::size_t writes = 0;
+  for (const auto& [span, event] : by_span) {
+    if (at(*event, "name").as_string() != "write") continue;
+    ++writes;
+    const auto parent =
+        by_span.find(at(at(*event, "args"), "parent").serialize());
+    ASSERT_NE(parent, by_span.end()) << "a write span without its request";
+    EXPECT_EQ(at(*parent->second, "name").as_string(), "request");
+    EXPECT_EQ(at(*parent->second, "tid").serialize(),
+              at(*event, "tid").serialize());
+  }
+  EXPECT_GE(writes, 1u);
 }
 
 TEST(Server, MalformedLineGetsStructured400) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -14,10 +15,12 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "contract.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -530,6 +533,143 @@ TEST(Service, TracedRequestNestsPhaseSpansUnderTheTransportRoot) {
   const std::size_t before = tracer.completed_count();
   (void)service.handle_line(R"({"method":"ping"})");
   EXPECT_EQ(tracer.completed_count(), before);
+}
+
+// ------------------------------------------ response contract (ServeSchema)
+// The JSON contract of every method's response, the stats snapshot and
+// the metrics document; the serve_schema ctest runs this suite once.
+
+using contract::at;
+
+/// A request line for `method` whose params carry `text` under `key`,
+/// followed by the raw members `extra`.
+std::string text_request(std::string_view method, std::string_view key,
+                         std::string_view text, std::string_view extra = "") {
+  telemetry::JsonWriter json;
+  json.begin_object().kv("method", method).key("params").begin_object();
+  json.kv(key, text).end_object().end_object();
+  std::string line = json.str();
+  line.insert(line.size() - 2, extra);
+  return line;
+}
+
+/// The registry the service keeps: request counters for every pool
+/// method, latency and per-phase distributions.
+void expect_serve_registry(const JsonValue& registry) {
+  contract::expect_registry(registry);
+  std::set<std::string> ok_methods;
+  for (const JsonValue* counter :
+       contract::registry_entries(registry, "counters", "serve.requests")) {
+    const JsonValue& labels = at(*counter, "labels");
+    contract::expect_keys(labels, {"method", "status"});
+    if (at(labels, "status").serialize() == R"("ok")") {
+      ok_methods.insert(at(labels, "method").as_string());
+    }
+  }
+  EXPECT_TRUE(std::ranges::includes(
+      ok_methods, std::set<std::string>{"advise", "advise.synthesize",
+                                        "certify", "lint", "replay"}));
+  EXPECT_FALSE(
+      contract::registry_entries(registry, "distributions", "serve.latency_us")
+          .empty());
+  std::set<std::string> phases;
+  for (const JsonValue* dist :
+       contract::registry_entries(registry, "distributions", "serve.phase_us")) {
+    phases.insert(at(at(*dist, "labels"), "phase").as_string());
+  }
+  EXPECT_TRUE(std::ranges::includes(
+      phases, std::set<std::string>{"admission", "cache_lookup", "execute",
+                                    "queue_wait"}));
+}
+
+TEST(ServeSchema, EveryMethodStatsAndMetricsMeetTheContract) {
+  Service service({.workers = 1});
+  // The result of one call, after checking its envelope.
+  const auto call = [&](const std::string& line, std::string_view method) {
+    SCOPED_TRACE(line);
+    return JsonValue(at(
+        contract::expect_serve_success(service.handle_line(line), method),
+        "result"));
+  };
+
+  contract::expect_certificate(at(
+      call(R"({"method":"certify","params":{"addresses":[0,32,64,96],)"
+           R"("width":32,"scheme":"rap","seed":9}})",
+           "certify"),
+      "certificate"));
+
+  const std::string transpose = contract::read_text(RAPSIM_EXAMPLES_DIR "/naive_transpose.kernel");
+  const JsonValue lint = call(text_request("lint", "kernel", transpose), "lint");
+  contract::expect_lint_report(lint);
+  EXPECT_EQ(at(at(lint, "races"), "race_free").serialize(), "true");
+
+  const std::string_view racy = contract::kStrippedTileKernel;
+  contract::expect_racy_lint_report(
+      call(text_request("lint", "kernel", racy, R"(,"width":16)"), "lint"));
+  // params.races=false drops the race pass: the missing barrier goes
+  // unnoticed and the races block is omitted.
+  const JsonValue unraced = call(
+      text_request("lint", "kernel", racy, R"(,"width":16,"races":false)"),
+      "lint");
+  contract::expect_lint_report(unraced);
+  EXPECT_EQ(unraced.find("races"), nullptr);
+  EXPECT_NE(at(unraced, "severity").as_string(), "error");
+
+  contract::expect_keys(
+      call(text_request("replay", "trace",
+                        contract::read_text(RAPSIM_EXAMPLES_DIR "/contiguous_stride.trace"),
+                        R"(,"scheme":"raw")"),
+           "replay"),
+      {"trace_hash", "scheme", "width", "latency", "seed", "time",
+       "pipeline_slots", "dispatches", "max_congestion", "avg_congestion"});
+
+  const JsonValue advice =
+      call(R"({"method":"advise","params":{"addresses":[0,16,32],"rows":4,)"
+           R"("width":16,"draws":4}})",
+           "advise");
+  contract::expect_keys(advice, {"scores", "recommended", "rationale"});
+  EXPECT_EQ(at(advice, "scores").as_array().size(), 4u);
+
+  const std::string synthesize =
+      text_request("advise.synthesize", "kernel", transpose, R"(,"draws":8)");
+  const std::string cold = service.handle_line(synthesize);
+  contract::expect_synthesis(
+      at(contract::expect_serve_success(cold, "advise.synthesize"), "result"));
+  const std::string warm = service.handle_line(synthesize);
+  const JsonValue warm_envelope =
+      contract::expect_serve_success(warm, "advise.synthesize");
+  EXPECT_EQ(at(warm_envelope, "cached").serialize(), "true");
+  EXPECT_EQ(result_suffix(cold), result_suffix(warm));
+
+  const JsonValue stats = call(R"({"method":"stats"})", "stats");
+  contract::expect_keys(stats, {"uptime_ms", "workers", "queue_depth",
+                                "queue_capacity", "in_flight", "draining",
+                                "busy_workers", "utilization", "shed_total",
+                                "coalesced_total", "cache", "metrics"});
+  const JsonValue& cache = at(stats, "cache");
+  contract::expect_keys(cache, {"hits", "misses", "insertions", "evictions",
+                                "entries", "capacity", "hit_rate",
+                                "occupancy"});
+  const double hits = at(cache, "hits").as_number();
+  EXPECT_DOUBLE_EQ(at(cache, "hit_rate").as_number(),
+                   hits / (hits + at(cache, "misses").as_number()));
+  EXPECT_LE(at(cache, "occupancy").as_number(), 1.0);
+  expect_serve_registry(at(stats, "metrics"));
+
+  const JsonValue metrics = contract::parse(service.metrics_document());
+  contract::expect_keys(metrics, {"uptime_ms", "workers", "queue_capacity",
+                                  "shed_total", "coalesced_total", "cache",
+                                  "metrics"});
+  expect_serve_registry(at(metrics, "metrics"));
+}
+
+TEST(ServeSchema, ErrorEnvelopeEchoesTheIdAndNamesTheCode) {
+  Service service({.workers = 1});
+  const JsonValue error = contract::expect_serve_error(
+      service.handle_line(R"({"id":1,"method":"no-such-method"})"));
+  EXPECT_EQ(at(error, "id").serialize(), "1");
+  EXPECT_EQ(at(at(error, "error"), "code").serialize(), "404");
+  EXPECT_EQ(at(at(error, "error"), "name").as_string(), "unknown_method");
 }
 
 // -------------------------------------------------- client response parse

@@ -64,6 +64,11 @@ void check_cell(const KernelDesc& kernel) {
       certify_mapping(kernel, result.mapping);
   EXPECT_EQ(audited.bound, result.certificate.bound);
   EXPECT_EQ(audited.kind, result.certificate.kind);
+  // The all-zero member is RAW, so its audit reproduces the RAW baseline
+  // the search quotes.
+  const SynthMapping raw{kernel.width, RowTransform::kRotate,
+                         {std::vector<std::uint32_t>(kernel.width, 0)}};
+  EXPECT_EQ(certify_mapping(kernel, raw).bound, result.baseline_bound);
 
   // The spec round-trips, so serve/replay consumers reconstruct the
   // exact same mapping the certificate talks about.

@@ -6,7 +6,7 @@
 // The chrome-trace and registry tests are golden-schema round-trips: they
 // pin the keys and the structural invariants (balanced containers, one
 // event per dispatch, warp/slot/completion numbers of the Figure 3 worked
-// example) that tools/check_metrics_schema.sh and external consumers
+// example) that the contract suites (contract.hpp) and external consumers
 // (Perfetto, the results/metrics/ drop) rely on.
 
 #include <gtest/gtest.h>

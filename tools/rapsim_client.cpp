@@ -18,7 +18,8 @@
 //
 // Shared flags: --socket=PATH (default rapsim-served.sock) or
 // --tcp-port=N; --deadline-ms=N; --id=STRING; --verbose (print the full
-// response envelope instead of just the result body).
+// response envelope instead of just the result body). Any flag the usage
+// text does not list is a usage error.
 //
 // --addresses uses ';' between warps and ',' within one:  "0,1,2;32,33".
 //
@@ -150,7 +151,11 @@ int usage() {
          "               synthesize (-> advise.synthesize)\n"
          "               raw '<request json>'\n"
          "  transport:   --socket=PATH | --tcp-port=N [--tcp-host=H]\n"
-         "  envelope:    --deadline-ms=N --id=STRING --verbose\n";
+         "  envelope:    --deadline-ms=N --id=STRING --verbose\n"
+         "  params:      --addresses=LIST --memory=N --rows=N --file=PATH\n"
+         "               --trace=PATH --scheme=S --width=W --seed=N\n"
+         "               --latency=L --map=SPEC --certify --draws=N\n"
+         "               --digits=N\n";
   return 2;
 }
 
@@ -171,6 +176,10 @@ int main(int argc, char** argv) {
   }
 
   try {
+    args.reject_unknown({"socket", "tcp-port", "tcp-host", "deadline-ms",
+                         "id", "verbose", "addresses", "memory", "rows",
+                         "file", "trace", "scheme", "width", "seed",
+                         "latency", "map", "certify", "draws", "digits"});
     serve::Client client(endpoint);
 
     if (method == "raw") {

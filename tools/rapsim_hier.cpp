@@ -19,11 +19,12 @@
 // the plain Dmm bit for bit). With the path on, the cache geometry is
 // PathParams::defaults() unless overridden by --line-words, --l1-lines,
 // --l1-latency, --l2-lines, --l2-latency, --l2-service, --dram-latency,
-// --dram-service and --mshrs.
+// --dram-service and --mshrs. --latency sets the shared-memory latency
+// and --seed the scheme's map draw. Any other flag is a usage error.
 //
 // --format=json emits one machine-readable document on stdout
-// (schema_version 1, validated by tools/check_hier_schema.sh); the
-// default is a short human-readable summary.
+// (schema_version 1, checked by the HierSchema suite of
+// tests/contract_test.cpp); the default is a short human-readable summary.
 
 #include <cstdio>
 #include <exception>
@@ -186,6 +187,12 @@ void write_ascii(const std::string& workload, core::Scheme scheme,
 
 int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
+  args.reject_unknown({"workload", "program", "width", "sms", "scheduler",
+                       "scheme", "seed", "latency", "format", "path",
+                       "line-words", "l1-lines", "l1-latency", "l2-lines",
+                       "l2-latency", "l2-service", "dram-latency",
+                       "dram-service", "mshrs", "list-workloads",
+                       "list-schedulers"});
   const std::uint32_t width =
       static_cast<std::uint32_t>(args.get_uint("width", 32));
 

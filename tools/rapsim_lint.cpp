@@ -20,7 +20,9 @@
 // permute-shift mapping provably beats the site's bound, and the full
 // SynthesisResult (mapping spec, certificate, optimality witness) is
 // attached to each report ("synthesis" block in JSON). --synth-draws and
-// --synth-seed tune the random corner of the search.
+// --synth-seed tune the random corner of the search. --races=false skips
+// the race verifier; --out=PATH writes the report there instead of stdout.
+// Any other flag is a usage error.
 //
 // Exit status: 0 when no diagnostic reaches --fail-on (error|warning|
 // never; default error), 1 otherwise, 2 on usage errors.
@@ -65,6 +67,10 @@ std::string read_file(const std::string& path) {
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   try {
+    args.reject_unknown({"width", "scheme", "fail-on", "list", "list-kernels",
+                         "list-workloads", "kernel", "file", "program",
+                         "format", "out", "synthesize", "synth-draws",
+                         "synth-seed", "races"});
     const auto width =
         static_cast<std::uint32_t>(args.get_uint("width", 32));
     const core::Scheme scheme =

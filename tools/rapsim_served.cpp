@@ -22,6 +22,7 @@
 //                        chrome://tracing document here on drain
 //                        (default "" = tracing off)
 //   --max-connections=N  concurrent connection cap (default 256)
+// Any other flag is a usage error.
 //
 // Startup prints one machine-readable line on stdout:
 //   rapsim-served listening on unix:/tmp/rapsim.sock
@@ -70,6 +71,9 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_uint("max-connections", 256));
 
   try {
+    args.reject_unknown({"socket", "tcp", "tcp-port", "workers",
+                         "queue-depth", "cache-capacity", "cache-shards",
+                         "metrics-out", "trace-out", "max-connections"});
     serve::Server server(std::move(config));
     std::printf("rapsim-served listening on %s\n",
                 server.endpoint().describe().c_str());

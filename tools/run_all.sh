@@ -9,7 +9,7 @@
 # bench_output.txt, the names EXPERIMENTS.md references).
 #
 # Machine-readable telemetry lands under results/metrics/: the Table II
-# congestion JSON (stable schema, validated by check_metrics_schema.sh),
+# congestion JSON (stable schema, checked by the metrics_schema ctest),
 # the Figure 3 chrome://tracing timeline (open in ui.perfetto.dev), and a
 # rapsim_profile document per transpose algorithm — see "Observability"
 # in README.md. Performance is measured by rapbench (BENCHMARK.json);
@@ -53,22 +53,17 @@ for workload in transpose-crsw transpose-srcw transpose-drdw; do
   "$BUILD_DIR"/examples/rapsim_profile --workload="$workload" --format=json \
     > "results/metrics/profile_${workload}.json"
 done
-tools/check_metrics_schema.sh "$BUILD_DIR"/bench/table2_congestion_sim
 
 echo "=== demo replay campaign -> results/replay/ ==="
 REPLAY="$BUILD_DIR/tools/rapsim-replay"
 "$REPLAY" campaign examples/contiguous_stride.trace \
           examples/same_bank_adversary.trace \
           --schemes=raw,ras,rap,pad --trials=8 --results=results/replay
-tools/check_replay_schema.sh "$REPLAY" \
-  examples/contiguous_stride.trace examples/same_bank_adversary.trace
 
 echo "=== serve daemon drill -> results/serve/ ==="
 mkdir -p results/serve
 tools/serve_smoke.sh "$BUILD_DIR"/tools/rapsim-served \
                      "$BUILD_DIR"/tools/rapsim-client
-tools/check_serve_schema.sh "$BUILD_DIR"/tools/rapsim-served \
-                            "$BUILD_DIR"/tools/rapsim-client || [ $? -eq 77 ]
 # One short-lived daemon run whose drained metrics + span trace land in
 # the results drop (the bench's stdout is already captured as
 # results/ext_serve_throughput.txt by the loop above). Open the trace in
@@ -135,7 +130,6 @@ done
 "$HIER" --program=examples/shearsort.rvm --width=16 --sms=2 \
   --scheduler=gto --scheme=rap --format=json \
   > results/hier/shearsort_example.json
-tools/check_hier_schema.sh "$BUILD_DIR"/tools/rapsim-hier || [ $? -eq 77 ]
 # HMM cost counters for the tiled-transpose cells (same registry schema).
 "$BUILD_DIR"/bench/ext_tiled_transpose --seeds=2 \
   --metrics-out=results/metrics/hmm_tiled_transpose.json > /dev/null
@@ -147,7 +141,6 @@ LINT="$BUILD_DIR/tools/rapsim-lint"
   "$LINT" --kernel="$kernel" --format=json --fail-on=never \
     --out="results/analysis/lint_${kernel}.json"
 done
-tools/check_lint_schema.sh "$LINT"
 
 echo "=== layout synthesis -> results/analysis/ ==="
 # Full search per catalog kernel: the JSON report gains a "synthesis"
