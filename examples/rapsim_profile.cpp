@@ -23,7 +23,8 @@
 // --chrome-trace writes the LAST scheme's dispatch timeline in Trace
 // Event Format for ui.perfetto.dev. --format=json emits a single
 // document with the summary, the bank profile, and the full
-// MetricsRegistry dump. Any other flag is a usage error.
+// MetricsRegistry dump. Any other flag, or any positional argument, is a
+// usage error.
 
 #include <cstdio>
 #include <fstream>
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
   try {
     args.reject_unknown({"workload", "schemes", "width", "latency", "seed",
                          "format", "chrome-trace"});
+    args.reject_positional();
     const auto schemes =
         parse_schemes(args.get_string("schemes", "raw,ras,rap"));
     const workloads::Workload entry =

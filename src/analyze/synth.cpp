@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <memory_resource>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/permutation.hpp"
@@ -25,6 +23,10 @@ namespace {
 // of passes.hpp's kEnumerationCap — the search amortizes one closure
 // over hundreds of candidate evaluations, so it can afford more).
 constexpr std::uint64_t kSynthEnumCap = 1u << 16;
+
+// Largest class cap a closure honours: a sweep's key index is sized from
+// it, and no closure could hold this many classes anyway.
+constexpr std::uint64_t kMaxClassCap = std::uint64_t{1} << 48;
 
 // Most column-uniform groups a site's bitmap tracks: a flat site's w^D at
 // w = 64, D = 3. Only a kRowCol site with a larger row_mod exceeds it,
@@ -153,13 +155,49 @@ std::uint64_t hash_words(std::span<const PackedEntry> words) {
   return h ^ (h >> 32);
 }
 
+/// The set of residue keys one DP sweep has reached: open addressing
+/// with linear probing over a table sized from the sweep's bound on the
+/// keys it can reach, never from the key range (a wrapped site's row_mod
+/// is unbounded).
+class KeyIndex {
+ public:
+  /// Empties the index and sizes it for up to `bound` keys at load 1/2.
+  void reset(std::uint64_t bound) {
+    const std::uint64_t slots =
+        std::bit_ceil(std::max<std::uint64_t>(2 * bound, 16));
+    shift_ = 64 - std::countr_zero(slots);
+    slots_.assign(slots, kEmpty);
+  }
+
+  /// Adds `key`; true when it was not there yet.
+  bool insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    // One splitmix64 round: keys on a stride (multiples of w^k) cluster
+    // under a bare multiplicative hash.
+    const std::uint64_t mixed = (key ^ (key >> 31)) * 0xbf58476d1ce4e5b9ull;
+    for (std::size_t i = mixed >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  // Keys are below ma * mb, which fits 64 bits, so never all ones.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> slots_;
+  int shift_ = 0;  // 64 - log2(slots)
+};
+
 class ClosureBuilder {
  public:
   ClosureBuilder(const KernelDesc& kernel, std::uint32_t digits,
                  std::uint64_t class_cap)
       : kernel_(kernel),
         digits_(digits),
-        class_cap_(class_cap),
+        class_cap_(std::min(class_cap, kMaxClassCap)),
         pack_(kernel.width, digits) {
     closure_.width = kernel.width;
     closure_.digits = digits;
@@ -183,12 +221,6 @@ class ClosureBuilder {
   }
 
  private:
-  /// Class key -> row of its witness binding in a flat binding arena.
-  /// Nodes come from a pool that recycles one sweep's map into the next.
-  /// The iteration order, which fixes the stored classes' order and
-  /// witnesses, depends only on the insertions, not on the allocator.
-  using StateMap = std::pmr::unordered_map<std::uint64_t, std::size_t>;
-
   /// Close the site's class keys over all bindings by a sparse sumset DP
   /// and record one representative binding per class. The key is
   ///   kFlat:   flat value mod w^(digits+1)
@@ -198,81 +230,35 @@ class ClosureBuilder {
   /// identical (col, key-digit) entries AND an identical within-warp
   /// address-equality pattern (lane differences are binding-independent),
   /// so they are congestion-equivalent under every family member.
+  ///
+  /// Each loop variable with a nonzero step is one flat sweep: every
+  /// state of the sweep before, in discovery order, walks its orbit and
+  /// appends the keys not yet reached. A state records only where it came
+  /// from (its parent and the variable's value), so its witness binding
+  /// is read back through the sweeps when it is reduced. The states of
+  /// the last sweep are the classes: it reduces them as it finds them
+  /// and keeps none.
   void add_affine_site(std::size_t site_index, const AccessSite& site) {
     const std::uint64_t w = kernel_.width;
     std::uint64_t period_pow = w;  // w^digits
     for (std::uint32_t d = 1; d < digits_; ++d) period_pow *= w;
 
-    std::uint64_t ma = 0;  // modulus of the first key component
-    std::uint64_t mb = 1;  // modulus of the second (rowcol col)
-    std::int64_t base_a = 0;
-    std::int64_t base_b = 0;
-    std::vector<std::int64_t> coeff_a(kernel_.vars.size(), 0);
-    std::vector<std::int64_t> coeff_b(kernel_.vars.size(), 0);
-    if (site.form == IndexForm::kFlat) {
-      ma = period_pow * w;  // w^(digits+1)
-      base_a = site.flat.base;
-      for (std::size_t v = 0; v < kernel_.vars.size(); ++v) {
-        coeff_a[v] = site.flat.coeff(v);
-      }
-    } else {
-      ma = site.row_mod != 0 ? site.row_mod : period_pow;
-      mb = w;
-      base_a = site.row.base;
-      base_b = site.col.base;
-      for (std::size_t v = 0; v < kernel_.vars.size(); ++v) {
-        coeff_a[v] = site.row.coeff(v);
-        coeff_b[v] = site.col.coeff(v);
-      }
+    // state key = (a mod ma) * mb + (b mod mb): a is the flat value or
+    // the row, b the column (kRowCol only).
+    const bool flat = site.form == IndexForm::kFlat;
+    const AffineExpr& a = flat ? site.flat : site.row;
+    const std::uint64_t ma = flat ? period_pow * w  // w^(digits+1)
+                                  : (site.row_mod != 0 ? site.row_mod
+                                                       : period_pow);
+    const std::uint64_t mb = flat ? 1 : w;
+    const auto step_a = [&](std::size_t v) { return mod_pos(a.coeff(v), ma); };
+    const auto step_b = [&](std::size_t v) {
+      return flat ? 0 : mod_pos(site.col.coeff(v), mb);
+    };
+    std::size_t last_var = kernel_.vars.size();  // the last sweep's
+    for (std::size_t v = 0; v < kernel_.vars.size(); ++v) {
+      if (step_a(v) != 0 || step_b(v) != 0) last_var = v;
     }
-
-    // state key = (a mod ma) * mb + (b mod mb)
-    const std::size_t vars = kernel_.vars.size();
-    StateMap states(&pool_);
-    states.reserve(256);
-    states.emplace(mod_pos(base_a, ma) * mb + mod_pos(base_b, mb), 0);
-    std::vector<std::uint64_t> bindings(vars, 0);
-    std::vector<std::uint64_t> next_bindings;
-    bool truncated = false;
-    for (std::size_t v = 0; v < vars && !truncated; ++v) {
-      const std::uint64_t ca = mod_pos(coeff_a[v], ma);
-      const std::uint64_t cb = mod_pos(coeff_b[v], mb);
-      if (ca == 0 && cb == 0) continue;
-      // Orbit length of (ca, cb) in Z_ma x Z_mb.
-      const std::uint64_t la = ca == 0 ? 1 : ma / std::gcd(ca, ma);
-      const std::uint64_t lb = cb == 0 ? 1 : mb / std::gcd(cb, mb);
-      const std::uint64_t steps = std::min<std::uint64_t>(
-          kernel_.vars[v].count, std::min(std::lcm(la, lb), ma * mb));
-      StateMap next(&pool_);
-      next.reserve(states.size() * static_cast<std::size_t>(
-                                       std::min<std::uint64_t>(steps, 64)));
-      next_bindings.clear();
-      for (const auto& [key, row] : states) {
-        std::uint64_t ra = key / mb;
-        std::uint64_t rb = key % mb;
-        for (std::uint64_t i = 0; i < steps; ++i) {
-          const std::uint64_t k = ra * mb + rb;
-          if (next.find(k) == next.end()) {
-            next.emplace(k, next.size());
-            const auto from = bindings.begin() +
-                              static_cast<std::ptrdiff_t>(row * vars);
-            next_bindings.insert(next_bindings.end(), from,
-                                 from + static_cast<std::ptrdiff_t>(vars));
-            next_bindings[next_bindings.size() - vars + v] = i;
-            if (next.size() > class_cap_) {
-              truncated = true;
-              break;
-            }
-          }
-          ra = (ra + ca) % ma;
-          rb = (rb + cb) % mb;
-        }
-        if (truncated) break;
-      }
-      states = std::move(next);
-      bindings.swap(next_bindings);
-    }
-    if (truncated) closure_.coverage = Coverage::kSampled;
 
     // Every state is a class, but only the first state of each
     // lane-uniform group (header: THE ORACLE) is reduced; the rest would
@@ -284,20 +270,18 @@ class ClosureBuilder {
     //   column-uniform (c = 0 mod w; kRowCol: the column's step): the
     //     digits depend only on key / w (kRowCol: the row part), so the
     //     entries differ by one uniform column — group w + key / w.
-    closure_.classes_seen += states.size();
     const std::uint64_t lanes = site.lanes == 0 ? w : site.lanes;
     const std::uint64_t lane_step =
-        site.form == IndexForm::kFlat ? mod_pos(site.flat.lane_coeff, ma)
-                                      : mod_pos(site.col.lane_coeff, w);
+        flat ? mod_pos(site.flat.lane_coeff, ma)
+             : mod_pos(site.col.lane_coeff, w);
     const std::uint64_t carry_span = lane_step * (lanes - 1);
-    const std::uint64_t uniform_groups =
-        site.form == IndexForm::kFlat ? ma / w : ma;
+    const std::uint64_t uniform_groups = flat ? ma / w : ma;
     const bool column_uniform =
         lane_step % w == 0 && uniform_groups <= kMaxUniformGroups;
     groups_.assign((w + (column_uniform ? uniform_groups : 0) + 63) / 64, 0);
     const auto first_of_group = [&](std::uint64_t key) {
       std::uint64_t group = 0;
-      if (site.form == IndexForm::kFlat && key % w + carry_span < w) {
+      if (flat && key % w + carry_span < w) {
         group = key % w;
       } else if (column_uniform) {
         group = w + key / w;
@@ -310,12 +294,88 @@ class ClosureBuilder {
       word |= bit;
       return first;
     };
-    for (const auto& [key, row] : states) {
-      if (!first_of_group(key)) continue;
-      const std::span<const std::uint64_t> binding(
-          bindings.data() + row * vars, vars);
-      materialize_site(kernel_, site, binding, trace_);
-      ingest_trace(site_index, site, trace_, binding);
+    // Counts the class with key `key` whose origin is origins_[at], and
+    // reduces it when it is the first of its group.
+    const auto reduce = [&](std::uint64_t key, std::size_t at) {
+      ++closure_.classes_seen;
+      if (!first_of_group(key)) return;
+      // Walk back through the sweeps; variables no sweep moved stay 0.
+      binding_.assign(kernel_.vars.size(), 0);
+      for (auto v = sweep_vars_.rbegin(); v != sweep_vars_.rend(); ++v) {
+        binding_[*v] = origins_[at].value;
+        at = origins_[at].parent;
+      }
+      materialize_site(kernel_, site, binding_, trace_);
+      ingest_trace(site_index, site, trace_, binding_);
+    };
+
+    keys_.assign(1, mod_pos(a.base, ma) * mb + mod_pos(site.col.base, mb));
+    origins_.assign(1, {});
+    sweep_vars_.clear();
+    std::size_t sweep_begin = 0;  // origins_ index of keys_[0]
+    bool truncated = false;
+    bool reduced = false;  // by the last sweep, as it found them
+    for (std::size_t v = 0; v < kernel_.vars.size() && !truncated; ++v) {
+      const std::uint64_t ca = step_a(v);
+      const std::uint64_t cb = step_b(v);
+      if (ca == 0 && cb == 0) continue;
+      // Orbit length of (ca, cb) in Z_ma x Z_mb.
+      const std::uint64_t la = ca == 0 ? 1 : ma / std::gcd(ca, ma);
+      const std::uint64_t lb = cb == 0 ? 1 : mb / std::gcd(cb, mb);
+      const std::uint64_t steps = std::min<std::uint64_t>(
+          kernel_.vars[v].count, std::min(std::lcm(la, lb), ma * mb));
+      // The sweep finds min(states x steps, class_cap + 1) keys at most
+      // (one past the cap marks the truncation), whatever the key range.
+      const std::uint64_t bound = keys_.size() > class_cap_ / steps
+                                      ? class_cap_ + 1
+                                      : keys_.size() * steps;
+      reached_.reset(bound);
+      reduced = v == last_var;
+      sweep_vars_.push_back(v);
+      // Reserving the bound up front spares the regrowth copies; pages
+      // past what the sweep reaches are never touched.
+      next_keys_.clear();
+      const std::size_t next_begin = origins_.size();
+      if (!reduced) {
+        next_keys_.reserve(bound);
+        origins_.reserve(next_begin + bound);
+      }
+      std::uint64_t found = 0;
+      for (std::size_t s = 0; s < keys_.size() && !truncated; ++s) {
+        std::uint64_t ra = keys_[s] / mb;
+        std::uint64_t rb = keys_[s] % mb;
+        for (std::uint64_t i = 0; i < steps; ++i) {
+          const std::uint64_t k = ra * mb + rb;
+          if (reached_.insert(k)) {
+            origins_.push_back({sweep_begin + s, i});
+            if (reduced) {  // read once for the binding, then dropped
+              reduce(k, next_begin);
+              origins_.pop_back();
+            } else {
+              next_keys_.push_back(k);
+            }
+            if (++found > class_cap_) {
+              truncated = true;
+              break;
+            }
+          }
+          // ra, ca < ma and rb, cb < mb: one subtraction reduces.
+          ra += ca;
+          if (ra >= ma) ra -= ma;
+          rb += cb;
+          if (rb >= mb) rb -= mb;
+        }
+      }
+      keys_.swap(next_keys_);
+      sweep_begin = next_begin;
+    }
+    if (truncated) closure_.coverage = Coverage::kSampled;
+    if (!reduced) {
+      // No variable moves the key, or a sweep before the last truncated:
+      // the states kept last are the classes.
+      for (std::size_t s = 0; s < keys_.size(); ++s) {
+        reduce(keys_[s], sweep_begin + s);
+      }
     }
   }
 
@@ -442,7 +502,7 @@ class ClosureBuilder {
       }
       return;
     }
-    dedupe_.emplace(hash, closure_.classes.size());
+    index_class(hash, closure_.classes.size());
     norm_arena_.insert(norm_arena_.end(), norm_.begin(), norm_.end());
     norm_bounds_.push_back(norm_arena_.size());
     StoredClass cls;
@@ -478,9 +538,11 @@ class ClosureBuilder {
   /// The stored class whose normal forms equal norm_, if any.
   [[nodiscard]] std::optional<std::size_t> find_class(
       std::uint64_t hash) const {
-    const auto [first, last] = dedupe_.equal_range(hash);
-    for (auto it = first; it != last; ++it) {
-      const std::size_t c = it->second;
+    const std::size_t mask = dedupe_.size() - 1;
+    for (std::size_t i = hash & mask; !dedupe_.empty(); i = (i + 1) & mask) {
+      const auto [slot_hash, c] = dedupe_[i];
+      if (c == kNoClass) break;
+      if (slot_hash != hash) continue;
       const auto begin = norm_arena_.begin() +
                          static_cast<std::ptrdiff_t>(norm_bounds_[c]);
       const auto end = norm_arena_.begin() +
@@ -490,12 +552,51 @@ class ClosureBuilder {
     return std::nullopt;
   }
 
+  /// Indexes stored class `c` by its hash, doubling the table before it
+  /// passes half load.
+  void index_class(std::uint64_t hash, std::size_t c) {
+    if (2 * (c + 1) > dedupe_.size()) {
+      std::vector<std::pair<std::uint64_t, std::size_t>> old(
+          std::max<std::size_t>(16, 2 * dedupe_.size()), {0, kNoClass});
+      old.swap(dedupe_);
+      for (const auto& [old_hash, old_c] : old) {
+        if (old_c != kNoClass) place_class(old_hash, old_c);
+      }
+    }
+    place_class(hash, c);
+  }
+
+  void place_class(std::uint64_t hash, std::size_t c) {
+    const std::size_t mask = dedupe_.size() - 1;
+    std::size_t i = hash & mask;
+    while (dedupe_[i].second != kNoClass) i = (i + 1) & mask;
+    dedupe_[i] = {hash, c};
+  }
+
+  static constexpr std::size_t kNoClass = ~std::size_t{0};
+
   const KernelDesc& kernel_;
   std::uint32_t digits_;
   std::uint64_t class_cap_;
   EntryPacker pack_;
   Closure closure_;
-  std::pmr::unsynchronized_pool_resource pool_;
+  /// Where a DP state came from: a state of the sweep before (an index
+  /// into origins_) and the swept variable's value.
+  struct Origin {
+    std::size_t parent = 0;
+    std::uint64_t value = 0;
+  };
+
+  // Residue DP state, reused across sweeps and sites: the last sweep's
+  // keys in discovery order, the next sweep's, the keys it has reached,
+  // every sweep's origins end to end (the initial state first), and the
+  // variable each sweep moved.
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> next_keys_;
+  KeyIndex reached_;
+  std::vector<Origin> origins_;
+  std::vector<std::size_t> sweep_vars_;
+  std::vector<std::uint64_t> binding_;  // a reduced state's binding
   // Per-class scratch, reused across ingest_trace calls.
   std::vector<std::int64_t> trace_;
   std::vector<std::uint64_t> addrs_;
@@ -504,8 +605,8 @@ class ClosureBuilder {
   std::vector<std::uint64_t> groups_;  // lane-uniform groups already seen
   // Normal-form dedupe: the stored classes' forms laid end to end in one
   // arena, class c's at [norm_bounds_[c], norm_bounds_[c + 1]), indexed
-  // by hash.
-  std::unordered_multimap<std::uint64_t, std::size_t> dedupe_;
+  // by hash in an open-addressing table of (hash, class) slots.
+  std::vector<std::pair<std::uint64_t, std::size_t>> dedupe_;
   std::vector<PackedEntry> norm_arena_;
   std::vector<std::size_t> norm_bounds_{0};
 };
@@ -904,9 +1005,7 @@ void check_synthesizable(const KernelDesc& kernel, bool out_of_bounds) {
 
 SynthesisResult synthesize_mapping(const KernelDesc& kernel,
                                    const SynthesisOptions& options) {
-  // The RAW analysis decides the bounds and quotes the baseline.
-  const KernelAnalysis baseline = analyze_kernel(kernel, core::Scheme::kRaw);
-  check_synthesizable(kernel, baseline.any_out_of_bounds);
+  check_synthesizable(kernel, any_out_of_bounds(kernel));
 
   const std::uint32_t digits =
       digits_for_rows(kernel.rows, kernel.width, options.max_digits);
@@ -922,7 +1021,11 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
   std::vector<SynthMapping> candidates =
       generate_candidates(kernel.width, digits, options);
 
-  SynthMapping best = candidates.front();  // RAW: always present
+  // RAW (always present, always first) evaluated in full over the
+  // closure is the baseline; the search reuses the outcome.
+  const Evaluator::Outcome raw = evaluator.evaluate(
+      candidates.front(), std::numeric_limits<double>::infinity());
+  SynthMapping best = candidates.front();
   double best_bound = std::numeric_limits<double>::infinity();
   std::uint64_t evaluated = 0;
   std::uint64_t pruned = 0;
@@ -946,7 +1049,9 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
     }
     if (poll_cancel()) break;
     const Evaluator::Outcome outcome =
-        evaluator.evaluate(candidate, best_bound);
+        &candidate == &candidates.front()
+            ? raw  // best_bound is still infinite
+            : evaluator.evaluate(candidate, best_bound);
     if (outcome.completed) {
       ++evaluated;
       if (outcome.bound < best_bound) {
@@ -1021,7 +1126,7 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
   result.classes = closure.classes_seen;
   result.traces_reduced = closure.traces_reduced;
   result.candidates = evaluated + pruned;
-  result.baseline_bound = baseline.worst.bound;
+  result.baseline_bound = raw.bound;
   result.certificate =
       make_certificate(best, closure, bound, closure.classes_seen);
   result.site_bounds = evaluator.site_bounds(best, kernel.sites.size());

@@ -33,17 +33,34 @@
 // candidate is scored by direct evaluation of every constraint. The
 // winner's full evaluation IS its certificate.
 //
+// The DP is one flat sweep per loop variable: the states found so far,
+// in discovery order, each walk their orbit, and a key not reached yet
+// becomes a new state. Reached keys live in an open-addressing index
+// sized from what the sweep can reach (states x steps, at most one past
+// the class cap), never from the key range, which a wrapped site's
+// row_mod leaves unbounded. Discovery order is the closure's order: it
+// decides which binding witnesses a class and so, among tied classes or
+// tied candidates, the witness and the winner.
+//
 // Affine classes fall into lane-uniform groups whose members reduce to
 // the same constraint up to one uniform column shift, which both normal
 // forms remove: a flat site whose lanes never carry out of lane 0's
 // column (the key digits are all equal, the class a constant), or a site
 // whose lane step is 0 mod w (every lane in lane 0's column, the digits
 // a function of the row part of the key alone). Only the first class of
-// each group, in DP order, is materialized and reduced; it is also the
-// first to reach every stored class, floor and witness binding, so the
-// closure is byte for byte the one reducing every class would build.
+// each group, in discovery order, is materialized and reduced; it is also
+// the first to reach every stored class, floor and witness binding, so
+// the closure is byte for byte the one reducing every class would build.
 // `classes` still counts every class (it is the residue count the
 // certificate quotes); SynthesisResult::traces_reduced counts the work.
+//
+// THE BASELINE. The all-zero member is RAW, and the search evaluates it
+// first, in full, over its own closure: that value is baseline_bound,
+// with no second prover. Over an exact closure it equals
+// analyze_kernel(kernel, kRaw)'s bound (tests/synth_differential_test.cpp
+// and SynthProperty check both); over a sampled one it is RAW on the same
+// sample the certificate covers, so certificate.bound <= baseline_bound
+// holds by construction.
 //
 // THE WITNESS. Three lower bounds make optimality machine-checkable:
 //   * congestion >= 1 always ("bound-one");
@@ -162,7 +179,8 @@ struct SynthesisOptions {
   std::uint64_t greedy_passes = 64;
   std::uint64_t seed = 1;
   /// Stored constraint-class budget; past it coverage degrades to a
-  /// deterministic sample and the witness to best-effort.
+  /// deterministic sample and the witness to best-effort. Values above
+  /// 2^48 act as 2^48.
   std::uint64_t class_cap = kDefaultClassCap;
   /// Candidate-evaluation budget (evaluated + pruned).
   std::uint64_t candidate_budget = 1u << 20;
@@ -195,15 +213,22 @@ struct SynthesisResult {
   std::size_t witness_site = 0;
   std::vector<std::pair<std::string, std::uint64_t>> witness_binding;
   std::vector<std::uint64_t> witness_trace;
-  /// The kernel's worst-warp bound under RAW, for quoting improvement.
+  /// The kernel's worst-warp bound under RAW, for quoting improvement:
+  /// the all-zero member evaluated over the certificate's own closure
+  /// (header: THE BASELINE). Exact when the coverage is; with sampled
+  /// coverage it is RAW over the same sample, at most the RAW bound over
+  /// every binding.
   double baseline_bound = 0.0;
 
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Search the family for the kernel. Throws std::invalid_argument on an
-/// invalid kernel or one with out-of-bounds accesses (fix those first —
-/// remapping cannot repair an OOB index).
+/// Search the family for the kernel: build the class closure once, score
+/// RAW (the baseline) and every generated candidate over it, and certify
+/// the winner. Throws std::invalid_argument on an invalid kernel (with
+/// analyze_kernel's text: the bounds check is any_out_of_bounds) or one
+/// with out-of-bounds accesses (fix those first — remapping cannot
+/// repair an OOB index).
 [[nodiscard]] SynthesisResult synthesize_mapping(
     const KernelDesc& kernel, const SynthesisOptions& options = {});
 

@@ -7,7 +7,9 @@
 
 namespace rapsim::util {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 std::initializer_list<std::string_view> booleans)
+    : booleans_(booleans.begin(), booleans.end()) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -18,7 +20,10 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0 &&
+               std::find(booleans_.begin(), booleans_.end(), arg) ==
+                   booleans_.end()) {
       flags_[arg] = argv[++i];
     } else {
       flags_[arg] = "true";
@@ -63,9 +68,17 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
 void CliArgs::reject_unknown(
     std::initializer_list<std::string_view> known) const {
   for (const auto& [name, value] : flags_) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
+    if (std::find(known.begin(), known.end(), name) == known.end() &&
+        std::find(booleans_.begin(), booleans_.end(), name) ==
+            booleans_.end()) {
       throw std::invalid_argument("unknown flag --" + name);
     }
+  }
+}
+
+void CliArgs::reject_positional() const {
+  if (!positional_.empty()) {
+    throw std::invalid_argument("unexpected argument " + positional_.front());
   }
 }
 

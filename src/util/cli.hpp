@@ -2,12 +2,16 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--flag` forms.
 // Every bench binary shares the same conventions (--seed, --trials,
-// --width, ...). Flags are stored by name. The rapsim-* tools and
-// rapsim_profile call reject_unknown() with the flags their usage text
-// documents, so a misspelt flag fails instead of falling back to its
-// default. The bench binaries do not: they read the flags they know and
-// ignore the rest, because CI's bench smoke loop passes one flag set
-// (--trials/--seeds) to every bench.
+// --width, ...). Flags are stored by name. A flag written without `=`
+// takes the next argument as its value unless the binary declared it
+// boolean, so `replay --certify trace.rapt` keeps trace.rapt positional
+// only when `certify` is declared. The rapsim-* tools and rapsim_profile
+// declare their boolean flags and call reject_unknown() with the value
+// flags their usage text documents (and reject_positional() when they
+// take no positional argument), so a misspelt flag fails instead of
+// falling back to its default. The bench binaries do not: they read the
+// flags they know and ignore the rest, because CI's bench smoke loop
+// passes one flag set (--trials/--seeds) to every bench.
 
 #pragma once
 
@@ -25,7 +29,10 @@ namespace rapsim::util {
 
 class CliArgs {
  public:
-  CliArgs(int argc, const char* const* argv);
+  /// `booleans` names the flags that never take the next argument as
+  /// their value (`--name=value` still sets one).
+  CliArgs(int argc, const char* const* argv,
+          std::initializer_list<std::string_view> booleans = {});
 
   /// Value of --name, if present (boolean flags yield "true").
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
@@ -41,8 +48,15 @@ class CliArgs {
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Throws std::invalid_argument("unknown flag --NAME") for the first
-  /// flag (in name order) that `known` does not list.
+  /// flag (in name order) that neither `known` nor the declared booleans
+  /// list.
   void reject_unknown(std::initializer_list<std::string_view> known) const;
+
+  /// Throws std::invalid_argument("unexpected argument ARG") for the
+  /// first positional argument, in a binary that takes none: a stray
+  /// word such as the `false` of `--races false` fails instead of being
+  /// dropped.
+  void reject_positional() const;
 
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -65,6 +79,7 @@ class CliArgs {
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  std::vector<std::string> booleans_;
 };
 
 }  // namespace rapsim::util

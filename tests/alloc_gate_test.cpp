@@ -362,8 +362,10 @@ TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
   // the search and once, independently, by the audit. Before the
   // allocation-free ingest: 557,470 allocations for the 2 x 32,768
   // classes seen (8.5 per class). Now the ingest allocates only for the
-  // classes it stores, and only one trace per lane-uniform group is
-  // reduced: 14,642 allocations, 0.22 per class seen in all.
+  // classes it stores, only one trace per lane-uniform group is reduced,
+  // and the residue DP and the class dedupe index flat vectors instead
+  // of node-based hash maps: 8,390 allocations, 0.128 per class seen (a
+  // node map per DP sweep and a RAW prover pass took it to 14,642).
   const analyze::KernelDesc kernel =
       tools::builtin_kernel("tensor4d-stride3", 32);
   analyze::SynthesisResult result;
@@ -374,7 +376,7 @@ TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
   ASSERT_EQ(result.classes, 32768u);
   const double per_class =
       static_cast<double>(allocs) / static_cast<double>(2 * result.classes);
-  EXPECT_LT(per_class, 1.0)
+  EXPECT_LT(per_class, 0.14)
       << allocs << " allocations; before the allocation-free ingest: 557,470";
 }
 
@@ -400,6 +402,57 @@ TEST(AllocGate, SynthesisClosureReducesOneTracePerLaneUniformGroup) {
   }
   EXPECT_EQ(classes, 141753u);
   EXPECT_LE(traces, 4569u);
+}
+
+TEST(AllocGate, SynthesisCatalogPassAllocations) {
+  // One w = 32 catalog pass, each kernel searched and then audited: the
+  // unit of the synth-catalog benchmark. 107,015 allocations while the
+  // search ran the RAW prover for its baseline and its residue DP and
+  // class dedupe were node-based hash maps; 45,679 with libstdc++ 12
+  // since.
+  const std::vector<analyze::KernelDesc> catalog = tools::builtin_kernels(32);
+  const std::uint64_t allocs = allocations_during([&] {
+    for (const analyze::KernelDesc& kernel : catalog) {
+      const analyze::SynthesisResult result =
+          analyze::synthesize_mapping(kernel);
+      (void)analyze::certify_mapping(kernel, result.mapping);
+    }
+  });
+  EXPECT_LT(allocs, 46000u);
+}
+
+TEST(AllocGate, WrappedSiteKeyIndexFollowsTheReachedStates) {
+  // A wrapped row/col site over 2^40 + 3 rows: its residue keys span
+  // row_mod * w = 2^45 + 96 values, but the 64 x 48 bindings reach at
+  // most 3,072 of them. The DP's key index is sized from the states a
+  // sweep can reach, so the bytes follow the states, not the key range.
+  analyze::KernelDesc kernel;
+  kernel.name = "wrapped-2^40";
+  kernel.width = 32;
+  kernel.rows = (std::uint64_t{1} << 40) + 3;
+  kernel.vars = {{"u", 64}, {"v", 48}};
+  analyze::AccessSite site;
+  site.name = "ring";
+  site.form = analyze::IndexForm::kRowCol;
+  site.row_mod = kernel.rows;
+  site.row = {5, 1, {std::int64_t{1} << 30, 3}};
+  site.col = {0, 0, {1, 0}};
+  kernel.sites = {site};
+
+  analyze::SynthesisResult result;
+  analyze::CongestionCertificate audit;
+  const std::uint64_t bytes = bytes_allocated_during([&] {
+    result = analyze::synthesize_mapping(kernel);
+    audit = analyze::certify_mapping(kernel, result.mapping);
+  });
+  EXPECT_EQ(result.coverage, analyze::Coverage::kSymbolic);
+  EXPECT_EQ(result.classes, 64u * 48u);
+  EXPECT_TRUE(audit.exact());
+  EXPECT_EQ(audit.bound, result.certificate.bound);
+  EXPECT_EQ(result.certificate.bound, 1.0);
+  EXPECT_EQ(result.baseline_bound, 32.0);  // every lane in one column
+  // Measured: 505,461 bytes for the search and the audit, 165 per state.
+  EXPECT_LT(bytes, 256u * result.classes);
 }
 
 }  // namespace

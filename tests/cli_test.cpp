@@ -13,10 +13,11 @@
 namespace rapsim::util {
 namespace {
 
-CliArgs make(std::initializer_list<const char*> args) {
+CliArgs make(std::initializer_list<const char*> args,
+             std::initializer_list<std::string_view> booleans = {}) {
   std::vector<const char*> argv = {"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return CliArgs(static_cast<int>(argv.size()), argv.data());
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), booleans);
 }
 
 TEST(CliArgs, EqualsForm) {
@@ -51,6 +52,32 @@ TEST(CliArgs, PositionalArguments) {
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.txt");
   EXPECT_EQ(args.get_string("flag", ""), "output.txt");
+}
+
+TEST(CliArgs, DeclaredBooleanNeverTakesTheNextArgument) {
+  const auto args = make({"replay", "--certify", "trace.rapt", "--seed", "7",
+                          "--verbose=false"},
+                         {"certify", "verbose"});
+  ASSERT_EQ(args.positional().size(), 2u);
+  EXPECT_EQ(args.positional()[0], "replay");
+  EXPECT_EQ(args.positional()[1], "trace.rapt");
+  EXPECT_TRUE(args.get_bool("certify", false));
+  EXPECT_EQ(args.get_uint("seed", 0), 7u);  // value flags keep the space form
+  EXPECT_FALSE(args.get_bool("verbose", true));  // `=` still sets a value
+  // A declared boolean is known; the other flags must be listed.
+  EXPECT_NO_THROW(args.reject_unknown({"seed"}));
+  EXPECT_THROW(args.reject_unknown({}), std::invalid_argument);
+}
+
+TEST(CliArgs, RejectPositionalNamesTheFirstOne) {
+  try {
+    make({"--races", "false", "extra"}, {"races"}).reject_positional();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unexpected argument false");
+  }
+  EXPECT_NO_THROW(make({"--races=false", "--width", "8"}, {"races"})
+                      .reject_positional());
 }
 
 TEST(CliArgs, UintListParsesCsv) {
@@ -88,6 +115,40 @@ TEST(CliArgs, RejectUnknownNamesTheFirstUndocumentedFlag) {
   }
   EXPECT_NO_THROW(args.reject_unknown({"width", "n", "bogus"}));
   EXPECT_NO_THROW(make({"positional"}).reject_unknown({}));
+}
+
+TEST(CliArgs, ReplayTakesTheTraceAfterCertify) {
+  // --certify is boolean, so the trace path after it stays positional.
+  const contract::CommandResult run = contract::run_command(
+      RAPSIM_REPLAY_BIN " replay --certify " RAPSIM_EXAMPLES_DIR
+      "/contiguous_stride.trace 2>&1");
+  EXPECT_EQ(run.status, 0) << run.output;
+  EXPECT_NE(run.output.find("certified  congestion"), std::string::npos)
+      << run.output;
+}
+
+TEST(CliArgs, ToolsWithoutPositionalsFailOnAStrayWord) {
+  // A boolean never takes a value, so `--races false` leaves a stray
+  // `false`; a tool that reads no positional must not drop it silently.
+  std::istringstream tools(RAPSIM_TOOL_BINS);
+  std::string tool;
+  std::size_t checked = 0;
+  while (tools >> tool) {
+    if (tool.find("rapsim-replay") != std::string::npos ||
+        tool.find("rapsim-client") != std::string::npos) {
+      continue;  // they take a command and its operands
+    }
+    const std::string stray =
+        tool.find("rapsim-lint") != std::string::npos ? "--races false"
+                                                       : "false";
+    const contract::CommandResult run =
+        contract::run_command(tool + " " + stray + " 2>&1");
+    EXPECT_NE(run.status, 0) << tool;
+    EXPECT_NE(run.output.find("unexpected argument false"), std::string::npos)
+        << tool << ": " << run.output;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 4u);
 }
 
 TEST(CliArgs, EveryToolFailsOnAnUnknownFlag) {

@@ -4,7 +4,8 @@
 //   1. every kernel gets a bound-1 certificate OR a certified-minimal
 //      result with an explicit witness (never a bare best-effort claim),
 //   2. the independent auditor (certify_mapping, which shares no state
-//      with the search) agrees with the searched bound,
+//      with the search) agrees with the searched bound, and the RAW
+//      baseline the search quotes equals the RAW prover's bound,
 //   3. the synthesized mapping replays over the kernel's materialized
 //      trace on the full DMM and the measured worst congestion confirms
 //      the certificate (== for exact, <= for sampled-coverage bounds),
@@ -65,10 +66,13 @@ void check_cell(const KernelDesc& kernel) {
   EXPECT_EQ(audited.bound, result.certificate.bound);
   EXPECT_EQ(audited.kind, result.certificate.kind);
   // The all-zero member is RAW, so its audit reproduces the RAW baseline
-  // the search quotes.
+  // the search quotes, and so does the independent RAW prover, which the
+  // search no longer runs.
   const SynthMapping raw{kernel.width, RowTransform::kRotate,
                          {std::vector<std::uint32_t>(kernel.width, 0)}};
   EXPECT_EQ(certify_mapping(kernel, raw).bound, result.baseline_bound);
+  EXPECT_EQ(analyze_kernel(kernel, core::Scheme::kRaw).worst.bound,
+            result.baseline_bound);
 
   // The spec round-trips, so serve/replay consumers reconstruct the
   // exact same mapping the certificate talks about.
@@ -104,6 +108,22 @@ TEST(SynthDifferential, FullCatalogTimesWidths) {
     ASSERT_FALSE(catalog.empty());
     for (const KernelDesc& kernel : catalog) check_cell(kernel);
   }
+}
+
+TEST(SynthDifferential, SampledSearchQuotesRawOverItsOwnSample) {
+  // With 64 stored classes allowed, tensor4d-stride3's 32,768 residue
+  // classes are sampled: the baseline is RAW over the same sample the
+  // certificate covers, so it caps the certificate and is capped by the
+  // RAW bound over every binding.
+  const KernelDesc kernel = tools::builtin_kernel("tensor4d-stride3", 32);
+  SynthesisOptions options;
+  options.class_cap = 64;
+  const SynthesisResult result = synthesize_mapping(kernel, options);
+  EXPECT_EQ(result.coverage, Coverage::kSampled);
+  EXPECT_EQ(result.witness.reason, "sampled-coverage");
+  EXPECT_LE(result.certificate.bound, result.baseline_bound);
+  EXPECT_LE(result.baseline_bound,
+            analyze_kernel(kernel, core::Scheme::kRaw).worst.bound);
 }
 
 TEST(SynthDifferential, CatalogIsTheDocumentedSeventeen) {

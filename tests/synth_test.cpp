@@ -8,8 +8,10 @@
 // synthesized certified bound must EQUAL the congestion measured on the
 // full DMM replay of the kernel's materialized trace — and the same
 // equality for certify_mapping's bound on random mappings over kernels at
-// the closure's lane-uniform grouping edges. The whole-catalog
-// differential sweep lives in synth_differential_test.cpp.
+// the closure's lane-uniform grouping edges; the RAW baseline against
+// the independent RAW prover (analyze_kernel), and a digest pin over
+// off-catalog kernels that fixes the residue DP's discovery order. The
+// whole-catalog differential sweep lives in synth_differential_test.cpp.
 
 #include "analyze/synth.hpp"
 
@@ -19,6 +21,7 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -625,6 +628,94 @@ TEST(CertifyProperty, RandomMappingBoundEqualsDmmReplayAtEdgeCases) {
       }
     }
   }
+}
+
+/// A kernel whose one opaque site runs 4,097-65,536 bindings: the
+/// search's closure enumerates every binding, the RAW prover samples
+/// past kEnumerationCap. The bank pattern depends on the binding, and at
+/// v = 1, which a stratified sample of v skips, every lane shares one
+/// column.
+KernelDesc opaque_kernel(util::Pcg32& rng, std::uint32_t w) {
+  KernelDesc kernel;
+  kernel.name = "opaque";
+  kernel.width = w;
+  kernel.rows = std::uint64_t{w} * w;
+  const std::uint64_t target = 4097 + rng.bounded(65536 - 4097 + 1);
+  const std::uint64_t u = 2 + rng.bounded(63);
+  kernel.vars = {{"u", u},
+                 {"v", std::min((target + u - 1) / u, 65536 / u)}};
+  const std::uint64_t rows = kernel.rows;
+  const std::uint64_t r1 = 1 + rng.bounded(w);
+  const std::uint64_t r2 = rng.bounded(w);
+  const std::uint64_t c1 = 1 + rng.bounded(w - 1);
+  AccessSite site;
+  site.name = "gather";
+  site.dir = rng.bounded(2) ? AccessDir::kLoad : AccessDir::kStore;
+  site.form = IndexForm::kOpaque;
+  site.opaque = [=](std::uint32_t lane, std::span<const std::uint64_t> b) {
+    const std::uint64_t row = (lane * r1 + b[0] * r2 + b[1]) % rows;
+    const std::uint64_t step = b[1] == 1 ? 0 : c1;
+    return row * w + (lane * step + b[1]) % w;
+  };
+  kernel.sites = {std::move(site)};
+  return kernel;
+}
+
+/// The search quotes RAW over its own closure instead of running the
+/// RAW prover. Over every binding the two must agree; where the prover
+/// sampled, the closure saw at least its sample.
+TEST(SynthProperty, BaselineIsTheRawProverBoundWhereItIsExact) {
+  util::Pcg32 rng(0xBA5E);
+  constexpr std::uint32_t kWidths[] = {4, 8, 16, 6};
+  std::vector<KernelDesc> kernels;
+  for (int trial = 0; trial < 160; ++trial) {
+    kernels.push_back(edge_case_kernel(rng, kWidths[rng.bounded(4)]));
+  }
+  for (int trial = 0; trial < 12; ++trial) {
+    kernels.push_back(opaque_kernel(rng, 8u << rng.bounded(2)));
+  }
+  std::size_t exact = 0;
+  std::size_t sampled = 0;
+  std::size_t above = 0;  // the closure saw a binding the sample skipped
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    const KernelDesc& kernel = kernels[k];
+    SCOPED_TRACE("kernel " + std::to_string(k) + " (" + kernel.name +
+                 ", w=" + std::to_string(kernel.width) + ")");
+    const SynthesisResult result = synthesize_mapping(kernel);
+    ASSERT_NE(result.coverage, Coverage::kSampled);
+    const KernelAnalysis raw = analyze_kernel(kernel, core::Scheme::kRaw);
+    if (raw.worst.exact()) {
+      ++exact;
+      EXPECT_EQ(result.baseline_bound, raw.worst.bound);
+    } else {
+      ++sampled;
+      EXPECT_GE(result.baseline_bound, raw.worst.bound);
+      above += result.baseline_bound > raw.worst.bound ? 1 : 0;
+    }
+    EXPECT_LE(result.certificate.bound, result.baseline_bound);
+  }
+  EXPECT_EQ(exact, 160u);
+  EXPECT_EQ(sampled, 12u);
+  EXPECT_GT(above, 0u);
+}
+
+// ---- Digest pin over kernels off the catalog: FNV-1a over the search
+// ---- and audit JSON of seeded edge-case kernels. It fixes the residue
+// ---- DP's discovery order, which picks the witness among tied classes
+// ---- (binding and trace) and the incumbent among tied candidates.
+
+TEST(SynthPins, EdgeCaseKernelDigests) {
+  util::Pcg32 rng(0xD16E57);
+  constexpr std::uint32_t kWidths[] = {4, 6, 8, 12, 16, 32};
+  std::uint64_t hash = util::kFnvOffsetBasis;
+  for (int trial = 0; trial < 300; ++trial) {
+    const KernelDesc kernel = edge_case_kernel(rng, kWidths[rng.bounded(6)]);
+    const SynthesisResult result = synthesize_mapping(kernel);
+    hash = util::fnv1a(result.to_json(), hash);
+    hash = util::fnv1a(certify_mapping(kernel, result.mapping).to_json(),
+                       hash);
+  }
+  EXPECT_EQ(util::hex64(hash), util::hex64(0x91ba4c9fec350451ull));
 }
 
 }  // namespace

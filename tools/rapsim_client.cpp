@@ -162,7 +162,7 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"verbose", "certify"});
   if (args.positional().empty()) return usage();
   const std::string method = args.positional().front();
 
@@ -177,9 +177,9 @@ int main(int argc, char** argv) {
 
   try {
     args.reject_unknown({"socket", "tcp-port", "tcp-host", "deadline-ms",
-                         "id", "verbose", "addresses", "memory", "rows",
-                         "file", "trace", "scheme", "width", "seed",
-                         "latency", "map", "certify", "draws", "digits"});
+                         "id", "addresses", "memory", "rows", "file",
+                         "trace", "scheme", "width", "seed", "latency",
+                         "map", "draws", "digits"});
     serve::Client client(endpoint);
 
     if (method == "raw") {

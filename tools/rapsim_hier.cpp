@@ -20,7 +20,8 @@
 // PathParams::defaults() unless overridden by --line-words, --l1-lines,
 // --l1-latency, --l2-lines, --l2-latency, --l2-service, --dram-latency,
 // --dram-service and --mshrs. --latency sets the shared-memory latency
-// and --seed the scheme's map draw. Any other flag is a usage error.
+// and --seed the scheme's map draw. Any other flag, or any positional
+// argument, is a usage error.
 //
 // --format=json emits one machine-readable document on stdout
 // (schema_version 1, checked by the HierSchema suite of
@@ -186,13 +187,13 @@ void write_ascii(const std::string& workload, core::Scheme scheme,
 }
 
 int run(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"list-workloads", "list-schedulers"});
   args.reject_unknown({"workload", "program", "width", "sms", "scheduler",
                        "scheme", "seed", "latency", "format", "path",
                        "line-words", "l1-lines", "l1-latency", "l2-lines",
                        "l2-latency", "l2-service", "dram-latency",
-                       "dram-service", "mshrs", "list-workloads",
-                       "list-schedulers"});
+                       "dram-service", "mshrs"});
+  args.reject_positional();
   const std::uint32_t width =
       static_cast<std::uint32_t>(args.get_uint("width", 32));
 

@@ -22,7 +22,7 @@
 // attached to each report ("synthesis" block in JSON). --synth-draws and
 // --synth-seed tune the random corner of the search. --races=false skips
 // the race verifier; --out=PATH writes the report there instead of stdout.
-// Any other flag is a usage error.
+// Any other flag, or any positional argument, is a usage error.
 //
 // Exit status: 0 when no diagnostic reaches --fail-on (error|warning|
 // never; default error), 1 otherwise, 2 on usage errors.
@@ -65,12 +65,14 @@ std::string read_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"list", "list-kernels",
+                                        "list-workloads", "synthesize",
+                                        "races"});
   try {
-    args.reject_unknown({"width", "scheme", "fail-on", "list", "list-kernels",
-                         "list-workloads", "kernel", "file", "program",
-                         "format", "out", "synthesize", "synth-draws",
-                         "synth-seed", "races"});
+    args.reject_unknown({"width", "scheme", "fail-on", "kernel", "file",
+                         "program", "format", "out", "synth-draws",
+                         "synth-seed"});
+    args.reject_positional();
     const auto width =
         static_cast<std::uint32_t>(args.get_uint("width", 32));
     const core::Scheme scheme =

@@ -324,13 +324,13 @@ int cmd_campaign(const util::CliArgs& args,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"certify", "list-workloads"});
   const std::vector<std::string>& positional = args.positional();
   try {
     args.reject_unknown({"workload", "program", "width", "latency",
                          "encoding", "out", "scheme", "map", "map-file",
-                         "seed", "certify", "format", "schemes", "trials",
-                         "widths", "results", "list-workloads"});
+                         "seed", "format", "schemes", "trials", "widths",
+                         "results"});
     if (args.get_bool("list-workloads", false)) {
       if (!positional.empty()) return usage(argv[0]);
       return cmd_list_workloads(args);

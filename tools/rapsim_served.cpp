@@ -22,7 +22,7 @@
 //                        chrome://tracing document here on drain
 //                        (default "" = tracing off)
 //   --max-connections=N  concurrent connection cap (default 256)
-// Any other flag is a usage error.
+// Any other flag, or any positional argument, is a usage error.
 //
 // Startup prints one machine-readable line on stdout:
 //   rapsim-served listening on unix:/tmp/rapsim.sock
@@ -47,7 +47,7 @@ void on_signal(int) { g_stop = 1; }
 
 int main(int argc, char** argv) {
   using namespace rapsim;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"tcp"});
 
   serve::ServerConfig config;
   if (args.get("tcp") || args.get("tcp-port")) {
@@ -71,9 +71,10 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_uint("max-connections", 256));
 
   try {
-    args.reject_unknown({"socket", "tcp", "tcp-port", "workers",
+    args.reject_unknown({"socket", "tcp-port", "workers",
                          "queue-depth", "cache-capacity", "cache-shards",
                          "metrics-out", "trace-out", "max-connections"});
+    args.reject_positional();
     serve::Server server(std::move(config));
     std::printf("rapsim-served listening on %s\n",
                 server.endpoint().describe().c_str());
