@@ -173,9 +173,12 @@ void materialize_site(const KernelDesc& kernel, const AccessSite& site,
       break;
     }
     case IndexForm::kOpaque:
-      for (std::uint32_t t = 0; t < n; ++t) {
-        trace[t] = static_cast<std::int64_t>(site.opaque(t, binding));
-      }
+      // The callback writes u64 addresses; int64_t storage may be
+      // accessed through its unsigned counterpart, and reading a word
+      // back as signed is the same conversion a cast would make.
+      site.opaque(binding,
+                  std::span<std::uint64_t>(
+                      reinterpret_cast<std::uint64_t*>(trace.data()), n));
       break;
   }
 }

@@ -16,8 +16,9 @@
 //   kRowCol  addr = (row_base + (row_expr mod row_mod)) * w + col_expr mod w
 //            with row_expr/col_expr affine; row_mod = 0 means no wrap.
 //            (the diagonal DRDW transpose, whose row index wraps mod w)
-//   kOpaque  an arbitrary callback (lane, binding) -> address, analyzed by
-//            bounded enumeration (bitonic's bit-twiddled pair indexing)
+//   kOpaque  an arbitrary callback binding -> one address per lane,
+//            analyzed by bounded enumeration (bit-twiddled indexing such
+//            as a bit-reversal permutation)
 //
 // PROGRAM ORDER (the race verifier's input, DESIGN.md §14): sites are an
 // ordered statement list, and `barriers` marks the __syncthreads()
@@ -75,10 +76,14 @@ enum class AccessDir { kLoad, kStore, kAtomic };
 
 enum class IndexForm { kFlat, kRowCol, kOpaque };
 
-/// Callback form for indices the affine language cannot express. Must be
-/// a pure function of (lane, binding).
-using OpaqueIndexFn = std::function<std::uint64_t(
-    std::uint32_t lane, std::span<const std::uint64_t> binding)>;
+/// Callback form for indices the affine language cannot express, called
+/// once per warp: it fills addrs[t] with lane t's address for every
+/// lane t < addrs.size() under `binding`. Each address must be a pure
+/// function of (lane, binding); one call per warp lets an evaluator pay
+/// its per-node dispatch once for all lanes (vm/extract.cpp compiles an
+/// address tree into such a callback).
+using OpaqueIndexFn = std::function<void(
+    std::span<const std::uint64_t> binding, std::span<std::uint64_t> addrs)>;
 
 /// One shared-memory access site of the kernel: every binding of the loop
 /// variables issues one warp-instruction whose lane t touches the

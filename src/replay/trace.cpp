@@ -48,16 +48,52 @@ std::optional<RecordKind> kind_from_name(const std::string& name) {
 
 // --- little-endian binary primitives -----------------------------------
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Append `v` as one little-endian word.
+template <typename Word>
+void put_le(std::string& out, Word v) {
+  char bytes[sizeof(Word)];
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, &v, sizeof(Word));
+  } else {
+    for (std::size_t i = 0; i < sizeof(Word); ++i) {
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
   }
+  out.append(bytes, sizeof(Word));
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+void put_u32(std::string& out, std::uint32_t v) { put_le(out, v); }
+void put_u64(std::string& out, std::uint64_t v) { put_le(out, v); }
+
+// --- binary encoding ----------------------------------------------------
+// Header: magic, version, width, num_threads (u32 each) and memory_size
+// (u64). Record: kind (1 byte) and instr (u32); all but barriers then
+// carry warp (u32), lane_mask (u64) and one u64 per address. A single
+// kBinaryEnd byte ends the stream.
+
+constexpr std::size_t kBinaryHeaderBytes = sizeof(kBinaryMagic) + 3 * 4 + 8;
+
+std::size_t binary_record_bytes(const TraceRecord& record) {
+  return record.kind == RecordKind::kBarrier
+             ? 1 + 4
+             : 1 + 4 + 4 + 8 + 8 * record.addrs.size();
+}
+
+void encode_header(std::string& out, const TraceHeader& header) {
+  out.append(kBinaryMagic, sizeof(kBinaryMagic));
+  put_u32(out, header.version);
+  put_u32(out, header.width);
+  put_u32(out, header.num_threads);
+  put_u64(out, header.memory_size);
+}
+
+void encode_record(std::string& out, const TraceRecord& record) {
+  out.push_back(static_cast<char>(record.kind));
+  put_u32(out, record.instr);
+  if (record.kind == RecordKind::kBarrier) return;
+  put_u32(out, record.warp);
+  put_u64(out, record.lane_mask);
+  for (const std::uint64_t addr : record.addrs) put_u64(out, addr);
 }
 
 /// The little-endian word at `p`; the caller has checked the bytes exist.
@@ -343,11 +379,7 @@ TraceWriter::TraceWriter(std::ostream& out, const TraceHeader& header,
          << "size " << header_.memory_size << '\n';
   } else {
     std::string buf;
-    buf.append(kBinaryMagic, sizeof(kBinaryMagic));
-    put_u32(buf, header_.version);
-    put_u32(buf, header_.width);
-    put_u32(buf, header_.num_threads);
-    put_u64(buf, header_.memory_size);
+    encode_header(buf, header_);
     out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   }
 }
@@ -370,13 +402,8 @@ void TraceWriter::write(const TraceRecord& record) {
     return;
   }
   std::string buf;
-  buf.push_back(static_cast<char>(record.kind));
-  put_u32(buf, record.instr);
-  if (record.kind != RecordKind::kBarrier) {
-    put_u32(buf, record.warp);
-    put_u64(buf, record.lane_mask);
-    for (const std::uint64_t addr : record.addrs) put_u64(buf, addr);
-  }
+  buf.reserve(binary_record_bytes(record));
+  encode_record(buf, record);
   out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
@@ -581,11 +608,23 @@ std::string to_text(const AccessTrace& trace) {
 }
 
 std::string to_binary(const AccessTrace& trace) {
-  std::ostringstream out;
-  TraceWriter writer(out, trace.header, TraceEncoding::kBinary);
-  for (const TraceRecord& record : trace.records) writer.write(record);
-  writer.finish();
-  return out.str();
+  // TraceWriter's checks in its order (header, then each record before
+  // its bytes), encoding straight into one buffer of the exact size.
+  TraceValidator validator(trace.header);
+  trace.header.validate();
+  std::size_t bytes = kBinaryHeaderBytes + 1;
+  for (const TraceRecord& record : trace.records) {
+    bytes += binary_record_bytes(record);
+  }
+  std::string out;
+  out.reserve(bytes);
+  encode_header(out, trace.header);
+  for (const TraceRecord& record : trace.records) {
+    validator.check(record);
+    encode_record(out, record);
+  }
+  out.push_back(static_cast<char>(kBinaryEnd));
+  return out;
 }
 
 AccessTrace parse_trace(std::istream& in) {

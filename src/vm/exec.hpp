@@ -8,6 +8,21 @@
 // divergence enters only through `lane`/`warp` reads and `mask`
 // predication.
 //
+// It runs a warp at a time rather than a lane at a time: each register
+// is block-uniform (one value), warp-uniform (one value per warp) or
+// per-lane (one per thread), and each instruction is dispatched once and
+// applied to the whole value vector at the finer of its operands'
+// levels, so `li`, loop counters and the arithmetic on them cost one
+// evaluation, not one per thread. Under a mask a per-lane result is
+// computed in the active threads only, and a write that skips
+// masked-off threads makes its register per-lane; loop counters are
+// written in every thread and stay block-uniform. Errors fire exactly
+// where a per-thread walk of the same program raises them (DESIGN.md
+// §15, "How lowering runs"): a zero divisor is an error in any thread,
+// masked or not; addresses and mask predicates are read only in active
+// threads, so a device-valued operand there is no error when no thread
+// is active; a branch predicate is read in every thread.
+//
 // Each memory or cmpx step emits exactly one SIMD instruction holding
 // the active lanes' ops (masked lanes idle and are not stored); `bar`
 // emits a block-wide barrier; ALU steps are free, matching the DMM's
@@ -43,6 +58,10 @@ struct LoweredProgram {
   std::uint64_t steps = 0;         // interpreter steps executed
   std::uint64_t memory_instructions = 0;  // memory instructions emitted
   std::uint64_t barriers = 0;
+  /// Values the li/mov/ALU steps computed: one for a block-uniform
+  /// result, one per warp for a warp-uniform one, one per active thread
+  /// for a per-lane one. Deterministic, so test_alloc_gate pins it.
+  std::uint64_t alu_lane_evaluations = 0;
 };
 
 /// Interpret `program` and build its SIMD kernel. Throws

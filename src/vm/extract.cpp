@@ -1,12 +1,15 @@
 #include "vm/extract.hpp"
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace rapsim::vm {
 namespace {
@@ -135,22 +138,144 @@ NodeRef substitute_var(const NodeRef& node, std::size_t var,
   return result;
 }
 
-std::uint64_t eval_node(const Node& node, std::uint32_t lane,
-                        std::span<const std::uint64_t> binding) {
-  switch (node.k) {
-    case Node::K::kConst: return node.cval;
-    case Node::K::kLane: return lane;
-    case Node::K::kVar:
-      return node.var < binding.size() ? binding[node.var] : 0;
-    case Node::K::kOp:
-      return eval_op(node.op, eval_node(*node.a, lane, binding),
-                     eval_node(*node.b, lane, binding));
-    case Node::K::kWarp:
-    case Node::K::kDevice:
-      return 0;  // substituted / rejected before a callback is built
+/// An opaque address tree compiled once into a flat step list (the DAG
+/// in dependency order, shared subtrees once) and evaluated a warp at a
+/// time: each step is dispatched once per call, over one value when it
+/// does not depend on the lane and over the whole lane vector when it
+/// does. This is the site's OpaqueIndexFn.
+class WarpIndex {
+ public:
+  explicit WarpIndex(const NodeRef& root) {
+    std::map<const Node*, std::uint32_t> index;
+    (void)compile(root, index);
   }
-  return 0;
-}
+
+  void operator()(std::span<const std::uint64_t> binding,
+                  std::span<std::uint64_t> addrs) const {
+    const std::size_t n = addrs.size();
+    // Step i's value: one word when uniform, n words when per-lane.
+    thread_local std::vector<std::uint64_t> values;
+    values.resize(lane_words_ * n + steps_.size());
+    std::uint64_t* uniform = values.data() + lane_words_ * n;
+    for (std::size_t i = 0; i < steps_.size(); ++i) {
+      const Step& step = steps_[i];
+      std::uint64_t* out = step.lane ? values.data() + step.slot * n : nullptr;
+      switch (step.kind) {
+        case Node::K::kConst:
+          uniform[i] = step.value;
+          break;
+        case Node::K::kVar:
+          uniform[i] = step.value < binding.size() ? binding[step.value] : 0;
+          break;
+        case Node::K::kLane:
+          for (std::size_t t = 0; t < n; ++t) out[t] = t;
+          break;
+        case Node::K::kOp: {
+          const Step& a = steps_[step.a];
+          const Step& b = steps_[step.b];
+          if (!step.lane) {
+            uniform[i] = eval_op(step.op, uniform[step.a], uniform[step.b]);
+            break;
+          }
+          // Read a uniform operand at stride 0.
+          const std::uint64_t* x =
+              a.lane ? values.data() + a.slot * n : uniform + step.a;
+          const std::uint64_t* y =
+              b.lane ? values.data() + b.slot * n : uniform + step.b;
+          const std::size_t sx = a.lane ? 1 : 0;
+          const std::size_t sy = b.lane ? 1 : 0;
+          apply(step.op, n, x, sx, y, sy, out);
+          break;
+        }
+        case Node::K::kWarp:
+        case Node::K::kDevice:
+          uniform[i] = 0;  // substituted / rejected before compiling
+          break;
+      }
+    }
+    const Step& root = steps_.back();
+    if (root.lane) {
+      std::copy_n(values.data() + root.slot * n, n, addrs.data());
+    } else {
+      std::fill(addrs.begin(), addrs.end(), uniform[steps_.size() - 1]);
+    }
+  }
+
+ private:
+  struct Step {
+    Node::K kind = Node::K::kConst;
+    Op op = Op::kAdd;
+    bool lane = false;        // the value depends on the lane
+    std::uint32_t slot = 0;   // lane-vector slot when `lane`
+    std::uint32_t a = 0, b = 0;  // operand steps (kOp)
+    std::uint64_t value = 0;  // constant, or variable index (kVar)
+  };
+
+  std::uint32_t compile(const NodeRef& node,
+                        std::map<const Node*, std::uint32_t>& index) {
+    if (const auto found = index.find(node.get()); found != index.end()) {
+      return found->second;
+    }
+    Step step;
+    step.kind = node->k;
+    switch (node->k) {
+      case Node::K::kConst: step.value = node->cval; break;
+      case Node::K::kVar: step.value = node->var; break;
+      case Node::K::kLane: step.lane = true; break;
+      case Node::K::kOp:
+        step.op = node->op;
+        step.a = compile(node->a, index);
+        step.b = compile(node->b, index);
+        step.lane = steps_[step.a].lane || steps_[step.b].lane;
+        break;
+      case Node::K::kWarp:
+      case Node::K::kDevice:
+        break;
+    }
+    if (step.lane) step.slot = static_cast<std::uint32_t>(lane_words_++);
+    steps_.push_back(step);
+    const auto id = static_cast<std::uint32_t>(steps_.size() - 1);
+    index.emplace(node.get(), id);
+    return id;
+  }
+
+  /// out[t] = op(x[t * sx], y[t * sy]) for t < n: eval_op with a constant
+  /// op, so the opcode switch folds away inside the loop.
+  template <Op kOp>
+  static void each(std::size_t n, const std::uint64_t* x, std::size_t sx,
+                   const std::uint64_t* y, std::size_t sy,
+                   std::uint64_t* out) {
+    for (std::size_t t = 0; t < n; ++t) {
+      out[t] = eval_op(kOp, x[t * sx], y[t * sy]);
+    }
+  }
+
+  /// One dispatch per call, on the step's opcode.
+  static void apply(Op op, std::size_t n, const std::uint64_t* x,
+                    std::size_t sx, const std::uint64_t* y, std::size_t sy,
+                    std::uint64_t* out) {
+    switch (op) {
+      case Op::kAdd: return each<Op::kAdd>(n, x, sx, y, sy, out);
+      case Op::kSub: return each<Op::kSub>(n, x, sx, y, sy, out);
+      case Op::kMul: return each<Op::kMul>(n, x, sx, y, sy, out);
+      case Op::kDiv: return each<Op::kDiv>(n, x, sx, y, sy, out);
+      case Op::kMod: return each<Op::kMod>(n, x, sx, y, sy, out);
+      case Op::kAnd: return each<Op::kAnd>(n, x, sx, y, sy, out);
+      case Op::kOr: return each<Op::kOr>(n, x, sx, y, sy, out);
+      case Op::kXor: return each<Op::kXor>(n, x, sx, y, sy, out);
+      case Op::kShl: return each<Op::kShl>(n, x, sx, y, sy, out);
+      case Op::kShr: return each<Op::kShr>(n, x, sx, y, sy, out);
+      case Op::kMin: return each<Op::kMin>(n, x, sx, y, sy, out);
+      case Op::kMax: return each<Op::kMax>(n, x, sx, y, sy, out);
+      case Op::kSlt: return each<Op::kSlt>(n, x, sx, y, sy, out);
+      case Op::kSeq: return each<Op::kSeq>(n, x, sx, y, sy, out);
+      default: std::fill_n(out, n, std::uint64_t{0});  // as eval_op
+    }
+  }
+
+  std::vector<Step> steps_;
+  std::size_t lane_words_ = 0;  // lane-vector slots
+};
 
 // ------------------------------------------------- affine normalization
 
@@ -617,10 +742,7 @@ struct Extractor {
                           site.lanes == 0 ? program.width : site.lanes,
                           kernel.vars, site)) {
       site.form = analyze::IndexForm::kOpaque;
-      site.opaque = [address](std::uint32_t lane,
-                              std::span<const std::uint64_t> binding) {
-        return eval_node(*address, lane, binding);
-      };
+      site.opaque = WarpIndex(address);
     }
     if (warp_entry != nullptr &&
         warp_entry->kind == MaskEntry::Kind::kWarpExpr && complete) {

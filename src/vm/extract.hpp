@@ -10,7 +10,11 @@
 // when the address tree normalizes to c0 + c_lane*lane + sum c_v*v;
 // row/column (kRowCol) when it is such a sum plus a `(affine) mod w`
 // column and/or a `w * ((affine) mod 2^k)` row, the diagonal indices of
-// the DRDW transpose; an opaque tree-evaluator callback otherwise.
+// the DRDW transpose; an opaque callback otherwise. The opaque callback
+// is the address tree compiled once into a flat step list and evaluated
+// a warp at a time (analyze::OpaqueIndexFn): each step is dispatched
+// once per call, over one value when it does not depend on the lane and
+// over the whole lane vector when it does.
 //
 // Executing-warp attribution (the race verifier's input) is recovered
 // from the mask discipline:

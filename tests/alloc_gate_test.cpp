@@ -251,16 +251,30 @@ TEST(AllocGate, ReplayLoweringAllocationsDoNotGrowWithInstructions) {
 TEST(AllocGate, VmLoweringAllocationsDoNotGrowWithInstructions) {
   // Lowering appends each instruction's active ops to the sparse store
   // and builds the kernel once: the arrays grow by doubling, and the
-  // interpreter's scratch is reused across instructions (67 allocations
-  // here). Filling a dense row plus scratch vectors per instruction made
-  // 16,028.
+  // interpreter keeps its registers and scratch in one buffer and its
+  // masks in another, reused across instructions (66 allocations here;
+  // the per-lane interpreter made 67). Filling a dense row plus scratch
+  // vectors per instruction made 16,028.
   const vm::Program program =
       vm::assemble(vm::suite_program("vm-bitonic", 32).text, 32);
   vm::LoweredProgram lowered;
   const std::uint64_t allocs =
       allocations_during([&] { lowered = vm::lower_program(program); });
   ASSERT_GT(lowered.kernel.instructions.size(), 4000u);
-  EXPECT_LE(allocs, 100u);
+  EXPECT_LE(allocs, 66u);
+}
+
+TEST(AllocGate, VmLoweringEvaluatesUniformValuesOnce) {
+  // vm-bitonic at w = 32: 128 threads, 15,625 interpreter steps, of which
+  // the li/mov/ALU steps cost a per-thread interpreter 1,230,208 values.
+  // Loop counters and the arithmetic on them stay block-uniform (one
+  // value each), and under a mask a per-lane result is computed in the
+  // active threads only. Measured: 39,560 values.
+  const vm::Program program =
+      vm::assemble(vm::suite_program("vm-bitonic", 32).text, 32);
+  const vm::LoweredProgram lowered = vm::lower_program(program);
+  ASSERT_EQ(lowered.steps, 15'625u);
+  EXPECT_LE(lowered.alu_lane_evaluations, 39'560u);
 }
 
 TEST(AllocGate, HierSimRunAllocationsStayAtTheDenseRowCount) {

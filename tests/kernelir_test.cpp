@@ -78,6 +78,8 @@ std::vector<std::int64_t> reference_trace(const KernelDesc& kernel,
   const std::uint32_t n = site.lanes == 0 ? kernel.width : site.lanes;
   const auto w = static_cast<std::int64_t>(kernel.width);
   std::vector<std::int64_t> trace;
+  std::vector<std::uint64_t> opaque(n);
+  if (site.form == IndexForm::kOpaque) site.opaque(b, opaque);
   for (std::uint32_t t = 0; t < n; ++t) {
     if (site.form == IndexForm::kFlat) {
       trace.push_back(site.flat.eval(t, b));
@@ -90,7 +92,7 @@ std::vector<std::int64_t> reference_trace(const KernelDesc& kernel,
       const std::int64_t col = ((site.col.eval(t, b) % w) + w) % w;
       trace.push_back((row + site.row_base) * w + col);
     } else {
-      trace.push_back(static_cast<std::int64_t>(site.opaque(t, b)));
+      trace.push_back(static_cast<std::int64_t>(opaque[t]));
     }
   }
   return trace;
@@ -134,11 +136,13 @@ TEST(KernelIr, LaneSteppedMaterializeMatchesPerLaneEval) {
       default: {
         site.form = IndexForm::kOpaque;
         const std::uint64_t salt = rng.bounded(1000);
-        site.opaque = [salt](std::uint32_t lane,
-                             std::span<const std::uint64_t> b) {
-          std::uint64_t a = salt ^ (lane * 7u);
-          for (const std::uint64_t x : b) a = a * 31 + x;
-          return a % 4096;
+        site.opaque = [salt](std::span<const std::uint64_t> b,
+                             std::span<std::uint64_t> addrs) {
+          for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
+            std::uint64_t a = salt ^ (lane * 7u);
+            for (const std::uint64_t x : b) a = a * 31 + x;
+            addrs[lane] = a % 4096;
+          }
         };
         break;
       }
@@ -416,8 +420,11 @@ TEST(Passes, OpaqueSitesAreEnumerated) {
   AccessSite site;
   site.name = "xor";
   site.form = IndexForm::kOpaque;
-  site.opaque = [](std::uint32_t lane, std::span<const std::uint64_t> b) {
-    return static_cast<std::uint64_t>((lane ^ 5) + 8 * (b.empty() ? 0 : b[0]));
+  site.opaque = [](std::span<const std::uint64_t> b,
+                   std::span<std::uint64_t> addrs) {
+    for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
+      addrs[lane] = (lane ^ 5) + 8 * (b.empty() ? 0 : b[0]);
+    }
   };
   kernel.sites = {site};
   const auto analysis = analyze_kernel(kernel, Scheme::kRaw);
@@ -435,8 +442,11 @@ TEST(Passes, SampledCoverageNeverClaimsExactness) {
   AccessSite site;
   site.name = "s";
   site.form = IndexForm::kOpaque;
-  site.opaque = [](std::uint32_t lane, std::span<const std::uint64_t> b) {
-    return lane + 8 * (b[0] % 7) + 64 * (b[1] % 5);
+  site.opaque = [](std::span<const std::uint64_t> b,
+                   std::span<std::uint64_t> addrs) {
+    for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
+      addrs[lane] = lane + 8 * (b[0] % 7) + 64 * (b[1] % 5);
+    }
   };
   kernel.sites = {site};
   const auto analysis = analyze_kernel(kernel, Scheme::kRaw);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -196,8 +197,11 @@ TEST(Race, OpaqueSitesAreEnumeratedExactly) {
   site.dir = AccessDir::kStore;
   site.form = IndexForm::kOpaque;
   site.warp = "u";
-  site.opaque = [](std::uint32_t lane, std::span<const std::uint64_t> b) {
-    return (b.empty() ? 0 : b[0]) * 8 + lane;
+  site.opaque = [](std::span<const std::uint64_t> b,
+                   std::span<std::uint64_t> addrs) {
+    for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
+      addrs[lane] = (b.empty() ? 0 : b[0]) * 8 + lane;
+    }
   };
   kernel.sites = {site};
 
@@ -222,8 +226,9 @@ TEST(Race, OpaqueOverlapIsWitnessed) {
   site.form = IndexForm::kOpaque;
   site.lanes = 1;
   site.warp = "u";
-  site.opaque = [](std::uint32_t, std::span<const std::uint64_t>) {
-    return std::uint64_t{3};
+  site.opaque = [](std::span<const std::uint64_t>,
+                   std::span<std::uint64_t> addrs) {
+    std::fill(addrs.begin(), addrs.end(), std::uint64_t{3});
   };
   kernel.sites = {site};
 

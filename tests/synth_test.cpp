@@ -652,10 +652,13 @@ KernelDesc opaque_kernel(util::Pcg32& rng, std::uint32_t w) {
   site.name = "gather";
   site.dir = rng.bounded(2) ? AccessDir::kLoad : AccessDir::kStore;
   site.form = IndexForm::kOpaque;
-  site.opaque = [=](std::uint32_t lane, std::span<const std::uint64_t> b) {
-    const std::uint64_t row = (lane * r1 + b[0] * r2 + b[1]) % rows;
+  site.opaque = [=](std::span<const std::uint64_t> b,
+                    std::span<std::uint64_t> addrs) {
     const std::uint64_t step = b[1] == 1 ? 0 : c1;
-    return row * w + (lane * step + b[1]) % w;
+    for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
+      const std::uint64_t row = (lane * r1 + b[0] * r2 + b[1]) % rows;
+      addrs[lane] = row * w + (lane * step + b[1]) % w;
+    }
   };
   kernel.sites = {std::move(site)};
   return kernel;

@@ -15,7 +15,10 @@
 //      descriptor's, recorded below;
 //   4. RAP keeps its Theorem-2-style promise on the suite: observed
 //      max congestion under a random permute-shift draw stays within
-//      the analyzer's certified bound for every suite program.
+//      the analyzer's certified bound for every suite program;
+//   5. the permutation programs' opaque sites give every pass the same
+//      traces, certificates and lint output as when the opaque callback
+//      was evaluated one lane at a time (digests recorded then).
 
 #include <gtest/gtest.h>
 
@@ -24,10 +27,12 @@
 #include <utility>
 #include <vector>
 
+#include "analyze/lint.hpp"
 #include "analyze/passes.hpp"
 #include "analyze/synth.hpp"
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
+#include "util/hash.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
 #include "vm/extract.hpp"
@@ -97,12 +102,14 @@ KernelDesc old_opaque_bitonic(std::uint64_t n, std::uint32_t width) {
   kernel.vars = {{"u", (n / 2) / width}};
   for (std::uint64_t j = n / 2; j >= 1; j /= 2) {
     const auto make = [width, j](bool hi) {
-      return [width, j, hi](std::uint32_t lane,
-                            std::span<const std::uint64_t> binding) {
-        const std::uint64_t t =
-            (binding.empty() ? 0 : binding[0]) * width + lane;
-        const std::uint64_t i = ((t & ~(j - 1)) << 1) | (t & (j - 1));
-        return hi ? (i | j) : i;
+      return [width, j, hi](std::span<const std::uint64_t> binding,
+                            std::span<std::uint64_t> addrs) {
+        for (std::size_t lane = 0; lane < addrs.size(); ++lane) {
+          const std::uint64_t t =
+              (binding.empty() ? 0 : binding[0]) * width + lane;
+          const std::uint64_t i = ((t & ~(j - 1)) << 1) | (t & (j - 1));
+          addrs[lane] = hi ? (i | j) : i;
+        }
       };
     };
     AccessSite lo;
@@ -228,6 +235,74 @@ TEST(VmDifferential, ObservedCongestionStaysWithinCertifiedRapBounds) {
         EXPECT_GE(rap.worst.bound, 1.0) << entry.name;
       }
     }
+  }
+}
+
+// ---- The opaque sites of the permutation programs (bit reversal and
+// the odd-multiplier derangement) reach every pass through the warp-form
+// OpaqueIndexFn. Digests recorded from the per-lane callback it replaced
+// (FNV-1a over the traces of every site under every binding, the
+// synthesis and certificate JSON, and the lint JSON under RAW and RAP
+// with synthesis) pin that nothing any pass sees changed.
+
+struct OpaquePin {
+  const char* program;
+  std::uint32_t width;
+  std::uint64_t digest;
+};
+
+constexpr OpaquePin kOpaquePins[] = {
+    {"vm-permute-bitrev", 8, 0x1fbcbd666e903539},
+    {"vm-permute-bitrev", 16, 0xe936901b84f52ed2},
+    {"vm-permute-bitrev", 32, 0xa5a8d757bd3c26aa},
+    {"vm-permute-bitrev", 64, 0xd1f2ea92e5e609cc},
+    {"vm-permute-derange", 8, 0x5ec0198340e97815},
+    {"vm-permute-derange", 16, 0xa834014faced2816},
+    {"vm-permute-derange", 32, 0xb43253b76ff0266b},
+    {"vm-permute-derange", 64, 0x6d7004b1f525f3b6},
+};
+
+std::uint64_t opaque_digest(const KernelDesc& kernel) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  std::vector<std::uint64_t> binding(kernel.vars.size(), 0);
+  std::vector<std::int64_t> trace;
+  for (const AccessSite& site : kernel.sites) {
+    h = util::fnv1a_u64(static_cast<std::uint64_t>(site.form), h);
+    for (std::uint64_t b = 0; b < kernel.binding_count(); ++b) {
+      std::uint64_t rest = b;
+      for (std::size_t v = 0; v < binding.size(); ++v) {
+        binding[v] = rest % kernel.vars[v].count;
+        rest /= kernel.vars[v].count;
+      }
+      materialize_site(kernel, site, binding, trace);
+      for (const std::int64_t addr : trace) {
+        h = util::fnv1a_u64(static_cast<std::uint64_t>(addr), h);
+      }
+    }
+  }
+  const SynthesisResult synth = synthesize_mapping(kernel);
+  h = util::fnv1a(synth.to_json(), h);
+  h = util::fnv1a(certify_mapping(kernel, synth.mapping).to_json(), h);
+  LintOptions options;
+  options.synthesize = true;
+  for (const core::Scheme scheme : {core::Scheme::kRaw, core::Scheme::kRap}) {
+    h = util::fnv1a(lint_report_json(lint_kernel(kernel, scheme, options)),
+                    h);
+  }
+  return h;
+}
+
+TEST(VmDifferential, OpaquePermuteSitesKeepTracesCertificatesAndLint) {
+  for (const OpaquePin& pin : kOpaquePins) {
+    const vm::ExtractResult ext =
+        vm::extract_kernel(suite_source(pin.program, pin.width));
+    bool opaque = false;
+    for (const AccessSite& site : ext.kernel.sites) {
+      opaque = opaque || site.form == IndexForm::kOpaque;
+    }
+    EXPECT_TRUE(opaque) << pin.program;
+    EXPECT_EQ(util::hex64(opaque_digest(ext.kernel)), util::hex64(pin.digest))
+        << pin.program << " w=" << pin.width;
   }
 }
 

@@ -2,10 +2,13 @@
 // rejection (including exhaustive prefix/deletion fuzzing of the suite
 // sources), the SPMD executor's semantics, and the extraction
 // differential pinning the loop-nest IR to the executor's lowering for
-// every suite program.
+// every suite program, and random programs lowered warp at a time
+// against the per-lane reference interpreter (vm_reference.hpp).
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,10 +19,12 @@
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
 #include "replay/racecheck.hpp"
+#include "util/hash.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
 #include "vm/extract.hpp"
 #include "vm/suite.hpp"
+#include "vm_reference.hpp"
 
 namespace rapsim::vm {
 namespace {
@@ -419,6 +424,320 @@ TEST(VmExec, UniformBranchLoopsExecute) {
       8);
   const auto out = run_lowered(lower_program(p), {77, 0, 0, 0, 0, 0});
   EXPECT_EQ(out[5], 77u);
+}
+
+// ---- Warp-at-a-time lowering against the per-lane reference.
+
+/// Random well-linked programs mixing block-uniform values (li, loop
+/// counters), warp-uniform ones (warp arithmetic) and per-lane ones,
+/// with nested masks (some all-off), zero-trip loops, forward branches
+/// on uniform and divergent predicates, divisors that may be zero,
+/// addresses that may leave memory and device registers where the ISA
+/// forbids them. Registers r0-r7 are scratch, r8-r11 take loads and
+/// r12-r15 count loops; each choice strays outside its class now and
+/// then, so errors of every kind occur.
+class RandomProgram {
+ public:
+  explicit RandomProgram(std::uint64_t seed) : state_(seed) {}
+
+  Program make(std::uint32_t width) {
+    program_ = Program{};
+    loaded_ = 0;
+    program_.name = "random";
+    program_.width = width;
+    program_.num_threads = width * (1 + static_cast<std::uint32_t>(below(3)));
+    program_.memory_words = width * (2 + below(3));
+    block(0, 4 + below(9));
+    if (chance(10)) push(Op::kHalt);
+    return program_;
+  }
+
+ private:
+  static constexpr Op kAlu[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv,
+                                Op::kMod, Op::kAnd, Op::kOr,  Op::kXor,
+                                Op::kShl, Op::kShr, Op::kMin, Op::kMax,
+                                Op::kSlt, Op::kSeq};
+
+  std::uint64_t next() {  // splitmix64
+    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+  bool chance(std::uint64_t percent) { return below(100) < percent; }
+
+  std::size_t push(Op op, std::uint8_t rd = 0, Operand a = {},
+                   Operand b = {}, std::uint64_t imm = 0) {
+    Instr instr;
+    instr.op = op;
+    instr.rd = rd;
+    instr.a = a;
+    instr.b = b;
+    instr.imm = imm;
+    instr.line = static_cast<std::uint32_t>(program_.instrs.size() + 1);
+    if ((op == Op::kLd || op == Op::kSt) && chance(30)) {
+      instr.site = "s" + std::to_string(below(4));
+    }
+    program_.instrs.push_back(std::move(instr));
+    return program_.instrs.size() - 1;
+  }
+
+  std::uint8_t scratch() { return static_cast<std::uint8_t>(below(8)); }
+  std::uint8_t data() { return static_cast<std::uint8_t>(8 + below(4)); }
+  std::uint8_t any_reg() { return static_cast<std::uint8_t>(below(16)); }
+
+  std::uint8_t dest() {
+    if (chance(4)) return any_reg();
+    return scratch();
+  }
+
+  Operand operand() {
+    switch (below(10)) {
+      case 0: return Operand::imm(below(8));
+      case 1: return Operand::imm(below(program_.memory_words + 4));
+      case 2: return Operand::lane();
+      case 3: return Operand::warp();
+      case 4: return Operand::reg(static_cast<std::uint32_t>(12 + below(4)));
+      default:
+        return Operand::reg(chance(4) ? any_reg() : scratch());
+    }
+  }
+
+  void alu() {
+    const Op op = kAlu[below(std::size(kAlu))];
+    Operand b = operand();
+    if ((op == Op::kDiv || op == Op::kMod) && chance(70)) {
+      b = Operand::imm(1 + below(8));
+    }
+    const std::uint8_t rd = dest();
+    push(op, rd, operand(), b);
+  }
+
+  Operand address() {
+    const std::uint64_t pick = below(10);
+    if (pick < 7) {
+      const std::uint8_t r = scratch();
+      const std::uint64_t bound =
+          chance(15) ? program_.memory_words + 1 + below(program_.width)
+                     : program_.memory_words;
+      push(Op::kMod, r, operand(), Operand::imm(bound));
+      return Operand::reg(r);
+    }
+    if (pick == 7) return chance(50) ? Operand::lane() : Operand::warp();
+    if (pick == 8) return Operand::imm(below(program_.memory_words + 2));
+    // Device-valued whenever the register holds loaded data.
+    return Operand::reg(chance(50) ? loaded() : any_reg());
+  }
+
+  /// A data register, most often one an earlier ld wrote (loading one
+  /// first when none was).
+  std::uint8_t loaded() {
+    if (chance(15)) return data();
+    if ((loaded_ & 0xF00u) == 0) {
+      const std::uint8_t r = data();
+      push(Op::kLd, r, Operand::lane());
+      loaded_ |= 1u << r;
+      return r;
+    }
+    std::uint8_t r = data();
+    while ((loaded_ >> r & 1u) == 0) r = data();
+    return r;
+  }
+
+  void memory() {
+    switch (below(8)) {
+      case 0: case 1: case 2: {
+        const Operand a = address();
+        const std::uint8_t rd = chance(5) ? any_reg() : data();
+        push(Op::kLd, rd, a);
+        loaded_ |= 1u << rd;
+        break;
+      }
+      case 3: {
+        const Operand a = address();
+        push(Op::kLdAdd, chance(50) ? loaded() : data(), a);
+        break;
+      }
+      case 4: {
+        const Operand a = address();
+        const std::uint8_t rd = chance(50) ? loaded() : data();
+        push(Op::kLdMac, rd, a, Operand::reg(loaded()));
+        break;
+      }
+      case 5: case 6: {
+        const Operand a = address();
+        push(Op::kSt, 0, a,
+             chance(50) ? Operand::reg(loaded()) : operand());
+        break;
+      }
+      default:
+        if (chance(50)) {
+          const Operand a = address();
+          push(Op::kAmo, 0, a,
+               Operand::reg(chance(90) ? loaded() : any_reg()));
+        } else {
+          const std::uint8_t lo = loaded();
+          push(Op::kCmpx, lo, Operand::reg(loaded()));
+        }
+        break;
+    }
+  }
+
+  /// A predicate register: a comparison of lane, warp, a counter or a
+  /// scratch register against a small constant (some never true).
+  Operand predicate() {
+    if (chance(15)) return operand();
+    const std::uint8_t r = scratch();
+    const Operand lhs = chance(30)   ? Operand::lane()
+                        : chance(40) ? Operand::warp()
+                                     : operand();
+    const Op op = chance(60) ? Op::kSlt : Op::kSeq;
+    push(op, r, lhs, Operand::imm(below(program_.width + 1)));
+    return Operand::reg(r);
+  }
+
+  void block(std::size_t depth, std::uint64_t statements) {
+    std::vector<std::size_t> branches;  // forward to the end of the block
+    for (std::uint64_t s = 0; s < statements; ++s) {
+      const std::uint64_t pick = below(100);
+      if (pick < 30) {
+        alu();
+      } else if (pick < 38) {
+        const std::uint8_t rd = dest();
+        push(Op::kLi, rd, {}, {}, below(program_.memory_words + 2));
+      } else if (pick < 43) {
+        const std::uint8_t rd = dest();
+        push(Op::kMov, rd, operand());
+      } else if (pick < 63) {
+        memory();
+      } else if (pick < 73 && depth < 3) {
+        push(Op::kMask, 0,
+             chance(10) ? Operand::reg(loaded()) : predicate());
+        block(depth + 1, 1 + below(5));
+        push(Op::kUnmask);
+      } else if (pick < 83 && depth < 3) {
+        const std::size_t header = push(
+            Op::kLoop, static_cast<std::uint8_t>(12 + depth), {}, {},
+            chance(25) ? 0 : 1 + below(3));
+        block(depth + 1, 1 + below(5));
+        const std::size_t endl = push(Op::kEndl, 0, {}, {}, header);
+        program_.instrs[header].b = Operand::imm(endl);
+      } else if (pick < 91) {
+        const Operand p =
+            chance(40) ? (chance(50) ? Operand::imm(below(2))
+                                     : Operand::reg(static_cast<std::uint32_t>(
+                                           12 + below(4))))
+            : chance(50) ? operand()
+                         : predicate();
+        branches.push_back(push(chance(50) ? Op::kBz : Op::kBnz, 0, p));
+      } else if (pick < 95) {
+        push(Op::kBar);
+      } else if (pick < 96) {
+        push(Op::kHalt);
+      } else {
+        alu();
+      }
+    }
+    for (const std::size_t pc : branches) {
+      program_.instrs[pc].imm = program_.instrs.size();
+    }
+  }
+
+  std::uint64_t state_;
+  Program program_;
+  std::uint32_t loaded_ = 0;  // registers some generated ld wrote
+};
+
+struct LoweringOutcome {
+  std::string error;  // empty when lowering succeeded
+  std::uint64_t digest = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t memory_instructions = 0;
+  std::uint64_t barriers = 0;
+
+  friend bool operator==(const LoweringOutcome&,
+                         const LoweringOutcome&) = default;
+};
+
+/// FNV-1a over every active op (instruction, thread, kind, address,
+/// immediate, registers) and every label.
+std::uint64_t kernel_digest(const dmm::Kernel& kernel) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  const auto add = [&h](std::uint64_t word) { h = util::fnv1a_u64(word, h); };
+  add(kernel.num_threads);
+  add(kernel.instructions.size());
+  for (std::size_t i = 0; i < kernel.instructions.size(); ++i) {
+    const dmm::Instruction instr = kernel.instructions[i];
+    const auto threads = instr.threads();
+    for (std::size_t k = 0; k < instr.size(); ++k) {
+      add(i);
+      add(threads[k]);
+      add(static_cast<std::uint64_t>(instr[k].kind));
+      add(instr[k].logical);
+      add(instr[k].immediate);
+      add(instr[k].reg);
+      add(instr[k].reg2);
+    }
+  }
+  add(kernel.labels.size());
+  for (const std::string& label : kernel.labels) {
+    add(label.size());
+    h = util::fnv1a(label, h);
+  }
+  return h;
+}
+
+template <class Lower>
+LoweringOutcome lowering_outcome(Lower&& lower, const Program& program) {
+  LoweringOutcome outcome;
+  try {
+    const LoweredProgram low = lower(program);
+    outcome.digest = kernel_digest(low.kernel);
+    outcome.steps = low.steps;
+    outcome.memory_instructions = low.memory_instructions;
+    outcome.barriers = low.barriers;
+  } catch (const std::invalid_argument& e) {
+    outcome.error = e.what();
+  }
+  return outcome;
+}
+
+TEST(VmExec, WarpAtATimeLoweringMatchesPerLaneReference) {
+  std::uint64_t lowered = 0;
+  std::map<std::string, std::uint64_t> errors;
+  std::uint64_t seed = 1;
+  for (const std::uint32_t w : {4u, 8u, 32u}) {
+    for (int i = 0; i < 1500; ++i, ++seed) {
+      const Program program = RandomProgram(seed).make(w);
+      const LoweringOutcome want =
+          lowering_outcome(testing::lower_per_lane, program);
+      const LoweringOutcome got = lowering_outcome(lower_program, program);
+      ASSERT_EQ(got, want) << "seed " << seed << " width " << w << ": '"
+                           << got.error << "' vs reference '" << want.error
+                           << "'\n"
+                           << disassemble(program);
+      if (want.error.empty()) {
+        ++lowered;
+        continue;
+      }
+      for (const char* kind :
+           {"division by zero", "modulo by zero", "divergent branch",
+            "out of bounds", "holds loaded data", "under a mask",
+            "does not hold loaded data", "accumulator"}) {
+        if (want.error.find(kind) != std::string::npos) ++errors[kind];
+      }
+    }
+  }
+  // The mix stays a mix: most programs lower, and every error kind the
+  // two interpreters must agree on occurs.
+  EXPECT_GE(lowered, 1500u);
+  for (const char* kind :
+       {"division by zero", "modulo by zero", "divergent branch",
+        "out of bounds", "holds loaded data", "under a mask",
+        "does not hold loaded data", "accumulator"}) {
+    EXPECT_GE(errors[kind], 3u) << kind;
+  }
 }
 
 // ---- Extraction differential: for every suite and catalog program the
