@@ -362,11 +362,13 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
   return result;
 }
 
-void Dmm::begin_run(const Kernel& kernel) {
+void Dmm::begin_run(std::uint32_t num_threads,
+                    std::span<const std::string> labels) {
   registers_.assign(
-      static_cast<std::size_t>(kernel.num_threads) * kRegistersPerThread, 0);
+      static_cast<std::size_t>(num_threads) * kRegistersPerThread, 0);
+  run_warps_ = (num_threads + config_.width - 1) / config_.width;
   if (telemetry_) telemetry_->reset(config_.width);
-  if (sanitizer_) sanitizer_->begin_run(kernel.labels);
+  if (sanitizer_) sanitizer_->begin_run(labels);
   if (capture_) {
     if (config_.width > 64) {
       // The capture lane mask is one 64-bit word; wider machines have no
@@ -374,7 +376,7 @@ void Dmm::begin_run(const Kernel& kernel) {
       throw std::invalid_argument(
           "Dmm: access capture supports width <= 64 only");
     }
-    capture_->begin_kernel(kernel.num_threads, config_.width, memory_.size());
+    capture_->begin_kernel(num_threads, config_.width, memory_.size());
   }
 }
 
@@ -501,13 +503,16 @@ class DmmRunHooks final : public hier::CoreHooks {
 
 RunStats Dmm::run(const Kernel& kernel, Trace* trace) {
   if (kernel.num_threads == 0) return {};
-  if (trace) trace->clear();
   begin_run(kernel);
-
   KernelWarpSource source(*this, kernel);
+  return run(source, trace);
+}
+
+RunStats Dmm::run(hier::WarpSource& source, Trace* trace) {
+  if (trace) trace->clear();
   hier::RoundRobinScheduler scheduler;
-  scheduler.reset(source.num_warps());
-  hier::EventCore core(source.num_warps(), config_.latency);
+  scheduler.reset(run_warps_);
+  hier::EventCore core(run_warps_, config_.latency);
   DmmRunHooks hooks(*this, telemetry_, trace);
   const hier::DispatchTotals& totals = core.run(source, scheduler, &hooks);
 

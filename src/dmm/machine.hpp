@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/congestion.hpp"
@@ -81,14 +82,22 @@ class Dmm {
   void fill_identity();
 
   /// Execute a kernel to completion. If `trace` is non-null it receives
-  /// one DispatchRecord per dispatched warp-instruction. Implemented on
-  /// the shared event core (hier/event.hpp) with the round-robin policy.
+  /// one DispatchRecord per dispatched warp-instruction. This is
+  /// begin_run(kernel) plus run() over a KernelWarpSource.
   RunStats run(const Kernel& kernel, Trace* trace = nullptr);
 
+  /// The one run loop: drive `source` to completion on the shared event
+  /// core (hier/event.hpp) with the round-robin policy, over the warps of
+  /// the run begin_run opened. If `trace` is non-null it is cleared and
+  /// receives one DispatchRecord per dispatched warp-instruction;
+  /// telemetry, capture and sanitizer barriers are fed as for any run.
+  /// Trace replay runs a replay::TraceWarpSource through it.
+  RunStats run(hier::WarpSource& source, Trace* trace = nullptr);
+
   // --- Stepping interface for external clocks (src/hier/) -------------
-  // Dmm::run is itself begin_run + KernelWarpSource + EventCore; a
-  // wrapper that wants its own clock/scheduler/memory-path (HierSim)
-  // performs the same sequence with its own core, issuing each warp's
+  // Dmm::run is itself begin_run + a WarpSource + EventCore; a wrapper
+  // that wants its own clock/scheduler/memory-path (HierSim) performs
+  // the same sequence with its own core, issuing each warp's
   // instructions through a KernelWarpSource.
 
   /// Result of one warp-instruction's data movement.
@@ -99,9 +108,29 @@ class Dmm {
   };
 
   /// Reset per-run state (thread registers, telemetry sink, sanitizer
-  /// epoch, capture preamble) for `kernel`. Must be called before a
-  /// KernelWarpSource issues the run's first warp-instruction.
-  void begin_run(const Kernel& kernel);
+  /// epoch and instruction labels, capture preamble) for a run of
+  /// `num_threads` threads. Must be called before a source issues the
+  /// run's first warp-instruction.
+  void begin_run(std::uint32_t num_threads,
+                 std::span<const std::string> labels = {});
+  /// begin_run with the kernel's thread count and labels.
+  void begin_run(const Kernel& kernel) {
+    begin_run(kernel.num_threads, kernel.labels);
+  }
+
+  /// Execute the data movement of one warp-instruction and return its
+  /// congestion (pipeline slots) and unique-request count. `lanes` are
+  /// the warp's active threads in ascending order and `ops` their ops,
+  /// side by side; nothing else is read. `instr_idx` is the instruction
+  /// index (sanitizer findings and the capture cite it). Untimed: the
+  /// caller's clock decides when the effects "happen" — within one warp
+  /// the semantics are fixed, across warps they follow the caller's
+  /// dispatch order (scheduler-defined, as on real hardware). Every
+  /// WarpSource issues through this one access path.
+  WarpAccess perform_warp_access(std::span<const std::uint32_t> lanes,
+                                 std::span<const ThreadOp> ops,
+                                 std::uint32_t instr_idx,
+                                 std::uint32_t warp_id);
 
   /// Report a released barrier at instruction `instr_idx` (capture
   /// record + sanitizer race-epoch advance). Call once per barrier.
@@ -157,22 +186,7 @@ class Dmm {
   core::BankTally tally_;
   std::vector<std::uint64_t> umm_rows_;       // UMM: merged addresses, sorted
   std::vector<std::uint64_t> capture_addrs_;  // capture: logical addresses
-
-  /// Execute the data movement of one warp-instruction and return its
-  /// congestion (pipeline slots) and unique-request count. `lanes` are
-  /// the warp's active threads in ascending order and `ops` their ops,
-  /// side by side (a contiguous run of the kernel's store); nothing else
-  /// is read. `instr_idx` is the kernel instruction index (sanitizer
-  /// findings and the capture cite it). Untimed: the caller's clock
-  /// decides when the effects "happen" — within one warp the semantics
-  /// are fixed, across warps they follow the caller's dispatch order
-  /// (scheduler-defined, as on real hardware).
-  WarpAccess perform_warp_access(std::span<const std::uint32_t> lanes,
-                                 std::span<const ThreadOp> ops,
-                                 std::uint32_t instr_idx,
-                                 std::uint32_t warp_id);
-
-  friend class KernelWarpSource;  // issues with its steps' spans
+  std::uint32_t run_warps_ = 0;  // warps of the run begin_run opened
 };
 
 /// hier::WarpSource adapter over a straight-line dmm::Kernel: per-warp

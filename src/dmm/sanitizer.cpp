@@ -1,5 +1,6 @@
 #include "dmm/sanitizer.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -80,6 +81,10 @@ void ShmemSanitizer::note_barrier() noexcept { ++epoch_; }
 
 void ShmemSanitizer::note_host_write(std::uint64_t physical) noexcept {
   if (physical < written_.size()) written_[physical] = true;
+}
+
+void ShmemSanitizer::note_host_fill() noexcept {
+  std::fill(written_.begin(), written_.end(), true);
 }
 
 const std::string* ShmemSanitizer::label_of(std::uint32_t instruction) const {

@@ -42,7 +42,8 @@
 //
 // Attach the sanitizer BEFORE writing the kernel's inputs: the shadow
 // write-bitmap starts all-unwritten at attach time, and host-side
-// Dmm::store / fill_identity mark cells as initialized.
+// Dmm::store / fill_identity mark cells as initialized (note_host_fill
+// marks all of them at once).
 
 #pragma once
 
@@ -114,6 +115,9 @@ class ShmemSanitizer {
 
   /// Host-side store / fill marks a cell initialized.
   void note_host_write(std::uint64_t physical) noexcept;
+  /// Host-side fill of the whole memory: every cell initialized, in one
+  /// call. For callers whose data does not matter (trace replay).
+  void note_host_fill() noexcept;
 
   void record_out_of_bounds(std::uint32_t warp, std::uint32_t thread,
                             std::uint32_t instruction, std::uint64_t logical,

@@ -14,7 +14,8 @@
 //   * WarpSource — what the machine provides: per-warp program state
 //     (done / at-barrier / program counter) and the data movement of one
 //     warp-instruction (issue/advance). dmm::KernelWarpSource adapts a
-//     dmm::Kernel; hier::Sm wraps that adapter and adds the memory-path
+//     dmm::Kernel and replay::TraceWarpSource an access trace;
+//     hier::Sm wraps the kernel adapter and adds the memory-path
 //     penalty to each issue.
 //   * Scheduler — the pluggable warp-selection policy (scheduler.hpp).
 //     RoundRobinScheduler reproduces the historical Dmm order bit for

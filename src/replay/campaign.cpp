@@ -71,7 +71,7 @@ CellResult run_cell(const CampaignCell& cell, const AccessTrace& trace) {
                                 " does not match cell width " +
                                 std::to_string(cell.width));
   }
-  const dmm::Kernel kernel = lower_to_kernel(trace);
+  TraceWarpSource source(trace);
   const std::uint64_t rows =
       (trace.header.memory_size + cell.width - 1) / cell.width;
 
@@ -84,7 +84,8 @@ CellResult run_cell(const CampaignCell& cell, const AccessTrace& trace) {
     telemetry::RunTelemetry telemetry;
     dmm::Dmm machine(dmm::DmmConfig{cell.width, cell.latency}, *map);
     machine.set_telemetry(&telemetry);
-    const dmm::RunStats stats = machine.run(kernel);
+    source.rewind(machine);
+    const dmm::RunStats stats = machine.run(source);
     result.trials.push_back({stats.time, stats.total_stages, stats.dispatches,
                              stats.max_congestion});
     result.congestion.merge(telemetry.congestion);

@@ -98,7 +98,8 @@ struct CellResult {
 };
 
 /// Replay one cell: `trials` fresh maps over the trace, exact stats per
-/// trial. The trace must match cell.width.
+/// trial (one TraceWarpSource, rewound per trial). The trace must match
+/// cell.width.
 [[nodiscard]] CellResult run_cell(const CampaignCell& cell,
                                   const AccessTrace& trace);
 

@@ -21,6 +21,37 @@ RecordKind to_record_kind(dmm::CapturedOpClass op) {
   throw std::logic_error("replay: unknown captured op class");
 }
 
+/// Fill `ops` with the ops of `record`'s active lanes, one per lane in
+/// ascending lane order. Congestion is value-independent: reads become
+/// kLoad, writes kStoreImm of zero (so no register state is rebuilt),
+/// atomics kAtomicAdd and register records kMinMax.
+void replay_ops(const TraceRecord& record, std::span<dmm::ThreadOp> ops) {
+  const std::vector<std::uint64_t>& addrs = record.addrs;
+  switch (record.kind) {
+    case RecordKind::kRead:
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        ops[k] = dmm::ThreadOp::load(addrs[k]);
+      }
+      break;
+    case RecordKind::kWrite:
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        ops[k] = dmm::ThreadOp::store_imm(addrs[k], 0);
+      }
+      break;
+    case RecordKind::kAtomic:
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        ops[k] = dmm::ThreadOp::atomic_add(addrs[k]);
+      }
+      break;
+    case RecordKind::kRegister:
+      std::fill(ops.begin(), ops.end(), dmm::ThreadOp::min_max(0, 1));
+      break;
+    case RecordKind::kBarrier:
+      std::fill(ops.begin(), ops.end(), dmm::ThreadOp::barrier());
+      break;
+  }
+}
+
 }  // namespace
 
 void TraceCaptureSink::begin_kernel(std::uint32_t num_threads,
@@ -146,34 +177,100 @@ dmm::Kernel lower_to_kernel(const AccessTrace& trace) {
       }
       continue;
     }
-    std::size_t next_addr = 0;
+    const std::size_t first = fill;
     for (std::uint64_t mask = record.lane_mask; mask != 0; mask &= mask - 1) {
-      const auto lane = static_cast<std::uint32_t>(std::countr_zero(mask));
-      threads[fill] = record.warp * w + lane;
-      dmm::ThreadOp& op = ops[fill++];
-      switch (record.kind) {
-        case RecordKind::kRead:
-          op = dmm::ThreadOp::load(record.addrs[next_addr++]);
-          break;
-        case RecordKind::kWrite:
-          // Congestion is value-independent; stores replay as immediate
-          // zeros so replay needs no register state reconstruction.
-          op = dmm::ThreadOp::store_imm(record.addrs[next_addr++], 0);
-          break;
-        case RecordKind::kAtomic:
-          op = dmm::ThreadOp::atomic_add(record.addrs[next_addr++]);
-          break;
-        case RecordKind::kRegister:
-          op = dmm::ThreadOp::min_max(0, 1);
-          break;
-        case RecordKind::kBarrier:
-          break;  // unreachable: handled above
-      }
+      threads[fill++] =
+          record.warp * w + static_cast<std::uint32_t>(std::countr_zero(mask));
     }
+    replay_ops(record, std::span(ops).subspan(first, fill - first));
   }
   for (; instr < count; ++instr) ends[instr] = fill;
   return dmm::Kernel::from_sparse(num_threads, std::move(ends),
                                   std::move(threads), std::move(ops));
+}
+
+TraceWarpSource::TraceWarpSource(const AccessTrace& trace) : trace_(&trace) {
+  trace.validate();
+
+  // Each warp runs its own records and every barrier. A counting pass
+  // sizes each warp's slice of the one step array; validate() keeps warp
+  // ids in range and every count below kMaxTraceOps.
+  const std::vector<TraceRecord>& records = trace.records;
+  const std::uint32_t num_warps = trace.header.num_warps();
+  begins_.assign(std::size_t{num_warps} + 1, 0);
+  std::uint32_t barriers = 0;
+  for (const TraceRecord& record : records) {
+    num_instr_ = std::max(num_instr_, record.instr + 1);
+    if (record.kind == RecordKind::kBarrier) {
+      ++barriers;
+    } else {
+      ++begins_[record.warp + 1];
+    }
+  }
+  for (std::uint32_t warp = 0; warp < num_warps; ++warp) {
+    begins_[warp + 1] += begins_[warp] + barriers;
+  }
+  steps_.resize(begins_[num_warps]);
+  next_.assign(begins_.begin(), begins_.end() - 1);  // fill cursors
+  for (std::uint32_t r = 0; r < records.size(); ++r) {
+    if (records[r].kind == RecordKind::kBarrier) {
+      for (std::uint32_t& fill : next_) steps_[fill++] = r;
+    } else {
+      steps_[next_[records[r].warp]++] = r;
+    }
+  }
+
+  // A warp dispatches its instructions in order, so a captured trace
+  // already lists each warp's records, and the barriers between them, in
+  // instruction order; a hand-written one need not. validate() rules out
+  // two records of one instruction in one warp, so the order is total.
+  const auto by_instr = [&records](std::uint32_t a, std::uint32_t b) {
+    return records[a].instr < records[b].instr;
+  };
+  for (std::uint32_t warp = 0; warp < num_warps; ++warp) {
+    const auto first = steps_.begin() + begins_[warp];
+    const auto last = steps_.begin() + begins_[warp + 1];
+    if (!std::is_sorted(first, last, by_instr)) {
+      std::sort(first, last, by_instr);
+    }
+  }
+}
+
+void TraceWarpSource::rewind(dmm::Dmm& machine) {
+  if (machine.config().width != trace_->header.width) {
+    throw std::invalid_argument(
+        "TraceWarpSource: machine width " +
+        std::to_string(machine.config().width) +
+        " does not match trace width " +
+        std::to_string(trace_->header.width));
+  }
+  machine_ = &machine;
+  machine.begin_run(trace_->header.num_threads);
+  std::copy(begins_.begin(), begins_.end() - 1, next_.begin());
+}
+
+bool TraceWarpSource::at_barrier(std::uint32_t warp) const {
+  return !done(warp) && current(warp).kind == RecordKind::kBarrier;
+}
+
+std::size_t TraceWarpSource::pc(std::uint32_t warp) const {
+  return done(warp) ? num_instr_ : current(warp).instr;
+}
+
+hier::IssueResult TraceWarpSource::issue(std::uint32_t warp) {
+  const TraceRecord& record = current(warp);
+  const std::uint32_t first = warp * trace_->header.width;
+  std::size_t count = 0;
+  for (std::uint64_t mask = record.lane_mask; mask != 0; mask &= mask - 1) {
+    lanes_[count++] =
+        first + static_cast<std::uint32_t>(std::countr_zero(mask));
+  }
+  const std::span<dmm::ThreadOp> ops(ops_.data(), count);
+  replay_ops(record, ops);
+  const dmm::Dmm::WarpAccess access = machine_->perform_warp_access(
+      {lanes_.data(), count}, ops, record.instr, warp);
+  return {access.congestion, access.active_threads, access.unique_requests,
+          0};
 }
 
 ReplayResult replay_trace(const AccessTrace& trace,
@@ -195,7 +292,7 @@ ReplayResult replay_trace(const AccessTrace& trace,
   const std::uint64_t lower_span =
       tracer ? tracer->begin("replay:lower", options.trace_parent)
              : telemetry::kNoSpan;
-  const dmm::Kernel kernel = lower_to_kernel(trace);
+  TraceWarpSource source(trace);
   if (tracer) tracer->end(lower_span);
 
   dmm::DmmConfig config{trace.header.width, options.latency, options.kind};
@@ -206,12 +303,13 @@ ReplayResult replay_trace(const AccessTrace& trace,
     machine.set_sanitizer(options.sanitizer);
     // A trace carries addresses, not data: mark every word initialized
     // so the sanitizer screens races without uninitialized-read noise.
-    machine.fill_identity();
+    options.sanitizer->note_host_fill();
   }
   const std::uint64_t execute_span =
       tracer ? tracer->begin("replay:execute", options.trace_parent)
              : telemetry::kNoSpan;
-  result.stats = machine.run(kernel, &result.dispatches);
+  source.rewind(machine);
+  result.stats = machine.run(source, &result.dispatches);
   if (tracer) tracer->end(execute_span);
   return result;
 }

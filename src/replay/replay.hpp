@@ -2,18 +2,21 @@
 //
 // The bridge between portable access traces (replay/trace.hpp) and the
 // executable machine: TraceCaptureSink records any Dmm run into an
-// AccessTrace, lower_to_kernel() lowers a trace back into a straight-line
-// dmm::Kernel, and replay_trace() executes that kernel under an arbitrary
+// AccessTrace, TraceWarpSource feeds a trace's records straight to a
+// Dmm's warp access, and replay_trace() runs it under an arbitrary
 // AddressMap, yielding the usual RunStats + telemetry + dispatch trace.
+// lower_to_kernel() turns a trace back into a straight-line dmm::Kernel;
+// replay does not need it, and the tests keep it as replay's oracle.
 //
-// Replay is exact: the lowered kernel preserves instruction indices,
-// active-lane masks, op classes and logical addresses, which are the only
-// inputs the scheduler and the congestion accounting consume — so
-// capturing a workload and replaying it under the same (scheme, width,
-// seed) reproduces the native run's RunStats bit for bit
+// Replay is exact: the source issues each record at its instruction
+// index with its active-lane mask, op class and logical addresses, which
+// are the only inputs the scheduler and the congestion accounting
+// consume — so capturing a workload and replaying it under the same
+// (scheme, width, seed) reproduces the native run's RunStats bit for bit
 // (tests/replay_differential_test.cpp pins this over every built-in
-// workload x scheme x width). Data values are NOT replayed (reads become
-// kLoad, writes kStoreImm 0, atomics kAtomicAdd): a trace is an address
+// workload x scheme x width, and pins replay_trace to a run of the
+// lowered kernel). Data values are NOT replayed (reads become kLoad,
+// writes kStoreImm 0, atomics kAtomicAdd): a trace is an address
 // stream, and congestion is a function of addresses alone.
 //
 // certify_trace() closes the loop with the static analyzer: each
@@ -24,7 +27,10 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "analyze/certificate.hpp"
 #include "analyze/kernelir.hpp"
@@ -32,6 +38,7 @@
 #include "dmm/capture.hpp"
 #include "dmm/machine.hpp"
 #include "dmm/sanitizer.hpp"
+#include "hier/event.hpp"
 #include "replay/trace.hpp"
 #include "telemetry/run_telemetry.hpp"
 #include "telemetry/span_tracer.hpp"
@@ -67,21 +74,71 @@ class TraceCaptureSink final : public dmm::AccessCapture {
 /// per recorded index (unrecorded indices stay all-idle and cost
 /// nothing), barriers at their markers, reads as kLoad, writes as
 /// kStoreImm, atomics as kAtomicAdd, register records as kMinMax.
+/// Running it equals replay_trace; the tests use it as the oracle.
 [[nodiscard]] dmm::Kernel lower_to_kernel(const AccessTrace& trace);
+
+/// hier::WarpSource over a validated trace: what a KernelWarpSource over
+/// lower_to_kernel(trace) issues, without building the kernel. At
+/// construction one pass lists each warp's steps — the warp's own
+/// records plus every barrier, in instruction order — as record indices;
+/// an issue stages the record's lanes and ops (the ones lower_to_kernel
+/// makes) into a warp-wide scratch buffer and calls
+/// Dmm::perform_warp_access. Build once per trace; rewind() before each
+/// Dmm::run(source).
+class TraceWarpSource final : public hier::WarpSource {
+ public:
+  /// Validates the trace (throws std::invalid_argument like
+  /// AccessTrace::validate) and indexes it. The trace must outlive the
+  /// source and must not change while it does.
+  explicit TraceWarpSource(const AccessTrace& trace);
+
+  /// Open a run of the trace on `machine` (Dmm::begin_run over the
+  /// trace's threads, no labels) with every warp at its first step. The
+  /// machine must outlive the run. Throws std::invalid_argument when the
+  /// machine's width is not the trace's.
+  void rewind(dmm::Dmm& machine);
+
+  [[nodiscard]] bool done(std::uint32_t warp) const override {
+    return next_[warp] == begins_[warp + 1];
+  }
+  [[nodiscard]] bool at_barrier(std::uint32_t warp) const override;
+  [[nodiscard]] std::size_t pc(std::uint32_t warp) const override;
+  [[nodiscard]] hier::IssueResult issue(std::uint32_t warp) override;
+  void advance(std::uint32_t warp) override { ++next_[warp]; }
+
+ private:
+  [[nodiscard]] const TraceRecord& current(std::uint32_t warp) const {
+    return trace_->records[steps_[next_[warp]]];
+  }
+
+  const AccessTrace* trace_;
+  dmm::Dmm* machine_ = nullptr;
+  std::uint32_t num_instr_ = 0;  // one past the largest instruction index
+  // Record indices, warp-major: warp w's steps are
+  // steps_[begins_[w], begins_[w + 1]), next_[w] its current one. The
+  // trace caps (kMaxTraceOps) keep every count below 2^32.
+  std::vector<std::uint32_t> steps_;
+  std::vector<std::uint32_t> begins_;
+  std::vector<std::uint32_t> next_;
+  // The issuing warp's active threads and ops, side by side.
+  std::array<std::uint32_t, kMaxTraceWidth> lanes_{};
+  std::array<dmm::ThreadOp, kMaxTraceWidth> ops_{};
+};
 
 struct ReplayOptions {
   std::uint32_t latency = 1;
   dmm::MachineKind kind = dmm::MachineKind::kDmm;
   /// Optional span tracer: when set (and enabled), replay_trace records
-  /// "replay:lower" and "replay:execute" spans parented under
-  /// `trace_parent` (kNoSpan = they become roots). Never owned.
+  /// "replay:lower" (validating and indexing the trace) and
+  /// "replay:execute" (the run) spans parented under `trace_parent`
+  /// (kNoSpan = they become roots). Never owned.
   telemetry::SpanTracer* tracer = nullptr;
   std::uint64_t trace_parent = telemetry::kNoSpan;
   /// Optional sanitizer installed on the replay machine (never owned).
-  /// Replay memory is pre-initialized when set, so a replayed trace is
-  /// screened for cross-warp races without uninitialized-read noise —
-  /// the trace-replay leg of the race differential
-  /// (tests/race_differential_test.cpp).
+  /// Every replay memory cell counts as initialized when set, so a
+  /// replayed trace is screened for cross-warp races without
+  /// uninitialized-read noise — the trace-replay leg of the race
+  /// differential (tests/race_differential_test.cpp).
   dmm::ShmemSanitizer* sanitizer = nullptr;
 };
 
@@ -91,9 +148,9 @@ struct ReplayResult {
   dmm::Trace dispatches;
 };
 
-/// Execute the trace under `map`. Requires map.width() == header.width
-/// and map.size() >= header.memory_size (throws std::invalid_argument
-/// otherwise).
+/// Execute the trace under `map`: a TraceWarpSource run on a fresh Dmm.
+/// Requires map.width() == header.width and map.size() >=
+/// header.memory_size (throws std::invalid_argument otherwise).
 [[nodiscard]] ReplayResult replay_trace(const AccessTrace& trace,
                                         const core::AddressMap& map,
                                         const ReplayOptions& options = {});

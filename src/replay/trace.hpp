@@ -73,17 +73,20 @@ struct TraceRecord {
 
 inline constexpr std::uint32_t kTraceVersion = 1;
 inline constexpr std::uint32_t kMaxTraceWidth = 64;  // lane mask is 64-bit
-// Resource bounds. Replay lowers a trace into a sparse dmm::Kernel of
-// one op per active lane of each access/register record plus one op per
-// thread of each barrier, with an end offset per instruction and one
+// Resource bounds. lower_to_kernel (replay/replay.hpp) turns a trace
+// into a sparse dmm::Kernel of one op per active lane of each
+// access/register record plus one op per thread of each barrier, with
+// an end offset per instruction; replay_trace builds no kernel, but its
+// step index lists each barrier once per warp, and both keep one
 // register per thread. The caps bound each of those: the instruction
 // count (and so the offset array, whose sizing arithmetic must not
-// wrap), the thread count, and the total lowered op count. A tiny
-// crafted file must not be able to demand a multi-GB allocation before
-// anything notices — 64 barrier lines over 2^20 threads would lower to
-// 2^26 ops — so the validator rejects records past these limits with
-// the usual line/offset errors. The op cap admits the largest kernel
-// the repo replays (tensor4d at w = 64: 2^24 ops) with room to spare.
+// wrap), the thread count, and the total lowered op count, which also
+// bounds the step index's barrier fan-out. A tiny crafted file must not
+// be able to demand a multi-GB allocation before anything notices — 64
+// barrier lines over 2^20 threads would lower to 2^26 ops — so the
+// validator rejects records past these limits with the usual
+// line/offset errors. The op cap admits the largest kernel the repo
+// replays (tensor4d at w = 64: 2^24 ops) with room to spare.
 inline constexpr std::uint32_t kMaxTraceInstructions = 1u << 20;
 inline constexpr std::uint32_t kMaxTraceThreads = 1u << 20;
 inline constexpr std::uint64_t kMaxTraceOps = std::uint64_t{1} << 25;

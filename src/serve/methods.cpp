@@ -298,8 +298,9 @@ MethodCall prepare_replay(const JsonValue& params) {
     }
     replay::ReplayOptions options;
     options.latency = static_cast<std::uint32_t>(latency);
-    // Nest the replay engine's own spans (replay:lower, replay:execute)
-    // under the engine's execute:<method> span.
+    // Nest the replay engine's own spans under the engine's
+    // execute:<method> span: replay:lower (validating and indexing the
+    // trace) and replay:execute (the run).
     options.tracer = ctx.tracer;
     options.trace_parent = ctx.span_parent;
     const replay::ReplayResult result =

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -246,6 +247,32 @@ TEST(AllocGate, ReplayLoweringAllocationsDoNotGrowWithInstructions) {
       allocations_during([&] { kernel = replay::lower_to_kernel(trace); });
   ASSERT_GT(kernel.instructions.size(), 4000u);
   EXPECT_LT(allocs, 32u);
+}
+
+TEST(AllocGate, ReplayBuildsNoKernelStore) {
+  // replay_trace of the bitonic capture (9,035 records, 7,200 memory
+  // dispatches) runs the decoded records directly. Measured: 29
+  // allocations, 14 of them the dispatch trace growing by doubling, and
+  // 1,225,452 bytes: 524,288 for the validator's table, 36,596 for the
+  // step index, 655,320 for the dispatch trace. Lowering the trace into
+  // a kernel first made 34 allocations of 2,232,424 bytes.
+  const BitonicCapture& capture = bitonic_capture();
+  const auto map =
+      core::make_matrix_map(core::Scheme::kRap, 32, capture.lowered.rows, 1);
+  std::uint64_t allocs = 0;
+  std::size_t dispatches = 0;
+  const std::uint64_t bytes = bytes_allocated_during([&] {
+    allocs = allocations_during([&] {
+      dispatches = replay::replay_trace(capture.trace, *map)
+                       .dispatches.dispatches.size();
+    });
+  });
+  ASSERT_EQ(dispatches, 7200u);
+  // Capacities 1, 2, 4, ..., 8192.
+  const auto growth =
+      static_cast<std::uint64_t>(std::bit_width(dispatches)) + 1;
+  EXPECT_LE(allocs, 15u + growth);
+  EXPECT_LE(bytes, 1'225'452u);
 }
 
 TEST(AllocGate, VmLoweringAllocationsDoNotGrowWithInstructions) {

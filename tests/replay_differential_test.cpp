@@ -4,17 +4,23 @@
 // congestion — for every workload x scheme x width in {16, 32, 64}.
 // The trace also has to survive both encodings unchanged on the way.
 // The replay's per-bank telemetry is checked against a tally recomputed
-// from the capture alone.
+// from the capture alone. And replay_trace, which runs the decoded trace
+// directly, must report exactly what a run of lower_to_kernel(trace)
+// reports: RunStats, telemetry, dispatch trace and sanitizer findings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/factory.hpp"
 #include "dmm/machine.hpp"
+#include "dmm/sanitizer.hpp"
 #include "replay/replay.hpp"
 #include "replay/trace.hpp"
+#include "telemetry/run_telemetry.hpp"
 #include "workload_kernels.hpp"
 #include "workloads/histogram.hpp"
 
@@ -252,6 +258,147 @@ TEST(ReplayDifferential, AtomicBankTelemetryMatchesARecount) {
                                 " / w=" + std::to_string(width));
     }
   }
+}
+
+/// Replay `trace` under `map` with replay_trace and, as the oracle, run
+/// lower_to_kernel(trace) on a Dmm (a sanitized oracle run writes every
+/// word with fill_identity first), and expect the same RunStats,
+/// telemetry, dispatch trace and sanitizer findings. Returns the
+/// sanitized run's finding total.
+std::uint64_t expect_replay_matches_lowered_run(
+    const replay::AccessTrace& trace, const core::AddressMap& map,
+    dmm::MachineKind kind, bool sanitize, const std::string& label) {
+  dmm::ShmemSanitizer got_sanitizer;
+  replay::ReplayOptions options;
+  options.latency = kLatency;
+  options.kind = kind;
+  if (sanitize) options.sanitizer = &got_sanitizer;
+  const replay::ReplayResult got = replay::replay_trace(trace, map, options);
+
+  dmm::Dmm machine(dmm::DmmConfig{trace.header.width, kLatency, kind}, map);
+  telemetry::RunTelemetry telemetry;
+  machine.set_telemetry(&telemetry);
+  dmm::ShmemSanitizer want_sanitizer;
+  if (sanitize) {
+    machine.set_sanitizer(&want_sanitizer);
+    machine.fill_identity();
+  }
+  dmm::Trace dispatches;
+  const dmm::RunStats stats =
+      machine.run(replay::lower_to_kernel(trace), &dispatches);
+
+  expect_same_stats(stats, got.stats, label);
+  EXPECT_EQ(dispatches.to_csv(), got.dispatches.to_csv()) << label;
+  EXPECT_EQ(telemetry.bank_requests, got.telemetry.bank_requests) << label;
+  EXPECT_EQ(telemetry.bank_peak, got.telemetry.bank_peak) << label;
+  EXPECT_EQ(telemetry.congestion.histogram(),
+            got.telemetry.congestion.histogram())
+      << label;
+  EXPECT_EQ(telemetry.dispatches, got.telemetry.dispatches) << label;
+  EXPECT_EQ(telemetry.total_slots, got.telemetry.total_slots) << label;
+  EXPECT_EQ(telemetry.warp_stall_slots, got.telemetry.warp_stall_slots)
+      << label;
+  EXPECT_EQ(telemetry.pipeline_idle_slots,
+            got.telemetry.pipeline_idle_slots)
+      << label;
+  EXPECT_EQ(want_sanitizer.total(), got_sanitizer.total()) << label;
+  EXPECT_EQ(want_sanitizer.report(), got_sanitizer.report()) << label;
+  return got_sanitizer.total();
+}
+
+constexpr dmm::MachineKind kMachineKinds[] = {dmm::MachineKind::kDmm,
+                                              dmm::MachineKind::kUmm};
+
+/// Every scheme x machine kind, plain and sanitized, under matrix maps of
+/// `trace`'s width. Returns the largest sanitized finding total.
+std::uint64_t expect_replay_matches_lowered_runs(
+    const replay::AccessTrace& trace, const std::string& name) {
+  const std::uint32_t width = trace.header.width;
+  const std::uint64_t rows = (trace.header.memory_size + width - 1) / width;
+  std::uint64_t findings = 0;
+  for (const core::Scheme scheme : kTelemetrySchemes) {
+    const auto map = core::make_matrix_map(scheme, width, rows, kSeed);
+    for (const dmm::MachineKind kind : kMachineKinds) {
+      for (const bool sanitize : {false, true}) {
+        const std::string label =
+            name + " / " + core::scheme_name(scheme) + " / w=" +
+            std::to_string(width) +
+            (kind == dmm::MachineKind::kUmm ? " / UMM" : " / DMM") +
+            (sanitize ? " / sanitized" : "");
+        findings = std::max(findings, expect_replay_matches_lowered_run(
+                                          trace, *map, kind, sanitize, label));
+      }
+    }
+  }
+  return findings;
+}
+
+TEST(ReplayDifferential, CatalogReplayMatchesALoweredKernelRun) {
+  for (const std::uint32_t width : {16u, 32u, 64u}) {
+    for (const tools::WorkloadKernel& entry : tools::workload_kernels(width)) {
+      const auto capture_map =
+          core::make_matrix_map(core::Scheme::kRaw, width, entry.rows, 0);
+      dmm::Dmm recorder(dmm::DmmConfig{width, kLatency}, *capture_map);
+      const replay::AccessTrace trace =
+          replay::capture_run(recorder, entry.kernel);
+      (void)expect_replay_matches_lowered_runs(trace, entry.name);
+    }
+  }
+}
+
+TEST(ReplayDifferential, ExampleTracesReplayLikeALoweredKernelRun) {
+  std::size_t traces = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(RAPSIM_EXAMPLES_DIR)) {
+    if (file.path().extension() != ".trace") continue;
+    ++traces;
+    (void)expect_replay_matches_lowered_runs(
+        replay::load_trace(file.path().string()),
+        file.path().filename().string());
+  }
+  EXPECT_GE(traces, 2u);
+}
+
+TEST(ReplayDifferential, HandWrittenTracesReplayLikeALoweredKernelRun) {
+  // Warp 1's records out of instruction order, a partial last warp (10
+  // threads over warps of 4), instruction gaps, register-only records,
+  // atomics on one word from two warps, a merged write of two lanes to
+  // one word, a barrier, and cross-warp races on both sides of it, so
+  // the sanitized runs have findings to compare.
+  const std::string races =
+      "rapsim-trace v1\nwidth 4\nthreads 10\nsize 64\n"
+      "write 6 1 f 8 9 10 11\n"
+      "read 2 1 5 4 20\n"
+      "reg 4 1 6\n"
+      "read 0 0 f 0 4 8 12\n"
+      "write 2 0 3 8 9\n"
+      "read 0 2 3 1 5\n"
+      "atomic 4 0 f 7 7 7 7\n"
+      "atomic 4 2 3 7 7\n"
+      "barrier 9\n"
+      "read 12 2 2 8\n"
+      "reg 11 0 9\n"
+      "write 12 0 1 8\n"
+      "read 15 1 f 3 3 3 3\n"
+      "write 14 2 3 40 40\n"
+      "end\n";
+  EXPECT_GT(expect_replay_matches_lowered_runs(replay::parse_trace(races),
+                                               "races"),
+            0u);
+  // A warp with nothing but barriers, a barrier first and last, and a
+  // partial last warp of atomics.
+  const std::string barriers =
+      "rapsim-trace v1\nwidth 8\nthreads 20\nsize 128\n"
+      "barrier 0\n"
+      "atomic 3 2 f 1 1 2 2\n"
+      "write 1 0 ff 0 8 16 24 32 40 48 56\n"
+      "barrier 4\n"
+      "read 5 0 81 0 64\n"
+      "reg 6 2 a\n"
+      "barrier 7\n"
+      "end\n";
+  (void)expect_replay_matches_lowered_runs(replay::parse_trace(barriers),
+                                           "barriers");
 }
 
 }  // namespace
