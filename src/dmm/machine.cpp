@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dmm/sanitizer.hpp"
 #include "hier/scheduler.hpp"
@@ -82,25 +83,36 @@ Kernel Kernel::from_sparse(std::uint32_t num_threads,
 }
 
 Dmm::Dmm(DmmConfig config, const core::AddressMap& map)
-    : config_(config), map_(map), memory_(map.size(), 0) {
+    : config_(config), map_(map) {
   config_.validate();
   if (config_.width != map.width()) {
     throw std::invalid_argument("Dmm: config width must match map width");
   }
 }
 
+void Dmm::allocate_memory() {
+  if (memory_.empty()) memory_.assign(memory_size(), 0);
+}
+
 std::uint64_t Dmm::load(std::uint64_t logical) const {
-  return memory_.at(map_.translate(logical));
+  const std::uint64_t phys = map_.translate(logical);
+  if (phys >= memory_size()) {
+    throw std::out_of_range("Dmm: load beyond memory size");
+  }
+  // No image yet: nothing has stored, so every word still reads 0.
+  return memory_.empty() ? 0 : memory_[phys];
 }
 
 void Dmm::store(std::uint64_t logical, std::uint64_t value) {
+  allocate_memory();
   const std::uint64_t phys = map_.translate(logical);
   memory_.at(phys) = value;
   if (sanitizer_) sanitizer_->note_host_write(phys);
 }
 
 void Dmm::fill_identity() {
-  for (std::uint64_t a = 0; a < memory_.size(); ++a) {
+  allocate_memory();
+  for (std::uint64_t a = 0; a < memory_size(); ++a) {
     const std::uint64_t phys = map_.translate(a);
     memory_[phys] = a;
     if (sanitizer_) sanitizer_->note_host_write(phys);
@@ -109,7 +121,7 @@ void Dmm::fill_identity() {
 
 void Dmm::set_sanitizer(ShmemSanitizer* sanitizer) {
   sanitizer_ = sanitizer;
-  if (sanitizer_) sanitizer_->attach(config_.width, memory_.size());
+  if (sanitizer_) sanitizer_->attach(config_.width, memory_size());
 }
 
 namespace {
@@ -123,45 +135,32 @@ bool is_read(OpKind kind) {
          kind == OpKind::kLoadMulAdd;
 }
 
+std::uint64_t logical_of(const ThreadOp& op) { return op.logical; }
+std::uint64_t logical_of(std::uint64_t logical) { return logical; }
+
+/// The value kernel store `op` of `thread` writes: its immediate or its
+/// register.
+std::uint64_t store_value(const ThreadOp& op, std::uint32_t thread,
+                          const std::vector<std::uint64_t>& registers) {
+  return op.kind == OpKind::kStoreImm
+             ? op.immediate
+             : registers[static_cast<std::size_t>(thread) *
+                             kRegistersPerThread +
+                         op.reg];
+}
+
 }  // namespace
 
-Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
-                                         std::span<const ThreadOp> ops,
-                                         std::uint32_t instr_idx,
-                                         std::uint32_t warp_id) {
+// Inlined into each entry point below, so a warp access pays no second
+// call.
+template <typename Op>
+[[gnu::always_inline]] inline Dmm::WarpAccess Dmm::access(
+    CapturedOpClass op_class, std::span<const std::uint32_t> lanes,
+    std::span<const Op> ops, std::uint32_t instr_idx, std::uint32_t warp_id) {
+  // Kernel ops move data through the register file and the memory image;
+  // a trace's bare addresses stop at the bank tally.
+  constexpr bool kMovesData = std::is_same_v<Op, ThreadOp>;
   WarpAccess result;
-
-  // SIMD check: a warp executes one instruction, so active ops must be of
-  // one class — all reads, all writes, or all register ops (Section II:
-  // "if one of them sends a memory read request, none of the others can
-  // send memory write request").
-  bool saw_read = false;
-  bool saw_write = false;
-  bool saw_atomic = false;
-  bool saw_register = false;
-  for (const ThreadOp& op : ops) {
-    if (op.kind == OpKind::kBarrier) {
-      throw std::logic_error(
-          "Dmm: barrier instruction reached the access path (scheduler bug)");
-    }
-    if (op.kind == OpKind::kAtomicAdd) {
-      saw_atomic = true;
-    } else if (is_write(op.kind)) {
-      saw_write = true;
-    } else if (is_read(op.kind)) {
-      saw_read = true;
-    } else {
-      saw_register = true;
-    }
-    if (op.reg >= kRegistersPerThread || op.reg2 >= kRegistersPerThread) {
-      throw std::out_of_range("Dmm: register index out of range");
-    }
-  }
-  if (saw_read + saw_write + saw_atomic + saw_register > 1) {
-    throw std::invalid_argument(
-        "Dmm: a warp cannot mix reads, writes, atomics and register ops in "
-        "one SIMD instruction");
-  }
   result.active_threads = static_cast<std::uint32_t>(lanes.size());
   if (result.active_threads == 0) return result;
 
@@ -173,19 +172,20 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
     for (const std::uint32_t t : lanes) {
       lane_mask |= std::uint64_t{1} << (t - warp_begin);
     }
-    capture_addrs_.clear();
-    if (!saw_register) {
-      for (const ThreadOp& op : ops) capture_addrs_.push_back(op.logical);
+    std::span<const std::uint64_t> addrs;
+    if (op_class != CapturedOpClass::kRegister) {
+      if constexpr (kMovesData) {
+        capture_addrs_.clear();
+        for (const ThreadOp& op : ops) capture_addrs_.push_back(op.logical);
+        addrs = capture_addrs_;
+      } else {
+        addrs = ops;
+      }
     }
-    const CapturedOpClass cls = saw_atomic    ? CapturedOpClass::kAtomic
-                                : saw_write   ? CapturedOpClass::kWrite
-                                : saw_read    ? CapturedOpClass::kRead
-                                              : CapturedOpClass::kRegister;
-    capture_->on_warp_access(instr_idx, warp_id, cls, lane_mask,
-                             capture_addrs_);
+    capture_->on_warp_access(instr_idx, warp_id, op_class, lane_mask, addrs);
   }
 
-  if (saw_atomic) {
+  if (op_class == CapturedOpClass::kAtomic) {
     // Atomics: every request needs its own bank cycle — same-address
     // requests serialize instead of merging. The adds themselves commute,
     // so the data effect is order-independent.
@@ -194,13 +194,13 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
     std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       const std::uint32_t t = lanes[k];
-      const ThreadOp& op = ops[k];
-      const std::uint64_t phys = map_.translate(op.logical);
-      if (phys >= memory_.size()) {
+      const std::uint64_t logical = logical_of(ops[k]);
+      const std::uint64_t phys = map_.translate(logical);
+      if (phys >= memory_size()) {
         if (sanitizer_) {
           // Record and skip the faulting lane so one run collects every
           // finding instead of dying on the first.
-          sanitizer_->record_out_of_bounds(warp_id, t, instr_idx, op.logical,
+          sanitizer_->record_out_of_bounds(warp_id, t, instr_idx, logical,
                                            phys);
           continue;
         }
@@ -208,14 +208,16 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
       }
       if (sanitizer_) {
         // An atomic add reads the cell before writing it back.
-        sanitizer_->check_read(warp_id, t, instr_idx, op.logical, phys,
+        sanitizer_->check_read(warp_id, t, instr_idx, logical, phys,
                                /*atomic=*/true);
-        sanitizer_->note_write(warp_id, t, instr_idx, op.logical, phys,
+        sanitizer_->note_write(warp_id, t, instr_idx, logical, phys,
                                /*atomic=*/true);
       }
-      memory_[phys] += registers_[static_cast<std::size_t>(t) *
-                                      kRegistersPerThread +
-                                  op.reg];
+      if constexpr (kMovesData) {
+        memory_[phys] += registers_[static_cast<std::size_t>(t) *
+                                        kRegistersPerThread +
+                                    ops[k].reg];
+      }
       ++result.unique_requests;
       if (telemetry_) {
         ++telemetry_->bank_requests[static_cast<std::size_t>(phys %
@@ -249,18 +251,19 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
     return result;
   }
 
-  if (saw_register) {
+  if (op_class == CapturedOpClass::kRegister) {
     // Register-only instruction: executes without touching the memory
     // pipeline (congestion stays 0; arithmetic is free in this model).
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const std::uint32_t t = lanes[k];
-      const ThreadOp& op = ops[k];
-      if (op.kind != OpKind::kMinMax) continue;
-      auto& lo = registers_[static_cast<std::size_t>(t) *
-                                kRegistersPerThread + op.reg];
-      auto& hi = registers_[static_cast<std::size_t>(t) *
-                                kRegistersPerThread + op.reg2];
-      if (lo > hi) std::swap(lo, hi);
+    if constexpr (kMovesData) {
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        const ThreadOp& op = ops[k];
+        if (op.kind != OpKind::kMinMax) continue;
+        const std::size_t base =
+            static_cast<std::size_t>(lanes[k]) * kRegistersPerThread;
+        auto& lo = registers_[base + op.reg];
+        auto& hi = registers_[base + op.reg2];
+        if (lo > hi) std::swap(lo, hi);
+      }
     }
     return result;
   }
@@ -269,62 +272,63 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
   // The map preserves bank counts only through translate(); we group by
   // physical address. Lanes are added in ascending order, so the tally's
   // first writer is the lowest lane.
+  const bool writes = op_class == CapturedOpClass::kWrite;
   tally_.begin(config_.width, config_.width);
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     const std::uint32_t t = lanes[k];
-    const ThreadOp& op = ops[k];
-    const std::uint64_t phys = map_.translate(op.logical);
-    if (phys >= memory_.size()) {
+    const std::uint64_t logical = logical_of(ops[k]);
+    const std::uint64_t phys = map_.translate(logical);
+    if (phys >= memory_size()) {
       if (sanitizer_) {
-        sanitizer_->record_out_of_bounds(warp_id, t, instr_idx, op.logical,
+        sanitizer_->record_out_of_bounds(warp_id, t, instr_idx, logical,
                                          phys);
         continue;
       }
       throw std::out_of_range("Dmm: access beyond memory size");
     }
     const std::uint32_t winner = tally_.add(phys, t);
-    const bool inserted = winner == t;
-    if (sanitizer_ && is_read(op.kind)) {
-      sanitizer_->check_read(warp_id, t, instr_idx, op.logical, phys);
-    }
-
-    auto& reg =
-        registers_[static_cast<std::size_t>(t) * kRegistersPerThread + op.reg];
-    switch (op.kind) {
-      case OpKind::kLoad:
-        reg = memory_[phys];
-        break;
-      case OpKind::kLoadAdd:
-        reg += memory_[phys];
-        break;
-      case OpKind::kLoadMulAdd:
-        reg += registers_[static_cast<std::size_t>(t) * kRegistersPerThread +
-                          op.reg2] *
-               memory_[phys];
-        break;
-      case OpKind::kStore:
-      case OpKind::kStoreImm:
-        if (inserted) {
-          // CRCW arbitrary write: the first (lowest-id) thread wins;
-          // later writes to the same merged address are ignored.
-          memory_[phys] =
-              op.kind == OpKind::kStoreImm ? op.immediate : reg;
-          if (sanitizer_) {
-            sanitizer_->note_write(warp_id, t, instr_idx, op.logical, phys);
-          }
-        } else if (sanitizer_) {
-          // The winner already stored; a losing lane carrying a DIFFERENT
-          // value is a genuine CRCW write-write race.
-          sanitizer_->check_write_conflict(
-              warp_id, winner, t, instr_idx, op.logical, phys,
-              memory_[phys], op.kind == OpKind::kStoreImm ? op.immediate : reg);
+    if (!writes) {
+      if (sanitizer_) {
+        sanitizer_->check_read(warp_id, t, instr_idx, logical, phys);
+      }
+      if constexpr (kMovesData) {
+        const ThreadOp& op = ops[k];
+        const std::size_t base =
+            static_cast<std::size_t>(t) * kRegistersPerThread;
+        auto& reg = registers_[base + op.reg];
+        switch (op.kind) {
+          case OpKind::kLoad:
+            reg = memory_[phys];
+            break;
+          case OpKind::kLoadAdd:
+            reg += memory_[phys];
+            break;
+          case OpKind::kLoadMulAdd:
+            reg += registers_[base + op.reg2] * memory_[phys];
+            break;
+          default:
+            break;  // unreachable: the class check admits reads only
         }
-        break;
-      case OpKind::kNone:
-      case OpKind::kMinMax:
-      case OpKind::kBarrier:
-      case OpKind::kAtomicAdd:
-        break;  // unreachable: filtered above / handled by the scheduler
+      }
+    } else if (winner == t) {
+      // CRCW arbitrary write: the first (lowest-id) thread wins; later
+      // writes to the same merged address are ignored.
+      if constexpr (kMovesData) {
+        memory_[phys] = store_value(ops[k], t, registers_);
+      }
+      if (sanitizer_) {
+        sanitizer_->note_write(warp_id, t, instr_idx, logical, phys);
+      }
+    } else if constexpr (kMovesData) {
+      // The winner already stored; a losing lane carrying a DIFFERENT
+      // value is a genuine CRCW write-write race. A trace carries no
+      // values, so all its writes store one value and the compare could
+      // never fire: the address body has no such branch.
+      if (sanitizer_) {
+        sanitizer_->check_write_conflict(warp_id, winner, t, instr_idx,
+                                         logical, phys, memory_[phys],
+                                         store_value(ops[k], t, registers_));
+      }
     }
   }
 
@@ -362,10 +366,68 @@ Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
   return result;
 }
 
+Dmm::WarpAccess Dmm::perform_warp_access(std::span<const std::uint32_t> lanes,
+                                         std::span<const ThreadOp> ops,
+                                         std::uint32_t instr_idx,
+                                         std::uint32_t warp_id) {
+  // SIMD check: a warp executes one instruction, so active ops must be of
+  // one class — all reads, all writes, or all register ops (Section II:
+  // "if one of them sends a memory read request, none of the others can
+  // send memory write request").
+  bool saw_read = false;
+  bool saw_write = false;
+  bool saw_atomic = false;
+  bool saw_register = false;
+  for (const ThreadOp& op : ops) {
+    if (op.kind == OpKind::kBarrier) {
+      throw std::logic_error(
+          "Dmm: barrier instruction reached the access path (scheduler bug)");
+    }
+    if (op.kind == OpKind::kAtomicAdd) {
+      saw_atomic = true;
+    } else if (is_write(op.kind)) {
+      saw_write = true;
+    } else if (is_read(op.kind)) {
+      saw_read = true;
+    } else {
+      saw_register = true;
+    }
+    if (op.reg >= kRegistersPerThread || op.reg2 >= kRegistersPerThread) {
+      throw std::out_of_range("Dmm: register index out of range");
+    }
+  }
+  if (saw_read + saw_write + saw_atomic + saw_register > 1) {
+    throw std::invalid_argument(
+        "Dmm: a warp cannot mix reads, writes, atomics and register ops in "
+        "one SIMD instruction");
+  }
+  if (!lanes.empty() &&
+      registers_.size() <
+          (std::size_t{lanes.back()} + 1) * kRegistersPerThread) {
+    throw std::logic_error(
+        "Dmm: a kernel access needs its run opened by begin_run(kernel)");
+  }
+  const CapturedOpClass op_class = saw_atomic  ? CapturedOpClass::kAtomic
+                                   : saw_write ? CapturedOpClass::kWrite
+                                   : saw_read  ? CapturedOpClass::kRead
+                                               : CapturedOpClass::kRegister;
+  return access(op_class, lanes, ops, instr_idx, warp_id);
+}
+
+Dmm::WarpAccess Dmm::perform_warp_access(CapturedOpClass op,
+                                         std::span<const std::uint32_t> lanes,
+                                         std::span<const std::uint64_t> addrs,
+                                         std::uint32_t instr_idx,
+                                         std::uint32_t warp_id) {
+  if (op != CapturedOpClass::kRegister && addrs.size() != lanes.size()) {
+    throw std::invalid_argument(
+        "Dmm: an address access needs one address per active lane");
+  }
+  return access(op, lanes, addrs, instr_idx, warp_id);
+}
+
 void Dmm::begin_run(std::uint32_t num_threads,
                     std::span<const std::string> labels) {
-  registers_.assign(
-      static_cast<std::size_t>(num_threads) * kRegistersPerThread, 0);
   run_warps_ = (num_threads + config_.width - 1) / config_.width;
   if (telemetry_) telemetry_->reset(config_.width);
   if (sanitizer_) sanitizer_->begin_run(labels);
@@ -376,8 +438,15 @@ void Dmm::begin_run(std::uint32_t num_threads,
       throw std::invalid_argument(
           "Dmm: access capture supports width <= 64 only");
     }
-    capture_->begin_kernel(num_threads, config_.width, memory_.size());
+    capture_->begin_kernel(num_threads, config_.width, memory_size());
   }
+}
+
+void Dmm::begin_run(const Kernel& kernel) {
+  allocate_memory();
+  registers_.assign(
+      static_cast<std::size_t>(kernel.num_threads) * kRegistersPerThread, 0);
+  begin_run(kernel.num_threads, kernel.labels);
 }
 
 void Dmm::finish_barrier(std::uint32_t instr_idx) {

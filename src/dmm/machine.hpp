@@ -26,6 +26,17 @@
 // are undefined. tests/differential_test.cpp pins these semantics against
 // an in-order reference interpreter.
 //
+// Data moves only where a caller needs it. Congestion depends on the
+// addresses alone, so one warp-access body serves two entry points: a
+// kernel's ThreadOps (Dmm::run, HierSim), which also load, store and add
+// through the register file and the memory image, and a trace's op class
+// plus logical addresses (replay::TraceWarpSource), which stop at the bank
+// tally. Translation, the bounds rule, CRCW merge or atomic
+// serialization, DMM/UMM congestion, telemetry, capture and the
+// sanitizer's notes are the same code on both. The image and the register
+// file are allocated by the first thing that needs data (a kernel run or
+// a host accessor); a machine that only replays traces never holds them.
+//
 // With these semantics the paper's closed forms fall out exactly:
 // contiguous access by p threads finishes at p/w + l - 1 and stride access
 // at p + l - 1 (Section III), and Figure 3's example (two warps, 3 slots,
@@ -64,17 +75,19 @@ struct RunStats {
   double avg_congestion = 0.0;         // mean over dispatches
 };
 
-/// The DMM: banked memory + MMU pipeline + warp scheduler. The machine
-/// owns the physical memory contents; logical addresses are translated by
-/// the AddressMap given at construction (which also fixes memory size and
-/// width).
+/// The DMM: banked memory + MMU pipeline + warp scheduler. Logical
+/// addresses are translated by the AddressMap given at construction, which
+/// also fixes the memory size and width. The machine owns the physical
+/// memory contents, allocated zeroed on first data use (begin_run(kernel),
+/// store, fill_identity); until then load reads 0 and no image exists.
 class Dmm {
  public:
   /// The map must outlive the machine. config.width must equal map.width().
   Dmm(DmmConfig config, const core::AddressMap& map);
 
   // --- Host-side (untimed) memory access, used to set up inputs and
-  // --- verify outputs. Addresses are logical.
+  // --- verify outputs. Addresses are logical. store and fill_identity
+  // --- allocate the memory image if no earlier call did.
   [[nodiscard]] std::uint64_t load(std::uint64_t logical) const;
   void store(std::uint64_t logical, std::uint64_t value);
   /// Fill address a with value a for a in [0, size) — the standard test
@@ -107,28 +120,44 @@ class Dmm {
     std::uint32_t active_threads = 0;
   };
 
-  /// Reset per-run state (thread registers, telemetry sink, sanitizer
-  /// epoch and instruction labels, capture preamble) for a run of
-  /// `num_threads` threads. Must be called before a source issues the
-  /// run's first warp-instruction.
+  /// Reset per-run state (telemetry sink, sanitizer epoch and
+  /// instruction labels, capture preamble) for an address-only run of
+  /// `num_threads` threads: no register file or memory image is touched,
+  /// so only the address entry of perform_warp_access may follow. Must be
+  /// called before a source issues the run's first warp-instruction.
   void begin_run(std::uint32_t num_threads,
                  std::span<const std::string> labels = {});
-  /// begin_run with the kernel's thread count and labels.
-  void begin_run(const Kernel& kernel) {
-    begin_run(kernel.num_threads, kernel.labels);
-  }
+  /// begin_run with the kernel's thread count and labels, plus the data
+  /// state a kernel moves: a zeroed register file, and the memory image
+  /// if none exists yet (its contents carry over between runs).
+  void begin_run(const Kernel& kernel);
 
-  /// Execute the data movement of one warp-instruction and return its
-  /// congestion (pipeline slots) and unique-request count. `lanes` are
-  /// the warp's active threads in ascending order and `ops` their ops,
-  /// side by side; nothing else is read. `instr_idx` is the instruction
-  /// index (sanitizer findings and the capture cite it). Untimed: the
-  /// caller's clock decides when the effects "happen" — within one warp
-  /// the semantics are fixed, across warps they follow the caller's
-  /// dispatch order (scheduler-defined, as on real hardware). Every
-  /// WarpSource issues through this one access path.
+  /// Execute one kernel warp-instruction, data movement included, and
+  /// return its congestion (pipeline slots) and unique-request count.
+  /// `lanes` are the warp's active threads in ascending order and `ops`
+  /// their ops, side by side; nothing else is read. The ops must be of
+  /// one SIMD class (throws std::invalid_argument otherwise), and the run
+  /// must have been opened with begin_run(kernel) (std::logic_error
+  /// otherwise). `instr_idx` is the instruction index (sanitizer findings
+  /// and the capture cite it). Untimed: the caller's clock decides when
+  /// the effects "happen" — within one warp the semantics are fixed,
+  /// across warps they follow the caller's dispatch order
+  /// (scheduler-defined, as on real hardware).
   WarpAccess perform_warp_access(std::span<const std::uint32_t> lanes,
                                  std::span<const ThreadOp> ops,
+                                 std::uint32_t instr_idx,
+                                 std::uint32_t warp_id);
+
+  /// The same access from its addresses alone: `op` is the class, `addrs`
+  /// the active lanes' logical addresses beside `lanes` (empty for
+  /// kRegister). Congestion, telemetry, capture and sanitizer notes equal
+  /// the kernel entry's for ops of that class at those addresses that all
+  /// write one value, but no register or memory word is read or written:
+  /// this is how a trace replays. Throws std::invalid_argument when a
+  /// memory class's `addrs` and `lanes` differ in length.
+  WarpAccess perform_warp_access(CapturedOpClass op,
+                                 std::span<const std::uint32_t> lanes,
+                                 std::span<const std::uint64_t> addrs,
                                  std::uint32_t instr_idx,
                                  std::uint32_t warp_id);
 
@@ -171,14 +200,25 @@ class Dmm {
   [[nodiscard]] const DmmConfig& config() const noexcept { return config_; }
   [[nodiscard]] const core::AddressMap& map() const noexcept { return map_; }
   [[nodiscard]] std::uint64_t memory_size() const noexcept {
-    return memory_.size();
+    return map_.size();
   }
 
  private:
+  /// The one warp-access body. Op is ThreadOp for a kernel access (moves
+  /// data) and std::uint64_t, a bare logical address, for a trace's.
+  template <typename Op>
+  WarpAccess access(CapturedOpClass op_class,
+                    std::span<const std::uint32_t> lanes,
+                    std::span<const Op> ops, std::uint32_t instr_idx,
+                    std::uint32_t warp_id);
+  /// Allocate the zeroed memory image unless it exists.
+  void allocate_memory();
+
   DmmConfig config_;
   const core::AddressMap& map_;
+  // Data state, empty until something moves data (see the class doc).
   std::vector<std::uint64_t> memory_;     // physical layout
-  std::vector<std::uint64_t> registers_;  // one accumulator per thread
+  std::vector<std::uint64_t> registers_;  // kRegistersPerThread per thread
   telemetry::RunTelemetry* telemetry_ = nullptr;  // optional, not owned
   ShmemSanitizer* sanitizer_ = nullptr;  // optional, not owned
   AccessCapture* capture_ = nullptr;              // optional, not owned

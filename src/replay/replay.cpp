@@ -21,10 +21,23 @@ RecordKind to_record_kind(dmm::CapturedOpClass op) {
   throw std::logic_error("replay: unknown captured op class");
 }
 
+/// The machine's op class of an issued (non-barrier) record.
+dmm::CapturedOpClass to_op_class(RecordKind kind) {
+  switch (kind) {
+    case RecordKind::kRead: return dmm::CapturedOpClass::kRead;
+    case RecordKind::kWrite: return dmm::CapturedOpClass::kWrite;
+    case RecordKind::kAtomic: return dmm::CapturedOpClass::kAtomic;
+    case RecordKind::kRegister: return dmm::CapturedOpClass::kRegister;
+    case RecordKind::kBarrier: break;
+  }
+  throw std::logic_error("replay: a barrier record reached the access path");
+}
+
 /// Fill `ops` with the ops of `record`'s active lanes, one per lane in
-/// ascending lane order. Congestion is value-independent: reads become
-/// kLoad, writes kStoreImm of zero (so no register state is rebuilt),
-/// atomics kAtomicAdd and register records kMinMax.
+/// ascending lane order, for lower_to_kernel. Congestion is
+/// value-independent: reads become kLoad, writes kStoreImm of zero (so no
+/// register state is rebuilt), atomics kAtomicAdd and register records
+/// kMinMax.
 void replay_ops(const TraceRecord& record, std::span<dmm::ThreadOp> ops) {
   const std::vector<std::uint64_t>& addrs = record.addrs;
   switch (record.kind) {
@@ -265,10 +278,9 @@ hier::IssueResult TraceWarpSource::issue(std::uint32_t warp) {
     lanes_[count++] =
         first + static_cast<std::uint32_t>(std::countr_zero(mask));
   }
-  const std::span<dmm::ThreadOp> ops(ops_.data(), count);
-  replay_ops(record, ops);
   const dmm::Dmm::WarpAccess access = machine_->perform_warp_access(
-      {lanes_.data(), count}, ops, record.instr, warp);
+      to_op_class(record.kind), {lanes_.data(), count}, record.addrs,
+      record.instr, warp);
   return {access.congestion, access.active_threads, access.unique_requests,
           0};
 }

@@ -15,9 +15,10 @@
 // (scheme, width, seed) reproduces the native run's RunStats bit for bit
 // (tests/replay_differential_test.cpp pins this over every built-in
 // workload x scheme x width, and pins replay_trace to a run of the
-// lowered kernel). Data values are NOT replayed (reads become kLoad,
-// writes kStoreImm 0, atomics kAtomicAdd): a trace is an address
-// stream, and congestion is a function of addresses alone.
+// lowered kernel). Data values are NOT replayed: a trace is an address
+// stream, congestion is a function of addresses alone, and a replay
+// moves no data (no register file or memory image exists; the oracle
+// kernel reads with kLoad, writes kStoreImm 0 and adds with kAtomicAdd).
 //
 // certify_trace() closes the loop with the static analyzer: each
 // read/write/atomic record is one warp's concrete address stream, so the
@@ -78,13 +79,14 @@ class TraceCaptureSink final : public dmm::AccessCapture {
 [[nodiscard]] dmm::Kernel lower_to_kernel(const AccessTrace& trace);
 
 /// hier::WarpSource over a validated trace: what a KernelWarpSource over
-/// lower_to_kernel(trace) issues, without building the kernel. At
-/// construction one pass lists each warp's steps — the warp's own
-/// records plus every barrier, in instruction order — as record indices;
-/// an issue stages the record's lanes and ops (the ones lower_to_kernel
-/// makes) into a warp-wide scratch buffer and calls
-/// Dmm::perform_warp_access. Build once per trace; rewind() before each
-/// Dmm::run(source).
+/// lower_to_kernel(trace) issues, without building the kernel or moving
+/// any data. At construction one pass lists each warp's steps — the
+/// warp's own records plus every barrier, in instruction order — as
+/// record indices; an issue expands the record's lane mask into thread
+/// ids and hands them, with the record's op class and its addresses as
+/// they are, to the address entry of Dmm::perform_warp_access. No
+/// ThreadOp, register file or memory image is made. Build once per
+/// trace; rewind() before each Dmm::run(source).
 class TraceWarpSource final : public hier::WarpSource {
  public:
   /// Validates the trace (throws std::invalid_argument like
@@ -92,10 +94,11 @@ class TraceWarpSource final : public hier::WarpSource {
   /// source and must not change while it does.
   explicit TraceWarpSource(const AccessTrace& trace);
 
-  /// Open a run of the trace on `machine` (Dmm::begin_run over the
-  /// trace's threads, no labels) with every warp at its first step. The
-  /// machine must outlive the run. Throws std::invalid_argument when the
-  /// machine's width is not the trace's.
+  /// Open a run of the trace on `machine` (the address-only
+  /// Dmm::begin_run over the trace's threads, no labels) with every warp
+  /// at its first step. The run leaves the machine's memory contents as
+  /// they were. The machine must outlive the run. Throws
+  /// std::invalid_argument when the machine's width is not the trace's.
   void rewind(dmm::Dmm& machine);
 
   [[nodiscard]] bool done(std::uint32_t warp) const override {
@@ -120,9 +123,8 @@ class TraceWarpSource final : public hier::WarpSource {
   std::vector<std::uint32_t> steps_;
   std::vector<std::uint32_t> begins_;
   std::vector<std::uint32_t> next_;
-  // The issuing warp's active threads and ops, side by side.
+  // The issuing warp's active threads.
   std::array<std::uint32_t, kMaxTraceWidth> lanes_{};
-  std::array<dmm::ThreadOp, kMaxTraceWidth> ops_{};
 };
 
 struct ReplayOptions {

@@ -251,11 +251,12 @@ TEST(AllocGate, ReplayLoweringAllocationsDoNotGrowWithInstructions) {
 
 TEST(AllocGate, ReplayBuildsNoKernelStore) {
   // replay_trace of the bitonic capture (9,035 records, 7,200 memory
-  // dispatches) runs the decoded records directly. Measured: 29
-  // allocations, 14 of them the dispatch trace growing by doubling, and
-  // 1,225,452 bytes: 524,288 for the validator's table, 36,596 for the
-  // step index, 655,320 for the dispatch trace. Lowering the trace into
-  // a kernel first made 34 allocations of 2,232,424 bytes.
+  // dispatches) runs the decoded records directly and moves no data.
+  // Measured: 27 allocations, 14 of them the dispatch trace growing by
+  // doubling, and 1,219,308 bytes: 524,288 for the validator's table,
+  // 36,596 for the step index, 655,320 for the dispatch trace. A memory
+  // image (2,048 B here), a register file (4,096 B) or a lowered kernel
+  // store would push the bytes over the bound.
   const BitonicCapture& capture = bitonic_capture();
   const auto map =
       core::make_matrix_map(core::Scheme::kRap, 32, capture.lowered.rows, 1);
@@ -271,8 +272,27 @@ TEST(AllocGate, ReplayBuildsNoKernelStore) {
   // Capacities 1, 2, 4, ..., 8192.
   const auto growth =
       static_cast<std::uint64_t>(std::bit_width(dispatches)) + 1;
-  EXPECT_LE(allocs, 15u + growth);
-  EXPECT_LE(bytes, 1'225'452u);
+  EXPECT_LE(allocs, 13u + growth);
+  EXPECT_LE(bytes, 1'219'308u);
+}
+
+TEST(AllocGate, ReplayAllocatesNoMemoryImage) {
+  // A replay moves no data, so its heap bytes do not depend on how large
+  // the machine's memory is. A zeroed image would cost 8 B per word of
+  // the map: about 32 MB more under the 2^22-word map.
+  const BitonicCapture& capture = bitonic_capture();
+  const auto fitted =
+      core::make_matrix_map(core::Scheme::kRap, 32, capture.lowered.rows, 1);
+  const auto large = core::make_matrix_map(
+      core::Scheme::kRap, 32, (std::uint64_t{1} << 22) / 32, 1);
+  ASSERT_EQ(fitted->size(), 256u);
+  ASSERT_EQ(large->size(), std::uint64_t{1} << 22);
+  const auto replay_bytes = [&](const core::AddressMap& map) {
+    return bytes_allocated_during(
+        [&] { (void)replay::replay_trace(capture.trace, map); });
+  };
+  const std::uint64_t fitted_bytes = replay_bytes(*fitted);
+  EXPECT_EQ(replay_bytes(*large), fitted_bytes);
 }
 
 TEST(AllocGate, VmLoweringAllocationsDoNotGrowWithInstructions) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -263,6 +264,46 @@ TEST(Dmm, OutOfRangeAccessThrows) {
   Dmm machine(DmmConfig{4, 1}, map);
   const auto k = single_load_kernel(4, [](std::uint32_t) { return 100ull; });
   EXPECT_THROW(machine.run(k), std::out_of_range);
+}
+
+TEST(Dmm, AddressAccessCostsLikeTheKernelAccessButMovesNoData) {
+  const core::AddressMap map(core::Scheme::kRaw, 4, 4);
+  Dmm machine(DmmConfig{4, 1}, map);
+  EXPECT_EQ(machine.load(5), 0u);  // no image yet: every word reads 0
+  machine.store(5, 42);
+  // Lanes 0 and 1 merge on address 5, which shares bank 1 with 9.
+  const std::vector<std::uint32_t> lanes = {0, 1, 2};
+  const std::vector<std::uint64_t> addrs = {5, 5, 9};
+  machine.begin_run(4);
+  const Dmm::WarpAccess write = machine.perform_warp_access(
+      CapturedOpClass::kWrite, lanes, addrs, 0, 0);
+  EXPECT_EQ(write.congestion, 2u);
+  EXPECT_EQ(write.unique_requests, 2u);
+  EXPECT_EQ(write.active_threads, 3u);
+  // Atomics serialize instead of merging.
+  EXPECT_EQ(machine
+                .perform_warp_access(CapturedOpClass::kAtomic, lanes, addrs,
+                                     1, 0)
+                .congestion,
+            3u);
+  EXPECT_EQ(machine.load(5), 42u);
+  EXPECT_EQ(machine.load(9), 0u);
+  EXPECT_THROW((void)machine.perform_warp_access(
+                   CapturedOpClass::kWrite, lanes,
+                   std::span(addrs).first(2), 0, 0),
+               std::invalid_argument);
+
+  // The kernel entry needs the register file begin_run(kernel) makes;
+  // then it prices the same writes alike and moves their data.
+  const std::vector<ThreadOp> ops = {
+      ThreadOp::store_imm(5, 7), ThreadOp::store_imm(5, 8),
+      ThreadOp::store_imm(9, 9)};
+  EXPECT_THROW((void)machine.perform_warp_access(lanes, ops, 0, 0),
+               std::logic_error);
+  machine.begin_run(Kernel(4));
+  EXPECT_EQ(machine.perform_warp_access(lanes, ops, 0, 0).congestion, 2u);
+  EXPECT_EQ(machine.load(5), 7u);
+  EXPECT_EQ(machine.load(9), 9u);
 }
 
 TEST(Trace, CsvExportHasHeaderAndOneLinePerDispatch) {
