@@ -1,6 +1,7 @@
 #include "analyze/synth.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <numeric>
@@ -87,12 +88,14 @@ std::uint32_t entry_key(PackedEntry e, std::uint32_t d) {
   return (e >> (8u * (d + 1))) & 0xffu;
 }
 
-/// One stored (non-trivial, deduplicated) congestion class.
+/// One stored (non-trivial, deduplicated) congestion class: its entries,
+/// one per request with duplicates kept, are Closure::entries[begin, end)
+/// and its witness binding is row c of Closure::bindings.
 struct StoredClass {
-  std::vector<PackedEntry> entries;   // one per request; duplicates kept
-  std::vector<std::uint32_t> sites;   // site indices sharing this class
-  std::size_t first_site = 0;         // witness site
-  std::vector<std::uint64_t> binding; // witness binding (first site's)
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::uint32_t first_site = 0;  // witness site
+  std::uint32_t last_site = 0;   // the latest site that reached the class
 };
 
 /// Classes whose congestion is the same under every family member
@@ -107,7 +110,14 @@ struct ConstClass {
 struct Closure {
   std::uint32_t width = 0;
   std::uint32_t digits = 1;
+  std::size_t vars = 0;  // binding length
+  // The stored classes and their arenas: every class's entries end to
+  // end, every class's witness binding (`vars` values each), and one
+  // (class, site) pair per site that reached a class, in discovery order.
   std::vector<StoredClass> classes;
+  std::vector<PackedEntry> entries;
+  std::vector<std::uint64_t> bindings;
+  std::vector<std::pair<std::size_t, std::uint32_t>> class_sites;
   std::vector<double> const_floor_per_site;  // aligned with kernel sites
   ConstClass worst_const;                    // the class attaining it
   double const_floor = 1.0;                  // max over sites
@@ -116,6 +126,16 @@ struct Closure {
   Coverage coverage = Coverage::kSymbolic;
   std::uint64_t classes_seen = 0;  // before dedupe / trivial filtering
   std::uint64_t traces_reduced = 0;  // traces ingested
+
+  [[nodiscard]] std::span<const PackedEntry> class_entries(
+      std::size_t c) const {
+    return std::span(entries).subspan(classes[c].begin,
+                                      classes[c].end - classes[c].begin);
+  }
+  [[nodiscard]] std::span<const std::uint64_t> class_binding(
+      std::size_t c) const {
+    return std::span(bindings).subspan(c * vars, vars);
+  }
 };
 
 /// Deterministic stratified sample of a loop variable: up to `quota`
@@ -201,6 +221,7 @@ class ClosureBuilder {
         pack_(kernel.width, digits) {
     closure_.width = kernel.width;
     closure_.digits = digits;
+    closure_.vars = kernel.vars.size();
     closure_.const_floor_per_site.assign(kernel.sites.size(), 1.0);
   }
 
@@ -279,12 +300,16 @@ class ClosureBuilder {
     const bool column_uniform =
         lane_step % w == 0 && uniform_groups <= kMaxUniformGroups;
     groups_.assign((w + (column_uniform ? uniform_groups : 0) + 63) / 64, 0);
+    // Shift and mask when w is a power of two, as EntryPacker does.
+    const bool pow2 = std::has_single_bit(w);
+    const auto shift = static_cast<std::uint64_t>(std::countr_zero(w));
     const auto first_of_group = [&](std::uint64_t key) {
+      const std::uint64_t col = pow2 ? key & (w - 1) : key % w;
       std::uint64_t group = 0;
-      if (flat && key % w + carry_span < w) {
-        group = key % w;
+      if (flat && col + carry_span < w) {
+        group = col;
       } else if (column_uniform) {
-        group = w + key / w;
+        group = w + (pow2 ? key >> shift : key / w);
       } else {
         return true;  // a group of its own
       }
@@ -465,19 +490,19 @@ class ClosureBuilder {
     sort_unless_sorted(entries_.begin(), entries_.end());
 
     // Identical (col, keys) packings collide under every family member.
+    // `differ` has a bit set wherever some entry differs from the first.
     std::size_t max_same = 1;
-    bool keys_all_equal = true;
-    const PackedEntry key0 = entries_.empty() ? 0 : entries_[0] & ~0xffu;
+    PackedEntry differ = 0;
     std::size_t run = 1;
     for (std::size_t k = 1; k < entries_.size(); ++k) {
       run = entries_[k] == entries_[k - 1] ? run + 1 : 1;
       max_same = std::max(max_same, run);
-      if ((entries_[k] & ~0xffu) != key0) keys_all_equal = false;
+      differ |= entries_[k] ^ entries_[0];
     }
     closure_.family_floor =
         std::max(closure_.family_floor, static_cast<double>(max_same));
 
-    if (keys_all_equal) {
+    if ((differ & ~0xffu) == 0) {
       // Bank is injective in the column: congestion is the constant
       // max_same for every member. Fold and drop.
       const auto value = static_cast<double>(max_same);
@@ -491,40 +516,52 @@ class ClosureBuilder {
       return;
     }
 
-    normal_forms();
+    normal_forms(differ);
     const std::uint64_t hash = hash_words(norm_);
+    // Sites are ingested in ascending order, so a class's sites are too.
+    const auto s32 = static_cast<std::uint32_t>(site_index);
     if (const auto known = find_class(hash)) {
       StoredClass& cls = closure_.classes[*known];
-      const auto s32 = static_cast<std::uint32_t>(site_index);
-      if (std::find(cls.sites.begin(), cls.sites.end(), s32) ==
-          cls.sites.end()) {
-        cls.sites.push_back(s32);
+      if (cls.last_site != s32) {
+        cls.last_site = s32;
+        closure_.class_sites.emplace_back(*known, s32);
       }
       return;
     }
-    index_class(hash, closure_.classes.size());
+    const std::size_t c = closure_.classes.size();
+    index_class(hash, c);
     norm_arena_.insert(norm_arena_.end(), norm_.begin(), norm_.end());
     norm_bounds_.push_back(norm_arena_.size());
-    StoredClass cls;
-    cls.entries = entries_;
-    cls.sites.push_back(static_cast<std::uint32_t>(site_index));
-    cls.first_site = site_index;
-    cls.binding.assign(binding.begin(), binding.end());
-    closure_.classes.push_back(std::move(cls));
+    const std::size_t begin = closure_.entries.size();
+    closure_.entries.insert(closure_.entries.end(), entries_.begin(),
+                            entries_.end());
+    closure_.bindings.insert(closure_.bindings.end(), binding.begin(),
+                             binding.end());
+    closure_.classes.push_back({begin, closure_.entries.size(), s32, s32});
+    closure_.class_sites.emplace_back(c, s32);
   }
 
   /// Rotate- and xor-normal forms of entries_, concatenated into norm_.
-  /// Shifting (or xoring) every column by a constant permutes banks, so
-  /// two classes whose BOTH normal forms agree are congestion-equivalent
-  /// under every rotate member and every xor member respectively.
-  void normal_forms() {
+  /// Shifting (or xoring) every column by a constant permutes banks, and
+  /// so does a key digit shared by every entry: it adds one table term
+  /// (or xors one mask) into every bank under every member. Each form
+  /// removes the first entry's column and zeroes the digits that are
+  /// uniform (`differ`'s byte clear), so two classes whose BOTH normal
+  /// forms agree are congestion-equivalent under every rotate member and
+  /// every xor member respectively.
+  void normal_forms(PackedEntry differ) {
     const std::uint32_t w = kernel_.width;
     const std::size_t n = entries_.size();
     const std::uint32_t c = n == 0 ? 0 : entry_col(entries_[0]);
     const bool pow2 = std::has_single_bit(w);
+    PackedEntry varying = 0;  // the key bytes of the non-uniform digits
+    for (std::uint32_t d = 0; d < digits_; ++d) {
+      const PackedEntry byte = 0xffu << (8u * (d + 1));
+      if ((differ & byte) != 0) varying |= byte;
+    }
     norm_.resize(2 * n);
     for (std::size_t k = 0; k < n; ++k) {
-      const PackedEntry keys = entries_[k] & ~0xffu;
+      const PackedEntry keys = entries_[k] & varying;
       const std::uint32_t col = entry_col(entries_[k]);
       norm_[k] = keys | (col >= c ? col - c : col + w - c);
       // Both columns are below w, so a power-of-two w needs no reduction.
@@ -611,6 +648,44 @@ class ClosureBuilder {
   std::vector<std::size_t> norm_bounds_{0};
 };
 
+/// A candidate's bank function over packed entries, its table pointers
+/// resolved once per candidate. Assumes a checked mapping with one table
+/// per closure digit (check_mapping), so every lookup is in range.
+class Banks {
+ public:
+  Banks(const SynthMapping& mapping, std::uint32_t digits)
+      : width_(mapping.width),
+        digits_(digits),
+        rotate_(mapping.transform == RowTransform::kRotate),
+        pow2_(std::has_single_bit(mapping.width)) {
+    for (std::uint32_t d = 0; d < digits; ++d) {
+      tables_[d] = mapping.tables[d].data();
+    }
+  }
+
+  [[nodiscard]] std::uint32_t operator()(PackedEntry e) const {
+    std::uint32_t term = 0;
+    if (rotate_) {
+      for (std::uint32_t d = 0; d < digits_; ++d) {
+        term += tables_[d][entry_key(e, d)];
+      }
+      term += entry_col(e);
+      return pow2_ ? term & (width_ - 1) : term % width_;
+    }
+    for (std::uint32_t d = 0; d < digits_; ++d) {
+      term ^= tables_[d][entry_key(e, d)];
+    }
+    return entry_col(e) ^ term;  // xor: w is a power of two, so < w
+  }
+
+ private:
+  std::array<const std::uint32_t*, kMaxDigits> tables_{};
+  std::uint32_t width_;
+  std::uint32_t digits_;
+  bool rotate_;
+  bool pow2_;
+};
+
 /// Candidate evaluator with epoch-stamped bank counters and sound
 /// early-abort: once the running max reaches `abort_at` the candidate's
 /// true bound can only be >= it, so discarding it preserves any
@@ -635,9 +710,10 @@ class Evaluator {
       out.completed = false;
       return out;
     }
+    const Banks banks(mapping, closure_.digits);
     for (std::size_t c = 0; c < closure_.classes.size(); ++c) {
-      const auto max = static_cast<double>(
-          class_max(closure_.classes[c], mapping));
+      const auto max =
+          static_cast<double>(class_max(closure_.class_entries(c), banks));
       if (max > out.bound) {
         out.bound = max;
         out.worst_class = c;
@@ -651,49 +727,34 @@ class Evaluator {
   }
 
   /// Per-site certified bounds under `mapping` (full evaluation).
-  std::vector<double> site_bounds(const SynthMapping& mapping,
-                                  std::size_t num_sites) {
-    std::vector<double> bounds(num_sites, 1.0);
-    for (std::size_t s = 0; s < num_sites; ++s) {
-      bounds[s] = closure_.const_floor_per_site[s];
+  std::vector<double> site_bounds(const SynthMapping& mapping) {
+    const Banks banks(mapping, closure_.digits);
+    std::vector<std::uint32_t> maxima;
+    maxima.reserve(closure_.classes.size());
+    for (std::size_t c = 0; c < closure_.classes.size(); ++c) {
+      maxima.push_back(class_max(closure_.class_entries(c), banks));
     }
-    for (const StoredClass& cls : closure_.classes) {
-      const auto max = static_cast<double>(class_max(cls, mapping));
-      for (const std::uint32_t s : cls.sites) {
-        bounds[s] = std::max(bounds[s], max);
-      }
+    std::vector<double> bounds = closure_.const_floor_per_site;
+    for (const auto& [c, s] : closure_.class_sites) {
+      bounds[s] = std::max(bounds[s], static_cast<double>(maxima[c]));
     }
     return bounds;
   }
 
  private:
-  /// The class's congestion under `mapping`: the most requests on one
+  /// The class's congestion under a candidate: the most requests on one
   /// bank.
-  std::uint32_t class_max(const StoredClass& cls,
-                          const SynthMapping& mapping) {
-    const std::uint32_t w = closure_.width;
-    const bool rotate = mapping.transform == RowTransform::kRotate;
-    const std::uint32_t digits = closure_.digits;
+  std::uint32_t class_max(std::span<const PackedEntry> entries,
+                          const Banks& banks) {
     ++epoch_;
     std::uint32_t max = 0;
-    for (const PackedEntry e : cls.entries) {
-      std::uint32_t term = 0;
-      if (rotate) {
-        for (std::uint32_t d = 0; d < digits; ++d) {
-          term += mapping.tables[d][entry_key(e, d)];
-        }
-        term = (entry_col(e) + term) % w;
-      } else {
-        for (std::uint32_t d = 0; d < digits; ++d) {
-          term ^= mapping.tables[d][entry_key(e, d)];
-        }
-        term = (entry_col(e) ^ term) % w;
+    for (const PackedEntry e : entries) {
+      const std::uint32_t bank = banks(e);
+      if (stamp_[bank] != epoch_) {
+        stamp_[bank] = epoch_;
+        counts_[bank] = 0;
       }
-      if (stamp_[term] != epoch_) {
-        stamp_[term] = epoch_;
-        counts_[term] = 0;
-      }
-      max = std::max(max, ++counts_[term]);
+      max = std::max(max, ++counts_[bank]);
     }
     return max;
   }
@@ -704,81 +765,88 @@ class Evaluator {
   std::uint64_t epoch_ = 0;
 };
 
-std::vector<std::vector<std::uint32_t>> zero_tables(std::uint32_t digits,
-                                                    std::uint32_t width) {
-  return std::vector<std::vector<std::uint32_t>>(
-      digits, std::vector<std::uint32_t>(width, 0));
-}
-
-/// The generator set: the deterministic corners of the family (RAW,
-/// per-digit PAD-style identities, per-digit linear sweeps, the binary
-/// identity combinations), then seeded random permutations per digit —
-/// the paper's RAP draws. Rotate always; xor when width is a power of 2.
-std::vector<SynthMapping> generate_candidates(std::uint32_t width,
-                                              std::uint32_t digits,
-                                              const SynthesisOptions& opts) {
-  std::vector<SynthMapping> candidates;
-  const bool pow2 = width > 0 && (width & (width - 1)) == 0;
-  const std::vector<RowTransform> transforms =
-      pow2 ? std::vector<RowTransform>{RowTransform::kRotate,
-                                       RowTransform::kXor}
-           : std::vector<RowTransform>{RowTransform::kRotate};
-
-  const auto push = [&](RowTransform transform,
-                        std::vector<std::vector<std::uint32_t>> tables) {
-    SynthMapping m;
-    m.width = width;
-    m.transform = transform;
-    m.tables = std::move(tables);
-    candidates.push_back(std::move(m));
-  };
-
-  // RAW (all zeros): transform-independent, generate once.
-  push(RowTransform::kRotate, zero_tables(digits, width));
-
-  for (const RowTransform transform : transforms) {
-    // Binary identity combinations over the digits (covers the single
-    // identities and the all-identity diagonal-style layout).
-    for (std::uint32_t mask = 1; mask < (1u << digits); ++mask) {
-      auto tables = zero_tables(digits, width);
-      for (std::uint32_t d = 0; d < digits; ++d) {
-        if ((mask >> d) & 1u) {
-          for (std::uint32_t r = 0; r < width; ++r) tables[d][r] = r;
-        }
-      }
-      push(transform, std::move(tables));
+/// The generator set, one candidate at a time: the deterministic corners
+/// of the family (RAW, then per transform the binary identity
+/// combinations over the digits and the per-digit linear sweeps), then
+/// seeded random permutations per digit — the paper's RAP draws. Rotate
+/// always; xor when the width is a power of two. Each candidate
+/// overwrites the one before, so memory does not grow with the draws.
+class CandidateStream {
+ public:
+  CandidateStream(std::uint32_t width, std::uint32_t digits,
+                  const SynthesisOptions& options)
+      : transforms_(std::has_single_bit(width) ? 2 : 1),
+        identities_((std::uint64_t{1} << digits) - 1),
+        sweeps_(std::uint64_t{digits} * (width > 2 ? width - 2 : 0)),
+        rng_(options.seed, /*stream=*/0x73796e7468ull) {  // "synth"
+    const std::uint64_t fixed = 1 + transforms_ * (identities_ + sweeps_);
+    if (options.random_draws >
+        (std::numeric_limits<std::uint64_t>::max() - fixed) / transforms_) {
+      throw std::invalid_argument(
+          "synthesize: random_draws overflows the 64-bit candidate count");
     }
-    // Per-digit linear sweeps t_d[r] = c * r mod w (rotate) or the xor
-    // analogue; c = 1 is already covered by the identity combinations.
-    for (std::uint32_t d = 0; d < digits; ++d) {
-      for (std::uint32_t c = 2; c < width; ++c) {
-        auto tables = zero_tables(digits, width);
-        for (std::uint32_t r = 0; r < width; ++r) {
-          tables[d][r] =
-              transform == RowTransform::kRotate
-                  ? static_cast<std::uint32_t>(
-                        (static_cast<std::uint64_t>(c) * r) % width)
-                  : (c * r) % width;
-        }
-        push(transform, std::move(tables));
-      }
-    }
+    size_ = fixed + options.random_draws * transforms_;
+    // RAW (all zeros): transform-independent, generated once, first.
+    current_.width = width;
+    current_.tables.assign(digits, std::vector<std::uint32_t>(width, 0));
   }
 
-  // Random permutation tables (independent per digit) — the RAP corner.
-  util::Pcg32 rng(opts.seed, /*stream=*/0x73796e7468ull);  // "synth"
-  for (std::uint64_t draw = 0; draw < opts.random_draws; ++draw) {
-    for (const RowTransform transform : transforms) {
-      auto tables = zero_tables(digits, width);
-      for (std::uint32_t d = 0; d < digits; ++d) {
-        const core::Permutation perm = core::Permutation::random(width, rng);
-        for (std::uint32_t r = 0; r < width; ++r) tables[d][r] = perm[r];
+  /// Candidates the generators produce in all: 1 + T * ((2^D - 1) +
+  /// D * (w - 2)) + draws * T for T transforms (w - 2 read as 0 below 2).
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+  [[nodiscard]] const SynthMapping& current() const { return current_; }
+
+  /// Overwrites current() with the next candidate; false past the last.
+  bool next() {
+    if (index_ + 1 >= size_) return false;
+    const std::uint64_t i = index_++;  // candidates after RAW
+    const std::uint64_t block = identities_ + sweeps_;
+    const std::uint32_t w = current_.width;
+    auto& tables = current_.tables;
+    if (i < transforms_ * block) {
+      current_.transform = transform(i / block);
+      for (std::vector<std::uint32_t>& table : tables) {
+        std::fill(table.begin(), table.end(), 0u);
       }
-      push(transform, std::move(tables));
+      const std::uint64_t k = i % block;
+      if (k < identities_) {
+        // Identity tables on the digits of mask k + 1 (the single
+        // identities and the all-identity diagonal-style layout).
+        for (std::size_t d = 0; d < tables.size(); ++d) {
+          if (((k + 1) >> d) & 1u) {
+            std::iota(tables[d].begin(), tables[d].end(), 0u);
+          }
+        }
+      } else {
+        // t_d[r] = c * r mod w; c = 1 is an identity combination.
+        const std::uint64_t sweep = k - identities_;
+        const auto c = static_cast<std::uint32_t>(2 + sweep % (w - 2));
+        auto& table = tables[sweep / (w - 2)];
+        for (std::uint32_t r = 0; r < w; ++r) table[r] = (c * r) % w;
+      }
+    } else {
+      // Random permutation tables, independent per digit.
+      current_.transform = transform((i - transforms_ * block) % transforms_);
+      for (std::vector<std::uint32_t>& table : tables) {
+        core::draw_permutation(table, rng_);
+      }
     }
+    return true;
   }
-  return candidates;
-}
+
+ private:
+  static RowTransform transform(std::uint64_t t) {
+    return t == 0 ? RowTransform::kRotate : RowTransform::kXor;
+  }
+
+  std::uint64_t transforms_;
+  std::uint64_t identities_;  // per transform
+  std::uint64_t sweeps_;      // per transform
+  util::Pcg32 rng_;
+  std::uint64_t size_ = 0;
+  std::uint64_t index_ = 0;  // of current()
+  SynthMapping current_;
+};
 
 std::string format_bound_value(double bound) {
   std::ostringstream out;
@@ -938,23 +1006,41 @@ SynthMapping SynthMapping::parse_spec(const std::string& spec) {
   return mapping;
 }
 
+namespace {
+
+/// Throws std::invalid_argument, prefixed with `who`, unless the mapping
+/// is well formed (synth.hpp, make_synth_map).
+void check_mapping(const SynthMapping& mapping, const std::string& who) {
+  const auto fail = [&](const std::string& what) {
+    throw std::invalid_argument(who + ": " + what);
+  };
+  const std::uint32_t w = mapping.width;
+  if (w == 0) fail("zero width");
+  if (mapping.tables.empty() || mapping.tables.size() > kMaxDigits) {
+    fail("mapping needs 1..3 digit tables");
+  }
+  if (mapping.transform == RowTransform::kXor && !std::has_single_bit(w)) {
+    fail("xor transform requires a power-of-two width");
+  }
+  for (const std::vector<std::uint32_t>& table : mapping.tables) {
+    if (table.size() != w) fail("table size != width");
+    for (const std::uint32_t entry : table) {
+      if (entry >= w) fail("table entry >= width");
+    }
+  }
+}
+
+}  // namespace
+
 std::unique_ptr<core::AddressMap> make_synth_map(const SynthMapping& mapping,
                                                  std::uint64_t memory_size) {
+  check_mapping(mapping, "make_synth_map");
   const std::uint32_t w = mapping.width;
-  if (w == 0) throw std::invalid_argument("make_synth_map: zero width");
-  if (mapping.tables.empty() || mapping.tables.size() > kMaxDigits) {
-    throw std::invalid_argument(
-        "make_synth_map: mapping needs 1..3 digit tables");
-  }
   std::vector<core::RowTable> tables;
   for (std::uint32_t d = 0; d < mapping.tables.size(); ++d) {
-    if (mapping.tables[d].size() != w) {
-      throw std::invalid_argument("make_synth_map: table size != width");
-    }
     tables.push_back({d, mapping.tables[d]});
   }
   const std::uint64_t rows = (memory_size + w - 1) / w;
-  // The AddressMap checks the entries and the xor width.
   return std::make_unique<core::AddressMap>(
       "SYNTH(" + mapping.describe() + ")", w,
       std::max<std::uint64_t>(1, rows) * w, mapping.transform,
@@ -1009,6 +1095,7 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
 
   const std::uint32_t digits =
       digits_for_rows(kernel.rows, kernel.width, options.max_digits);
+  CandidateStream stream(kernel.width, digits, options);
   const Closure closure =
       build_closure(kernel, digits, std::max<std::uint64_t>(options.class_cap,
                                                             std::uint64_t{1}));
@@ -1018,18 +1105,16 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
   const double family_floor =
       std::max({global_floor, closure.const_floor, closure.family_floor});
 
-  std::vector<SynthMapping> candidates =
-      generate_candidates(kernel.width, digits, options);
-
   // RAW (always present, always first) evaluated in full over the
   // closure is the baseline; the search reuses the outcome.
-  const Evaluator::Outcome raw = evaluator.evaluate(
-      candidates.front(), std::numeric_limits<double>::infinity());
-  SynthMapping best = candidates.front();
+  const SynthMapping& candidate = stream.current();
+  const Evaluator::Outcome raw =
+      evaluator.evaluate(candidate, std::numeric_limits<double>::infinity());
+  SynthMapping best = candidate;
   double best_bound = std::numeric_limits<double>::infinity();
   std::uint64_t evaluated = 0;
   std::uint64_t pruned = 0;
-  std::uint64_t family_size = candidates.size();
+  std::uint64_t family_size = stream.size();
   bool budget_hit = false;
   bool cancelled = false;
 
@@ -1041,17 +1126,17 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
     return cancelled;
   };
 
-  for (const SynthMapping& candidate : candidates) {
-    if (best_bound <= family_floor) break;  // floor met: provably minimal
+  // Stops at the floor (provably minimal) before drawing another.
+  for (bool first = true;
+       best_bound > family_floor && (first || stream.next()); first = false) {
     if (!budget_left()) {
       budget_hit = true;
       break;
     }
     if (poll_cancel()) break;
     const Evaluator::Outcome outcome =
-        &candidate == &candidates.front()
-            ? raw  // best_bound is still infinite
-            : evaluator.evaluate(candidate, best_bound);
+        first ? raw  // best_bound is still infinite
+              : evaluator.evaluate(candidate, best_bound);
     if (outcome.completed) {
       ++evaluated;
       if (outcome.bound < best_bound) {
@@ -1078,8 +1163,7 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
       if (current.worst_class == std::numeric_limits<std::size_t>::max()) {
         break;  // the bound comes from a constant class: tables can't help
       }
-      const StoredClass& worst = closure.classes[current.worst_class];
-      for (const PackedEntry e : worst.entries) {
+      for (const PackedEntry e : closure.class_entries(current.worst_class)) {
         for (std::uint32_t d = 0; d < digits && !improved; ++d) {
           const std::uint32_t key = entry_key(e, d);
           const std::uint32_t original = best.tables[d][key];
@@ -1125,20 +1209,21 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
   result.coverage = closure.coverage;
   result.classes = closure.classes_seen;
   result.traces_reduced = closure.traces_reduced;
+  result.classes_stored = closure.classes.size();
   result.candidates = evaluated + pruned;
   result.baseline_bound = raw.bound;
   result.certificate =
       make_certificate(best, closure, bound, closure.classes_seen);
-  result.site_bounds = evaluator.site_bounds(best, kernel.sites.size());
+  result.site_bounds = evaluator.site_bounds(best);
 
   // The witness class: rematerialize the worst class's real trace.
   std::size_t witness_site = closure.worst_const.site;
   std::vector<std::uint64_t> witness_binding = closure.worst_const.binding;
   if (final_outcome.worst_class != std::numeric_limits<std::size_t>::max() &&
       bound > closure.const_floor) {
-    const StoredClass& cls = closure.classes[final_outcome.worst_class];
-    witness_site = cls.first_site;
-    witness_binding = cls.binding;
+    witness_site = closure.classes[final_outcome.worst_class].first_site;
+    const auto binding = closure.class_binding(final_outcome.worst_class);
+    witness_binding.assign(binding.begin(), binding.end());
   }
   if (witness_binding.empty()) {
     witness_binding.assign(kernel.vars.size(), 0);
@@ -1216,10 +1301,8 @@ CongestionCertificate certify_mapping(const KernelDesc& kernel,
     throw std::invalid_argument(
         "certify_mapping: mapping width != kernel width");
   }
+  check_mapping(mapping, "certify_mapping");
   const auto digits = static_cast<std::uint32_t>(mapping.tables.size());
-  if (digits == 0 || digits > kMaxDigits) {
-    throw std::invalid_argument("certify_mapping: mapping needs 1..3 tables");
-  }
   // A closure of its own: nothing is shared with the search.
   const Closure closure = build_closure(kernel, digits, kDefaultClassCap);
   Evaluator evaluator(closure);

@@ -33,6 +33,20 @@
 // candidate is scored by direct evaluation of every constraint. The
 // winner's full evaluation IS its certificate.
 //
+// Classes are stored once per congestion-equivalent group. Adding one
+// shift to every request of a warp only relabels banks, so each class's
+// rotate and xor normal forms remove its first entry's column and zero
+// every key digit that all its entries share (under every member such a
+// digit adds one table term, or xors one mask, into every bank); classes
+// whose forms both agree are stored once. The one stored is the first
+// in discovery order, and a later duplicate is congestion-equal under
+// every member, so it can never raise a running maximum above its
+// representative's: the worst class, its witness binding and trace,
+// every pruning decision and the greedy repair are the ones storing
+// every class would give, and a duplicate's site joins the stored
+// class's sites, so site_bounds is unchanged too.
+// SynthesisResult::classes_stored counts what is stored.
+//
 // The DP is one flat sweep per loop variable: the states found so far,
 // in discovery order, each walk their orbit, and a key not reached yet
 // becomes a new state. Reached keys live in an open-addressing index
@@ -72,7 +86,11 @@
 // When no floor is met the search still exhausts its generator set, and
 // "family-exhausted" certifies the bound as the minimum over every
 // candidate generated (pruned candidates are discarded soundly: a
-// running max that already reached the incumbent can only grow).
+// running max that already reached the incumbent can only grow). The
+// candidates are generated one at a time as they are scored, so memory
+// does not grow with random_draws; family_size is counted in closed form,
+// 1 + T * ((2^D - 1) + D * (w - 2)) + draws * T for T transforms (w - 2
+// read as 0 below 2), plus the greedy repair's trials.
 // certify_mapping() re-checks any claimed (kernel, mapping, bound) triple
 // independently of the search, which is what makes the witness auditable.
 //
@@ -173,7 +191,9 @@ inline constexpr std::uint64_t kDefaultClassCap = std::uint64_t{1} << 18;
 struct SynthesisOptions {
   /// Digit tables to search (clamped to what `rows` needs; <= kMaxDigits).
   std::uint32_t max_digits = kMaxDigits;
-  /// Random permutation draws per transform (the RAP corner of the family).
+  /// Random permutation draws per transform (the RAP corner of the
+  /// family). The search throws std::invalid_argument when the family
+  /// this makes overflows a 64-bit count.
   std::uint64_t random_draws = 48;
   /// Greedy single-entry repair steps applied to the incumbent.
   std::uint64_t greedy_passes = 64;
@@ -205,6 +225,10 @@ struct SynthesisResult {
   /// lane-uniform group, at most `classes`. A work counter, kept out of
   /// to_json() (the JSON is the same whichever way the classes were found).
   std::uint64_t traces_reduced = 0;
+  /// Congestion classes the search's closure stored and scores each
+  /// candidate against: one per congestion-equivalent group (header: THE
+  /// ORACLE). A work counter, kept out of to_json() like traces_reduced.
+  std::uint64_t classes_stored = 0;
   /// Certified per-site bounds under the winner (aligned with sites).
   std::vector<double> site_bounds;
   /// A class attaining the whole-kernel bound: its site, the binding,
@@ -237,7 +261,7 @@ struct SynthesisResult {
 /// auditor's half of the optimality witness — it shares no state with
 /// the search. Same throwing contract as synthesize_mapping, plus
 /// std::invalid_argument when the mapping's width differs from the
-/// kernel's.
+/// kernel's or the mapping is malformed (make_synth_map's check).
 [[nodiscard]] CongestionCertificate certify_mapping(
     const KernelDesc& kernel, const SynthMapping& mapping);
 

@@ -422,11 +422,14 @@ TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
   // tensor4d-stride3 at w = 32: 32,768 classes per closure, built once by
   // the search and once, independently, by the audit. Before the
   // allocation-free ingest: 557,470 allocations for the 2 x 32,768
-  // classes seen (8.5 per class). Now the ingest allocates only for the
-  // classes it stores, only one trace per lane-uniform group is reduced,
-  // and the residue DP and the class dedupe index flat vectors instead
+  // classes seen (8.5 per class). Then the ingest allocated only for the
+  // classes it stored, only one trace per lane-uniform group was reduced,
+  // and the residue DP and the class dedupe indexed flat vectors instead
   // of node-based hash maps: 8,390 allocations, 0.128 per class seen (a
-  // node map per DP sweep and a RAW prover pass took it to 14,642).
+  // node map per DP sweep and a RAW prover pass took it to 14,642). Now
+  // the uniform key digits fold, so the closure stores one class, in
+  // one arena, and the candidates are generated as they are scored: 142
+  // allocations with libstdc++ 12, 0.00217 per class seen.
   const analyze::KernelDesc kernel =
       tools::builtin_kernel("tensor4d-stride3", 32);
   analyze::SynthesisResult result;
@@ -437,7 +440,7 @@ TEST(AllocGate, SynthesisClosureAllocationsPerClass) {
   ASSERT_EQ(result.classes, 32768u);
   const double per_class =
       static_cast<double>(allocs) / static_cast<double>(2 * result.classes);
-  EXPECT_LT(per_class, 0.14)
+  EXPECT_LE(per_class, 0.00217)
       << allocs << " allocations; before the allocation-free ingest: 557,470";
 }
 
@@ -470,7 +473,10 @@ TEST(AllocGate, SynthesisCatalogPassAllocations) {
   // unit of the synth-catalog benchmark. 107,015 allocations while the
   // search ran the RAW prover for its baseline and its residue DP and
   // class dedupe were node-based hash maps; 45,679 with libstdc++ 12
-  // since.
+  // while every class allocated its own entries, sites and binding and
+  // every search built its whole candidate list up front; 5,494 since
+  // the classes live in one arena and the candidates are generated as
+  // they are scored.
   const std::vector<analyze::KernelDesc> catalog = tools::builtin_kernels(32);
   const std::uint64_t allocs = allocations_during([&] {
     for (const analyze::KernelDesc& kernel : catalog) {
@@ -479,7 +485,43 @@ TEST(AllocGate, SynthesisCatalogPassAllocations) {
       (void)analyze::certify_mapping(kernel, result.mapping);
     }
   });
-  EXPECT_LT(allocs, 46000u);
+  EXPECT_LE(allocs, 5494u);
+}
+
+TEST(AllocGate, SynthesisStoresEachCongestionClassOnce) {
+  // A key digit shared by every entry of a class adds one table term to
+  // every bank under every member, so it folds like the column
+  // (analyze/synth.hpp, THE ORACLE). Each tensor4d-stride closure at
+  // w = 32 stored 1,024 such classes before, and the catalog 3,148.
+  for (const char* name :
+       {"tensor4d-stride1", "tensor4d-stride2", "tensor4d-stride3"}) {
+    EXPECT_EQ(analyze::synthesize_mapping(tools::builtin_kernel(name, 32))
+                  .classes_stored,
+              1u)
+        << name;
+  }
+  std::uint64_t stored = 0;
+  for (const analyze::KernelDesc& kernel : tools::builtin_kernels(32)) {
+    stored += analyze::synthesize_mapping(kernel).classes_stored;
+  }
+  EXPECT_LE(stored, 60u);
+}
+
+TEST(AllocGate, SynthesisCandidateMemoryDoesNotGrowWithDraws) {
+  // The search draws each candidate as it scores it, so the draw count
+  // bounds the work, never the memory: every search below stops at its
+  // floor after a few candidates, whatever the family size. Building the
+  // candidate list up front materialized 2 x draws mappings.
+  for (const char* name : {"transpose-crsw", "tensor4d-stride3", "bitonic"}) {
+    const analyze::KernelDesc kernel = tools::builtin_kernel(name, 32);
+    const auto run = [&](std::uint64_t draws) {
+      analyze::SynthesisOptions options;
+      options.random_draws = draws;
+      return allocations_during(
+          [&] { (void)analyze::synthesize_mapping(kernel, options); });
+    };
+    EXPECT_EQ(run(48), run(std::uint64_t{1} << 40)) << name;
+  }
 }
 
 TEST(AllocGate, WrappedSiteKeyIndexFollowsTheReachedStates) {

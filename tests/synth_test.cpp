@@ -3,15 +3,18 @@
 // make_synth_map validation, the (d-1)P permutation corner of the family
 // on w^d arrays, full-domain translate pins, witness semantics
 // (bound-one / atomic-floor / family-minimal), the independent
-// certify_mapping audit, and the
+// certify_mapping audit and its mapping check, the closed-form family
+// size, and the
 // property test required by ISSUE 7 — random affine kernels whose
 // synthesized certified bound must EQUAL the congestion measured on the
 // full DMM replay of the kernel's materialized trace — and the same
 // equality for certify_mapping's bound on random mappings over kernels at
-// the closure's lane-uniform grouping edges; the RAW baseline against
-// the independent RAW prover (analyze_kernel), and a digest pin over
-// off-catalog kernels that fixes the residue DP's discovery order. The
-// whole-catalog differential sweep lives in synth_differential_test.cpp.
+// the closure's lane-uniform grouping edges (and, site by site, the
+// search's site_bounds against a replay of each site alone); the RAW
+// baseline against the independent RAW prover (analyze_kernel), and a
+// digest pin over off-catalog kernels that fixes the residue DP's
+// discovery order. The whole-catalog differential sweep lives in
+// synth_differential_test.cpp.
 
 #include "analyze/synth.hpp"
 
@@ -20,6 +23,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -383,6 +387,93 @@ TEST(Synthesize, CertifyMappingRejectsMismatchedWidth) {
                std::invalid_argument);
 }
 
+// certify_mapping checks the mapping as make_synth_map does before it
+// scores a class: a malformed table would otherwise be read past its end.
+TEST(Synthesize, CertifyMappingRejectsShortTables) {
+  SynthMapping mapping = random_mapping(32, 2, 1);
+  for (std::vector<std::uint32_t>& table : mapping.tables) table.resize(4);
+  EXPECT_THROW((void)certify_mapping(crsw_kernel(32), mapping),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_synth_map(mapping, 32 * 64), std::invalid_argument);
+}
+
+TEST(Synthesize, CertifyMappingRejectsEntriesPastTheWidth) {
+  SynthMapping mapping = random_mapping(8, 1, 1);
+  mapping.tables[0][5] = 8;
+  EXPECT_THROW((void)certify_mapping(crsw_kernel(8), mapping),
+               std::invalid_argument);
+  mapping.tables[0][5] = 7;
+  EXPECT_NO_THROW((void)certify_mapping(crsw_kernel(8), mapping));
+}
+
+TEST(Synthesize, CertifyMappingRejectsXorOnANonPowerOfTwoWidth) {
+  SynthMapping mapping = random_mapping(6, 1, 1);
+  mapping.transform = RowTransform::kXor;
+  EXPECT_THROW((void)certify_mapping(crsw_kernel(6), mapping),
+               std::invalid_argument);
+  mapping.transform = RowTransform::kRotate;
+  EXPECT_NO_THROW((void)certify_mapping(crsw_kernel(6), mapping));
+}
+
+/// One site reading whole rows of a memory that needs `digits` digit
+/// tables: congestion 1 under RAW, so the search stops at bound-one with
+/// the first candidate and never reaches the greedy repair.
+KernelDesc row_read_kernel(std::uint32_t w, std::uint32_t digits) {
+  std::uint64_t rows = 1;
+  for (std::uint32_t d = 1; d < digits; ++d) rows *= w;
+  KernelDesc kernel;
+  kernel.name = "row-read";
+  kernel.width = w;
+  kernel.rows = rows + 1;  // one past w^(digits-1): `digits` digits
+  kernel.vars = {{"u", 2}};
+  AccessSite site;
+  site.name = "read";
+  site.flat = {0, 1, {static_cast<std::int64_t>(w)}};
+  kernel.sites = {site};
+  return kernel;
+}
+
+/// The candidates are generated as they are scored, so the family size
+/// is counted in closed form: RAW, then per transform T the 2^D - 1
+/// identity combinations and D (w - 2) linear sweeps, then T per draw.
+TEST(SynthProperty, FamilySizeIsTheClosedForm) {
+  for (const std::uint32_t w : {4u, 6u, 8u, 12u, 32u, 64u}) {
+    const std::uint64_t transforms = std::has_single_bit(w) ? 2 : 1;
+    for (std::uint32_t digits = 1; digits <= kMaxDigits; ++digits) {
+      for (const std::uint64_t draws : {0u, 1u, 48u}) {
+        SCOPED_TRACE("w=" + std::to_string(w) + " D=" +
+                     std::to_string(digits) + " draws=" +
+                     std::to_string(draws));
+        SynthesisOptions options;
+        options.max_digits = digits;
+        options.random_draws = draws;
+        const SynthesisResult result =
+            synthesize_mapping(row_read_kernel(w, digits), options);
+        ASSERT_EQ(result.mapping.digits(), digits);
+        EXPECT_EQ(result.witness.reason, "bound-one");
+        EXPECT_EQ(result.witness.evaluated, 1u);
+        EXPECT_EQ(result.witness.family_size,
+                  1 + transforms * (((std::uint64_t{1} << digits) - 1) +
+                                    digits * (w - 2)) +
+                      draws * transforms);
+      }
+    }
+  }
+}
+
+TEST(Synthesize, RejectsADrawCountPastTheCandidateCounter) {
+  // w = 8, D = 1: 1 + 2 * (1 + 6) = 15 fixed candidates, 2 per draw.
+  const KernelDesc kernel = row_read_kernel(8, 1);
+  SynthesisOptions options;
+  options.random_draws = (std::numeric_limits<std::uint64_t>::max() - 15) / 2;
+  const SynthesisResult result = synthesize_mapping(kernel, options);
+  EXPECT_EQ(result.witness.family_size,
+            std::numeric_limits<std::uint64_t>::max());
+  ++options.random_draws;
+  EXPECT_THROW((void)synthesize_mapping(kernel, options),
+               std::invalid_argument);
+}
+
 TEST(Synthesize, ResultJsonHasTheContractFields) {
   contract::expect_synthesis(
       contract::parse(synthesize_mapping(crsw_kernel()).to_json()));
@@ -610,8 +701,10 @@ TEST(CertifyProperty, RandomMappingBoundEqualsDmmReplayAtEdgeCases) {
       }
     }
 
+    std::vector<replay::AccessTrace> traces;
     for (const KernelDesc& kernel : kernels) {
-      const replay::AccessTrace trace = replay::trace_from_kernel(kernel);
+      traces.push_back(replay::trace_from_kernel(kernel));
+      const replay::AccessTrace& trace = traces.back();
       ASSERT_EQ(trace.records.size(),
                 kernel.binding_count() * kernel.sites.size());
       for (const SynthMapping& mapping : mappings) {
@@ -625,6 +718,23 @@ TEST(CertifyProperty, RandomMappingBoundEqualsDmmReplayAtEdgeCases) {
         EXPECT_EQ(static_cast<double>(
                       replay::replay_trace(trace, *map).stats.max_congestion),
                   cert.bound);
+      }
+    }
+
+    // Site by site under the search's winner: a class folded into one
+    // it is not congestion-equal to, or a site missing from a stored
+    // class's sites, shows as a site bound below that site's replay.
+    if (kernels.size() > 1) {
+      const SynthesisResult result = synthesize_mapping(kernels[0]);
+      ASSERT_NE(result.coverage, Coverage::kSampled);
+      ASSERT_EQ(result.site_bounds.size(), kernels.size() - 1);
+      const auto map = make_synth_map(result.mapping, kernels[0].size());
+      for (std::size_t s = 0; s < result.site_bounds.size(); ++s) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " site " +
+                     std::to_string(s) + " " + result.mapping.spec());
+        EXPECT_EQ(result.site_bounds[s],
+                  static_cast<double>(replay::replay_trace(traces[1 + s], *map)
+                                          .stats.max_congestion));
       }
     }
   }
