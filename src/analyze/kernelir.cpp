@@ -136,9 +136,6 @@ void materialize_site(const KernelDesc& kernel, const AccessSite& site,
                       std::vector<std::int64_t>& trace) {
   const std::uint32_t n = site.lanes == 0 ? kernel.width : site.lanes;
   trace.resize(n);
-  const auto mod_pos = [](std::int64_t value, std::int64_t m) {
-    return ((value % m) + m) % m;
-  };
   switch (site.form) {
     case IndexForm::kFlat: {
       // The binding-dependent part is lane-invariant: evaluate it once,
@@ -158,11 +155,13 @@ void materialize_site(const KernelDesc& kernel, const AccessSite& site,
       std::int64_t row = site.row.eval(0, binding);
       std::int64_t row_step = site.row.lane_coeff;
       if (m != 0) {
-        row = mod_pos(row, m);
-        row_step = mod_pos(row_step, m);
+        row = static_cast<std::int64_t>(mod_pos(row, site.row_mod));
+        row_step = static_cast<std::int64_t>(mod_pos(row_step, site.row_mod));
       }
-      std::int64_t col = mod_pos(site.col.eval(0, binding), w);
-      const std::int64_t col_step = mod_pos(site.col.lane_coeff, w);
+      auto col = static_cast<std::int64_t>(
+          mod_pos(site.col.eval(0, binding), kernel.width));
+      const auto col_step =
+          static_cast<std::int64_t>(mod_pos(site.col.lane_coeff, kernel.width));
       for (std::uint32_t t = 0; t < n; ++t) {
         trace[t] = (row + site.row_base) * w + col;
         row += row_step;

@@ -152,6 +152,15 @@ struct KernelDesc {
 [[nodiscard]] std::vector<std::string> validate_kernel(
     const KernelDesc& kernel);
 
+/// `value` mod `modulus` in [0, modulus), whatever the sign of `value`:
+/// the residue an affine index reaches. `modulus` is nonzero and at most
+/// INT64_MAX.
+[[nodiscard]] inline std::uint64_t mod_pos(std::int64_t value,
+                                           std::uint64_t modulus) noexcept {
+  const auto m = static_cast<std::int64_t>(modulus);
+  return static_cast<std::uint64_t>(((value % m) + m) % m);
+}
+
 /// Materialize the concrete warp trace of `site` under `binding` (one
 /// value per kernel var, in order). Addresses are returned as signed
 /// values so out-of-range expressions stay visible to the caller. Affine

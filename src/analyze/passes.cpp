@@ -17,11 +17,6 @@ using Binding = std::vector<std::uint64_t>;
 /// huge row_mod or width); the site is then enumerated instead.
 constexpr std::uint64_t kStateCap = 1u << 16;
 
-std::uint64_t mod_pos(std::int64_t value, std::uint64_t m) {
-  const std::int64_t sm = static_cast<std::int64_t>(m);
-  return static_cast<std::uint64_t>(((value % sm) + sm) % sm);
-}
-
 /// Residues a coefficient can reach: c*i mod m cycles with this period.
 std::uint64_t residue_period(std::int64_t coeff, std::uint64_t m) {
   return m / std::gcd(mod_pos(coeff, m), m);

@@ -29,15 +29,89 @@ constexpr std::uint64_t kSynthEnumCap = 1u << 16;
 // it, and no closure could hold this many classes anyway.
 constexpr std::uint64_t kMaxClassCap = std::uint64_t{1} << 48;
 
-// Most column-uniform groups a site's bitmap tracks: a flat site's w^D at
-// w = 64, D = 3. Only a kRowCol site with a larger row_mod exceeds it,
-// and its states are then each reduced.
-constexpr std::uint64_t kMaxUniformGroups = std::uint64_t{1} << 18;
+// Most column-uniform groups a kRowCol site's bitmap tracks; past it
+// (a row_mod above 2^18) its states are each reduced. A flat site's
+// groups never exceed 2 * w^D <= 2^19.
+constexpr std::uint64_t kMaxRowColGroups = std::uint64_t{1} << 18;
 
-std::uint64_t mod_pos(std::int64_t value, std::uint64_t modulus) {
-  const auto m = static_cast<std::int64_t>(modulus);
-  return static_cast<std::uint64_t>(((value % m) + m) % m);
-}
+/// The lane groups of an affine site's classes (header: THE ORACLE):
+/// classes whose keys share a group reduce to the same normal forms, so
+/// only the first of each group in discovery order is reduced. Every
+/// lane shares the key's digits below `low` = w^m. A key whose window
+/// value v = (key / low) mod window satisfies v + span < window carries
+/// out of no window digit, so every higher digit is shared too and the
+/// group is v. Otherwise, with `fallback`, the group is
+/// window + key / low, as only digits at or above m vary; failing both,
+/// the class is a group of its own.
+class LaneGroups {
+ public:
+  static constexpr std::uint64_t kOwn = ~std::uint64_t{0};
+
+  /// A flat site: the key is the flat value mod w^(digits+1), and `step`
+  /// the lane step reduced like it (a negative step enters as its
+  /// ascending residue). w^m is the largest power of w dividing `step`,
+  /// with m <= digits, and the window the smallest power of w above the
+  /// span (step / w^m) * (lanes - 1).
+  static LaneGroups flat(std::uint64_t w, std::uint32_t digits,
+                         std::uint64_t step, std::uint64_t lanes) {
+    LaneGroups groups(w);
+    std::uint64_t top = w;  // w^(digits+1-m): the values of key / low
+    for (std::uint32_t d = 0; d < digits; ++d) top *= w;
+    std::uint32_t m = 0;
+    for (; m < digits && step % (groups.low_ * w) == 0; ++m) {
+      groups.low_ *= w;
+      top /= w;
+    }
+    groups.span_ = step / groups.low_ * (lanes - 1);
+    std::uint64_t window = 1;
+    while (window <= groups.span_) window *= w;
+    // A window as wide as every digit from m up leaves v = key / low,
+    // which groups no coarser than the fallback, and not at all at m = 0.
+    if (window < top) groups.window_ = window;
+    groups.fallback_ = m > 0;
+    groups.size_ = groups.window_ + (groups.fallback_ ? top : 0);
+    groups.shift_ = m * groups.shift_;
+    return groups;
+  }
+
+  /// A kRowCol site: the key is row * w + col with `rows` row values, and
+  /// `col_step` the column's lane step mod w. At 0 every lane is in lane
+  /// 0's column and the group is the row part.
+  static LaneGroups row_col(std::uint64_t w, std::uint64_t rows,
+                            std::uint64_t col_step) {
+    LaneGroups groups(w);
+    groups.low_ = w;
+    groups.fallback_ = col_step == 0 && rows <= kMaxRowColGroups;
+    groups.size_ = groups.fallback_ ? rows : 0;
+    return groups;
+  }
+
+  /// Groups the bitmap tracks: every group(key) other than kOwn is below.
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+
+  /// Shift and mask when w is a power of two, as EntryPacker does.
+  [[nodiscard]] std::uint64_t group(std::uint64_t key) const {
+    const std::uint64_t high = pow2_ ? key >> shift_ : key / low_;
+    if (window_ != 0) {
+      const std::uint64_t v = pow2_ ? high & (window_ - 1) : high % window_;
+      if (v + span_ < window_) return v;
+    }
+    return fallback_ ? window_ + high : kOwn;
+  }
+
+ private:
+  explicit LaneGroups(std::uint64_t w)
+      : pow2_(std::has_single_bit(w)),
+        shift_(static_cast<std::uint32_t>(std::countr_zero(w))) {}
+
+  bool pow2_;
+  std::uint32_t shift_;     // log2(low) once built, when pow2_
+  std::uint64_t low_ = 1;   // w^m
+  std::uint64_t window_ = 0;  // w^j, or 0: no window
+  std::uint64_t span_ = 0;
+  bool fallback_ = false;
+  std::uint64_t size_ = 0;
+};
 
 /// One constraint entry: the (column, key digits) of one memory request.
 /// Byte-packed (width <= 64, so every field fits a byte); equal packings
@@ -281,38 +355,18 @@ class ClosureBuilder {
       if (step_a(v) != 0 || step_b(v) != 0) last_var = v;
     }
 
-    // Every state is a class, but only the first state of each
-    // lane-uniform group (header: THE ORACLE) is reduced; the rest would
-    // store, fold and dedupe exactly as it did. With c the lane step
-    // reduced like the key and n the lane count:
-    //   carry-free (kFlat, key mod w + c(n-1) < w): every key digit is
-    //     equal, and the constant depends only on (c, n, dir) — group
-    //     key mod w;
-    //   column-uniform (c = 0 mod w; kRowCol: the column's step): the
-    //     digits depend only on key / w (kRowCol: the row part), so the
-    //     entries differ by one uniform column — group w + key / w.
+    // Every state is a class, but only the first state of each lane
+    // group (header: THE ORACLE) is reduced; the rest would store, fold
+    // and dedupe exactly as it did.
     const std::uint64_t lanes = site.lanes == 0 ? w : site.lanes;
-    const std::uint64_t lane_step =
-        flat ? mod_pos(site.flat.lane_coeff, ma)
-             : mod_pos(site.col.lane_coeff, w);
-    const std::uint64_t carry_span = lane_step * (lanes - 1);
-    const std::uint64_t uniform_groups = flat ? ma / w : ma;
-    const bool column_uniform =
-        lane_step % w == 0 && uniform_groups <= kMaxUniformGroups;
-    groups_.assign((w + (column_uniform ? uniform_groups : 0) + 63) / 64, 0);
-    // Shift and mask when w is a power of two, as EntryPacker does.
-    const bool pow2 = std::has_single_bit(w);
-    const auto shift = static_cast<std::uint64_t>(std::countr_zero(w));
+    const LaneGroups lane_groups =
+        flat ? LaneGroups::flat(w, digits_,
+                                mod_pos(site.flat.lane_coeff, ma), lanes)
+             : LaneGroups::row_col(w, ma, mod_pos(site.col.lane_coeff, w));
+    groups_.assign((lane_groups.size() + 63) / 64, 0);
     const auto first_of_group = [&](std::uint64_t key) {
-      const std::uint64_t col = pow2 ? key & (w - 1) : key % w;
-      std::uint64_t group = 0;
-      if (flat && col + carry_span < w) {
-        group = col;
-      } else if (column_uniform) {
-        group = w + (pow2 ? key >> shift : key / w);
-      } else {
-        return true;  // a group of its own
-      }
+      const std::uint64_t group = lane_groups.group(key);
+      if (group == LaneGroups::kOwn) return true;
       std::uint64_t& word = groups_[group / 64];
       const std::uint64_t bit = std::uint64_t{1} << (group % 64);
       const bool first = (word & bit) == 0;
@@ -639,7 +693,7 @@ class ClosureBuilder {
   std::vector<std::uint64_t> addrs_;
   std::vector<PackedEntry> entries_;
   std::vector<PackedEntry> norm_;
-  std::vector<std::uint64_t> groups_;  // lane-uniform groups already seen
+  std::vector<std::uint64_t> groups_;  // lane groups already seen
   // Normal-form dedupe: the stored classes' forms laid end to end in one
   // arena, class c's at [norm_bounds_[c], norm_bounds_[c + 1]), indexed
   // by hash in an open-addressing table of (hash, class) slots.

@@ -56,17 +56,26 @@
 // decides which binding witnesses a class and so, among tied classes or
 // tied candidates, the witness and the winner.
 //
-// Affine classes fall into lane-uniform groups whose members reduce to
-// the same constraint up to one uniform column shift, which both normal
-// forms remove: a flat site whose lanes never carry out of lane 0's
-// column (the key digits are all equal, the class a constant), or a site
-// whose lane step is 0 mod w (every lane in lane 0's column, the digits
-// a function of the row part of the key alone). Only the first class of
-// each group, in discovery order, is materialized and reduced; it is also
-// the first to reach every stored class, floor and witness binding, so
-// the closure is byte for byte the one reducing every class would build.
-// `classes` still counts every class (it is the residue count the
-// certificate quotes); SynthesisResult::traces_reduced counts the work.
+// Affine classes fall into lane groups whose members reduce to the same
+// normal forms, by one windowed rule over the key's base-w digits. Let c
+// be a flat site's lane step reduced like the key (ascending), n its
+// lane count, w^m the largest power of w dividing c (m <= D) and the
+// window w^j the smallest power of w above the span s = (c / w^m)(n-1).
+// Every lane shares the key's digits below m. When the window value
+// v = (key / w^m) mod w^j satisfies v + s < w^j, no lane carries out of
+// digits [m, m + j), so every higher digit is shared too and both
+// normal forms depend on v alone: the group is v. Otherwise, when
+// m >= 1, only digits at or above m vary and the group is
+// w^j + key / w^m; otherwise the class is a group of its own. A row/col
+// site whose column's lane step is 0 mod w keeps every lane in lane 0's
+// column, so its group is the key's row part. Only the first class of
+// each group, in discovery order, is materialized and reduced; it is
+// also the first to reach every stored class, floor and witness
+// binding, so the closure is byte for byte the one reducing every class
+// would build. `classes` still counts every class (it is the residue
+// count the certificate quotes); SynthesisResult::traces_reduced counts
+// the work: at w = 32, one trace for each tensor4d kernel's 32,768
+// classes, and 859 for the catalog's 141,753.
 //
 // THE BASELINE. The all-zero member is RAW, and the search evaluates it
 // first, in full, over its own closure: that value is baseline_bound,
@@ -222,8 +231,9 @@ struct SynthesisResult {
   std::uint64_t classes = 0;         // constraint classes certified against
   std::uint64_t candidates = 0;      // evaluated + pruned
   /// Warp traces the search's closure materialized and reduced: one per
-  /// lane-uniform group, at most `classes`. A work counter, kept out of
-  /// to_json() (the JSON is the same whichever way the classes were found).
+  /// lane group (header: THE ORACLE), at most `classes`. A work counter,
+  /// kept out of to_json() (the JSON is the same whichever way the
+  /// classes were found).
   std::uint64_t traces_reduced = 0;
   /// Congestion classes the search's closure stored and scores each
   /// candidate against: one per congestion-equivalent group (header: THE

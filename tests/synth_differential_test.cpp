@@ -143,6 +143,7 @@ TEST(SynthDifferential, CatalogIsTheDocumentedSeventeen) {
 
 TEST(SynthPins, SearchAndAuditJsonDigestsAreUnchanged) {
   const std::pair<std::uint32_t, std::uint64_t> pins[] = {
+      {8, 0xc816123d04c5ccf2ull},
       {16, 0xab87a0e8e85c0475ull},
       {32, 0xc995cbd5cdc8f3eeull},
       {64, 0x98a232e79747c6b4ull},

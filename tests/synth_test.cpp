@@ -10,7 +10,8 @@
 // full DMM replay of the kernel's materialized trace — and the same
 // equality for certify_mapping's bound on random mappings over kernels at
 // the closure's lane-uniform grouping edges (and, site by site, the
-// search's site_bounds against a replay of each site alone); the RAW
+// search's site_bounds against a replay of each site alone) and at the
+// ends of the windowed lane-group rule's windows; the RAW
 // baseline against the independent RAW prover (analyze_kernel), and a
 // digest pin over off-catalog kernels that fixes the residue DP's
 // discovery order. The whole-catalog differential sweep lives in
@@ -738,6 +739,111 @@ TEST(CertifyProperty, RandomMappingBoundEqualsDmmReplayAtEdgeCases) {
       }
     }
   }
+}
+
+/// A one-site flat kernel at the edges of the windowed lane-group rule
+/// (analyze/synth.hpp, THE ORACLE): lane step k * w^m, and a lane count
+/// that puts the last lane on, just inside or just past the end of the
+/// window w^j when lane 0's window value is 0. Variable v steps the
+/// window value by one from just below its last carry-free value, so
+/// classes on both sides of the window's end share the closure; u moves
+/// the digits above the window or below w^m.
+KernelDesc window_edge_kernel(util::Pcg32& rng, std::uint32_t w) {
+  const std::uint32_t m = rng.bounded(4);
+  const std::uint64_t k = 1 + rng.bounded(5);
+  std::uint64_t low = 1;  // w^m
+  for (std::uint32_t d = 0; d < m; ++d) low *= w;
+  const std::uint64_t window = rng.bounded(2) ? w : std::uint64_t{w} * w;
+  // The last lane's window value from v = 0: window - 2, - 1 or + 0.
+  const std::uint64_t last = window - 2 + rng.bounded(3);
+  const std::uint64_t lanes = std::clamp<std::uint64_t>(1 + last / k, 1, w);
+  const std::uint64_t span = k * (lanes - 1);
+  const std::uint64_t edge = span < window ? window - 1 - span : 0;
+  const std::uint64_t v0 = edge - std::min<std::uint64_t>(edge,
+                                                          rng.bounded(3));
+  const std::uint64_t coeffs[] = {low * window, low * w, 1, low * window * w};
+  const std::uint64_t u_coeff = coeffs[rng.bounded(4)];
+
+  KernelDesc kernel;
+  kernel.name = "window-edge";
+  kernel.width = w;
+  kernel.vars = {{"v", 1 + rng.bounded(4)}, {"u", 1 + rng.bounded(4)}};
+  AccessSite site;
+  site.name = "s0";
+  site.dir = static_cast<AccessDir>(rng.bounded(3));
+  site.lanes = static_cast<std::uint32_t>(lanes);
+  const std::uint64_t base = v0 * low + rng.bounded(
+                                            static_cast<std::uint32_t>(low)) +
+                             low * window * rng.bounded(w);
+  site.flat = {static_cast<std::int64_t>(base),
+               static_cast<std::int64_t>(k * low),
+               {static_cast<std::int64_t>(low),
+                static_cast<std::int64_t>(u_coeff)}};
+  const std::uint64_t high = base + k * low * (lanes - 1) +
+                             low * (kernel.vars[0].count - 1) +
+                             u_coeff * (kernel.vars[1].count - 1);
+  kernel.rows = high / w + 1 + rng.bounded(w * w);
+  kernel.sites = {std::move(site)};
+  return kernel;
+}
+
+/// certify_mapping and the search on kernels at the windowed rule's
+/// edges: every certified bound must EQUAL the worst congestion of a
+/// full DMM replay of every binding, as in
+/// RandomMappingBoundEqualsDmmReplayAtEdgeCases. Its own seed leaves the
+/// edge_case_kernel stream (and SynthPins.EdgeCaseKernelDigests) as is.
+TEST(CertifyProperty, WindowedLaneGroupBoundEqualsDmmReplay) {
+  util::Pcg32 rng(0x3D1D0);
+  constexpr std::uint32_t kWidths[] = {4, 6, 8, 16};
+  std::uint64_t classes = 0;
+  std::uint64_t traces = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint32_t w = kWidths[rng.bounded(4)];
+    const KernelDesc kernel = window_edge_kernel(rng, w);
+    const replay::AccessTrace trace = replay::trace_from_kernel(kernel);
+    ASSERT_EQ(trace.records.size(), kernel.binding_count());
+    const AffineExpr& flat = kernel.sites[0].flat;
+    SCOPED_TRACE("trial " + std::to_string(trial) + " w=" +
+                 std::to_string(w) + " lanes=" +
+                 std::to_string(kernel.sites[0].lanes) + " addr=" +
+                 flat.describe(kernel.vars));
+
+    const SynthesisResult result = synthesize_mapping(kernel);
+    ASSERT_NE(result.coverage, Coverage::kSampled);
+    classes += result.classes;
+    traces += result.traces_reduced;
+    std::vector<SynthMapping> mappings = {result.mapping};
+    const std::uint32_t digits = 1 + rng.bounded(kMaxDigits);
+    for (const bool sparse : {false, true}) {
+      SynthMapping mapping = random_mapping(w, digits, rng());
+      if (sparse) {
+        for (std::vector<std::uint32_t>& table : mapping.tables) {
+          for (std::uint32_t& entry : table) {
+            if (rng.bounded(4) != 0) entry = 0;
+          }
+        }
+      }
+      mappings.push_back(mapping);
+      if (std::has_single_bit(w)) {
+        mapping.transform = RowTransform::kXor;
+        mappings.push_back(std::move(mapping));
+      }
+    }
+    for (const SynthMapping& mapping : mappings) {
+      SCOPED_TRACE(mapping.spec());
+      const CongestionCertificate cert = certify_mapping(kernel, mapping);
+      ASSERT_TRUE(cert.exact()) << cert.claim;
+      const auto map = make_synth_map(mapping, kernel.size());
+      EXPECT_EQ(static_cast<double>(
+                    replay::replay_trace(trace, *map).stats.max_congestion),
+                cert.bound);
+    }
+    EXPECT_EQ(certify_mapping(kernel, result.mapping).bound,
+              result.certificate.bound);
+  }
+  // The rule groups classes here; were every class reduced, the replay
+  // would check nothing the old per-class path did not.
+  EXPECT_LT(traces, classes);
 }
 
 /// A kernel whose one opaque site runs 4,097-65,536 bindings: the

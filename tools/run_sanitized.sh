@@ -47,10 +47,13 @@ if [[ "$MODE" == "thread" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
   cd "$BUILD"
-  # The threaded subset: socket serve transport, campaign worker pool,
-  # and the parallel utility layer; plus the library-order check.
+  # The threaded subset: socket serve transport, the service's worker
+  # pool and response cache (and the serve_schema ctest, which drives
+  # every method through that pool), campaign worker pool, and the
+  # parallel utility layer; plus the library-order check.
   ctest --output-on-failure -j "$(nproc)" \
-    -R "Serve|Campaign|Parallel|^layering$" "$@"
+    -R "Serve|Service|ResponseCache|serve_schema|Campaign|Parallel|^layering$" \
+    "$@"
   exit 0
 fi
 
